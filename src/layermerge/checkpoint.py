@@ -197,15 +197,14 @@ def _encode(ckpt: Checkpoint) -> bytes:
     return struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(buffers)
 
 
-def save(ckpt: Checkpoint, path) -> None:
-    """Serialize a checkpoint. A failed save leaves no file behind."""
-    ckpt.validate()
-    blob = _encode(ckpt)
+def atomic_write(path, data: bytes) -> None:
+    """Write bytes through a temporary file in the target's directory and
+    ``os.replace``, so a failed write leaves neither file behind."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -213,6 +212,12 @@ def save(ckpt: Checkpoint, path) -> None:
         except OSError:
             pass
         raise
+
+
+def save(ckpt: Checkpoint, path) -> None:
+    """Serialize a checkpoint. A failed save leaves no file behind."""
+    ckpt.validate()
+    atomic_write(path, _encode(ckpt))
 
 
 def _reject_duplicate_keys(pairs):
@@ -263,10 +268,11 @@ def _read_header(path):
         if dtype not in DTYPE_TO_NUMPY:
             raise CheckpointFormatError(f"{path}: tensor '{name}' has unknown dtype {dtype!r}")
         shape = info.get("shape")
-        if not isinstance(shape, list) or not all(isinstance(d, int) and d >= 0 for d in shape):
+        # type() rather than isinstance(): JSON true/false decode to bool, an int subclass
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise CheckpointFormatError(f"{path}: tensor '{name}' has invalid shape {shape!r}")
         offs = info.get("offsets")
-        if not (isinstance(offs, list) and len(offs) == 2 and all(isinstance(o, int) for o in offs)):
+        if not (isinstance(offs, list) and len(offs) == 2 and all(type(o) is int for o in offs)):
             raise CheckpointFormatError(f"{path}: tensor '{name}' has invalid offsets {offs!r}")
         start, end = offs
         if not (0 <= start <= end <= data_size):

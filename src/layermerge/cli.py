@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -56,21 +54,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise UsageError(message)
-
-
-def _atomic_write(path, data: bytes) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _summary(line: str) -> None:
@@ -166,7 +149,7 @@ def _cmd_profile(args) -> int:
     profile = discrepancy_profile(a, b, args.tau, mode=args.mode)
     payload = emit_profile(profile, format=args.format)
     if args.out:
-        _atomic_write(args.out, payload)
+        ckpt_store.atomic_write(args.out, payload)
         target = args.out
     else:
         sys.stdout.write(payload.decode("utf-8"))
@@ -210,7 +193,7 @@ def _cmd_toy(args) -> int:
     report = run_experiment(cfg)
     payload = render_report(report)
     if args.out:
-        _atomic_write(args.out, payload)
+        ckpt_store.atomic_write(args.out, payload)
         target = args.out
     else:
         sys.stdout.write(payload.decode("utf-8"))

@@ -72,6 +72,7 @@ def discrepancy_profile(
         raise DiscrepancyError(f"unknown mode {mode!r}, expected one of {MODES}")
 
     alignment = shared_parameters([a, b], anchor=0)
+    a_arrays, b_arrays = a.arrays(), b.arrays()
     rows = []
     for group in alignment.shared_groups:
         by_kind: dict[str, list[str]] = {}
@@ -81,10 +82,10 @@ def discrepancy_profile(
             if kind not in by_kind:
                 continue
             ref = np.concatenate(
-                [np.asarray(a.get(n).data, dtype=np.float64).ravel() for n in by_kind[kind]]
+                [np.asarray(a_arrays[n], dtype=np.float64).ravel() for n in by_kind[kind]]
             )
             other = np.concatenate(
-                [np.asarray(b.get(n).data, dtype=np.float64).ravel() for n in by_kind[kind]]
+                [np.asarray(b_arrays[n], dtype=np.float64).ravel() for n in by_kind[kind]]
             )
             if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(other))):
                 raise DiscrepancyError(

@@ -8,14 +8,21 @@ weighted and diagonal-Fisher-weighted merging are provided as baselines.
 
 Numerics
 --------
-All accumulation happens in float64 and is cast to the anchor's storage
-dtype at write-out. Per-element contributions are sorted by value before
-reduction, which makes every strategy exactly invariant to permutations of
-the non-anchor models (the contribution multiset does not depend on model
-order). Schedule weights are derived in exact rational arithmetic and
-rounded to float64 once, so schedule identities (rows summing to one, the
-anchor-dominance gap) hold exactly on the rational side and to within one
-rounding on the float side.
+Every strategy is one weighted sum per shared tensor, ``sum_i w_i * x_i``;
+the strategies differ only in the weights. Layer-wise, isotropic and
+performance-weighted merging give each model one scalar per layer, Fisher
+merging one weight per element. Terms are formed in float64, and the M
+terms of each element are sorted by value before they are added, which
+makes every strategy exactly invariant to permutations of the non-anchor
+models (the multiset of terms does not depend on model order). Fisher
+weights are each element's Fisher values divided by their largest value
+and then by their sorted sum, so no intermediate can overflow; elements
+without Fisher mass in any model, and batch-norm running statistics, get
+weight 1/M. Each merged tensor is cast to the anchor's storage dtype as
+soon as it is finished. Schedule weights are derived in exact rational
+arithmetic and rounded to float64 once, so schedule identities (rows
+summing to one, the anchor-dominance gap) hold exactly on the rational
+side and to within one rounding on the float side.
 """
 
 from __future__ import annotations
@@ -209,81 +216,72 @@ def _reject_shape_conflicts(alignment: SharedAlignment, strategy: str) -> None:
         )
 
 
-def _stack(ckpts, name, model_index) -> np.ndarray:
-    """Float64 stack of one shared tensor across models, in model order."""
-    anchor_shape = None
-    arrays = []
-    for i in model_index:
-        arr = np.asarray(ckpts[i].get(name).data, dtype=np.float64)
-        if anchor_shape is None:
-            anchor_shape = arr.shape
-        elif arr.shape != anchor_shape:
-            raise MergeError(
-                f"shape mismatch for shared tensor '{name}': "
-                f"{arr.shape} vs {anchor_shape} (alignment inconsistency)"
-            )
-        arrays.append(arr)
-    return np.ascontiguousarray(np.stack(arrays))
+def _weighted_sum(weights, arrays) -> np.ndarray:
+    """``sum_i w_i * x_i`` in float64; each ``w_i`` is a scalar or an array
+    broadcastable to ``x_i``. Terms are sorted by value before they are
+    added, so the result depends only on their multiset, never on model
+    order."""
+    terms = np.empty((len(arrays), *np.shape(arrays[0])))
+    for i, (w, x) in enumerate(zip(weights, arrays)):
+        np.multiply(w, x, out=terms[i, ...], dtype=np.float64)
+    terms.sort(axis=0)
+    return np.add.reduce(terms, axis=0)
 
 
-def _sorted_reduce(stack: np.ndarray) -> np.ndarray:
-    """Sum along axis 0 after sorting, so the result only depends on the
-    multiset of contributions, never on model order."""
-    return np.add.reduce(np.sort(stack, axis=0), axis=0)
+def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
+    """The merge loop behind every strategy.
 
-
-def _assemble_output(anchor_ckpt, merged_by_name, alignment, strategy, extra=None):
-    """Merged checkpoint in the anchor's schema, tagged with merge metadata."""
-    tensors = []
-    for t in anchor_ckpt.tensors:
-        if t.name in merged_by_name:
-            data = np.asarray(merged_by_name[t.name]).astype(t.data.dtype, copy=False)
-            tensors.append(TensorRecord(t.name, data))
-        else:
-            tensors.append(TensorRecord(t.name, t.data))
-    metadata = {
-        "model_id": "merged",
-        "merge_strategy": strategy,
-        "merge_model_count": str(alignment.model_count),
-        "merge_anchor": str(alignment.anchor),
-        "merge_shared_layers": str(alignment.n_shared_layers),
-    }
-    if alignment.anchor_only:
-        metadata["merge_anchor_only_count"] = str(len(alignment.anchor_only))
-    if extra:
-        metadata.update(extra)
-    if anchor_ckpt.layer_order() is not None:
-        metadata["layer_order"] = anchor_ckpt.metadata["layer_order"]
-    return Checkpoint(tensors, metadata)
-
-
-def _merge_pool(ckpts, alignment, per_layer_weights, strategy, metadata_extra=None):
-    """Shared machinery: weighted sums over shared groups, anchor copies
-    elsewhere. ``per_layer_weights[j-1]`` is the M-vector for layer j."""
+    ``weights_for(layer, name, kind, shape)`` returns the M weights of one
+    shared tensor as an array indexed by model. Shared tensors become
+    weighted sums cast to the anchor's dtype; anchor-only tensors, and
+    shared tensors whose non-anchor weights are all zero, keep the anchor's
+    array. The output follows the anchor's tensor order.
+    """
     if alignment.model_count != len(ckpts):
         raise MergeError(
             f"alignment covers {alignment.model_count} models, got {len(ckpts)}"
         )
     _check_finite(ckpts)
-    anchor_ckpt = ckpts[alignment.anchor]
-    model_index = range(len(ckpts))
+    anchor = alignment.anchor
+    anchor_ckpt = ckpts[anchor]
+    pool = [c.arrays() for c in ckpts]
+    shared = {
+        name: (group.index, kind)
+        for group in alignment.shared_groups
+        for name, kind in group.members
+    }
 
-    merged_by_name: dict[str, np.ndarray] = {}
-    for group in alignment.shared_groups:
-        w = np.asarray(per_layer_weights[group.index - 1], dtype=np.float64)
-        non_anchor_mass = sum(
-            abs(w[i]) for i in model_index if i != alignment.anchor
-        )
-        for name, _ in group.members:
-            if non_anchor_mass == 0.0:
-                # Anchor owns this layer outright: copy, don't recompute.
-                merged_by_name[name] = anchor_ckpt.get(name).data
-                continue
-            stack = _stack(ckpts, name, model_index)
-            out = _sorted_reduce(stack * w.reshape((-1,) + (1,) * (stack.ndim - 1)))
-            merged_by_name[name] = out
+    tensors = []
+    for t in anchor_ckpt.tensors:
+        data = t.data
+        if t.name in shared:
+            layer, kind = shared[t.name]
+            w = weights_for(layer, t.name, kind, t.shape)
+            if np.any(w[:anchor]) or np.any(w[anchor + 1:]):
+                arrays = [p[t.name] for p in pool]
+                for x in arrays:
+                    if x.shape != t.shape:
+                        raise MergeError(
+                            f"shape mismatch for shared tensor '{t.name}': "
+                            f"{x.shape} vs {t.shape} (alignment inconsistency)"
+                        )
+                data = _weighted_sum(w, arrays).astype(t.data.dtype, copy=False)
+        tensors.append(TensorRecord(t.name, data))
 
-    return _assemble_output(anchor_ckpt, merged_by_name, alignment, strategy, metadata_extra)
+    metadata = {
+        "model_id": "merged",
+        "merge_strategy": strategy,
+        "merge_model_count": str(alignment.model_count),
+        "merge_anchor": str(anchor),
+        "merge_shared_layers": str(alignment.n_shared_layers),
+    }
+    if alignment.anchor_only:
+        metadata["merge_anchor_only_count"] = str(len(alignment.anchor_only))
+    if metadata_extra:
+        metadata.update(metadata_extra)
+    if anchor_ckpt.layer_order() is not None:
+        metadata["layer_order"] = anchor_ckpt.metadata["layer_order"]
+    return Checkpoint(tensors, metadata)
 
 
 def layerwise_merge(
@@ -304,21 +302,19 @@ def layerwise_merge(
         )
     if anchor != schedule.anchor or anchor != alignment.anchor:
         raise MergeError("anchor disagrees between schedule, alignment and call")
-    per_layer = [schedule.weights[:, j] for j in range(schedule.layer_count)]
+    per_layer = schedule.weights.T
     extra = {
         "merge_start_layer": str(schedule.start_layer),
         "merge_first_layer_weight": repr(schedule.first_layer_weight),
     }
-    return _merge_pool(ckpts, alignment, per_layer, "layerwise", extra)
+    return _merge(ckpts, alignment, "layerwise", lambda layer, *_: per_layer[layer - 1], extra)
 
 
 def isotropic_merge(ckpts: list[Checkpoint], alignment: SharedAlignment) -> Checkpoint:
     """Plain average of shared tensors; rejects shape-conflicted names."""
     _reject_shape_conflicts(alignment, "isotropic")
-    m = len(ckpts)
-    uniform = np.full(m, 1.0 / m)
-    per_layer = [uniform] * alignment.n_shared_layers
-    return _merge_pool(ckpts, alignment, per_layer, "isotropic")
+    uniform = np.full(len(ckpts), 1.0 / len(ckpts))
+    return _merge(ckpts, alignment, "isotropic", lambda *_: uniform)
 
 
 def scalar_weighted_merge(
@@ -342,16 +338,44 @@ def scalar_weighted_merge(
     exact = [Fraction(float(s)) for s in scores]
     total = sum(exact)
     weights = np.array([float(s / total) for s in exact])
-    per_layer = [weights] * alignment.n_shared_layers
     extra = {"merge_scores": ",".join(repr(float(s)) for s in scores)}
-    return _merge_pool(ckpts, alignment, per_layer, "scalar", extra)
+    return _merge(ckpts, alignment, "scalar", lambda *_: weights, extra)
+
+
+def _fisher_weights(fishers, name, kind, shape) -> np.ndarray:
+    """Per-element weights proportional to each model's Fisher value.
+
+    Each element's values are divided by their largest value before they
+    are summed, so neither the sum nor a weighted term can overflow.
+    """
+    m = len(fishers)
+    if kind in NON_GRADIENT_KINDS:
+        return np.full(m, 1.0 / m)
+    mass = np.empty((m, *shape))
+    for i, fisher in enumerate(fishers):
+        f = fisher.tensors.get(name)
+        if f is None:
+            raise FisherInputError(
+                f"model {i} has no Fisher tensor for shared tensor '{name}'"
+            )
+        if f.shape != shape:
+            raise FisherInputError(
+                f"Fisher tensor '{name}' of model {i} has shape {f.shape}, "
+                f"expected {shape}"
+            )
+        mass[i] = f
+    scale = mass.max(axis=0)
+    zero = scale == 0.0
+    np.divide(mass, scale, out=mass, where=~zero)
+    np.copyto(mass, 1.0, where=zero)
+    mass /= _weighted_sum(np.ones(m), mass)
+    return mass
 
 
 def fisher_merge(
     ckpts: list[Checkpoint],
     fishers: list[FisherWeights],
     alignment: SharedAlignment,
-    eps: float = 1e-8,
 ) -> Checkpoint:
     """Per-element Fisher-weighted average of shared gradient-bearing tensors.
 
@@ -360,42 +384,9 @@ def fisher_merge(
     (they carry no gradient information for Fisher to weight).
     """
     _reject_shape_conflicts(alignment, "Fisher-weighted")
-    if alignment.model_count != len(ckpts):
-        raise MergeError(
-            f"alignment covers {alignment.model_count} models, got {len(ckpts)}"
-        )
     if len(fishers) != len(ckpts):
         raise MergeError(f"{len(fishers)} Fisher inputs for {len(ckpts)} models")
-    _check_finite(ckpts)
-    anchor_ckpt = ckpts[alignment.anchor]
-    model_index = range(len(ckpts))
-
-    merged_by_name: dict[str, np.ndarray] = {}
-    for group in alignment.shared_groups:
-        for name, kind in group.members:
-            stack = _stack(ckpts, name, model_index)
-            mean = _sorted_reduce(stack) / len(ckpts)
-            if kind in NON_GRADIENT_KINDS:
-                merged_by_name[name] = mean
-                continue
-            fisher_rows = []
-            for i in model_index:
-                f = fishers[i].tensors.get(name)
-                if f is None:
-                    raise FisherInputError(
-                        f"model {i} has no Fisher tensor for shared tensor '{name}'"
-                    )
-                if f.shape != stack.shape[1:]:
-                    raise FisherInputError(
-                        f"Fisher tensor '{name}' of model {i} has shape {f.shape}, "
-                        f"expected {stack.shape[1:]}"
-                    )
-                fisher_rows.append(f)
-            fstack = np.ascontiguousarray(np.stack(fisher_rows))
-            numerator = _sorted_reduce(fstack * stack)
-            denominator = _sorted_reduce(fstack)
-            zero_mass = denominator == 0.0
-            weighted = numerator / (denominator + eps * zero_mass)
-            merged_by_name[name] = np.where(zero_mass, mean, weighted)
-
-    return _assemble_output(anchor_ckpt, merged_by_name, alignment, "fisher")
+    return _merge(
+        ckpts, alignment, "fisher",
+        lambda layer, name, kind, shape: _fisher_weights(fishers, name, kind, shape),
+    )

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,16 @@ def random_pool(rng, model_count=None, max_groups=10, max_elements=100):
     pool = [make_checkpoint(shapes, rng) for _ in range(m)]
     groups = [[f"layer{i}.weight", f"layer{i}.bias"] for i in range(n_groups)]
     return pool, groups
+
+
+def patch_header(path, mutate):
+    """File bytes with the JSON header passed through ``mutate`` in place."""
+    raw = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack("<Q", bytes(raw[:8]))
+    header = json.loads(raw[8 : 8 + header_len].decode())
+    mutate(header)
+    new_header = json.dumps(header, separators=(",", ":")).encode()
+    return struct.pack("<Q", len(new_header)) + new_header + bytes(raw[8 + header_len :])
 
 
 def as_flat_dicts(pool):

@@ -16,7 +16,7 @@ from layermerge import (
     save,
 )
 
-from conftest import make_checkpoint
+from conftest import make_checkpoint, patch_header
 
 
 def identical(a: Checkpoint, b: Checkpoint) -> bool:
@@ -131,15 +131,6 @@ class TestSaveErrors:
             save(ckpt, tmp_path / "l.st")
 
 
-def _patch_header(path, mutate):
-    raw = bytearray(path.read_bytes())
-    (header_len,) = struct.unpack("<Q", bytes(raw[:8]))
-    header = json.loads(raw[8 : 8 + header_len].decode())
-    mutate(header)
-    new_header = json.dumps(header, separators=(",", ":")).encode()
-    return struct.pack("<Q", len(new_header)) + new_header + bytes(raw[8 + header_len :])
-
-
 class TestLoadErrors:
     @pytest.fixture
     def saved(self, tmp_path, rng):
@@ -177,7 +168,7 @@ class TestLoadErrors:
         def mutate(header):
             header["tensors"]["layer0.weight"]["offsets"] = [0, 10_000]
 
-        saved.write_bytes(_patch_header(saved, mutate))
+        saved.write_bytes(patch_header(saved, mutate))
         with pytest.raises(CheckpointFormatError, match="layer0.weight"):
             load(saved)
 
@@ -186,7 +177,7 @@ class TestLoadErrors:
             w = header["tensors"]["layer0.weight"]["offsets"]
             header["tensors"]["layer0.bias"]["offsets"] = [w[0], w[0] + 16]
 
-        saved.write_bytes(_patch_header(saved, mutate))
+        saved.write_bytes(patch_header(saved, mutate))
         with pytest.raises(CheckpointFormatError, match="overlapping"):
             load(saved)
 
@@ -194,7 +185,7 @@ class TestLoadErrors:
         def mutate(header):
             header["tensors"]["layer0.weight"]["dtype"] = "I8"
 
-        saved.write_bytes(_patch_header(saved, mutate))
+        saved.write_bytes(patch_header(saved, mutate))
         with pytest.raises(CheckpointFormatError, match="dtype"):
             load(saved)
 
@@ -202,9 +193,19 @@ class TestLoadErrors:
         def mutate(header):
             header["tensors"]["layer0.weight"]["shape"] = [3, 3]
 
-        saved.write_bytes(_patch_header(saved, mutate))
+        saved.write_bytes(patch_header(saved, mutate))
         with pytest.raises(CheckpointFormatError, match="does not match"):
             load(saved)
+
+    @pytest.mark.parametrize("field, value", [("shape", [True, 4]), ("offsets", [False, 32])])
+    def test_boolean_shape_or_offsets_rejected(self, saved, field, value):
+        def mutate(header):
+            header["tensors"]["layer0.weight"][field] = value
+
+        saved.write_bytes(patch_header(saved, mutate))
+        for reader in (load, inspect):
+            with pytest.raises(CheckpointFormatError, match=f"invalid {field}"):
+                reader(saved)
 
     def test_truncated_data_section(self, saved):
         raw = saved.read_bytes()

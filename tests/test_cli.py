@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from layermerge import Checkpoint, load, save
 from layermerge.cli import main
 from layermerge.toy import ToyModel
 
-from conftest import clone_with_noise, make_checkpoint
+from conftest import clone_with_noise, make_checkpoint, patch_header
 
 
 @pytest.fixture
@@ -189,6 +190,19 @@ class TestProfile:
         }
         assert csv_rows == json_rows
 
+    def test_failed_write_leaves_nothing(self, pair, tmp_path, capsys, monkeypatch):
+        def fail(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        pa, pb = pair
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "profile", pa, pb, "--tau", "5", "--out", out)
+        assert code == 2
+        assert "simulated rename failure" in err
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_stdout_when_no_out(self, pair, capsys):
         pa, _ = pair
         code, stdout, _ = run(capsys, "profile", pa, pa, "--tau", "5")
@@ -211,6 +225,20 @@ class TestInspect:
         code, _, err = run(capsys, "inspect", bad)
         assert code == 2
         assert "malformed" in err
+
+    @pytest.mark.parametrize("field, value", [("shape", [True, 2]), ("offsets", [False, 48])])
+    def test_boolean_header_fields_exit_2(self, pair, tmp_path, capsys, field, value):
+        def mutate(header):
+            header["tensors"]["layer0.weight"][field] = value
+
+        pa, pb = pair
+        pa.write_bytes(patch_header(pa, mutate))
+        out = tmp_path / "m.st"
+        for argv in (("inspect", pa), ("merge", pa, pb, "--strategy", "isotropic", "--out", out)):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert f"invalid {field}" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestFisherCommand:

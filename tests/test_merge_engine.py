@@ -334,6 +334,20 @@ class TestFisherMerge:
         # while the gradient-bearing weight is fisher-weighted
         assert merged.get("bn.weight").data[0] == pytest.approx((100 + 3) / 101)
 
+    def test_huge_fisher_values_stay_finite(self):
+        # products like 1e300 * 1e10 and sums of 1.7e308 overflow float64
+        params = [[1e10, -3e9, 2.5], [-4e9, 7e9, 0.5], [6e9, 1e10, -1.25]]
+        fisher = [[1e300, 1.7e308, 1e300], [3e300, 1.7e308, 2e300], [2e300, 1.7e308, 0.0]]
+        pool = [Checkpoint.from_arrays({"x.weight": np.array(p)}) for p in params]
+        fishers = [FisherWeights({"x.weight": np.array(f)}) for f in fisher]
+        merged = fisher_merge(pool, fishers, shared_parameters(pool, 0)).get("x.weight").data
+        assert np.all(np.isfinite(merged))
+        for k, got in enumerate(merged):
+            f = [Fraction(row[k]) for row in fisher]
+            x = [Fraction(row[k]) for row in params]
+            exact = sum(fi * xi for fi, xi in zip(f, x)) / sum(f)
+            assert abs(Fraction(float(got)) - exact) <= Fraction(1e-12) * abs(exact)
+
     def test_missing_fisher_tensor_rejected(self, rng):
         pool = [make_checkpoint([(2, 2)], rng) for _ in range(2)]
         alignment = shared_parameters(pool, 0)
