@@ -13,7 +13,10 @@ A checkpoint file is laid out as:
 Offsets are relative to the start of the data section. Tensor order in the
 file equals the order of the "tensors" object and round-trips exactly.
 Saving is deterministic: the same checkpoint value always produces the same
-bytes (metadata keys are sorted; tensor order is part of the value).
+bytes (metadata keys are sorted; tensor order is part of the value), and
+writes each tensor's buffer to the file without assembling the whole file
+in memory. Loading reads the data section once; every tensor is a
+read-only view into it.
 
 Only F32 and F64 element types are supported. Metadata values are plain
 strings; numeric values are parsed where they are used.
@@ -176,35 +179,44 @@ def match_layer_order(names, prefixes) -> dict[str, str]:
     return assignment
 
 
-def _encode(ckpt: Checkpoint) -> bytes:
+def _encode(ckpt: Checkpoint) -> list:
+    """The file as a list of buffers: length prefix, header, then each
+    tensor's contiguous little-endian array (not copied when the tensor
+    already is one)."""
     header_tensors = {}
     buffers = []
     offset = 0
     for t in ckpt.tensors:
-        raw = np.ascontiguousarray(t.data, dtype=DTYPE_TO_NUMPY[t.dtype]).tobytes()
+        arr = np.ascontiguousarray(t.data, dtype=DTYPE_TO_NUMPY[t.dtype])
         header_tensors[t.name] = {
             "dtype": t.dtype,
             "shape": list(t.shape),
-            "offsets": [offset, offset + len(raw)],
+            "offsets": [offset, offset + arr.nbytes],
         }
-        buffers.append(raw)
-        offset += len(raw)
+        buffers.append(arr)
+        offset += arr.nbytes
     header = {
         "tensors": header_tensors,
         "metadata": {k: ckpt.metadata[k] for k in sorted(ckpt.metadata)},
     }
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    return struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(buffers)
+    return [struct.pack("<Q", len(header_bytes)), header_bytes, *buffers]
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write bytes through a temporary file in the target's directory and
-    ``os.replace``, so a failed write leaves neither file behind."""
+def atomic_write(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` in order through a temporary file in
+    the target's directory, fsync it, ``os.replace`` it onto the target and
+    fsync the directory. A failed write leaves neither file behind, and a
+    finished one survives a crash."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
+    directory = path.parent or Path(".")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -212,12 +224,17 @@ def atomic_write(path, data: bytes) -> None:
         except OSError:
             pass
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def save(ckpt: Checkpoint, path) -> None:
     """Serialize a checkpoint. A failed save leaves no file behind."""
     ckpt.validate()
-    atomic_write(path, _encode(ckpt))
+    atomic_write(path, *_encode(ckpt))
 
 
 def _reject_duplicate_keys(pairs):
@@ -303,9 +320,19 @@ def load(path) -> Checkpoint:
     with open(path, "rb") as fh:
         fh.seek(8 + header_len)
         data = fh.read()
+    # every tensor is a read-only view into the one immutable data section
     tensors = []
     for name, dtype, shape, start, end in entries:
-        arr = np.frombuffer(data[start:end], dtype=DTYPE_TO_NUMPY[dtype]).reshape(shape)
+        if end > len(data):
+            raise CheckpointFormatError(f"{path}: file shrank while it was read")
+        dt = DTYPE_TO_NUMPY[dtype]
+        arr = np.frombuffer(data, dt, (end - start) // dt.itemsize, start)
+        try:
+            arr = arr.reshape(shape)
+        except ValueError as exc:  # e.g. more dimensions, or a larger extent, than numpy allows
+            raise CheckpointFormatError(
+                f"{path}: tensor '{name}' has invalid shape {shape!r}: {exc}"
+            ) from exc
         tensors.append(TensorRecord(name, arr))
     return Checkpoint(tensors, dict(metadata))
 

@@ -11,12 +11,15 @@ Numerics
 Every strategy is one weighted sum per shared tensor, ``sum_i w_i * x_i``;
 the strategies differ only in the weights. Layer-wise, isotropic and
 performance-weighted merging give each model one scalar per layer, Fisher
-merging one weight per element. Terms are formed in float64, and the M
-terms of each element are sorted by value before they are added, which
-makes every strategy exactly invariant to permutations of the non-anchor
-models (the multiset of terms does not depend on model order). Fisher
-weights are each element's Fisher values divided by their largest value
-and then by their sorted sum, so no intermediate can overflow; elements
+merging one weight per element. The M (weight, tensor) pairs are put in
+the order of their content, the tensor's bytes and then the weight's, and
+their float64 terms are accumulated in that order into one buffer. The
+order costs O(M log M) comparisons per tensor and depends only on the
+multiset of pairs, so every strategy is exactly invariant to permutations
+of the non-anchor models; pairs that compare equal are byte-identical and
+give identical terms. Fisher weights are each element's Fisher values
+divided by their largest value and then by their sum, accumulated the same
+way, so no intermediate can overflow; elements
 without Fisher mass in any model, and batch-norm running statistics, get
 weight 1/M. Each merged tensor is cast to the anchor's storage dtype as
 soon as it is finished. Schedule weights are derived in exact rational
@@ -218,14 +221,24 @@ def _reject_shape_conflicts(alignment: SharedAlignment, strategy: str) -> None:
 
 def _weighted_sum(weights, arrays) -> np.ndarray:
     """``sum_i w_i * x_i`` in float64; each ``w_i`` is a scalar or an array
-    broadcastable to ``x_i``. Terms are sorted by value before they are
-    added, so the result depends only on their multiset, never on model
-    order."""
-    terms = np.empty((len(arrays), *np.shape(arrays[0])))
-    for i, (w, x) in enumerate(zip(weights, arrays)):
-        np.multiply(w, x, out=terms[i, ...], dtype=np.float64)
-    terms.sort(axis=0)
-    return np.add.reduce(terms, axis=0)
+    broadcastable to ``x_i``.
+
+    The (weight, array) pairs are added in the order of their content (the
+    array's bytes, then the weight's), so the result depends only on the
+    multiset of pairs, never on model order; pairs with equal keys are
+    byte-identical and give identical terms.
+    """
+    pairs = sorted(
+        zip(weights, arrays),
+        key=lambda p: (p[1].tobytes(), np.asarray(p[0]).tobytes()),
+    )
+    acc, term = np.empty(np.shape(arrays[0])), np.empty(np.shape(arrays[0]))
+    (w, x), *rest = pairs
+    np.multiply(w, x, out=acc, dtype=np.float64)
+    for w, x in rest:
+        np.multiply(w, x, out=term, dtype=np.float64)
+        acc += term
+    return acc
 
 
 def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):

@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
+import os
+import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +20,8 @@ from layermerge import (
     load,
     save,
 )
+from layermerge import checkpoint as ckpt_store
+from layermerge.cli import main
 
 from conftest import make_checkpoint, patch_header
 
@@ -102,6 +109,28 @@ class TestDeterminism:
         raw = (tmp_path / "z.st").read_bytes()
         (header_len,) = struct.unpack("<Q", raw[:8])
         assert len(raw) - 8 - header_len == (4 + 2) * 4
+
+    def test_bytes_match_reference_layout(self, tmp_path):
+        # the layout built by hand: prefix, compact sorted-metadata header, buffers
+        fortran = np.asfortranarray(np.arange(6, dtype=np.float32).reshape(2, 3))
+        strided = np.arange(12, dtype=np.float64).reshape(3, 4)[:, ::2]
+        ckpt = Checkpoint.from_arrays(
+            {"b.weight": fortran, "a.weight": strided, "s": np.float64(2.5),
+             "e": np.zeros((0, 3), dtype=np.float32)},
+            {"z": "1", "a": "ü"},
+        )
+        save(ckpt, tmp_path / "r.st")
+        buffers = [fortran.tobytes(), strided.tobytes(), np.float64(2.5).tobytes(), b""]
+        ends = np.cumsum([len(b) for b in buffers]).tolist()
+        entries = zip(ckpt.tensors, [0, *ends], ends)
+        header = {
+            "tensors": {t.name: {"dtype": t.dtype, "shape": list(t.shape), "offsets": [s, e]}
+                        for t, s, e in entries},
+            "metadata": {"a": "ü", "z": "1"},
+        }
+        blob = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode()
+        expected = struct.pack("<Q", len(blob)) + blob + b"".join(buffers)
+        assert (tmp_path / "r.st").read_bytes() == expected
 
 
 class TestSaveErrors:
@@ -212,6 +241,146 @@ class TestLoadErrors:
         saved.write_bytes(raw[:-8])
         with pytest.raises(CheckpointFormatError, match="out of bounds"):
             load(saved)
+
+    @pytest.mark.parametrize("shape", [[0, 2**63], [0, 2**40, 2**40], [1] * 65])
+    def test_shape_numpy_cannot_hold_rejected(self, tmp_path, shape):
+        path = tmp_path / "one.st"
+        save(Checkpoint.from_arrays({"x": np.zeros(1 if 0 not in shape else 0)}), path)
+        path.write_bytes(patch_header(path, lambda h: h["tensors"]["x"].update(shape=shape)))
+        with pytest.raises(CheckpointFormatError, match="invalid shape"):
+            load(path)
+
+    def test_file_truncated_after_header_read(self, saved, monkeypatch):
+        read_header = ckpt_store._read_header
+
+        def then_truncate(path):
+            parsed = read_header(path)
+            saved.write_bytes(saved.read_bytes()[:-8])
+            return parsed
+
+        monkeypatch.setattr(ckpt_store, "_read_header", then_truncate)
+        with pytest.raises(CheckpointFormatError, match="shrank"):
+            load(saved)
+
+
+class TestMemory:
+    def test_save_and_load_build_no_whole_file_copy(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ckpt = Checkpoint.from_arrays(
+            {f"l{i}.weight": rng.standard_normal((256, 1024)).astype(np.float32) for i in range(8)}
+        )
+        path = tmp_path / "big.st"
+        tracemalloc.start()
+        try:
+            save(ckpt, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            del ckpt
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            loaded = load(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size  # about 8.4 MB
+        assert save_peak < size / 10
+        assert load_peak < 1.1 * size  # one data section, no per-tensor copies
+        assert all(not t.data.flags.writeable for t in loaded.tensors)
+
+
+class TestDurability:
+    def test_save_fsyncs_file_before_replace_and_directory_after(self, tmp_path, monkeypatch):
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            events.append(("fsync", os.fstat(fd)))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(("replace", os.stat(src)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        path = tmp_path / "c.st"
+        save(make_checkpoint([(2, 2)], np.random.default_rng(0)), path)
+        assert [kind for kind, _ in events] == ["fsync", "replace", "fsync"]
+        (_, file_stat), (_, tmp_stat), (_, dir_stat) = events
+        assert stat.S_ISREG(file_stat.st_mode) and file_stat.st_ino == tmp_stat.st_ino
+        assert file_stat.st_ino == path.stat().st_ino
+        assert stat.S_ISDIR(dir_stat.st_mode) and dir_stat.st_ino == tmp_path.stat().st_ino
+
+    def test_failed_fsync_leaves_nothing(self, tmp_path, monkeypatch):
+        def fail(fd):
+            raise OSError("simulated fsync failure")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="fsync"):
+            save(make_checkpoint([(2, 2)], np.random.default_rng(0)), tmp_path / "c.st")
+        assert list(tmp_path.iterdir()) == []
+
+
+def _fuzz_base() -> bytes:
+    ckpt = Checkpoint.from_arrays(
+        {"a.weight": np.arange(6, dtype=np.float32).reshape(2, 3),
+         "a.bias": np.ones(2), "b.weight": np.zeros((1, 2), dtype=np.float32)},
+        {"model_id": "fuzz", "performance": "1.5"},
+    )
+    return b"".join(ckpt_store._encode(ckpt))
+
+
+FUZZ_BASE = _fuzz_base()
+FUZZ_HEADER_LEN = struct.unpack("<Q", FUZZ_BASE[:8])[0]
+FUZZ_INTS = st.one_of(
+    st.integers(-2, 48), st.sampled_from([2**31, 2**62, 2**63, 2**64]), st.booleans(), st.none()
+)
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    """Bytes of a real checkpoint with its length prefix, one header byte,
+    one tensor's shape or offsets, or its length changed."""
+    raw, header_len = FUZZ_BASE, FUZZ_HEADER_LEN
+    kind = draw(st.sampled_from(["prefix", "header_byte", "entry", "truncate"]))
+    if kind == "prefix":
+        value = draw(st.one_of(st.integers(0, 2**64 - 1), st.integers(0, header_len + 64)))
+        return struct.pack("<Q", value) + raw[8:]
+    if kind == "header_byte":
+        pos = draw(st.integers(8, 8 + header_len - 1))
+        return raw[:pos] + bytes([draw(st.integers(0, 255))]) + raw[pos + 1 :]
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    header = json.loads(raw[8 : 8 + header_len])
+    entry = header["tensors"][draw(st.sampled_from(sorted(header["tensors"])))]
+    for field in draw(st.sets(st.sampled_from(["shape", "offsets"]), min_size=1)):
+        entry[field] = draw(st.lists(FUZZ_INTS, max_size=4))
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    return struct.pack("<Q", len(blob)) + blob + raw[8 + header_len :]
+
+
+class TestFuzzedInput:
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_checkpoints())
+    def test_mutated_bytes_raise_only_format_error(self, tmp_path_factory, raw):
+        work = tmp_path_factory.mktemp("fuzz")
+        bad, good, out = work / "bad.st", work / "good.st", work / "m.st"
+        bad.write_bytes(raw)
+        good.write_bytes(FUZZ_BASE)
+        rejected = False
+        for reader in (load, inspect):
+            try:
+                reader(bad)
+            except CheckpointFormatError:
+                rejected = True
+        for argv in (["inspect", bad], ["merge", bad, good, "--strategy", "isotropic", "--out", out]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([str(a) for a in argv])
+            assert "Traceback" not in err.getvalue()
+            if rejected:
+                assert code == 2 and not out.exists()
+            else:
+                assert code in (0, 2)
 
 
 class TestInspect:

@@ -388,20 +388,36 @@ class TestMergeProperties:
                 assert np.all(out >= low - slack) and np.all(out <= high + slack)
 
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 2**31))
-    def test_permutation_of_weighted_pairs_is_exact(self, seed):
+    @given(st.integers(0, 2**31), st.integers(0, 3), st.permutations(range(4)), st.booleans())
+    def test_permutation_of_weighted_pairs_is_exact(self, seed, anchor, order, twins):
         rng = np.random.default_rng(seed)
         pool, _ = random_pool(rng, model_count=4, max_groups=3, max_elements=30)
-        alignment = shared_parameters(pool, 0)
         scores = list(1.0 + rng.random(4))
-        merged = scalar_weighted_merge(pool, scores, alignment)
-        order = [0, 3, 1, 2]  # anchor fixed, donors permuted with their scores
-        merged2 = scalar_weighted_merge(
-            [pool[i] for i in order], [scores[i] for i in order],
-            shared_parameters([pool[i] for i in order], 0),
-        )
-        for t in merged.tensors:
-            assert np.array_equal(t.data, merged2.get(t.name).data)
+        fishers = [
+            FisherWeights({t.name: rng.random(t.shape) for t in c.tensors}) for c in pool
+        ]
+        if twins:  # two byte-identical donors with identical scores and Fisher values
+            a, b = [i for i in range(4) if i != anchor][:2]
+            pool[b] = Checkpoint.from_arrays({t.name: t.data.copy() for t in pool[a].tensors})
+            scores[b] = scores[a]
+            fishers[b] = FisherWeights(dict(fishers[a].tensors))
+
+        def merges(order):
+            # each model moves with its score and Fisher values; the anchor moves too
+            models = [pool[i] for i in order]
+            at = order.index(anchor)
+            alignment = shared_parameters(models, at)
+            schedule = compute_schedule(4, alignment.n_shared_layers, at)
+            return [
+                layerwise_merge(models, at, schedule, alignment),
+                isotropic_merge(models, alignment),
+                scalar_weighted_merge(models, [scores[i] for i in order], alignment),
+                fisher_merge(models, [fishers[i] for i in order], alignment),
+            ]
+
+        for merged, merged2 in zip(merges([0, 1, 2, 3]), merges(list(order))):
+            for t in merged.tensors:
+                assert np.array_equal(t.data, merged2.get(t.name).data)
 
     def test_f32_storage_accumulates_in_f64(self, rng):
         # thousands of tiny f32 contributions would drift if accumulated in f32
