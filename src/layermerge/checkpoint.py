@@ -303,6 +303,16 @@ def _read_header(path):
                 f"{path}: tensor '{name}' byte range {end - start} does not match "
                 f"shape {shape} ({expected} bytes expected)"
             )
+        # A shape that fits the data section can only exceed numpy's limits by
+        # its dimension count (at least 32 in every numpy), or, when it holds no
+        # elements, by the product of its extents; only those are tried.
+        if expected == 0 or len(shape) > 32:
+            try:
+                np.broadcast_to(np.empty((), DTYPE_TO_NUMPY[dtype]), shape)
+            except ValueError as exc:
+                raise CheckpointFormatError(
+                    f"{path}: tensor '{name}' has invalid shape {shape!r}: {exc}"
+                ) from exc
         entries.append((name, dtype, shape, start, end))
 
     by_start = sorted((e for e in entries if e[4] > e[3]), key=lambda e: e[3])
@@ -326,13 +336,7 @@ def load(path) -> Checkpoint:
         if end > len(data):
             raise CheckpointFormatError(f"{path}: file shrank while it was read")
         dt = DTYPE_TO_NUMPY[dtype]
-        arr = np.frombuffer(data, dt, (end - start) // dt.itemsize, start)
-        try:
-            arr = arr.reshape(shape)
-        except ValueError as exc:  # e.g. more dimensions, or a larger extent, than numpy allows
-            raise CheckpointFormatError(
-                f"{path}: tensor '{name}' has invalid shape {shape!r}: {exc}"
-            ) from exc
+        arr = np.frombuffer(data, dt, (end - start) // dt.itemsize, start).reshape(shape)
         tensors.append(TensorRecord(name, arr))
     return Checkpoint(tensors, dict(metadata))
 

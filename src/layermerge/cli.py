@@ -1,7 +1,8 @@
 """Command-line interface: merge, profile, inspect, fisher and toy.
 
-Exit codes: 0 on success, 1 for usage errors (bad flags or flag values),
-2 for data errors (malformed files, incompatible pools, diverged training).
+Exit codes: 0 on success, 1 for usage errors (bad flags, flag values or
+experiment config), 2 for data errors (malformed files, incompatible pools,
+non-finite merged values, diverged training).
 Every run prints a one-line summary to standard error; nonzero exits leave
 no partial output files behind.
 """
@@ -144,6 +145,8 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if not np.isfinite(args.tau) or args.tau <= 0:
+        raise UsageError("--tau must be a positive real")
     a = ckpt_store.load(args.a)
     b = ckpt_store.load(args.b)
     profile = discrepancy_profile(a, b, args.tau, mode=args.mode)

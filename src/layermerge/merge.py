@@ -22,10 +22,12 @@ divided by their largest value and then by their sum, accumulated the same
 way, so no intermediate can overflow; elements
 without Fisher mass in any model, and batch-norm running statistics, get
 weight 1/M. Each merged tensor is cast to the anchor's storage dtype as
-soon as it is finished. Schedule weights are derived in exact rational
-arithmetic and rounded to float64 once, so schedule identities (rows
-summing to one, the anchor-dominance gap) hold exactly on the rational
-side and to within one rounding on the float side.
+soon as it is finished; if the result is not finite, which finite inputs
+reach by overflow, the merge raises ``NonFiniteTensorError``. Schedule
+weights are derived in exact rational arithmetic and rounded to float64
+once, so schedule identities (rows summing to one, the anchor-dominance
+gap) hold exactly on the rational side and to within one rounding on the
+float side.
 """
 
 from __future__ import annotations
@@ -137,7 +139,12 @@ def compute_schedule(
     if first_layer_weight is None:
         w0 = Fraction(layer_count - 1, layer_count * model_count)
     else:
-        w0 = Fraction(first_layer_weight)
+        try:
+            w0 = Fraction(first_layer_weight)
+        except (OverflowError, ValueError) as exc:  # inf, nan
+            raise ScheduleError(
+                f"first-layer weight must be finite, got {first_layer_weight!r}"
+            ) from exc
         if w0 < 0:
             raise ScheduleError("first-layer weight must be non-negative")
         if w0 > Fraction(1, model_count):
@@ -241,6 +248,7 @@ def _weighted_sum(weights, arrays) -> np.ndarray:
     return acc
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
 def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
     """The merge loop behind every strategy.
 
@@ -279,6 +287,9 @@ def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
                             f"{x.shape} vs {t.shape} (alignment inconsistency)"
                         )
                 data = _weighted_sum(w, arrays).astype(t.data.dtype, copy=False)
+                # finite inputs can still sum, or cast, past the dtype's range
+                if not np.isfinite(data).all():
+                    raise NonFiniteTensorError(f"merged tensor '{t.name}' is not finite")
         tensors.append(TensorRecord(t.name, data))
 
     metadata = {

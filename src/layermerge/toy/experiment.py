@@ -16,13 +16,11 @@ produce byte-identical report files.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from ..alignment import shared_parameters
-from ..checkpoint import Checkpoint
 from ..discrepancy import discrepancy_profile
 from ..merge import (
-    FisherWeights,
     compute_schedule,
     fisher_merge,
     isotropic_merge,
@@ -35,6 +33,9 @@ from .model import ToyModel, evaluate
 from .training import TrainConfig, train
 
 STRATEGIES = ("layerwise", "isotropic", "scalar", "fisher", "ensemble")
+_INT_LISTS = ("hidden", "donor_seeds")
+_INT_FIELDS = ("seed", "train_samples", "eval_samples", "classes", "epochs", "batch_size",
+               "checkpoint_count", "start_layer", *_INT_LISTS)
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,16 @@ class ExperimentConfig:
     tau: float | None = None
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            # type() rather than isinstance(): JSON true/false decode to bool, an int subclass
+            if not all(type(v) is int for v in (value if name in _INT_LISTS else [value])):
+                raise ValueError(f"{name} must hold integers, got {value!r}")
+        if min(self.hidden, default=1) < 1:
+            raise ValueError(f"hidden sizes must be at least 1, got {list(self.hidden)}")
+        translation = self.shift_translation
+        if len(translation) != 2 or not all(type(v) in (int, float) for v in translation):
+            raise ValueError(f"shift_translation must hold two numbers, got {list(translation)}")
         if self.mode not in ("donors", "checkpoints"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.donor_domain not in ("source", "target"):
@@ -107,26 +118,22 @@ def _train_one(cfg: ExperimentConfig, seed: int, data: ToyDataset, snapshot_coun
     return train(model, data, tc, snapshot_count=snapshot_count)
 
 
-def _accuracies(model: ToyModel, source_eval, target_eval) -> dict:
+def _accuracies(models, evals, ensemble=False) -> dict:
+    source_eval, target_eval = evals
     return {
-        "source_accuracy": evaluate(model, source_eval),
-        "target_accuracy": evaluate(model, target_eval),
+        "source_accuracy": evaluate(models, source_eval, ensemble=ensemble),
+        "target_accuracy": evaluate(models, target_eval, ensemble=ensemble),
     }
 
 
-def _merge_pool_rows(cfg, ckpts, models, train_sets, scores, source_eval, target_eval):
-    """One report row per strategy for a given pool (anchor first)."""
+def _merge_pool_rows(cfg, ckpts, models, scores, fishers, evals):
+    """One report row per strategy for a pool (anchor first); ``scores`` and
+    ``fishers`` hold each model's precomputed score and Fisher estimate."""
     alignment = shared_parameters(ckpts, anchor=0)
     rows = []
     for strategy in cfg.strategies:
         if strategy == "ensemble":
-            rows.append(
-                {
-                    "strategy": "ensemble",
-                    "source_accuracy": evaluate(models, source_eval, ensemble=True),
-                    "target_accuracy": evaluate(models, target_eval, ensemble=True),
-                }
-            )
+            rows.append({"strategy": strategy, **_accuracies(models, evals, ensemble=True)})
             continue
         if strategy == "layerwise":
             schedule = compute_schedule(
@@ -142,11 +149,8 @@ def _merge_pool_rows(cfg, ckpts, models, train_sets, scores, source_eval, target
         elif strategy == "scalar":
             merged = scalar_weighted_merge(ckpts, scores, alignment)
         elif strategy == "fisher":
-            fishers = [estimate_fisher(m, d) for m, d in zip(models, train_sets)]
             merged = fisher_merge(ckpts, fishers, alignment)
-        rows.append(
-            {"strategy": strategy, **_accuracies(ToyModel.from_checkpoint(merged), source_eval, target_eval)}
-        )
+        rows.append({"strategy": strategy, **_accuracies(ToyModel.from_checkpoint(merged), evals)})
     return rows
 
 
@@ -154,79 +158,48 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     source_train, target_train = make_domain_pair(
         cfg.seed, cfg.train_samples, cfg.classes, cfg.shift
     )
-    source_eval, target_eval = make_domain_pair(
-        cfg.seed + 5000, cfg.eval_samples, cfg.classes, cfg.shift
-    )
+    evals = make_domain_pair(cfg.seed + 5000, cfg.eval_samples, cfg.classes, cfg.shift)
 
-    report: dict = {"config": asdict(cfg), "mode": cfg.mode}
-
-    if cfg.mode == "donors":
-        anchor_result = _train_one(cfg, cfg.seed, source_train)
+    donors = cfg.mode == "donors"
+    if donors:  # the anchor on the source domain, then one donor per seed
         donor_data = source_train if cfg.donor_domain == "source" else target_train
-        donor_results = [_train_one(cfg, s, donor_data) for s in cfg.donor_seeds]
+        results = [_train_one(cfg, cfg.seed, source_train)]
+        results += [_train_one(cfg, s, donor_data) for s in cfg.donor_seeds]
+        models = [r.model for r in results]
+        ckpts = [m.to_checkpoint({"model_id": f"donor{i}" if i else "anchor"})
+                 for i, m in enumerate(models)]
+        train_sets = [source_train] + [donor_data] * len(cfg.donor_seeds)
+        fields = [{"final_loss": r.final_loss} for r in results]
+        pool_sizes = [len(ckpts)]
+    else:  # snapshots of one source-domain run, newest (the anchor) first
+        ckpts = _train_one(cfg, cfg.seed, source_train, cfg.checkpoint_count).snapshots[::-1]
+        models = [ToyModel.from_checkpoint(c) for c in ckpts]
+        train_sets = [source_train] * len(ckpts)
+        fields = [{"epoch": int(c.metadata["epoch"])} for c in ckpts]
+        pool_sizes = range(1, len(ckpts) + 1)  # the newest m snapshots
 
-        models = [anchor_result.model] + [r.model for r in donor_results]
-        train_sets = [source_train] + [donor_data] * len(donor_results)
-        scores = [evaluate(m, source_eval) for m in models]
-        ckpts = []
-        for i, (m, score) in enumerate(zip(models, scores)):
-            meta = {
-                "model_id": "anchor" if i == 0 else f"donor{i}",
-                "performance": repr(score),
-            }
-            ckpts.append(m.to_checkpoint(meta))
-
-        report["models"] = [
-            {
-                "model_id": c.metadata["model_id"],
-                "final_loss": r.final_loss,
-                **_accuracies(m, source_eval, target_eval),
-            }
-            for c, m, r in zip(ckpts, models, [anchor_result, *donor_results])
-        ]
-        report["merges"] = _merge_pool_rows(
-            cfg, ckpts, models, train_sets, scores, source_eval, target_eval
-        )
-        if cfg.tau is not None:
-            report["discrepancy"] = [
-                {
-                    "pair": f"anchor-vs-donor{i}",
-                    "tau": cfg.tau,
-                    "total_fraction": discrepancy_profile(ckpts[0], c, cfg.tau).total_fraction(),
-                }
-                for i, c in enumerate(ckpts[1:], start=1)
-            ]
-        return report
-
-    # checkpoints mode: merge the last m snapshots, newest (= anchor) first
-    result = _train_one(cfg, cfg.seed, source_train, snapshot_count=cfg.checkpoint_count)
-    snaps = list(reversed(result.snapshots))  # newest first
-    snap_models = [ToyModel.from_checkpoint(c) for c in snaps]
-    snap_scores = [evaluate(m, source_eval) for m in snap_models]
-    for c, s in zip(snaps, snap_scores):
-        c.metadata["performance"] = repr(s)
-
+    report: dict = {"config": asdict(cfg), "mode": cfg.mode, "merges": []}
     report["models"] = [
-        {
-            "model_id": c.metadata["model_id"],
-            "epoch": int(c.metadata["epoch"]),
-            **_accuracies(m, source_eval, target_eval),
-        }
-        for c, m in zip(snaps, snap_models)
+        {"model_id": c.metadata["model_id"], **f, **_accuracies(m, evals)}
+        for c, m, f in zip(ckpts, models, fields)
     ]
-    report["merges"] = []
-    for m_count in range(1, len(snaps) + 1):
-        rows = _merge_pool_rows(
-            cfg,
-            snaps[:m_count],
-            snap_models[:m_count],
-            [source_train] * m_count,
-            snap_scores[:m_count],
-            source_eval,
-            target_eval,
-        )
-        for row in rows:
-            report["merges"].append({"checkpoints": m_count, **row})
+    scores = [row["source_accuracy"] for row in report["models"]]  # for scalar merging
+    fishers = []
+    if "fisher" in cfg.strategies:
+        fishers = [estimate_fisher(m, d) for m, d in zip(models, train_sets)]
+    for n in pool_sizes:
+        rows = _merge_pool_rows(cfg, ckpts[:n], models[:n], scores[:n], fishers[:n], evals)
+        report["merges"] += rows if donors else [{"checkpoints": n, **r} for r in rows]
+
+    if donors and cfg.tau is not None:
+        report["discrepancy"] = [
+            {
+                "pair": f"anchor-vs-donor{i}",
+                "tau": cfg.tau,
+                "total_fraction": discrepancy_profile(ckpts[0], c, cfg.tau).total_fraction(),
+            }
+            for i, c in enumerate(ckpts[1:], start=1)
+        ]
     return report
 
 

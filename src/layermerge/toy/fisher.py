@@ -28,16 +28,14 @@ def estimate_fisher(model: ToyModel, data: ToyDataset) -> FisherWeights:
     delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
 
-    tensors: dict[str, np.ndarray] = {}
+    squared = [None] * model.depth  # delta^2 per layer, filled from the head down
     for i in range(model.depth - 1, -1, -1):
-        act = activations[i]
-        tensors[f"l{i}.weight"] = (delta**2).T @ (act**2) / n
-        tensors[f"l{i}.bias"] = (delta**2).mean(axis=0)
+        squared[i] = delta**2
         if i > 0:
             delta = (delta @ model.weights[i]) * (preacts[i - 1] > 0)
 
-    ordered = {}
-    for i in range(model.depth):
-        ordered[f"l{i}.weight"] = tensors[f"l{i}.weight"]
-        ordered[f"l{i}.bias"] = tensors[f"l{i}.bias"]
-    return FisherWeights(ordered)
+    tensors: dict[str, np.ndarray] = {}
+    for i, d2 in enumerate(squared):
+        tensors[f"l{i}.weight"] = d2.T @ (activations[i] ** 2) / n
+        tensors[f"l{i}.bias"] = d2.mean(axis=0)
+    return FisherWeights(tensors)

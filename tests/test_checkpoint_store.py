@@ -243,12 +243,32 @@ class TestLoadErrors:
             load(saved)
 
     @pytest.mark.parametrize("shape", [[0, 2**63], [0, 2**40, 2**40], [1] * 65])
-    def test_shape_numpy_cannot_hold_rejected(self, tmp_path, shape):
+    def test_shape_numpy_cannot_hold_rejected(self, tmp_path, shape, capsys):
         path = tmp_path / "one.st"
         save(Checkpoint.from_arrays({"x": np.zeros(1 if 0 not in shape else 0)}), path)
         path.write_bytes(patch_header(path, lambda h: h["tensors"]["x"].update(shape=shape)))
-        with pytest.raises(CheckpointFormatError, match="invalid shape"):
-            load(path)
+        for reader in (load, inspect):
+            with pytest.raises(CheckpointFormatError, match="invalid shape"):
+                reader(path)
+        assert main(["inspect", str(path)]) == 2
+        assert "invalid shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        ('"layer0.bias":', '"layer0.weight":'),  # two tensors with one name
+        ('"dtype":"F64"', '"dtype":"F64","dtype":"F64"'),  # a key twice in one entry
+        ('"performance":', '"model_id":'),  # a metadata key twice
+    ])
+    def test_duplicate_header_keys_rejected(self, tmp_path, rng, edit):
+        path = tmp_path / "dup.st"
+        save(make_checkpoint([(2, 3)], rng, metadata={"model_id": "a", "performance": "1"}), path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[:8])
+        header = raw[8 : 8 + header_len].decode().replace(*edit, 1)
+        assert header != raw[8 : 8 + header_len].decode()
+        path.write_bytes(struct.pack("<Q", len(header)) + header.encode() + raw[8 + header_len :])
+        for reader in (load, inspect):
+            with pytest.raises(CheckpointFormatError, match="duplicate key"):
+                reader(path)
 
     def test_file_truncated_after_header_read(self, saved, monkeypatch):
         read_header = ckpt_store._read_header

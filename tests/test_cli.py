@@ -104,6 +104,29 @@ class TestMerge:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("w0", ["inf", "nan"])
+    def test_non_finite_w0_usage_error(self, pair, tmp_path, capsys, w0):
+        pa, pb = pair
+        out = tmp_path / "m.st"
+        code, _, err = run(capsys, "merge", pa, pb, "--anchor", "0", "--strategy",
+                           "layerwise", "--w0", w0, "--out", out)
+        assert code == 1
+        assert "usage error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_merged_output_exit_2(self, tmp_path, capsys):
+        big = np.finfo(np.float64).max
+        paths = [tmp_path / f"m{i}.st" for i in range(4)]
+        for path in paths:
+            save(Checkpoint.from_arrays({"layer0.weight": np.array([big, -big])}), path)
+        out = tmp_path / "merged.st"
+        code, _, err = run(capsys, "merge", *paths, "--strategy", "scalar", "--perf",
+                           "0.6331871446860424", "0.09401534358238482",
+                           "0.8426441476533978", "0.7970983074886834", "--out", out)
+        assert code == 2
+        assert "layer0.weight" in err and "not finite" in err
+        assert not out.exists()
+
     def test_no_shared_parameters_exit_2(self, tmp_path, rng, capsys):
         a = Checkpoint.from_arrays({"x.weight": rng.standard_normal((2, 2))})
         b = Checkpoint.from_arrays({"y.weight": rng.standard_normal((2, 2))})
@@ -176,6 +199,15 @@ class TestProfile:
         pa, pb = pair
         code, _, _ = run(capsys, "profile", pa, pb)
         assert code == 1
+
+    @pytest.mark.parametrize("tau", ["0", "-1", "inf", "nan"])
+    def test_bad_tau_usage_error(self, pair, tmp_path, capsys, tau):
+        pa, pb = pair
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "profile", pa, pb, "--tau", tau, "--out", out)
+        assert code == 1
+        assert "usage error" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_csv_json_same_rows(self, pair, tmp_path, capsys):
         pa, pb = pair
@@ -311,6 +343,33 @@ class TestToyCommand:
         code, _, err = run(capsys, "toy", path, "--out", tmp_path / "r.json")
         assert code == 1
         assert "config" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", [0]),
+        ("hidden", [1.5]),
+        ("epochs", 1.5),
+        ("train_samples", "10"),
+        ("donor_seeds", [1.5]),
+        ("classes", 2.5),
+        ("seed", True),
+        ("shift_translation", [1]),
+    ])
+    def test_malformed_config_usage_error(self, tmp_path, capsys, field, value):
+        cfg = self.config_file(tmp_path, **{field: value})
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "toy", cfg, "--out", out)
+        assert code == 1
+        assert "usage error" in err and field in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_first_layer_weight_usage_error(self, tmp_path, capsys):
+        cfg = self.config_file(tmp_path, epochs=2)
+        cfg.write_text(cfg.read_text()[:-1] + ', "first_layer_weight": 1e400}')
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "toy", cfg, "--out", out)
+        assert code == 1
+        assert "usage error" in err and "finite" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_divergent_config_exit_2(self, tmp_path, capsys):
         cfg = self.config_file(tmp_path, learning_rate=1e4, epochs=40)

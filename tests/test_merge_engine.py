@@ -103,6 +103,11 @@ class TestComputeSchedule:
         with pytest.raises(ScheduleError, match="non-negative"):
             compute_schedule(2, 4, anchor=0, first_layer_weight=-0.1)
 
+    @pytest.mark.parametrize("w0", [np.inf, -np.inf, np.nan])
+    def test_non_finite_w0_rejected(self, w0):
+        with pytest.raises(ScheduleError, match="finite"):
+            compute_schedule(2, 4, anchor=0, first_layer_weight=w0)
+
     def test_constructor_checks_normalization(self):
         with pytest.raises(ScheduleError, match="sum to 1"):
             MergeSchedule(2, 2, 0, 1, 0.25, np.array([[0.5, 0.5], [0.25, 0.5]]))
@@ -275,6 +280,13 @@ class TestScalarWeightedMerge:
         pool = [make_checkpoint([(2, 2)], rng) for _ in range(2)]
         with pytest.raises(MergeError, match="scores"):
             scalar_weighted_merge(pool, [1.0], shared_parameters(pool, 0))
+
+    def test_finite_inputs_summing_past_float64_rejected(self):
+        big = np.finfo(np.float64).max
+        pool = [Checkpoint.from_arrays({"layer0.weight": np.array([big, -big])}) for _ in range(4)]
+        scores = [0.6331871446860424, 0.09401534358238482, 0.8426441476533978, 0.7970983074886834]
+        with pytest.raises(NonFiniteTensorError, match="merged tensor 'layer0.weight'"):
+            scalar_weighted_merge(pool, scores, shared_parameters(pool, 0))
 
 
 class TestFisherMerge:

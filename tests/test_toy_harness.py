@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import layermerge.toy.experiment as experiment
+from layermerge import isotropic_merge
 from layermerge.toy import (
     DomainShift,
     ExperimentConfig,
@@ -304,6 +308,29 @@ class TestExperiment:
         for row in report["merges"]:
             if row["checkpoints"] == 1:
                 assert row["source_accuracy"] == baseline
+
+    @pytest.mark.parametrize("name, pool_sizes", [
+        ("checkpoint_merge.json", [1, 2, 3, 4]),
+        ("shifted_donors.json", [3]),
+    ])
+    def test_fisher_estimated_once_per_model(self, monkeypatch, name, pool_sizes):
+        fisher_calls, pools = [], []
+
+        def counting_fisher(model, data):
+            fisher_calls.append(model)
+            return estimate_fisher(model, data)
+
+        def recording_merge(ckpts, alignment):
+            pools.append([dict(c.metadata) for c in ckpts])
+            return isotropic_merge(ckpts, alignment)
+
+        monkeypatch.setattr(experiment, "estimate_fisher", counting_fisher)
+        monkeypatch.setattr(experiment, "isotropic_merge", recording_merge)
+        config = Path(__file__).resolve().parents[1] / "configs" / name
+        report = run_experiment(ExperimentConfig.from_json(config.read_text()))
+        assert len(report["models"]) == len(fisher_calls) == pool_sizes[-1]
+        assert [len(pool) for pool in pools] == pool_sizes
+        assert not any("performance" in meta for pool in pools for meta in pool)
 
     def test_discrepancy_section_when_tau_set(self):
         cfg = self.base_config(tau=5.0)
