@@ -89,7 +89,6 @@ def group_layers(ckpt: Checkpoint) -> list[LayerGroup]:
     return [
         LayerGroup(prefix, j, tuple(by_prefix[prefix]))
         for j, prefix in enumerate(order, start=1)
-        if by_prefix[prefix]
     ]
 
 

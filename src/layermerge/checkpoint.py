@@ -40,7 +40,6 @@ NUMPY_TO_DTYPE = {np.dtype("float32"): "F32", np.dtype("float64"): "F64"}
 # Optional metadata keys with toolkit-level meaning.
 META_LAYER_ORDER = "layer_order"   # JSON list of layer-group prefixes
 META_PERFORMANCE = "performance"   # decimal string, e.g. "46.9"
-META_MODEL_ID = "model_id"
 
 
 class CheckpointError(Exception):
@@ -246,24 +245,20 @@ def _reject_duplicate_keys(pairs):
     return obj
 
 
-def _read_header(path):
-    """Parse and validate the header. Returns (entries, metadata, header_len).
-
-    entries is an ordered list of (name, dtype, shape, start, end). No bytes
-    of the data section are touched.
-    """
-    path = Path(path)
-    size = path.stat().st_size
-    with open(path, "rb") as fh:
-        prefix = fh.read(8)
-        if len(prefix) < 8:
-            raise CheckpointFormatError(f"{path}: malformed header (file too short)")
-        (header_len,) = struct.unpack("<Q", prefix)
-        if 8 + header_len > size:
-            raise CheckpointFormatError(
-                f"{path}: header length {header_len} exceeds file size {size}"
-            )
-        raw = fh.read(header_len)
+def _read_header(fh, path):
+    """Parse and validate the header of the unbuffered file ``fh``, leaving
+    it at the data section. Returns (entries, metadata), where entries is an
+    ordered list of (name, dtype, shape, start, end)."""
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(8)
+    if len(prefix) < 8:
+        raise CheckpointFormatError(f"{path}: malformed header (file too short)")
+    (header_len,) = struct.unpack("<Q", prefix)
+    if 8 + header_len > size:
+        raise CheckpointFormatError(
+            f"{path}: header length {header_len} exceeds file size {size}"
+        )
+    raw = fh.read(header_len)
     try:
         header = json.loads(raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -321,20 +316,21 @@ def _read_header(path):
             raise CheckpointFormatError(
                 f"{path}: tensors '{name_a}' and '{name_b}' have overlapping offset ranges"
             )
-    return entries, metadata, header_len
+    return entries, metadata
 
 
 def load(path) -> Checkpoint:
     """Load a checkpoint; tensor order equals header order."""
-    entries, metadata, header_len = _read_header(path)
-    with open(path, "rb") as fh:
-        fh.seek(8 + header_len)
+    # one descriptor, so a file replaced meanwhile is never read half old, half
+    # new; unbuffered, so no part of the data section is read twice
+    with open(path, "rb", buffering=0) as fh:
+        entries, metadata = _read_header(fh, path)
         data = fh.read()
+    if len(data) < max((end for *_, end in entries), default=0):
+        raise CheckpointFormatError(f"{path}: file shrank while it was read")
     # every tensor is a read-only view into the one immutable data section
     tensors = []
     for name, dtype, shape, start, end in entries:
-        if end > len(data):
-            raise CheckpointFormatError(f"{path}: file shrank while it was read")
         dt = DTYPE_TO_NUMPY[dtype]
         arr = np.frombuffer(data, dt, (end - start) // dt.itemsize, start).reshape(shape)
         tensors.append(TensorRecord(name, arr))
@@ -359,7 +355,8 @@ class CheckpointSummary:
 
 def inspect(path) -> CheckpointSummary:
     """Summarize a checkpoint file without decoding any tensor data."""
-    entries, metadata, _ = _read_header(path)
+    with open(path, "rb", buffering=0) as fh:
+        entries, metadata = _read_header(fh, path)
     tensors = [(name, dtype, tuple(shape)) for name, dtype, shape, _, _ in entries]
     total = sum(math.prod(shape) for _, _, shape in tensors)
     return CheckpointSummary(tensors, total, dict(metadata))

@@ -10,8 +10,8 @@ no partial output files behind.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .alignment import AlignmentError, shared_parameters
 from .checkpoint import CheckpointError
 from .discrepancy import MODES, DiscrepancyError, discrepancy_profile, emit_profile
 from .merge import (
+    STRATEGIES,
     FisherWeights,
     MergeError,
     ScheduleError,
@@ -45,8 +46,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-STRATEGIES = ("layerwise", "isotropic", "scalar", "fisher")
-
 
 class UsageError(Exception):
     pass
@@ -59,6 +58,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _summary(line: str) -> None:
     print(line, file=sys.stderr)
+
+
+def _emit(payload: bytes, out: str | None) -> str:
+    """Write a report atomically to ``out``, or to stdout; returns the target."""
+    if out:
+        ckpt_store.atomic_write(out, payload)
+        return out
+    sys.stdout.write(payload.decode("utf-8"))
+    return "stdout"
 
 
 def _resolve_anchor(value: str | None, inputs: list[str], strategy: str) -> int:
@@ -150,13 +158,7 @@ def _cmd_profile(args) -> int:
     a = ckpt_store.load(args.a)
     b = ckpt_store.load(args.b)
     profile = discrepancy_profile(a, b, args.tau, mode=args.mode)
-    payload = emit_profile(profile, format=args.format)
-    if args.out:
-        ckpt_store.atomic_write(args.out, payload)
-        target = args.out
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
-        target = "stdout"
+    target = _emit(emit_profile(profile, format=args.format), args.out)
     _summary(
         f"profiled {len(profile.rows)} layer/kind rows "
         f"(tau={args.tau}, flagged {profile.total_fraction():.4f}) -> {target}"
@@ -191,16 +193,9 @@ def _cmd_fisher(args) -> int:
 def _cmd_toy(args) -> int:
     try:
         cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise UsageError(f"invalid experiment config: {exc}")
-    report = run_experiment(cfg)
-    payload = render_report(report)
-    if args.out:
-        ckpt_store.atomic_write(args.out, payload)
-        target = args.out
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
-        target = "stdout"
+    target = _emit(render_report(run_experiment(cfg)), args.out)
     _summary(f"ran {cfg.mode} experiment (seed {cfg.seed}) -> {target}")
     return EXIT_OK
 
@@ -255,19 +250,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        _summary(f"usage error: {exc}")
-        return EXIT_USAGE
-    except ScheduleError as exc:
-        _summary(f"usage error: {exc}")
-        return EXIT_USAGE
-    except (CheckpointError, AlignmentError, MergeError, DiscrepancyError,
-            TrainingDivergedError, OSError, ValueError) as exc:
-        _summary(f"error: {exc}")
-        return EXIT_DATA
+    # warnings reach the user as one summary line each, not as source excerpts
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except (UsageError, ScheduleError) as exc:
+            _summary(f"usage error: {exc}")
+            return EXIT_USAGE
+        except (CheckpointError, AlignmentError, MergeError, DiscrepancyError,
+                TrainingDivergedError, OSError, ValueError) as exc:
+            _summary(f"error: {exc}")
+            return EXIT_DATA
+        finally:
+            for w in caught:
+                _summary(f"warning: {w.message}")
 
 
 if __name__ == "__main__":

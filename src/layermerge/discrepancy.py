@@ -81,11 +81,9 @@ def discrepancy_profile(
         for kind in KIND_ORDER:
             if kind not in by_kind:
                 continue
-            ref = np.concatenate(
-                [np.asarray(a_arrays[n], dtype=np.float64).ravel() for n in by_kind[kind]]
-            )
-            other = np.concatenate(
-                [np.asarray(b_arrays[n], dtype=np.float64).ravel() for n in by_kind[kind]]
+            ref, other = (
+                np.concatenate([np.asarray(x[n], dtype=np.float64).ravel() for n in by_kind[kind]])
+                for x in (a_arrays, b_arrays)
             )
             if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(other))):
                 raise DiscrepancyError(
@@ -118,16 +116,7 @@ def emit_profile(profile: DiscrepancyProfile, format: str = "csv") -> bytes:
         payload = {
             "tau": profile.tau,
             "mode": profile.mode,
-            "rows": [
-                {
-                    "layer_index": r.layer_index,
-                    "kind": r.kind,
-                    "exceed_count": r.exceed_count,
-                    "total_count": r.total_count,
-                    "fraction": r.fraction,
-                }
-                for r in profile.rows
-            ],
+            "rows": [{**vars(r), "fraction": r.fraction} for r in profile.rows],
         }
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     raise DiscrepancyError(f"unknown format {format!r}, expected 'csv' or 'json'")

@@ -39,7 +39,9 @@ from fractions import Fraction
 import numpy as np
 
 from .alignment import NON_GRADIENT_KINDS, SharedAlignment
-from .checkpoint import Checkpoint, TensorRecord
+from .checkpoint import META_LAYER_ORDER, Checkpoint, TensorRecord
+
+STRATEGIES = ("layerwise", "isotropic", "scalar", "fisher")
 
 
 class MergeError(Exception):
@@ -202,7 +204,7 @@ class FisherWeights:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "FisherWeights":
-        return cls({t.name: np.asarray(t.data, dtype=np.float64) for t in ckpt.tensors})
+        return cls(ckpt.arrays())
 
     def to_checkpoint(self, metadata: dict[str, str] | None = None) -> Checkpoint:
         return Checkpoint.from_arrays(self.tensors, metadata)
@@ -303,8 +305,8 @@ def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
         metadata["merge_anchor_only_count"] = str(len(alignment.anchor_only))
     if metadata_extra:
         metadata.update(metadata_extra)
-    if anchor_ckpt.layer_order() is not None:
-        metadata["layer_order"] = anchor_ckpt.metadata["layer_order"]
+    if META_LAYER_ORDER in anchor_ckpt.metadata:
+        metadata[META_LAYER_ORDER] = anchor_ckpt.metadata[META_LAYER_ORDER]
     return Checkpoint(tensors, metadata)
 
 

@@ -16,11 +16,13 @@ produce byte-identical report files.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 
 from ..alignment import shared_parameters
 from ..discrepancy import discrepancy_profile
 from ..merge import (
+    STRATEGIES as MERGE_STRATEGIES,
     compute_schedule,
     fisher_merge,
     isotropic_merge,
@@ -32,10 +34,12 @@ from .fisher import estimate_fisher
 from .model import ToyModel, evaluate
 from .training import TrainConfig, train
 
-STRATEGIES = ("layerwise", "isotropic", "scalar", "fisher", "ensemble")
+STRATEGIES = (*MERGE_STRATEGIES, "ensemble")
 _INT_LISTS = ("hidden", "donor_seeds")
 _INT_FIELDS = ("seed", "train_samples", "eval_samples", "classes", "epochs", "batch_size",
                "checkpoint_count", "start_layer", *_INT_LISTS)
+_REAL_FIELDS = ("learning_rate", "head_lr_multiplier", "shift_rotation")
+_NULLABLE = ("first_layer_weight", "tau")  # real numbers or null
 
 
 @dataclass(frozen=True)
@@ -65,11 +69,20 @@ class ExperimentConfig:
     tau: float | None = None
 
     def __post_init__(self):
+        # type() rather than isinstance(): JSON true/false decode to bool, an int subclass
         for name in _INT_FIELDS:
             value = getattr(self, name)
-            # type() rather than isinstance(): JSON true/false decode to bool, an int subclass
             if not all(type(v) is int for v in (value if name in _INT_LISTS else [value])):
                 raise ValueError(f"{name} must hold integers, got {value!r}")
+        for name in (*_REAL_FIELDS, *_NULLABLE):
+            value = getattr(self, name)
+            if value is None and name in _NULLABLE:
+                continue
+            # abs() <= max rejects nan and inf, and ints too large for a float
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if type(self.shared_init) is not bool:
+            raise ValueError(f"shared_init must be true or false, got {self.shared_init!r}")
         if min(self.hidden, default=1) < 1:
             raise ValueError(f"hidden sizes must be at least 1, got {list(self.hidden)}")
         translation = self.shift_translation
@@ -82,6 +95,20 @@ class ExperimentConfig:
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies {sorted(unknown)}")
+        if any(s < 0 for s in (self.seed, *self.donor_seeds)):
+            raise ValueError("seed and donor_seeds must be non-negative")
+        if self.classes < 2 or min(self.train_samples, self.eval_samples) < self.classes:
+            raise ValueError("need at least 2 classes and one train and eval sample per class")
+        if self.mode == "checkpoints" and min(self.epochs, self.checkpoint_count) < 1:
+            raise ValueError("checkpoints mode needs epochs and checkpoint_count of at least 1")
+        if self.tau is not None and self.tau <= 0:
+            raise ValueError(f"tau must be positive, got {self.tau!r}")
+        self._train_config(self.seed)  # range-checks the training fields
+
+    def _train_config(self, seed: int) -> TrainConfig:
+        return TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,
+                           batch_size=self.batch_size, seed=seed,
+                           head_lr_multiplier=self.head_lr_multiplier)
 
     @property
     def shift(self) -> DomainShift:
@@ -108,14 +135,7 @@ def _train_one(cfg: ExperimentConfig, seed: int, data: ToyDataset, snapshot_coun
     sizes = [2, *cfg.hidden, cfg.classes]
     init_seed = cfg.seed if cfg.shared_init else seed
     model = ToyModel.init(sizes, seed=init_seed)
-    tc = TrainConfig(
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seed=seed,
-        head_lr_multiplier=cfg.head_lr_multiplier,
-    )
-    return train(model, data, tc, snapshot_count=snapshot_count)
+    return train(model, data, cfg._train_config(seed), snapshot_count=snapshot_count)
 
 
 def _accuracies(models, evals, ensemble=False) -> dict:
@@ -191,14 +211,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         rows = _merge_pool_rows(cfg, ckpts[:n], models[:n], scores[:n], fishers[:n], evals)
         report["merges"] += rows if donors else [{"checkpoints": n, **r} for r in rows]
 
-    if donors and cfg.tau is not None:
+    if cfg.tau is not None:
         report["discrepancy"] = [
             {
-                "pair": f"anchor-vs-donor{i}",
+                "pair": f"anchor-vs-{c.metadata['model_id']}",
                 "tau": cfg.tau,
                 "total_fraction": discrepancy_profile(ckpts[0], c, cfg.tau).total_fraction(),
             }
-            for i, c in enumerate(ckpts[1:], start=1)
+            for c in ckpts[1:]
         ]
     return report
 

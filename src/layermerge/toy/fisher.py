@@ -20,22 +20,15 @@ def estimate_fisher(model: ToyModel, data: ToyDataset) -> FisherWeights:
     x, y = data.inputs, data.labels
     n = len(y)
     activations, preacts = model.forward_trace(x)
-    probs = softmax(activations[-1])
-    if not np.all(np.isfinite(probs)):
+    delta = softmax(activations[-1])
+    if not np.all(np.isfinite(delta)):
         raise ValueError("non-finite activations while estimating Fisher information")
 
     # d(log p_y)/d(logits) per sample; squaring makes the sign irrelevant.
-    delta = probs.copy()
     delta[np.arange(n), y] -= 1.0
 
-    squared = [None] * model.depth  # delta^2 per layer, filled from the head down
-    for i in range(model.depth - 1, -1, -1):
-        squared[i] = delta**2
-        if i > 0:
-            delta = (delta @ model.weights[i]) * (preacts[i - 1] > 0)
-
     tensors: dict[str, np.ndarray] = {}
-    for i, d2 in enumerate(squared):
+    for i, d2 in enumerate(d**2 for d in model._backprop(delta, preacts)):
         tensors[f"l{i}.weight"] = d2.T @ (activations[i] ** 2) / n
         tensors[f"l{i}.bias"] = d2.mean(axis=0)
     return FisherWeights(tensors)

@@ -122,19 +122,21 @@ class ToyModel:
         """Mean cross-entropy and its gradients w.r.t. every weight and bias."""
         activations, preacts = self.forward_trace(x)
         n = len(y)
-        p = softmax(activations[-1])
         logp = log_softmax(activations[-1])
         loss = float(-np.mean(logp[np.arange(n), y]))
-        delta = p.copy()
+        delta = softmax(activations[-1])
         delta[np.arange(n), y] -= 1.0
-        delta /= n
-        grads_w, grads_b = [None] * self.depth, [None] * self.depth
-        for i in range(self.depth - 1, -1, -1):
-            grads_w[i] = delta.T @ activations[i]
-            grads_b[i] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ self.weights[i]) * (preacts[i - 1] > 0)
-        return loss, grads_w, grads_b
+        deltas = self._backprop(delta / n, preacts)
+        grads_w = [d.T @ a for d, a in zip(deltas, activations)]
+        return loss, grads_w, [d.sum(axis=0) for d in deltas]
+
+    def _backprop(self, delta: np.ndarray, preacts: list[np.ndarray]) -> list[np.ndarray]:
+        """Every layer's delta, layer 0 first, from the head's delta (the
+        loss gradient w.r.t. the logits) and the pre-activations."""
+        deltas = [delta]
+        for i in range(self.depth - 1, 0, -1):
+            deltas.insert(0, (deltas[0] @ self.weights[i]) * (preacts[i - 1] > 0))
+        return deltas
 
 
 def evaluate(models, data, ensemble: bool = False) -> float:

@@ -273,14 +273,30 @@ class TestLoadErrors:
     def test_file_truncated_after_header_read(self, saved, monkeypatch):
         read_header = ckpt_store._read_header
 
-        def then_truncate(path):
-            parsed = read_header(path)
+        def then_truncate(*args):
+            parsed = read_header(*args)
             saved.write_bytes(saved.read_bytes()[:-8])
             return parsed
 
         monkeypatch.setattr(ckpt_store, "_read_header", then_truncate)
         with pytest.raises(CheckpointFormatError, match="shrank"):
             load(saved)
+
+    def test_file_replaced_after_header_read(self, saved, tmp_path, rng, monkeypatch):
+        # An atomic save onto the path between the header parse and the data
+        # read must not pair the old header with the new file's data.
+        original = load(saved)
+        other = tmp_path / "other.st"
+        save(make_checkpoint([(2, 2)], rng), other)  # same layout, other values
+        read_header = ckpt_store._read_header
+
+        def then_replace(*args):
+            parsed = read_header(*args)
+            os.replace(other, saved)
+            return parsed
+
+        monkeypatch.setattr(ckpt_store, "_read_header", then_replace)
+        assert identical(load(saved), original)
 
 
 class TestMemory:

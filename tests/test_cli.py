@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from layermerge import Checkpoint, load, save
+from layermerge import Checkpoint, isotropic_merge, load, save, shared_parameters
 from layermerge.cli import main
 from layermerge.toy import ToyModel
 
@@ -86,6 +86,29 @@ class TestMerge:
         a, b = load(pa), load(pb)
         expected = w * a.get("layer0.weight").data + (1 - w) * b.get("layer0.weight").data
         np.testing.assert_allclose(load(out).get("layer0.weight").data, expected, atol=1e-12)
+
+    def test_isotropic_matches_library(self, pair, tmp_path, capsys):
+        pa, pb = pair
+        out = tmp_path / "m.st"
+        code, stdout, err = run(capsys, "merge", pa, pb, "--strategy", "isotropic",
+                                "--out", out)
+        assert code == 0
+        assert "uniform weights 1/2" in stdout and "isotropic" in err
+        pool = [load(pa), load(pb)]
+        expected = isotropic_merge(pool, shared_parameters(pool, 0))
+        merged = load(out)
+        assert merged.names() == expected.names() and merged.metadata == expected.metadata
+        for t in expected.tensors:
+            assert np.array_equal(merged.get(t.name).data, t.data)
+
+    def test_w0_at_uniform_warns_in_one_line(self, pair, tmp_path, capsys):
+        pa, pb = pair
+        out = tmp_path / "m.st"
+        code, _, err = run(capsys, "merge", pa, pb, "--anchor", "0", "--strategy",
+                           "layerwise", "--w0", "0.5", "--out", out)
+        assert code == 0 and out.exists()
+        assert "warning: first-layer weight equals 1/M" in err
+        assert ".py:" not in err
 
     def test_scalar_missing_metadata_is_data_error(self, tmp_path, rng, capsys):
         a = make_checkpoint([(2, 2)], rng)
@@ -360,6 +383,35 @@ class TestToyCommand:
         code, _, err = run(capsys, "toy", cfg, "--out", out)
         assert code == 1
         assert "usage error" in err and field in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"learning_rate": "0.05"},
+        {"head_lr_multiplier": "10"},
+        {"shift_rotation": "1"},
+        {"tau": "x"},
+        {"first_layer_weight": "0.1"},
+        {"shared_init": "no"},
+        {"learning_rate": -1},
+        {"batch_size": 0},
+        {"epochs": -1},
+        {"classes": 1},
+        {"train_samples": 2},
+        {"eval_samples": 1},
+        {"tau": -1},
+        {"seed": -1},
+        {"donor_seeds": [-1]},
+        {"mode": "checkpoints", "epochs": 0},
+        {"mode": "checkpoints", "checkpoint_count": 0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": 10**400},
+    ], ids=lambda o: ",".join(f"{k}={str(v)[:12]}" for k, v in o.items()))
+    def test_bad_value_usage_error(self, tmp_path, capsys, overrides):
+        cfg = self.config_file(tmp_path, **overrides)
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "toy", cfg, "--out", out)
+        assert code == 1
+        assert "usage error" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_non_finite_first_layer_weight_usage_error(self, tmp_path, capsys):

@@ -163,6 +163,12 @@ class TestEmitProfile:
         profile = DiscrepancyProfile(5.0, "elementwise", (ProfileRow(1, "weight", 3, 10),))
         lines = emit_profile(profile, "csv").decode().splitlines()
         assert lines[1] == "1,weight,3,10,0.3"
+        assert emit_profile(profile, "json") == (
+            b'{\n  "tau": 5.0,\n  "mode": "elementwise",\n  "rows": [\n    {\n'
+            b'      "layer_index": 1,\n      "kind": "weight",\n'
+            b'      "exceed_count": 3,\n      "total_count": 10,\n'
+            b'      "fraction": 0.3\n    }\n  ]\n}\n'
+        )
 
     def test_csv_and_json_encode_same_rows(self, rng):
         profile = self.sample_profile(rng)

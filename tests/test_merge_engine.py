@@ -196,6 +196,29 @@ class TestLayerwiseMerge:
             assert np.array_equal(t.data, merged2.get(t.name).data)
 
 
+class TestMergeMetadata:
+    def test_every_strategy_keeps_the_anchor_layer_order(self, rng):
+        order = '["layer1", "layer0"]'
+        pool = [make_checkpoint([(3, 2), (2, 3)], rng, metadata={"layer_order": order})
+                for _ in range(3)]
+        alignment = shared_parameters(pool, 0)
+        fishers = [FisherWeights({t.name: np.abs(t.data) for t in c.tensors}) for c in pool]
+        schedule = compute_schedule(3, alignment.n_shared_layers, 0)
+        merges = [
+            layerwise_merge(pool, 0, schedule, alignment),
+            isotropic_merge(pool, alignment),
+            scalar_weighted_merge(pool, [1.0, 2.0, 3.0], alignment),
+            fisher_merge(pool, fishers, alignment),
+        ]
+        for merged in merges:
+            assert merged.metadata["layer_order"] == order
+
+    def test_no_layer_order_without_one_on_the_anchor(self, rng):
+        pool = [make_checkpoint([(2, 2)], rng) for _ in range(2)]
+        merged = isotropic_merge(pool, shared_parameters(pool, 0))
+        assert "layer_order" not in merged.metadata
+
+
 class TestIsotropicMerge:
     def test_arithmetic_mean(self):
         a = Checkpoint.from_arrays({"x.weight": np.array([1.0, 3.0])})

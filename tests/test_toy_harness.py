@@ -338,6 +338,17 @@ class TestExperiment:
         assert len(report["discrepancy"]) == 1
         assert 0.0 <= report["discrepancy"][0]["total_fraction"] <= 1.0
 
+    def test_discrepancy_section_in_checkpoints_mode(self):
+        cfg = self.base_config(mode="checkpoints", checkpoint_count=3, tau=5.0,
+                               strategies=("layerwise",))
+        report = run_experiment(cfg)
+        snapshot_ids = [m["model_id"] for m in report["models"]]
+        assert len(snapshot_ids) == 3
+        assert [row["pair"] for row in report["discrepancy"]] == [
+            f"anchor-vs-{model_id}" for model_id in snapshot_ids[1:]
+        ]
+        assert all(0.0 <= row["total_fraction"] <= 1.0 for row in report["discrepancy"])
+
     def test_config_round_trip_and_validation(self):
         cfg = self.base_config()
         import json as _json
