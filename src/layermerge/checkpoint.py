@@ -29,6 +29,7 @@ import math
 import os
 import struct
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,17 +152,22 @@ def match_layer_order(names, prefixes) -> dict[str, str]:
     """Assign every tensor name to exactly one listed prefix.
 
     A name matches a prefix when it equals the prefix or extends it past a
-    dot. Unmatched or ambiguous names and unused prefixes are all reported.
+    dot, so its candidates are itself and its cuts before each dot; a prefix
+    listed twice matches twice. Unmatched or ambiguous names and unused
+    prefixes are all reported.
     """
+    listed = Counter(prefixes)
     assignment: dict[str, str] = {}
     unmatched, ambiguous = [], []
     used = set()
     for name in names:
-        hits = [p for p in prefixes if name == p or name.startswith(p + ".")]
-        if len(hits) == 1:
+        cuts = [name, *(name[:i] for i, c in enumerate(name) if c == ".")]
+        hits = [p for p in cuts if p in listed]
+        count = sum(listed[p] for p in hits)
+        if count == 1:
             assignment[name] = hits[0]
             used.add(hits[0])
-        elif not hits:
+        elif not count:
             unmatched.append(name)
         else:
             ambiguous.append(name)

@@ -179,7 +179,7 @@ def _cmd_inspect(args) -> int:
 def _cmd_fisher(args) -> int:
     model = ToyModel.from_checkpoint(ckpt_store.load(args.model))
     shift = DomainShift(args.rotation, (args.tx, args.ty))
-    source, target = make_domain_pair(args.seed, args.samples, args.classes, shift)
+    source, target = make_domain_pair(args.seed, args.samples, model.layer_sizes[-1], shift)
     data = source if args.domain == "source" else target
     fisher = estimate_fisher(model, data)
     out = fisher.to_checkpoint(
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="toy-model checkpoint file")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--samples", type=int, default=600)
-    p.add_argument("--classes", type=int, default=3)
     p.add_argument("--rotation", type=float, default=0.0)
     p.add_argument("--tx", type=float, default=0.0)
     p.add_argument("--ty", type=float, default=0.0)

@@ -5,8 +5,8 @@ Two experiment modes cover the interesting pool constructions:
 * ``donors``: an anchor trains on the source domain and each donor trains
   on the source or the shifted target domain with its own seed; the pool
   [anchor, donors...] is merged under every requested strategy.
-* ``checkpoints``: a single training run captures evenly spaced snapshot
-  checkpoints; pools of the last m snapshots (anchor = final) are merged
+* ``checkpoints``: a single training run keeps evenly spaced snapshot
+  models; pools of the last m snapshots (anchor = final) are merged
   for every m up to the snapshot count.
 
 Reports are plain dicts rendered to canonical JSON, so identical configs
@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import json
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 
 from ..alignment import shared_parameters
 from ..discrepancy import discrepancy_profile
 from ..merge import (
     STRATEGIES as MERGE_STRATEGIES,
+    ScheduleError,
     compute_schedule,
     fisher_merge,
     isotropic_merge,
@@ -32,7 +34,7 @@ from ..merge import (
 from .data import DomainShift, ToyDataset, make_domain_pair
 from .fisher import estimate_fisher
 from .model import ToyModel, evaluate
-from .training import TrainConfig, train
+from .training import TrainConfig, snapshot_epochs, train
 
 STRATEGIES = (*MERGE_STRATEGIES, "ensemble")
 _INT_LISTS = ("hidden", "donor_seeds")
@@ -104,6 +106,16 @@ class ExperimentConfig:
         if self.tau is not None and self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau!r}")
         self._train_config(self.seed)  # range-checks the training fields
+        # The largest pool bounds the first-layer weight; toy models share every layer.
+        largest_pool = (1 + len(self.donor_seeds) if self.mode == "donors"
+                        else len(snapshot_epochs(self.epochs, self.checkpoint_count)))
+        with warnings.catch_warnings():  # the 1/M tie warns once, at merge time
+            warnings.simplefilter("ignore")
+            try:
+                compute_schedule(largest_pool, len(self.hidden) + 1, 0,
+                                 self.start_layer, self.first_layer_weight)
+            except ScheduleError as exc:
+                raise ValueError(f"start_layer or first_layer_weight: {exc}") from exc
 
     def _train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,
@@ -116,6 +128,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        if type(payload) is not dict:
+            raise ValueError(f"config must be a JSON object, got {payload!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(payload) - known
         if extra:
@@ -123,6 +137,8 @@ class ExperimentConfig:
         payload = dict(payload)
         for key in ("hidden", "donor_seeds", "strategies", "shift_translation"):
             if key in payload:
+                if type(payload[key]) is not list:
+                    raise ValueError(f"{key} must be a JSON array, got {payload[key]!r}")
                 payload[key] = tuple(payload[key])
         return cls(**payload)
 
@@ -160,7 +176,7 @@ def _merge_pool_rows(cfg, ckpts, models, scores, fishers, evals):
                 len(ckpts),
                 alignment.n_shared_layers,
                 anchor=0,
-                start_layer=min(cfg.start_layer, alignment.n_shared_layers),
+                start_layer=cfg.start_layer,
                 first_layer_weight=cfg.first_layer_weight,
             )
             merged = layerwise_merge(ckpts, 0, schedule, alignment)
@@ -186,17 +202,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         results = [_train_one(cfg, cfg.seed, source_train)]
         results += [_train_one(cfg, s, donor_data) for s in cfg.donor_seeds]
         models = [r.model for r in results]
-        ckpts = [m.to_checkpoint({"model_id": f"donor{i}" if i else "anchor"})
-                 for i, m in enumerate(models)]
+        ids = ["anchor"] + [f"donor{i}" for i in range(1, len(models))]
         train_sets = [source_train] + [donor_data] * len(cfg.donor_seeds)
         fields = [{"final_loss": r.final_loss} for r in results]
-        pool_sizes = [len(ckpts)]
+        pool_sizes = [len(models)]
     else:  # snapshots of one source-domain run, newest (the anchor) first
-        ckpts = _train_one(cfg, cfg.seed, source_train, cfg.checkpoint_count).snapshots[::-1]
-        models = [ToyModel.from_checkpoint(c) for c in ckpts]
-        train_sets = [source_train] * len(ckpts)
-        fields = [{"epoch": int(c.metadata["epoch"])} for c in ckpts]
-        pool_sizes = range(1, len(ckpts) + 1)  # the newest m snapshots
+        run = _train_one(cfg, cfg.seed, source_train, cfg.checkpoint_count)
+        epochs, models = zip(*run.snapshots[::-1])
+        ids = [f"epoch{e}" for e in epochs]
+        train_sets = [source_train] * len(models)
+        fields = [{"epoch": e} for e in epochs]
+        pool_sizes = range(1, len(models) + 1)  # the newest m snapshots
+    ckpts = [m.to_checkpoint({"model_id": i}) for m, i in zip(models, ids)]
 
     report: dict = {"config": asdict(cfg), "mode": cfg.mode, "merges": []}
     report["models"] = [

@@ -17,6 +17,7 @@ from .model import ToyModel, softmax
 
 
 def estimate_fisher(model: ToyModel, data: ToyDataset) -> FisherWeights:
+    model.check_fits(data)
     x, y = data.inputs, data.labels
     n = len(y)
     activations, preacts = model.forward_trace(x)

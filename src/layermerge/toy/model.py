@@ -67,6 +67,16 @@ class ToyModel:
     def layer_sizes(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
+    def check_fits(self, data) -> None:
+        """Raise ``ValueError`` unless ``data`` (a ``ToyDataset``) has this
+        model's input size and as many classes as the head has outputs."""
+        inputs, *_, outputs = self.layer_sizes
+        if inputs != data.inputs.shape[1]:
+            raise ValueError("model input size does not match the data")
+        if outputs != data.classes:
+            raise ValueError(f"model output size {outputs} does not match "
+                             f"the class count {data.classes}")
+
     # -- checkpoint round-trip -------------------------------------------
 
     def to_checkpoint(self, metadata: dict[str, str] | None = None) -> Checkpoint:

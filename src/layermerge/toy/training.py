@@ -1,4 +1,4 @@
-"""Plain SGD training loop with evenly spaced snapshot checkpoints."""
+"""Plain SGD training loop with evenly spaced model snapshots."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..checkpoint import Checkpoint
 from .data import ToyDataset
 from .model import ToyModel
 
@@ -41,7 +40,7 @@ class TrainConfig:
 class TrainResult:
     model: ToyModel
     final_loss: float
-    snapshots: list[Checkpoint] = field(default_factory=list)
+    snapshots: list[tuple[int, ToyModel]] = field(default_factory=list)  # (epoch, model)
 
 
 def snapshot_epochs(epochs: int, count: int) -> list[int]:
@@ -57,22 +56,18 @@ def train(
 ) -> TrainResult:
     """SGD on softmax cross-entropy; the input model is left untouched.
 
-    With ``snapshot_count`` > 0 a checkpoint is captured at each of that
-    many evenly spaced epochs; the final one doubles as the anchor and is
-    flagged as such in its metadata.
+    With ``snapshot_count`` > 0 a copy of the model is kept at each of that
+    many evenly spaced epochs, the last one at the final epoch.
     """
     model = model.copy()
-    if model.weights[0].shape[1] != data.inputs.shape[1]:
-        raise ValueError("model input size does not match the data")
-    if model.weights[-1].shape[0] != data.classes:
-        raise ValueError("model output size does not match the class count")
+    model.check_fits(data)
     if snapshot_count and cfg.epochs < 1:
         raise ValueError("snapshots need at least one epoch")
 
     marks = set(snapshot_epochs(cfg.epochs, snapshot_count)) if snapshot_count else set()
     rng = np.random.default_rng(cfg.seed)
     head = model.depth - 1
-    snapshots: list[Checkpoint] = []
+    snapshots = []
 
     # Diverged runs overflow before the loss check can trip; keep the noise
     # out of the warning stream and report the epoch instead.
@@ -91,10 +86,7 @@ def train(
                     model.weights[i] -= lr * grads_w[i]
                     model.biases[i] -= lr * grads_b[i]
             if epoch in marks:
-                meta = {"model_id": f"epoch{epoch}", "epoch": str(epoch)}
-                if epoch == max(marks):
-                    meta["anchor"] = "1"
-                snapshots.append(model.to_checkpoint(meta))
+                snapshots.append((epoch, model.copy()))
 
         final_loss = model.loss(data.inputs, data.labels)
     if not np.isfinite(final_loss):

@@ -90,3 +90,31 @@ def ref_discrepancy_counts(a_flat, b_flat, tau, mode):
         if diff >= threshold and diff > 0:
             count += 1
     return count
+
+
+def ref_match_layer_order(names, prefixes):
+    """Scan every prefix for every name; returns the assignment, or raises
+    ValueError with the package's error text."""
+    assignment = {}
+    unmatched, ambiguous = [], []
+    used = set()
+    for name in names:
+        hits = [p for p in prefixes if name == p or name.startswith(p + ".")]
+        if len(hits) == 1:
+            assignment[name] = hits[0]
+            used.add(hits[0])
+        elif not hits:
+            unmatched.append(name)
+        else:
+            ambiguous.append(name)
+    unused = [p for p in prefixes if p not in used]
+    if unmatched or ambiguous or unused:
+        parts = []
+        if unmatched:
+            parts.append(f"tensors matching no prefix: {unmatched}")
+        if ambiguous:
+            parts.append(f"tensors matching several prefixes: {ambiguous}")
+        if unused:
+            parts.append(f"prefixes matching no tensor: {unused}")
+        raise ValueError("layer_order inconsistent with tensor names; " + "; ".join(parts))
+    return assignment

@@ -23,6 +23,7 @@ from layermerge import (
 from layermerge import checkpoint as ckpt_store
 from layermerge.cli import main
 
+import _reference as ref
 from conftest import make_checkpoint, patch_header
 
 
@@ -158,6 +159,30 @@ class TestSaveErrors:
         )
         with pytest.raises(CheckpointError, match="ghost"):
             save(ckpt, tmp_path / "l.st")
+
+    @staticmethod
+    @st.composite
+    def names_and_prefixes(draw):
+        # a tiny alphabet gives dots, empty components and shared cuts
+        names = draw(st.lists(st.text("ab.", max_size=6), unique=True, max_size=8))
+        cuts = sorted({n[:i] for n in names for i in range(len(n) + 1)})
+        prefix = st.text("ab.", max_size=4)
+        if cuts:
+            prefix = st.sampled_from(cuts) | prefix
+        return names, draw(st.lists(prefix, max_size=8))  # duplicates allowed
+
+    @given(names_and_prefixes())
+    @settings(max_examples=300, deadline=None)
+    def test_layer_order_lookup_matches_scan(self, case):
+        names, prefixes = case
+        try:
+            expected = ref.ref_match_layer_order(names, prefixes)
+        except ValueError as exc:
+            with pytest.raises(CheckpointError) as got:
+                ckpt_store.match_layer_order(names, prefixes)
+            assert str(got.value) == str(exc)
+        else:
+            assert ckpt_store.match_layer_order(names, prefixes) == expected
 
 
 class TestLoadErrors:

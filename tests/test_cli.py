@@ -6,7 +6,8 @@ import pytest
 
 from layermerge import Checkpoint, isotropic_merge, load, save, shared_parameters
 from layermerge.cli import main
-from layermerge.toy import ToyModel
+import layermerge.toy.experiment as experiment
+from layermerge.toy import ToyModel, estimate_fisher, make_domain_pair
 
 from conftest import clone_with_noise, make_checkpoint, patch_header
 
@@ -309,6 +310,25 @@ class TestFisherCommand:
         for t in fisher.tensors:
             assert np.all(t.data >= 0)
 
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_class_count_taken_from_model(self, tmp_path, capsys, classes):
+        model = ToyModel.init([2, 8, classes], seed=5)
+        pm = tmp_path / "model.st"
+        save(model.to_checkpoint(), pm)
+        out = tmp_path / "fisher.st"
+        code, _, err = run(capsys, "fisher", pm, "--samples", "90", "--out", out)
+        assert code == 0, err
+        expected = estimate_fisher(model, make_domain_pair(7, 90, classes)[0])
+        for t in load(out).tensors:
+            assert np.array_equal(t.data, expected.tensors[t.name])
+
+    def test_classes_flag_removed(self, tmp_path, capsys):
+        pm = tmp_path / "model.st"
+        save(ToyModel.init([2, 8, 3], seed=5).to_checkpoint(), pm)
+        code, _, err = run(capsys, "fisher", pm, "--classes", "3", "--out", tmp_path / "f.st")
+        assert code == 1 and "--classes" in err
+        assert not (tmp_path / "f.st").exists()
+
     def test_non_toy_checkpoint_exit_2(self, pair, tmp_path, capsys):
         pa, _ = pair
         code, _, _ = run(capsys, "fisher", pa, "--out", tmp_path / "f.st")
@@ -376,6 +396,13 @@ class TestToyCommand:
         ("classes", 2.5),
         ("seed", True),
         ("shift_translation", [1]),
+        ("start_layer", 0),
+        ("start_layer", 3),  # two shared layers
+        ("first_layer_weight", 0.6),  # above 1/2 for two models
+        ("hidden", 5),
+        ("donor_seeds", 31),
+        ("strategies", "fisher"),
+        ("shift_translation", 0.3),
     ])
     def test_malformed_config_usage_error(self, tmp_path, capsys, field, value):
         cfg = self.config_file(tmp_path, **{field: value})
@@ -383,6 +410,43 @@ class TestToyCommand:
         code, _, err = run(capsys, "toy", cfg, "--out", out)
         assert code == 1
         assert "usage error" in err and field in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("start_layer", {"start_layer": 0, "strategies": ["isotropic"]}),
+        ("first_layer_weight", {"first_layer_weight": 0.6, "strategies": ["isotropic"]}),
+        ("start_layer", {"start_layer": 2, "hidden": []}),
+        ("first_layer_weight",  # above 1/4 for the four-snapshot pool
+         {"mode": "checkpoints", "checkpoint_count": 4, "first_layer_weight": 0.3}),
+    ])
+    def test_schedule_fields_checked_before_training(self, tmp_path, capsys, monkeypatch,
+                                                     field, overrides):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr(experiment, "train", no_training)
+        cfg = self.config_file(tmp_path, **overrides)
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "toy", cfg, "--out", out)
+        assert code == 1
+        assert "usage error" in err and field in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_first_layer_weight_at_uniform_warns_once(self, tmp_path, capsys):
+        cfg = self.config_file(tmp_path, epochs=2, first_layer_weight=0.5,
+                               strategies=["layerwise"])
+        code, _, err = run(capsys, "toy", cfg, "--out", tmp_path / "r.json")
+        assert code == 0
+        assert err.count("warning:") == 1 and "1/M" in err
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+    def test_config_not_an_object_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "toy", path, "--out", out)
+        assert code == 1
+        assert "usage error" in err and "JSON object" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [

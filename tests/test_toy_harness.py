@@ -159,13 +159,20 @@ class TestTrain:
         src, _ = make_domain_pair(7, 120, 3)
         result = train(ToyModel.init([2, 4, 3], seed=1), src,
                        TrainConfig(epochs=20, seed=1), snapshot_count=4)
-        epochs = [int(c.metadata["epoch"]) for c in result.snapshots]
+        epochs = [epoch for epoch, _ in result.snapshots]
         assert epochs == [5, 10, 15, 20]
-        assert result.snapshots[-1].metadata["anchor"] == "1"
-        assert all("anchor" not in c.metadata for c in result.snapshots[:-1])
-        final = ToyModel.from_checkpoint(result.snapshots[-1])
+        final = result.snapshots[-1][1]
         for w1, w2 in zip(final.weights, result.model.weights):
             assert np.array_equal(w1, w2)
+
+    def test_each_snapshot_equals_a_run_stopped_at_its_epoch(self):
+        src, _ = make_domain_pair(7, 120, 3)
+        init = ToyModel.init([2, 4, 3], seed=1)
+        result = train(init, src, TrainConfig(epochs=20, seed=1), snapshot_count=4)
+        for epoch, snapshot in result.snapshots:
+            stopped = train(init, src, TrainConfig(epochs=epoch, seed=1)).model
+            for a, b in zip(snapshot.weights + snapshot.biases, stopped.weights + stopped.biases):
+                assert np.array_equal(a, b), epoch
 
     def test_snapshot_epochs_rounding(self):
         assert snapshot_epochs(10, 4) == [2, 5, 8, 10]
@@ -188,6 +195,12 @@ class TestTrain:
 
 
 class TestEstimateFisher:
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_class_count_must_match_head(self, classes):
+        data, _ = make_domain_pair(3, 90, classes)
+        with pytest.raises(ValueError, match="class count"):
+            estimate_fisher(ToyModel.init([2, 8, 3], seed=3), data)
+
     def test_non_negative_everywhere(self):
         src, _ = make_domain_pair(3, 90, 3)
         model = ToyModel.init([2, 8, 3], seed=3)
@@ -308,6 +321,23 @@ class TestExperiment:
         for row in report["merges"]:
             if row["checkpoints"] == 1:
                 assert row["source_accuracy"] == baseline
+
+    def test_checkpoints_mode_pool_holds_distinct_snapshots(self, monkeypatch):
+        pools = []
+
+        def recording_merge(ckpts, alignment):
+            pools.append(ckpts)
+            return isotropic_merge(ckpts, alignment)
+
+        monkeypatch.setattr(experiment, "isotropic_merge", recording_merge)
+        run_experiment(self.base_config(mode="checkpoints", checkpoint_count=4,
+                                        strategies=("isotropic",)))
+        pool = pools[-1]
+        assert len(pool) == 4
+        for i, a in enumerate(pool):
+            for b in pool[i + 1:]:
+                assert any(not np.array_equal(x, y)
+                           for x, y in zip(a.arrays().values(), b.arrays().values()))
 
     @pytest.mark.parametrize("name, pool_sizes", [
         ("checkpoint_merge.json", [1, 2, 3, 4]),
