@@ -15,8 +15,10 @@ file equals the order of the "tensors" object and round-trips exactly.
 Saving is deterministic: the same checkpoint value always produces the same
 bytes (metadata keys are sorted; tensor order is part of the value), and
 writes each tensor's buffer to the file without assembling the whole file
-in memory. Loading reads the data section once; every tensor is a
-read-only view into it.
+in memory. ``open_file`` parses the header and reads a tensor only when its
+``data`` is accessed, through the descriptor that read the header; ``load``
+is ``open_file`` plus one pass that reads every tensor. Every read fills a
+fresh read-only array.
 
 Only F32 and F64 element types are supported. Metadata values are plain
 strings; numeric values are parsed where they are used.
@@ -24,6 +26,7 @@ strings; numeric values are parsed where they are used.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -325,21 +328,94 @@ def _read_header(fh, path):
     return entries, metadata
 
 
-def load(path) -> Checkpoint:
-    """Load a checkpoint; tensor order equals header order."""
-    # one descriptor, so a file replaced meanwhile is never read half old, half
-    # new; unbuffered, so no part of the data section is read twice
+class FileTensor:
+    """A tensor of a checkpoint opened with :func:`open_file`. Name, dtype
+    and shape come from the header; every access to ``data`` reads the
+    tensor from the file into a fresh read-only array."""
+
+    __slots__ = ("name", "dtype", "shape", "_start", "_section")
+
+    def __init__(self, name, dtype, shape, start, section):
+        self.name, self.dtype, self.shape = name, dtype, shape
+        self._start, self._section = start, section
+
+    @property
+    def element_count(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._section.read(self.dtype, self.shape, self._start)
+
+
+def _identity(fh):
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class _DataSection:
+    """Reads tensors from the data section of an open checkpoint file.
+
+    Once the file is closed, a read reopens its path and refuses any file
+    but the one that was opened, unchanged.
+    """
+
+    def __init__(self, fh, path):
+        self.fh, self.path = fh, path
+        self.base = fh.tell()
+        self.identity = _identity(fh)
+
+    def read(self, dtype, shape, start) -> np.ndarray:
+        arr = np.empty(shape, DTYPE_TO_NUMPY[dtype])
+        if not self.fh.closed:
+            self._fill(self.fh, arr, start)
+        else:
+            with open(self.path, "rb", buffering=0) as fh:
+                if _identity(fh) != self.identity:
+                    raise CheckpointFormatError(f"{self.path}: file changed after it was closed")
+                self._fill(fh, arr, start)
+        arr.setflags(write=False)
+        return arr
+
+    def _fill(self, fh, arr, start) -> None:
+        # a positioned read into the array itself: no seek, no intermediate copy
+        pos = self.base + start
+        done = os.preadv(fh.fileno(), [arr], pos)
+        while done < arr.nbytes:  # a read stopped short; one that reads nothing hit the end
+            n = os.preadv(fh.fileno(), [arr.reshape(-1).view(np.uint8)[done:]], pos + done)
+            if not n:
+                raise CheckpointFormatError(f"{self.path}: file shrank while it was read")
+            done += n
+
+
+@contextlib.contextmanager
+def open_file(path):
+    """Open a checkpoint file as a :class:`Checkpoint` of
+    :class:`FileTensor` records, closing it on exit.
+
+    The header is parsed now; each tensor is read when its ``data`` is
+    accessed, through the one descriptor that read the header, so a file
+    replaced meanwhile is never read half old, half new, and a file that
+    shrinks is a :class:`CheckpointFormatError`.
+    """
+    # unbuffered, so no part of the data section is read twice
     with open(path, "rb", buffering=0) as fh:
         entries, metadata = _read_header(fh, path)
-        data = fh.read()
-    if len(data) < max((end for *_, end in entries), default=0):
-        raise CheckpointFormatError(f"{path}: file shrank while it was read")
-    # every tensor is a read-only view into the one immutable data section
-    tensors = []
-    for name, dtype, shape, start, end in entries:
-        dt = DTYPE_TO_NUMPY[dtype]
-        arr = np.frombuffer(data, dt, (end - start) // dt.itemsize, start).reshape(shape)
-        tensors.append(TensorRecord(name, arr))
+        section = _DataSection(fh, path)
+        yield Checkpoint(
+            [FileTensor(name, dtype, tuple(shape), start, section)
+             for name, dtype, shape, start, _ in entries],
+            dict(metadata),
+        )
+
+
+def load(path) -> Checkpoint:
+    """Load a checkpoint; tensor order equals header order."""
+    with open(path, "rb", buffering=0) as fh:
+        entries, metadata = _read_header(fh, path)
+        section = _DataSection(fh, path)
+        tensors = [TensorRecord(name, section.read(dtype, shape, start))
+                   for name, dtype, shape, start, _ in entries]
     return Checkpoint(tensors, dict(metadata))
 
 

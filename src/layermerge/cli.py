@@ -10,6 +10,7 @@ no partial output files behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import warnings
 from pathlib import Path
@@ -99,9 +100,30 @@ def _cmd_merge(args) -> int:
         if any(not np.isfinite(p) or p <= 0 for p in args.perf):
             raise UsageError("--perf scores must be positive reals")
 
-    ckpts = [ckpt_store.load(p) for p in args.inputs]
-    alignment = shared_parameters(ckpts, anchor)
+    # inputs are read tensor by tensor as the merge needs them, and closed
+    # before the merged checkpoint is saved
+    with contextlib.ExitStack() as files:
+        ckpts = [files.enter_context(ckpt_store.open_file(p)) for p in args.inputs]
+        alignment = shared_parameters(ckpts, anchor)
+        merged, detail = _merge_inputs(args, ckpts, anchor, alignment, files)
 
+    ckpt_store.save(merged, args.out)
+    print(f"shared_layers: {alignment.n_shared_layers}")
+    print(f"shared_tensors: {len(alignment.shared_names())}")
+    print(f"anchor_only_tensors: {len(alignment.anchor_only)}")
+    if alignment.anchor_only:
+        print(f"anchor_only: {list(alignment.anchor_only)}")
+    print(detail)
+    _summary(
+        f"merged {len(ckpts)} checkpoints ({args.strategy}, "
+        f"{alignment.n_shared_layers} shared layers) -> {args.out}"
+    )
+    return EXIT_OK
+
+
+def _merge_inputs(args, ckpts, anchor, alignment, files):
+    """The merged checkpoint and the detail line of ``args.strategy``;
+    Fisher files are opened into the ``files`` stack."""
     if args.strategy == "layerwise":
         schedule = compute_schedule(
             len(ckpts),
@@ -134,22 +156,11 @@ def _cmd_merge(args) -> int:
         total = sum(scores)
         detail = "weights: " + ", ".join(f"{s / total:.6f}" for s in scores)
     else:
-        fishers = [FisherWeights.from_checkpoint(ckpt_store.load(p)) for p in args.fisher]
+        fishers = [FisherWeights.from_checkpoint(files.enter_context(ckpt_store.open_file(p)))
+                   for p in args.fisher]
         merged = fisher_merge(ckpts, fishers, alignment)
         detail = f"fisher inputs: {args.fisher}"
-
-    ckpt_store.save(merged, args.out)
-    print(f"shared_layers: {alignment.n_shared_layers}")
-    print(f"shared_tensors: {len(alignment.shared_names())}")
-    print(f"anchor_only_tensors: {len(alignment.anchor_only)}")
-    if alignment.anchor_only:
-        print(f"anchor_only: {list(alignment.anchor_only)}")
-    print(detail)
-    _summary(
-        f"merged {len(ckpts)} checkpoints ({args.strategy}, "
-        f"{alignment.n_shared_layers} shared layers) -> {args.out}"
-    )
-    return EXIT_OK
+    return merged, detail
 
 
 def _cmd_profile(args) -> int:
@@ -178,8 +189,14 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_fisher(args) -> int:
     model = ToyModel.from_checkpoint(ckpt_store.load(args.model))
+    classes = model.layer_sizes[-1]
+    if args.samples < classes:
+        raise UsageError(
+            f"--samples {args.samples} is below the model's {classes} classes; "
+            "at least one sample per class is needed"
+        )
     shift = DomainShift(args.rotation, (args.tx, args.ty))
-    source, target = make_domain_pair(args.seed, args.samples, model.layer_sizes[-1], shift)
+    source, target = make_domain_pair(args.seed, args.samples, classes, shift)
     data = source if args.domain == "source" else target
     fisher = estimate_fisher(model, data)
     out = fisher.to_checkpoint(

@@ -14,12 +14,15 @@ performance-weighted merging give each model one scalar per layer, Fisher
 merging one weight per element. The M (weight, tensor) pairs are put in
 the order of their content, the tensor's bytes and then the weight's, and
 their float64 terms are accumulated in that order into one buffer. The
-order costs O(M log M) comparisons per tensor and depends only on the
-multiset of pairs, so every strategy is exactly invariant to permutations
-of the non-anchor models; pairs that compare equal are byte-identical and
-give identical terms. Fisher weights are each element's Fisher values
-divided by their largest value and then by their sum, accumulated the same
-way, so no intermediate can overflow; elements
+order costs O(M log M) comparisons per tensor, each of which reads bytes
+only up to the first difference, and depends only on the multiset of
+pairs, so every strategy is exactly invariant to permutations of the
+non-anchor models; pairs that compare equal are byte-identical and give
+identical terms. Inputs are read tensor by tensor as the loop needs them,
+and every tensor of every input, blended or not, is checked as it is read:
+for finiteness, and Fisher values also for sign. Fisher weights are each
+element's Fisher values divided by their largest value and then by their
+sum, accumulated the same way, so no intermediate can overflow; elements
 without Fisher mass in any model, and batch-norm running statistics, get
 weight 1/M. Each merged tensor is cast to the anchor's storage dtype as
 soon as it is finished; if the result is not finite, which finite inputs
@@ -33,6 +36,7 @@ float side.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -185,38 +189,80 @@ def compute_schedule(
     )
 
 
+class _Reads(Mapping):
+    """Name -> array view of a checkpoint that reads a tensor each time it
+    is looked up and passes it through ``check(name, array)``, which raises
+    or returns the array to use. ``check_rest`` reads and checks the
+    tensors never looked up, so that every tensor is checked as it is read
+    and none goes unchecked."""
+
+    def __init__(self, ckpt, check):
+        self._tensors = ckpt.tensors
+        self._by_name = {t.name: t for t in ckpt.tensors}
+        self._check = check
+        self._read = set()
+
+    def __getitem__(self, name):
+        t = self._by_name[name]
+        self._read.add(id(t))
+        return self._check(name, t.data)
+
+    def __contains__(self, name):
+        return name in self._by_name
+
+    def __iter__(self):
+        return iter(self._by_name)
+
+    def __len__(self):
+        return len(self._by_name)
+
+    def check_rest(self) -> None:
+        for t in self._tensors:
+            if id(t) not in self._read:
+                self._read.add(id(t))
+                self._check(t.name, t.data)
+
+
+def _checked_fisher(name, arr) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise FisherInputError(f"non-finite Fisher values in '{name}'")
+    if np.any(arr < 0):
+        raise FisherInputError(f"negative Fisher values in '{name}'")
+    return arr
+
+
 @dataclass(frozen=True)
 class FisherWeights:
-    """Non-negative diagonal Fisher estimates, aligned by tensor name."""
+    """Non-negative diagonal Fisher estimates, aligned by tensor name.
 
-    tensors: dict[str, np.ndarray]
+    Built from arrays, every tensor is checked at construction. Built with
+    :meth:`from_checkpoint`, a tensor is read and checked each time it is
+    looked up in ``tensors``, and ``fisher_merge`` checks the ones it never
+    looks up after merging, so a file-backed checkpoint is read lazily.
+    """
+
+    tensors: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        checked = {}
-        for name, arr in self.tensors.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise FisherInputError(f"non-finite Fisher values in '{name}'")
-            if np.any(arr < 0):
-                raise FisherInputError(f"negative Fisher values in '{name}'")
-            checked[name] = arr
-        object.__setattr__(self, "tensors", checked)
+        if not isinstance(self.tensors, _Reads):
+            checked = {name: _checked_fisher(name, a) for name, a in self.tensors.items()}
+            object.__setattr__(self, "tensors", checked)
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "FisherWeights":
-        return cls(ckpt.arrays())
+        return cls(_Reads(ckpt, _checked_fisher))
 
     def to_checkpoint(self, metadata: dict[str, str] | None = None) -> Checkpoint:
         return Checkpoint.from_arrays(self.tensors, metadata)
 
 
-def _check_finite(ckpts) -> None:
-    for i, ckpt in enumerate(ckpts):
-        for t in ckpt.tensors:
-            if not np.all(np.isfinite(t.data)):
-                raise NonFiniteTensorError(
-                    f"non-finite values in tensor '{t.name}' of model {i}"
-                )
+def _finite_model_tensor(model):
+    def check(name, x):
+        if not np.isfinite(x).all():
+            raise NonFiniteTensorError(f"non-finite values in tensor '{name}' of model {model}")
+        return x
+    return check
 
 
 def _reject_shape_conflicts(alignment: SharedAlignment, strategy: str) -> None:
@@ -228,24 +274,68 @@ def _reject_shape_conflicts(alignment: SharedAlignment, strategy: str) -> None:
         )
 
 
+_KEY_CHUNK = 1 << 16  # bytes of an array in the eager part of its sort key
+
+
+class _Rest:
+    """The bytes of an array past its first chunk, compared chunk by chunk
+    up to the first difference, as ``bytes`` objects compare."""
+
+    __slots__ = ("flat",)
+
+    def __init__(self, flat):
+        self.flat = flat
+
+    def _cmp(self, other) -> int:
+        a, b = self.flat, other.flat
+        for i in range(0, max(len(a), len(b)), _KEY_CHUNK):
+            x, y = a[i:i + _KEY_CHUNK].tobytes(), b[i:i + _KEY_CHUNK].tobytes()
+            if x != y:
+                return -1 if x < y else 1
+        return 0
+
+    def __eq__(self, other):
+        return self._cmp(other) == 0
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+
+_NO_REST = _Rest(np.empty(0, np.uint8))
+
+
+def _content_key(a) -> tuple:
+    """Key that orders arrays exactly as their ``tobytes()`` do, copying
+    only the first chunk; the rest is compared lazily when chunks tie."""
+    a = np.asarray(a)
+    if a.nbytes <= _KEY_CHUNK:
+        return a.tobytes(), _NO_REST
+    flat = np.ascontiguousarray(a).reshape(-1).view(np.uint8)
+    return flat[:_KEY_CHUNK].tobytes(), _Rest(flat[_KEY_CHUNK:])
+
+
+def _content_order(weights, arrays) -> list[int]:
+    """Indices of the (weight, array) pairs in content order: by the
+    array's bytes, then the weight's; ties keep their index order."""
+    keys = [_content_key(x) + _content_key(w) for w, x in zip(weights, arrays)]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def _weighted_sum(weights, arrays) -> np.ndarray:
     """``sum_i w_i * x_i`` in float64; each ``w_i`` is a scalar or an array
     broadcastable to ``x_i``.
 
     The (weight, array) pairs are added in the order of their content (the
-    array's bytes, then the weight's), so the result depends only on the
-    multiset of pairs, never on model order; pairs with equal keys are
-    byte-identical and give identical terms.
+    array's bytes, then the weight's, compared up to the first difference),
+    so the result depends only on the multiset of pairs, never on model
+    order; pairs with equal keys are byte-identical and give identical
+    terms.
     """
-    pairs = sorted(
-        zip(weights, arrays),
-        key=lambda p: (p[1].tobytes(), np.asarray(p[0]).tobytes()),
-    )
+    first, *rest = _content_order(weights, arrays)
     acc, term = np.empty(np.shape(arrays[0])), np.empty(np.shape(arrays[0]))
-    (w, x), *rest = pairs
-    np.multiply(w, x, out=acc, dtype=np.float64)
-    for w, x in rest:
-        np.multiply(w, x, out=term, dtype=np.float64)
+    np.multiply(weights[first], arrays[first], out=acc, dtype=np.float64)
+    for i in rest:
+        np.multiply(weights[i], arrays[i], out=term, dtype=np.float64)
         acc += term
     return acc
 
@@ -264,10 +354,9 @@ def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
         raise MergeError(
             f"alignment covers {alignment.model_count} models, got {len(ckpts)}"
         )
-    _check_finite(ckpts)
     anchor = alignment.anchor
     anchor_ckpt = ckpts[anchor]
-    pool = [c.arrays() for c in ckpts]
+    pool = [_Reads(c, _finite_model_tensor(i)) for i, c in enumerate(ckpts)]
     shared = {
         name: (group.index, kind)
         for group in alignment.shared_groups
@@ -276,7 +365,7 @@ def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
 
     tensors = []
     for t in anchor_ckpt.tensors:
-        data = t.data
+        data = None
         if t.name in shared:
             layer, kind = shared[t.name]
             w = weights_for(layer, t.name, kind, t.shape)
@@ -288,11 +377,17 @@ def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
                             f"shape mismatch for shared tensor '{t.name}': "
                             f"{x.shape} vs {t.shape} (alignment inconsistency)"
                         )
-                data = _weighted_sum(w, arrays).astype(t.data.dtype, copy=False)
+                data = _weighted_sum(w, arrays).astype(arrays[anchor].dtype, copy=False)
                 # finite inputs can still sum, or cast, past the dtype's range
                 if not np.isfinite(data).all():
                     raise NonFiniteTensorError(f"merged tensor '{t.name}' is not finite")
+                del arrays, x
+            del w  # this tensor's inputs and weights go before the next one's are read
+        if data is None:  # kept from the anchor
+            data = pool[anchor][t.name]
         tensors.append(TensorRecord(t.name, data))
+    for p in pool:  # tensors no merged value depends on are checked all the same
+        p.check_rest()
 
     metadata = {
         "model_id": "merged",
@@ -412,7 +507,11 @@ def fisher_merge(
     _reject_shape_conflicts(alignment, "Fisher-weighted")
     if len(fishers) != len(ckpts):
         raise MergeError(f"{len(fishers)} Fisher inputs for {len(ckpts)} models")
-    return _merge(
+    merged = _merge(
         ckpts, alignment, "fisher",
         lambda layer, name, kind, shape: _fisher_weights(fishers, name, kind, shape),
     )
+    for fisher in fishers:
+        if isinstance(fisher.tensors, _Reads):
+            fisher.tensors.check_rest()
+    return merged

@@ -94,9 +94,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.donor_domain not in ("source", "target"):
             raise ValueError(f"unknown donor domain {self.donor_domain!r}")
-        unknown = set(self.strategies) - set(STRATEGIES)
+        if not all(type(s) is str for s in self.strategies):
+            raise ValueError(f"strategies must hold strings, got {list(self.strategies)!r}")
+        unknown = [s for s in dict.fromkeys(self.strategies) if s not in STRATEGIES]
         if unknown:
-            raise ValueError(f"unknown strategies {sorted(unknown)}")
+            raise ValueError(f"unknown strategies {unknown}")
         if any(s < 0 for s in (self.seed, *self.donor_seeds)):
             raise ValueError("seed and donor_seeds must be non-negative")
         if self.classes < 2 or min(self.train_samples, self.eval_samples) < self.classes:

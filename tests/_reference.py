@@ -7,6 +7,8 @@ package's vectorized engine.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def ref_layerwise(pools, anchor, weights_per_layer, groups, anchor_names):
     """pools: list of {name: flat list}; groups: list of lists of names in
@@ -118,3 +120,12 @@ def ref_match_layer_order(names, prefixes):
             parts.append(f"prefixes matching no tensor: {unused}")
         raise ValueError("layer_order inconsistent with tensor names; " + "; ".join(parts))
     return assignment
+
+
+def ref_content_order(weights, arrays):
+    """Indices of the (weight, array) pairs sorted by the whole bytes of the
+    array, then of the weight, each copied in full; ties keep index order."""
+    return sorted(
+        range(len(arrays)),
+        key=lambda i: (arrays[i].tobytes(), np.asarray(weights[i]).tobytes()),
+    )

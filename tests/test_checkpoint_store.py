@@ -324,6 +324,79 @@ class TestLoadErrors:
         assert identical(load(saved), original)
 
 
+class TestOpenFile:
+    @pytest.fixture
+    def saved(self, tmp_path, rng):
+        ckpt = make_checkpoint([(3, 2), (4, 3)], rng, metadata={"model_id": "m"})
+        ckpt.tensors.append(TensorRecord("scalar", np.array(1.5, dtype=np.float32)))
+        ckpt.tensors.append(TensorRecord("empty", np.zeros((0, 3))))
+        path = tmp_path / "c.st"
+        save(ckpt, path)
+        return path
+
+    @staticmethod
+    def counting_reads(monkeypatch):
+        reads = []
+        preadv = os.preadv
+
+        def counted(fd, buffers, offset):
+            reads.append(offset)
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", counted)
+        return reads
+
+    def test_header_now_tensors_on_access(self, saved, monkeypatch):
+        expected = load(saved)
+        reads = self.counting_reads(monkeypatch)
+        with ckpt_store.open_file(saved) as ckpt:
+            assert reads == []
+            assert ckpt.names() == expected.names() and ckpt.metadata == expected.metadata
+            assert [(t.dtype, t.shape) for t in ckpt.tensors] == [
+                (t.dtype, t.shape) for t in expected.tensors
+            ]
+            assert ckpt.total_parameters == expected.total_parameters
+            assert identical(ckpt, expected)
+            assert len(reads) == 6  # one per tensor
+            arrays = [t.data for t in ckpt.tensors]
+        assert all(not a.flags.writeable for a in arrays)
+        assert arrays[0] is not ckpt.tensors[0].data  # a fresh array on each access
+
+    def test_file_truncated_after_open(self, saved):
+        with ckpt_store.open_file(saved) as ckpt:
+            saved.write_bytes(saved.read_bytes()[:-8])
+            ckpt.tensors[0].data
+            with pytest.raises(CheckpointFormatError, match="shrank"):
+                ckpt.tensors[-2].data
+
+    def test_file_replaced_after_open(self, saved, tmp_path, rng):
+        # reads go through the descriptor that read the header
+        original = load(saved)
+        other = tmp_path / "other.st"
+        save(make_checkpoint([(3, 2), (4, 3)], rng), other)
+        with ckpt_store.open_file(saved) as ckpt:
+            os.replace(other, saved)
+            for t in original.tensors[:4]:
+                assert np.array_equal(ckpt.get(t.name).data, t.data)
+
+    def test_read_after_close_only_from_the_same_file(self, saved, tmp_path, rng):
+        original = load(saved)
+        with ckpt_store.open_file(saved) as ckpt:
+            pass
+        assert identical(ckpt, original)  # the unchanged file is opened again
+        save(make_checkpoint([(3, 2), (4, 3)], rng), tmp_path / "other.st")
+        os.replace(tmp_path / "other.st", saved)
+        with pytest.raises(CheckpointFormatError, match="changed"):
+            ckpt.tensors[0].data
+
+    def test_malformed_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.st"
+        path.write_bytes(b"\x05\x00")
+        with pytest.raises(CheckpointFormatError):
+            with ckpt_store.open_file(path):
+                pass
+
+
 class TestMemory:
     def test_save_and_load_build_no_whole_file_copy(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from layermerge import Checkpoint, isotropic_merge, load, save, shared_parameters
+from layermerge import checkpoint as ckpt_store
 from layermerge.cli import main
 import layermerge.toy.experiment as experiment
 from layermerge.toy import ToyModel, estimate_fisher, make_domain_pair
@@ -150,6 +154,72 @@ class TestMerge:
         assert code == 2
         assert "layer0.weight" in err and "not finite" in err
         assert not out.exists()
+
+    def test_input_truncated_after_open_exit_2(self, pair, tmp_path, capsys, monkeypatch):
+        pa, pb = pair
+        read_header = ckpt_store._read_header
+
+        def then_truncate(fh, path):
+            parsed = read_header(fh, path)
+            if path == str(pb):  # the non-anchor input
+                pb.write_bytes(pb.read_bytes()[:-8])
+            return parsed
+
+        monkeypatch.setattr(ckpt_store, "_read_header", then_truncate)
+        out = tmp_path / "m.st"
+        code, _, err = run(capsys, "merge", pa, pb, "--anchor", "0",
+                           "--strategy", "layerwise", "--out", out)
+        assert code == 2
+        assert "shrank" in err and "Traceback" not in err
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("name", ["layer2.weight", "layer2.bias"])
+    def test_nan_in_unblended_non_anchor_tensor_exit_2(self, tmp_path, rng, capsys, name):
+        # layer2 is the head: the donor's is shaped differently, so only the
+        # anchor's is kept and the donor's is never blended
+        anchor = make_checkpoint([(3, 2), (2, 3), (4, 2)], rng)
+        arrays = {t.name: t.data.copy() for t in anchor.tensors}
+        arrays["layer2.weight"] = np.zeros((5, 2))
+        arrays["layer2.bias"] = np.zeros(5)
+        arrays[name].flat[0] = np.nan
+        pa, pb = tmp_path / "a.st", tmp_path / "b.st"
+        save(anchor, pa)
+        save(Checkpoint.from_arrays(arrays), pb)
+        out = tmp_path / "m.st"
+        code, _, err = run(capsys, "merge", pa, pb, "--anchor", "0",
+                           "--strategy", "layerwise", "--out", out)
+        assert code == 2
+        assert f"non-finite values in tensor '{name}' of model 1" in err
+        assert not out.exists()
+
+    def test_descriptors_closed_without_resource_warnings(self, tmp_path, rng):
+        paths = []
+        for i in range(3):
+            model = make_checkpoint([(2, 2), (3, 2)], rng)
+            fisher = Checkpoint.from_arrays({t.name: rng.random(t.shape) for t in model.tensors})
+            paths += [tmp_path / f"m{i}.st", tmp_path / f"f{i}.st"]
+            save(model, paths[-2])
+            save(fisher, paths[-1])
+        bad = make_checkpoint([(2, 2), (3, 2)], rng)
+        bad.tensors[0].data[0, 0] = np.inf
+        save(bad, tmp_path / "bad.st")
+        models, fishers = paths[::2], paths[1::2]
+        runs = [
+            (0, ["--strategy", "fisher", *models, "--fisher", *fishers]),
+            (2, ["--strategy", "isotropic", *models, tmp_path / "bad.st"]),
+        ]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        for expected, argv in runs:
+            # development mode shows every ResourceWarning
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "layermerge", "merge", *map(str, argv),
+                 "--out", str(tmp_path / "out.st")],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == expected, proc.stderr
+            assert "ResourceWarning" not in proc.stderr and "unclosed" not in proc.stderr
 
     def test_no_shared_parameters_exit_2(self, tmp_path, rng, capsys):
         a = Checkpoint.from_arrays({"x.weight": rng.standard_normal((2, 2))})
@@ -322,6 +392,16 @@ class TestFisherCommand:
         for t in load(out).tensors:
             assert np.array_equal(t.data, expected.tensors[t.name])
 
+    @pytest.mark.parametrize("samples", ["2", "-5"])
+    def test_too_few_samples_usage_error(self, tmp_path, capsys, samples):
+        pm = tmp_path / "model.st"
+        save(ToyModel.init([2, 8, 3], seed=5).to_checkpoint(), pm)
+        out = tmp_path / "f.st"
+        code, _, err = run(capsys, "fisher", pm, "--samples", samples, "--out", out)
+        assert code == 1
+        assert "usage error" in err and "--samples" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_classes_flag_removed(self, tmp_path, capsys):
         pm = tmp_path / "model.st"
         save(ToyModel.init([2, 8, 3], seed=5).to_checkpoint(), pm)
@@ -403,6 +483,8 @@ class TestToyCommand:
         ("donor_seeds", 31),
         ("strategies", "fisher"),
         ("shift_translation", 0.3),
+        ("strategies", ["x", 3]),
+        ("strategies", [["a"]]),
     ])
     def test_malformed_config_usage_error(self, tmp_path, capsys, field, value):
         cfg = self.config_file(tmp_path, **{field: value})
@@ -411,6 +493,12 @@ class TestToyCommand:
         assert code == 1
         assert "usage error" in err and field in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_unknown_strategies_reported_in_given_order(self, tmp_path, capsys):
+        cfg = self.config_file(tmp_path, strategies=["zeta", "isotropic", "alpha", "zeta"])
+        code, _, err = run(capsys, "toy", cfg, "--out", tmp_path / "r.json")
+        assert code == 1
+        assert "unknown strategies ['zeta', 'alpha']" in err
 
     @pytest.mark.parametrize("field, overrides", [
         ("start_layer", {"start_layer": 0, "strategies": ["isotropic"]}),

@@ -1,4 +1,7 @@
+import contextlib
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +21,13 @@ from layermerge import (
     isotropic_merge,
     layerwise_merge,
     scalar_weighted_merge,
+    load,
+    save,
     shared_parameters,
 )
+from layermerge import checkpoint as ckpt_store
+from layermerge import merge as merge_module
+from layermerge.merge import FisherInputError
 
 import _reference as ref
 from conftest import as_flat_dicts, make_checkpoint, random_pool
@@ -502,3 +510,177 @@ class TestOracleEquivalence:
                 got = engine.get(name).data.ravel()
                 expected = np.array(reference[name])
                 assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+class TestContentOrder:
+    @staticmethod
+    def variants(data, base, count):
+        """``count`` copies of ``base``, each with a few elements changed or
+        a byte-identical twin of an earlier one."""
+        out = []
+        for _ in range(count):
+            if out and data.draw(st.booleans()):
+                out.append(out[data.draw(st.integers(0, len(out) - 1))].copy())
+                continue
+            x = base.copy()
+            positions = st.lists(st.integers(0, x.size - 1), max_size=3) if x.size else st.just([])
+            for pos in data.draw(positions):
+                x[pos] = data.draw(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 7.0]))
+            out.append(x)
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_order_equals_whole_bytes_order(self, data):
+        # small chunk sizes put most arrays past the first chunk
+        chunk = data.draw(st.sampled_from([8, 40, merge_module._KEY_CHUNK]), label="chunk")
+        n = data.draw(st.integers(0, 3 * chunk // 8 + 2), label="elements")
+        m = data.draw(st.integers(1, 5), label="models")
+        arrays = self.variants(data, np.arange(n, dtype=np.float64), m)
+        if n % 2 == 0 and data.draw(st.booleans()):  # not C-contiguous
+            arrays = [x.reshape(2, -1).T for x in arrays]
+        if data.draw(st.booleans()):  # one weight per element, as Fisher merging has
+            weights = self.variants(data, np.full(n, 0.25), m)
+        else:
+            weights = [np.float64(data.draw(st.sampled_from([0.0, 0.25, 0.5]))) for _ in range(m)]
+        with mock.patch.object(merge_module, "_KEY_CHUNK", chunk):
+            order = merge_module._content_order(weights, arrays)
+        assert order == ref.ref_content_order(weights, arrays)
+
+    def test_arrays_differing_only_past_the_first_chunk(self):
+        n = 3 * merge_module._KEY_CHUNK // 8
+        arrays = [np.zeros(n) for _ in range(5)]
+        arrays[0][-1] = 2.0
+        arrays[1][n // 2] = 1.0
+        arrays[2][-1] = 1.0
+        arrays[4][-1] = 2.0  # a twin of arrays[0]
+        late = np.full(n, 0.125)
+        late[-1] = 0.5
+        # little-endian bytes: 0.0 < 2.0 < 1.0 and 0.5 < 0.1, 0.125 < 0.5
+        for weights, expected in (([0.5, 0.1, 0.1, 0.2, 0.1], [3, 0, 4, 2, 1]),
+                                  ([late, *(np.full(n, 0.125) for _ in range(4))], [3, 4, 0, 2, 1])):
+            order = merge_module._content_order(weights, arrays)
+            assert order == ref.ref_content_order(weights, arrays) == expected
+
+    def test_weighted_sum_copies_no_whole_tensor(self, rng):
+        arrays = [rng.standard_normal((512, 512)) for _ in range(4)]
+        weights = [rng.random((512, 512)) for _ in range(4)]
+        tensor = arrays[0].nbytes
+        tracemalloc.start()
+        try:
+            merge_module._weighted_sum(weights, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the sum and one term buffer, plus one chunk per key; whole-tensor
+        # keys would add 8 more tensors
+        assert peak < 2 * tensor + 8 * merge_module._KEY_CHUNK + 65536
+
+
+class TestFileBackedMerge:
+    """Merges over checkpoints opened with ``open_file``: inputs are read
+    tensor by tensor, each once, and checked as they are read."""
+
+    @staticmethod
+    def saved(tmp_path, ckpts, stem="m"):
+        paths = []
+        for i, ckpt in enumerate(ckpts):
+            paths.append(tmp_path / f"{stem}{i}.st")
+            save(ckpt, paths[-1])
+        return paths
+
+    @staticmethod
+    def merge(strategy, ckpts, fishers=None):
+        alignment = shared_parameters(ckpts, 0)
+        if strategy == "layerwise":
+            schedule = compute_schedule(len(ckpts), alignment.n_shared_layers, 0)
+            return layerwise_merge(ckpts, 0, schedule, alignment)
+        if strategy == "isotropic":
+            return isotropic_merge(ckpts, alignment)
+        if strategy == "scalar":
+            return scalar_weighted_merge(ckpts, [1.0 + i for i in range(len(ckpts))], alignment)
+        return fisher_merge(ckpts, [FisherWeights.from_checkpoint(f) for f in fishers], alignment)
+
+    def pool(self, tmp_path, rng, count=4, shapes=((6, 5), (4, 6), (3, 4))):
+        models = [make_checkpoint(list(shapes), rng) for _ in range(count)]
+        fishers = [Checkpoint.from_arrays({t.name: rng.random(t.shape) for t in m.tensors})
+                   for m in models]
+        return self.saved(tmp_path, models), self.saved(tmp_path, fishers, "f")
+
+    @pytest.mark.parametrize("strategy", ["layerwise", "isotropic", "scalar", "fisher"])
+    def test_equals_merge_of_loaded_checkpoints(self, tmp_path, rng, strategy):
+        paths, fisher_paths = self.pool(tmp_path, rng)
+        expected = self.merge(strategy, [load(p) for p in paths], [load(p) for p in fisher_paths])
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
+            merged = self.merge(strategy, opened[:4], opened[4:])
+        assert merged.names() == expected.names() and merged.metadata == expected.metadata
+        for t in merged.tensors:
+            assert np.array_equal(t.data, expected.get(t.name).data)
+
+    @pytest.mark.parametrize("strategy", ["layerwise", "fisher"])
+    def test_every_tensor_read_once(self, tmp_path, rng, strategy, monkeypatch):
+        paths, fisher_paths = self.pool(tmp_path, rng)
+        if strategy == "layerwise":
+            fisher_paths = []
+        reads = []
+        read = ckpt_store._DataSection.read
+
+        def counted(section, *args):
+            reads.append((section.path, args[-1]))
+            return read(section, *args)
+
+        monkeypatch.setattr(ckpt_store._DataSection, "read", counted)
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
+            self.merge(strategy, opened[:4], opened[4:])
+        # every tensor of every input, including the last layer that only
+        # the anchor weighs
+        assert sorted(reads) == sorted(set(reads)) and len(reads) == 6 * len(opened)
+
+    def test_peak_memory_well_under_the_pool(self, tmp_path, rng):
+        # 8 tensors per model, the 4 weights of 0.5 MB each the largest
+        paths, fisher_paths = self.pool(tmp_path, rng, shapes=[(256, 255)] * 4)
+        largest = 256 * 255 * 8
+        for strategy in ("layerwise", "isotropic", "fisher"):
+            inputs = [*paths, *fisher_paths] if strategy == "fisher" else paths
+            with contextlib.ExitStack() as files:
+                opened = [files.enter_context(ckpt_store.open_file(p)) for p in inputs]
+                tracemalloc.start()
+                try:
+                    merged = self.merge(strategy, opened[:4], opened[4:])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            output = sum(t.data.nbytes for t in merged.tensors)
+            # one tensor per input at a time, a few work buffers and the output
+            bound = (len(inputs) + 4) * largest + output
+            assert peak < bound < sum(p.stat().st_size for p in inputs), strategy
+
+    @pytest.mark.parametrize("where", ["anchor-only", "zero-weight"])
+    def test_non_finite_unblended_tensor_rejected(self, tmp_path, rng, where):
+        anchor = make_checkpoint([(3, 3), (2, 3), (4, 2)], rng)
+        arrays = {t.name: t.data.copy() for t in anchor.tensors}
+        if where == "anchor-only":  # a head the donor shapes differently
+            arrays["layer2.weight"] = np.full((5, 2), np.nan)
+            arrays["layer2.bias"] = np.zeros(5)
+        else:  # the last shared layer, which the schedule gives to the anchor
+            arrays["layer2.weight"][0, 0] = np.nan
+        paths = self.saved(tmp_path, [anchor, Checkpoint.from_arrays(arrays)])
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            with pytest.raises(NonFiniteTensorError, match=r"layer2.weight.*model 1"):
+                self.merge("layerwise", opened)
+
+    @pytest.mark.parametrize("name, value", [
+        ("bn.running_var", -1.0),  # weighted 1/M, never looked up
+        ("extra.weight", np.nan),  # outside the shared set
+    ])
+    def test_unread_fisher_tensor_checked(self, tmp_path, rng, name, value):
+        good = {"x.weight": rng.random(3), "bn.running_var": rng.random(3)}
+        bad = {**good, name: np.full(3, value)}
+        paths = self.saved(tmp_path, [Checkpoint.from_arrays(a) for a in (good, good, good, bad)])
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            with pytest.raises(FisherInputError, match=name):
+                self.merge("fisher", opened[:2], opened[2:])
