@@ -12,25 +12,31 @@ Every strategy is one weighted sum per shared tensor, ``sum_i w_i * x_i``;
 the strategies differ only in the weights. Layer-wise, isotropic and
 performance-weighted merging give each model one scalar per layer, Fisher
 merging one weight per element. The M (weight, tensor) pairs are put in
-the order of their content, the tensor's bytes and then the weight's, and
-their float64 terms are accumulated in that order into one buffer. The
+the order of their content, the tensor's bytes and then the weight's. The
 order costs O(M log M) comparisons per tensor, each of which reads bytes
 only up to the first difference, and depends only on the multiset of
 pairs, so every strategy is exactly invariant to permutations of the
 non-anchor models; pairs that compare equal are byte-identical and give
-identical terms. Inputs are read tensor by tensor as the loop needs them,
-and every tensor of every input, blended or not, is checked as it is read:
-for finiteness, and Fisher values also for sign. Fisher weights are each
-element's Fisher values divided by their largest value and then by their
-sum, accumulated the same way, so no intermediate can overflow; elements
-without Fisher mass in any model, and batch-norm running statistics, get
-weight 1/M. Each merged tensor is cast to the anchor's storage dtype as
-soon as it is finished; if the result is not finite, which finite inputs
-reach by overflow, the merge raises ``NonFiniteTensorError``. Schedule
-weights are derived in exact rational arithmetic and rounded to float64
-once, so schedule identities (rows summing to one, the anchor-dominance
-gap) hold exactly on the rational side and to within one rounding on the
-float side.
+identical terms. One kernel sums every tensor in blocks of 8,192
+elements: each block adds its float64 terms in that one order of the whole
+tensors, so every element gets the same operations as a sum over whole
+tensors, and is then cast into the output. Inputs are read tensor by
+tensor as the loop needs them, and every tensor of every input, blended or
+not, is checked as it is read: for finiteness, and Fisher values also for
+sign. Fisher weights are each element's Fisher values divided by their
+largest value and then by the sum of these quotients, added in the content
+order of the whole rows of quotients, so no intermediate can overflow;
+elements without Fisher mass in any model, and batch-norm running
+statistics, get weight 1/M. The kernel computes Fisher weights block by
+block, and compares rows of quotients or weights as sort keys one block at
+a time up to the first difference; besides the inputs and the output, no
+array holds more than M blocks. Each merged tensor is cast to the anchor's
+storage dtype as it is summed; if the result is not finite, which finite
+inputs reach by overflow, the merge raises ``NonFiniteTensorError``.
+Schedule weights are derived in exact rational arithmetic and rounded to
+float64 once, so schedule identities (rows summing to one, the
+anchor-dominance gap) hold exactly on the rational side and to within one
+rounding on the float side.
 """
 
 from __future__ import annotations
@@ -275,9 +281,22 @@ def _reject_shape_conflicts(alignment: SharedAlignment, strategy: str) -> None:
 
 
 _KEY_CHUNK = 1 << 16  # bytes of an array in the eager part of its sort key
+_BLOCK = _KEY_CHUNK // 8  # elements the kernel sums at a time: one key chunk of float64
 
 
-class _Rest:
+class _Lazy:
+    """A sort key part compared by ``_cmp`` only when the parts before it tie."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self._cmp(other) == 0
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+
+class _Rest(_Lazy):
     """The bytes of an array past its first chunk, compared chunk by chunk
     up to the first difference, as ``bytes`` objects compare."""
 
@@ -294,19 +313,36 @@ class _Rest:
                 return -1 if x < y else 1
         return 0
 
-    def __eq__(self, other):
-        return self._cmp(other) == 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
 
 _NO_REST = _Rest(np.empty(0, np.uint8))
 
 
+class _Row(_Lazy):
+    """Row ``i`` of equal-length float64 rows that ``blocks(lo)`` computes
+    one block at a time, ordered as the bytes of whole rows are: block by
+    block, computing a block only while the rows tie on the earlier ones.
+    Only rows of the same ``blocks`` are compared."""
+
+    __slots__ = ("blocks", "i", "size")
+
+    def __init__(self, blocks, i, size):
+        self.blocks, self.i, self.size = blocks, i, size
+
+    def _cmp(self, other) -> int:
+        for lo in range(0, self.size, _BLOCK):
+            rows = self.blocks(lo)
+            x, y = rows[self.i].tobytes(), rows[other.i].tobytes()
+            if x != y:
+                return -1 if x < y else 1
+        return 0
+
+
 def _content_key(a) -> tuple:
     """Key that orders arrays exactly as their ``tobytes()`` do, copying
-    only the first chunk; the rest is compared lazily when chunks tie."""
+    only the first chunk; the rest is compared lazily when chunks tie.
+    A computed ``_Row`` is its own key."""
+    if isinstance(a, _Row):
+        return (a,)
     a = np.asarray(a)
     if a.nbytes <= _KEY_CHUNK:
         return a.tobytes(), _NO_REST
@@ -321,23 +357,90 @@ def _content_order(weights, arrays) -> list[int]:
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-def _weighted_sum(weights, arrays) -> np.ndarray:
-    """``sum_i w_i * x_i`` in float64; each ``w_i`` is a scalar or an array
-    broadcastable to ``x_i``.
+class _FisherBlocks:
+    """Per-element Fisher weights of one shared tensor, computed a block at
+    a time from the M checked float64 Fisher arrays.
+
+    Each element's Fisher values are divided by their largest value (1 for
+    every model where all are zero), and then by the sum of these quotients,
+    added in the content order of the whole quotient rows. The last block
+    computed is kept, so the sort keys, ``_blends`` and the kernel share it.
+    """
+
+    def __init__(self, fishers):
+        self._fishers = [f.reshape(-1) for f in fishers]
+        self.size = self._fishers[0].size
+        self._lo = self._mass = self._weights = None
+        mass_keys = [_Row(self.mass, i, self.size) for i in range(len(fishers))]
+        self._order = sorted(range(len(fishers)), key=mass_keys.__getitem__)
+
+    def rows(self) -> list[_Row]:
+        """The M weight rows as sort keys; not kept, so no cycle keeps the
+        Fisher arrays alive once the caller drops this object."""
+        return [_Row(self.weights, i, self.size) for i in range(len(self._fishers))]
+
+    def mass(self, lo) -> np.ndarray:
+        """The (M, n) normalised Fisher mass of the block starting at ``lo``."""
+        if lo != self._lo:
+            mass = np.stack([f[lo:lo + _BLOCK] for f in self._fishers])
+            scale = mass.max(axis=0)
+            zero = scale == 0.0
+            scale[zero] = 1.0
+            mass /= scale
+            mass[:, zero] = 1.0
+            self._lo, self._mass, self._weights = lo, mass, None
+        return self._mass
+
+    def weights(self, lo) -> np.ndarray:
+        """The (M, n) weights of the block starting at ``lo``."""
+        mass = self.mass(lo)
+        if self._weights is None:
+            first, *rest = self._order
+            total = mass[first].copy()
+            for i in rest:
+                total += mass[i]
+            self._weights = mass / total
+        return self._weights
+
+
+def _blends(weights, anchor) -> bool:
+    """Whether a model other than the anchor has a non-zero weight."""
+    if isinstance(weights, _FisherBlocks):
+        return any(_blends(weights.weights(lo), anchor) for lo in range(0, weights.size, _BLOCK))
+    return bool(np.any(weights[:anchor]) or np.any(weights[anchor + 1:]))
+
+
+def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
+    """``sum_i w_i * x_i`` in float64, cast to ``dtype``; the weights are
+    M scalars, or ``_FisherBlocks`` for one weight per element.
 
     The (weight, array) pairs are added in the order of their content (the
     array's bytes, then the weight's, compared up to the first difference),
     so the result depends only on the multiset of pairs, never on model
     order; pairs with equal keys are byte-identical and give identical
-    terms.
+    terms. The sum runs over blocks of ``_BLOCK`` elements in two float64
+    block buffers, every block in that one order, so each element gets the
+    same float64 operations as a sum over whole arrays; each block is cast
+    into the output as soon as it is summed.
     """
-    first, *rest = _content_order(weights, arrays)
-    acc, term = np.empty(np.shape(arrays[0])), np.empty(np.shape(arrays[0]))
-    np.multiply(weights[first], arrays[first], out=acc, dtype=np.float64)
-    for i in rest:
-        np.multiply(weights[i], arrays[i], out=term, dtype=np.float64)
-        acc += term
-    return acc
+    if isinstance(weights, _FisherBlocks):
+        rows, block_weights = weights.rows(), weights.weights
+    else:
+        rows, block_weights = weights, lambda lo: weights
+    first, *rest = _content_order(rows, arrays)
+    xs = [np.ravel(x) for x in arrays]
+    out = np.empty(np.shape(arrays[0]), dtype)
+    flat_out = out.reshape(-1)
+    acc, term = np.empty(min(out.size, _BLOCK)), np.empty(min(out.size, _BLOCK))
+    for lo in range(0, out.size, _BLOCK):
+        hi = min(lo + _BLOCK, out.size)
+        w, a, t = block_weights(lo), acc[:hi - lo], term[:hi - lo]
+        np.multiply(w[first], xs[first][lo:hi], out=a, dtype=np.float64)
+        for i in rest:
+            np.multiply(w[i], xs[i][lo:hi], out=t, dtype=np.float64)
+            a += t
+        flat_out[lo:hi] = a
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
@@ -345,10 +448,10 @@ def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
     """The merge loop behind every strategy.
 
     ``weights_for(layer, name, kind, shape)`` returns the M weights of one
-    shared tensor as an array indexed by model. Shared tensors become
-    weighted sums cast to the anchor's dtype; anchor-only tensors, and
-    shared tensors whose non-anchor weights are all zero, keep the anchor's
-    array. The output follows the anchor's tensor order.
+    shared tensor, as an array of M scalars or as ``_FisherBlocks``. Shared
+    tensors become weighted sums cast to the anchor's dtype; anchor-only
+    tensors, and shared tensors whose non-anchor weights are all zero, keep
+    the anchor's array. The output follows the anchor's tensor order.
     """
     if alignment.model_count != len(ckpts):
         raise MergeError(
@@ -369,7 +472,7 @@ def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
         if t.name in shared:
             layer, kind = shared[t.name]
             w = weights_for(layer, t.name, kind, t.shape)
-            if np.any(w[:anchor]) or np.any(w[anchor + 1:]):
+            if _blends(w, anchor):
                 arrays = [p[t.name] for p in pool]
                 for x in arrays:
                     if x.shape != t.shape:
@@ -377,7 +480,7 @@ def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
                             f"shape mismatch for shared tensor '{t.name}': "
                             f"{x.shape} vs {t.shape} (alignment inconsistency)"
                         )
-                data = _weighted_sum(w, arrays).astype(arrays[anchor].dtype, copy=False)
+                data = _weighted_sum(w, arrays, arrays[anchor].dtype)
                 # finite inputs can still sum, or cast, past the dtype's range
                 if not np.isfinite(data).all():
                     raise NonFiniteTensorError(f"merged tensor '{t.name}' is not finite")
@@ -463,16 +566,14 @@ def scalar_weighted_merge(
     return _merge(ckpts, alignment, "scalar", lambda *_: weights, extra)
 
 
-def _fisher_weights(fishers, name, kind, shape) -> np.ndarray:
-    """Per-element weights proportional to each model's Fisher value.
-
-    Each element's values are divided by their largest value before they
-    are summed, so neither the sum nor a weighted term can overflow.
-    """
+def _fisher_weights(fishers, name, kind, shape):
+    """The M weights of one shared tensor: 1/M each for batch-norm running
+    statistics, else per-element weights proportional to each model's
+    Fisher values (see ``_FisherBlocks``)."""
     m = len(fishers)
     if kind in NON_GRADIENT_KINDS:
         return np.full(m, 1.0 / m)
-    mass = np.empty((m, *shape))
+    arrays = []
     for i, fisher in enumerate(fishers):
         f = fisher.tensors.get(name)
         if f is None:
@@ -484,13 +585,8 @@ def _fisher_weights(fishers, name, kind, shape) -> np.ndarray:
                 f"Fisher tensor '{name}' of model {i} has shape {f.shape}, "
                 f"expected {shape}"
             )
-        mass[i] = f
-    scale = mass.max(axis=0)
-    zero = scale == 0.0
-    np.divide(mass, scale, out=mass, where=~zero)
-    np.copyto(mass, 1.0, where=zero)
-    mass /= _weighted_sum(np.ones(m), mass)
-    return mass
+        arrays.append(f)
+    return _FisherBlocks(arrays)
 
 
 def fisher_merge(

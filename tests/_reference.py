@@ -1,8 +1,9 @@
 """Independent naive reference implementations used as oracles.
 
-Everything here works element by element with plain Python floats and
-loops, in model-index order, deliberately sharing no code with the
-package's vectorized engine.
+Most of this works element by element with plain Python floats and loops,
+in model-index order, deliberately sharing no code with the package's
+vectorized engine. ``ref_weighted_sum`` and ``ref_fisher_weights`` are the
+engine's earlier whole-array kernel, kept as the oracle for the blocked one.
 """
 
 from __future__ import annotations
@@ -129,3 +130,29 @@ def ref_content_order(weights, arrays):
         range(len(arrays)),
         key=lambda i: (arrays[i].tobytes(), np.asarray(weights[i]).tobytes()),
     )
+
+
+def ref_weighted_sum(weights, arrays):
+    """``sum_i w_i * x_i`` over whole arrays in float64, each ``w_i`` a
+    scalar or an array shaped like ``x_i``, the pairs added in
+    ``ref_content_order`` into two whole-tensor buffers."""
+    first, *rest = ref_content_order(weights, arrays)
+    acc, term = np.empty(np.shape(arrays[0])), np.empty(np.shape(arrays[0]))
+    np.multiply(weights[first], arrays[first], out=acc, dtype=np.float64)
+    for i in rest:
+        np.multiply(weights[i], arrays[i], out=term, dtype=np.float64)
+        acc += term
+    return acc
+
+
+def ref_fisher_weights(fishers):
+    """The (M, *shape) per-element Fisher weights of one tensor: each
+    element's values divided by their largest (1 where all are zero), then
+    by the sum of those quotients, added by ``ref_weighted_sum``."""
+    mass = np.stack([np.asarray(f, dtype=np.float64) for f in fishers])
+    scale = mass.max(axis=0)
+    zero = scale == 0.0
+    np.divide(mass, scale, out=mass, where=~zero)
+    np.copyto(mass, 1.0, where=zero)
+    mass /= ref_weighted_sum(np.ones(len(fishers)), mass)
+    return mass

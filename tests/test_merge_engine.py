@@ -568,13 +568,91 @@ class TestContentOrder:
         tensor = arrays[0].nbytes
         tracemalloc.start()
         try:
-            merge_module._weighted_sum(weights, arrays)
+            merge_module._weighted_sum(merge_module._FisherBlocks(weights), arrays)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the sum and one term buffer, plus one chunk per key; whole-tensor
         # keys would add 8 more tensors
         assert peak < 2 * tensor + 8 * merge_module._KEY_CHUNK + 65536
+
+
+class TestBlockedKernel:
+    """The blocked kernel gives the bytes of the whole-array kernel it
+    replaced (``ref_weighted_sum`` and ``ref_fisher_weights``), run in the
+    same merge loop, with blocks of 1-5 elements so that tensors span many
+    blocks and the content order is decided past the first one."""
+
+    @staticmethod
+    def pool(data, rng, block, dtype):
+        m = data.draw(st.integers(1, 4), label="models")
+        sizes = data.draw(st.lists(st.integers(0, 4 * block + 2), min_size=1, max_size=3), label="sizes")
+        shapes = {}
+        for k, n in enumerate(sizes):
+            shapes[f"layer{k}.weight"] = (n, 2) if n % 3 == 0 else (n,)  # zero-size when n == 0
+            shapes[f"layer{k}.bias"] = (n % 4,)
+        bn = data.draw(st.integers(1, 2 * block + 1), label="bn size")
+        for kind in ("weight", "running_mean", "running_var"):
+            shapes[f"bn.{kind}"] = (bn,)
+        # few distinct values, so that models tie on some blocks
+        values = [-1.5, -0.0, 0.0, 0.25, 2.0, 3.0]
+        models = [{n: (rng.choice(values, s) + rng.integers(0, 2) * rng.standard_normal(s)).astype(dtype)
+                   for n, s in shapes.items()} for _ in range(m)]
+        fishers = [{n: rng.exponential(1.0, s) * (rng.random(s) < 0.8) for n, s in shapes.items()}
+                   for _ in range(m)]
+        for n, s in shapes.items():
+            if data.draw(st.booleans(), label=f"{n} Fisher zero over the first blocks"):
+                lead = data.draw(st.integers(0, int(np.prod(s))), label="zero elements")
+                for f in fishers:
+                    f[n].reshape(-1)[:lead] = 0.0  # all of it when lead is the size
+        if m > 1 and data.draw(st.booleans(), label="twins"):
+            # byte-identical models whose Fisher values differ past block 0
+            a, b = data.draw(st.permutations(range(m)), label="twin pair")[:2]
+            models[b] = {n: x.copy() for n, x in models[a].items()}
+            fishers[b] = {n: f.copy() for n, f in fishers[a].items()}
+            for f in fishers[b].values():
+                f.reshape(-1)[block:] *= rng.uniform(0.5, 2.0, max(f.size - block, 0))
+        return ([Checkpoint.from_arrays(x) for x in models],
+                [FisherWeights(f) for f in fishers])
+
+    @staticmethod
+    def merges(pool, fishers, anchor, scores):
+        alignment = shared_parameters(pool, anchor)
+        schedule = compute_schedule(len(pool), alignment.n_shared_layers, anchor)
+        return [
+            layerwise_merge(pool, anchor, schedule, alignment),
+            isotropic_merge(pool, alignment),
+            scalar_weighted_merge(pool, scores, alignment),
+            fisher_merge(pool, fishers, alignment),
+        ]
+
+    @staticmethod
+    def oracle_fisher_weights(fishers, name, kind, shape):
+        if kind in merge_module.NON_GRADIENT_KINDS:
+            return np.full(len(fishers), 1.0 / len(fishers))
+        return ref.ref_fisher_weights([f.tensors[name] for f in fishers])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_whole_array_kernel(self, data):
+        block = data.draw(st.integers(1, 5), label="block")
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        pool, fishers = self.pool(data, rng, block, dtype)
+        anchor = data.draw(st.integers(0, len(pool) - 1), label="anchor")
+        scores = list(1.0 + rng.random(len(pool)))
+        with mock.patch.object(merge_module, "_BLOCK", block), \
+                mock.patch.object(merge_module, "_KEY_CHUNK", 8 * block):
+            blocked = self.merges(pool, fishers, anchor, scores)
+        with mock.patch.object(merge_module, "_fisher_weights", self.oracle_fisher_weights), \
+                mock.patch.object(merge_module, "_weighted_sum",
+                                  lambda w, xs, dtype: ref.ref_weighted_sum(w, xs).astype(dtype)):
+            whole = self.merges(pool, fishers, anchor, scores)
+        for got, expected in zip(blocked, whole):
+            assert got.names() == expected.names()
+            for t in got.tensors:
+                e = expected.get(t.name).data
+                assert t.data.dtype == e.dtype and t.data.tobytes() == e.tobytes(), t.name
 
 
 class TestFileBackedMerge:
