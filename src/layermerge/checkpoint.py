@@ -215,28 +215,34 @@ def atomic_write(path, *chunks) -> None:
     """Write the bytes-like ``chunks`` in order through a temporary file in
     the target's directory, fsync it, ``os.replace`` it onto the target and
     fsync the directory. A failed write leaves neither file behind, and a
-    finished one survives a crash."""
+    finished one survives a crash. An ``OSError`` from the system names the
+    target, not the temporary file."""
     path = Path(path)
     directory = path.parent or Path(".")
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name + ".", suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    dir_fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+            with os.fdopen(fd, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError as exc:
+        if exc.errno is None:  # raised by the program, not by a system call
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def save(ckpt: Checkpoint, path) -> None:

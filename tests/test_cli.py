@@ -336,6 +336,19 @@ class TestProfile:
         assert stdout.startswith("layer_index,kind")
 
 
+@pytest.mark.parametrize("argv", [
+    ["merge", "--anchor", "0", "--strategy", "layerwise"],
+    ["profile", "--tau", "5"],
+])
+def test_out_in_missing_directory_names_the_target(pair, tmp_path, capsys, argv):
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "missing" / "result"
+    code, _, err = run(capsys, argv[0], *pair, *argv[1:], "--out", out)
+    assert code == 2
+    assert f"No such file or directory: '{out}'" in err and ".tmp" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestInspect:
     def test_summary_on_stdout(self, pair, capsys):
         pa, _ = pair
