@@ -407,7 +407,7 @@ def _blends(weights, anchor) -> bool:
     """Whether a model other than the anchor has a non-zero weight."""
     if isinstance(weights, _FisherBlocks):
         return any(_blends(weights.weights(lo), anchor) for lo in range(0, weights.size, _BLOCK))
-    return bool(np.any(weights[:anchor]) or np.any(weights[anchor + 1:]))
+    return np.count_nonzero(weights) > np.count_nonzero(weights[anchor])
 
 
 def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
@@ -428,19 +428,19 @@ def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
     else:
         rows, block_weights = weights, lambda lo: weights
     first, *rest = _content_order(rows, arrays)
-    xs = [np.ravel(x) for x in arrays]
-    out = np.empty(np.shape(arrays[0]), dtype)
-    flat_out = out.reshape(-1)
-    acc, term = np.empty(min(out.size, _BLOCK)), np.empty(min(out.size, _BLOCK))
-    for lo in range(0, out.size, _BLOCK):
-        hi = min(lo + _BLOCK, out.size)
+    xs = [x.reshape(-1) for x in arrays]
+    size = xs[0].size
+    out = np.empty(size, dtype)
+    acc, term = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK))
+    for lo in range(0, size, _BLOCK):
+        hi = min(lo + _BLOCK, size)
         w, a, t = block_weights(lo), acc[:hi - lo], term[:hi - lo]
         np.multiply(w[first], xs[first][lo:hi], out=a, dtype=np.float64)
         for i in rest:
             np.multiply(w[i], xs[i][lo:hi], out=t, dtype=np.float64)
             a += t
-        flat_out[lo:hi] = a
-    return out
+        out[lo:hi] = a
+    return out.reshape(np.shape(arrays[0]))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
