@@ -319,17 +319,18 @@ _NO_REST = _Rest(np.empty(0, np.uint8))
 
 class _Row(_Lazy):
     """Row ``i`` of equal-length float64 rows that ``blocks(lo)`` computes
-    one block at a time, ordered as the bytes of whole rows are: block by
-    block, computing a block only while the rows tie on the earlier ones.
-    Only rows of the same ``blocks`` are compared."""
+    one block at a time, from element ``start`` on, ordered as the bytes of
+    those parts of the rows are: block by block, computing a block only
+    while the rows tie on the earlier ones. Only rows of the same
+    ``blocks`` are compared."""
 
-    __slots__ = ("blocks", "i", "size")
+    __slots__ = ("blocks", "i", "size", "start")
 
-    def __init__(self, blocks, i, size):
-        self.blocks, self.i, self.size = blocks, i, size
+    def __init__(self, blocks, i, size, start=0):
+        self.blocks, self.i, self.size, self.start = blocks, i, size, start
 
     def _cmp(self, other) -> int:
-        for lo in range(0, self.size, _BLOCK):
+        for lo in range(self.start, self.size, _BLOCK):
             rows = self.blocks(lo)
             x, y = rows[self.i].tobytes(), rows[other.i].tobytes()
             if x != y:
@@ -371,7 +372,9 @@ class _FisherBlocks:
         self._fishers = [f.reshape(-1) for f in fishers]
         self.size = self._fishers[0].size
         self._lo = self._mass = self._weights = None
-        mass_keys = [_Row(self.mass, i, self.size) for i in range(len(fishers))]
+        head = self.mass(0)  # the first block as bytes decides most comparisons
+        mass_keys = [(head[i].tobytes(), _Row(self.mass, i, self.size, _BLOCK))
+                     for i in range(len(fishers))]
         self._order = sorted(range(len(fishers)), key=mass_keys.__getitem__)
 
     def rows(self) -> list[_Row]:
@@ -385,16 +388,16 @@ class _FisherBlocks:
             mass = np.stack([f[lo:lo + _BLOCK] for f in self._fishers])
             scale = mass.max(axis=0)
             zero = scale == 0.0
-            scale[zero] = 1.0
+            np.copyto(scale, 1.0, where=zero)
             mass /= scale
-            mass[:, zero] = 1.0
+            np.copyto(mass, 1.0, where=zero)
             self._lo, self._mass, self._weights = lo, mass, None
         return self._mass
 
     def weights(self, lo) -> np.ndarray:
         """The (M, n) weights of the block starting at ``lo``."""
-        mass = self.mass(lo)
-        if self._weights is None:
+        if lo != self._lo or self._weights is None:
+            mass = self.mass(lo)
             first, *rest = self._order
             total = mass[first].copy()
             for i in rest:
