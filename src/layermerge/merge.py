@@ -9,30 +9,34 @@ weighted and diagonal-Fisher-weighted merging are provided as baselines.
 Numerics
 --------
 Every strategy is one weighted sum per shared tensor, ``sum_i w_i * x_i``;
-the strategies differ only in the weights. Layer-wise, isotropic and
-performance-weighted merging give each model one scalar per layer, Fisher
-merging one weight per element. The M (weight, tensor) pairs are put in
-the order of their content, the tensor's bytes and then the weight's. The
-order costs O(M log M) comparisons per tensor, each of which reads bytes
-only up to the first difference, and depends only on the multiset of
-pairs, so every strategy is exactly invariant to permutations of the
-non-anchor models; pairs that compare equal are byte-identical and give
-identical terms. One kernel sums every tensor in blocks of 8,192
-elements: each block adds its float64 terms in that one order of the whole
-tensors, so every element gets the same operations as a sum over whole
-tensors, and is then cast into the output. Inputs are read tensor by
-tensor as the loop needs them, and every tensor of every input, blended or
-not, is checked as it is read: for finiteness, and Fisher values also for
-sign. Fisher weights are each element's Fisher values divided by their
-largest value and then by the sum of these quotients, added in the content
-order of the whole rows of quotients, so no intermediate can overflow;
-elements without Fisher mass in any model, and batch-norm running
+the strategies differ only in the weights, which each give as M rows of
+weights read a block at a time. Layer-wise, isotropic and
+performance-weighted merging give each model one scalar per layer, a row of
+one element; Fisher merging gives one weight per element. The M (weight,
+tensor) pairs are put in the order of their content, the tensor's bytes and
+then the weight row's. The order costs O(M log M) comparisons per tensor,
+each of which reads bytes only up to the first difference, and depends only
+on the multiset of pairs, so every strategy is exactly invariant to
+permutations of the non-anchor models; pairs that compare equal are
+byte-identical and give identical terms. One kernel sums every tensor in
+blocks of 8,192 elements: each block adds its float64 terms in that one
+order of the whole tensors, so every element gets the same operations as a
+sum over whole tensors, and is then cast into the output. Inputs are read
+tensor by tensor as the loop needs them, and every tensor of every input,
+blended or not, is checked as it is read: for finiteness, and Fisher values
+also for sign. Fisher weights are each element's Fisher values divided by
+their largest value and then by the sum of these quotients, added in the
+content order of the whole rows of quotients, so no intermediate can
+overflow; elements without Fisher mass in any model, and batch-norm running
 statistics, get weight 1/M. The kernel computes Fisher weights block by
-block, and compares rows of quotients or weights as sort keys one block at
-a time up to the first difference; besides the inputs and the output, no
-array holds more than M blocks. Each merged tensor is cast to the anchor's
-storage dtype as it is summed; if the result is not finite, which finite
-inputs reach by overflow, the merge raises ``NonFiniteTensorError``.
+block. Every sort key, of a tensor, a row of weights or a row of quotients,
+is the bytes of the row's first block, with the rest compared one block at
+a time only while rows tie; the elements of a shared tensor have one dtype
+in every model, so this is exactly the order of the rows' whole bytes.
+Besides the inputs and the output, no array holds more than M blocks.
+Each merged tensor is cast to the anchor's storage dtype as it is summed;
+if the result is not finite, which finite inputs reach by overflow, the
+merge raises ``NonFiniteTensorError``.
 Schedule weights are derived in exact rational arithmetic and rounded to
 float64 once, so schedule identities (rows summing to one, the
 anchor-dominance gap) hold exactly on the rational side and to within one
@@ -102,10 +106,10 @@ class MergeSchedule:
             )
         if not 0 <= self.anchor < self.model_count:
             raise ScheduleError(f"anchor index {self.anchor} out of range")
-        if np.any(self.weights < 0):
+        if not np.all(self.weights >= 0):  # NaN fails too
             raise ScheduleError("merge weights must be non-negative")
         col_sums = self.weights.sum(axis=0)
-        if np.any(np.abs(col_sums - 1.0) > 1e-12):
+        if not np.all(np.abs(col_sums - 1.0) <= 1e-12):
             raise ScheduleError("merge weights must sum to 1 at every layer")
 
     @classmethod
@@ -231,10 +235,12 @@ class _Reads(Mapping):
 
 def _checked_fisher(name, arr) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise FisherInputError(f"non-finite Fisher values in '{name}'")
-    if np.any(arr < 0):
-        raise FisherInputError(f"negative Fisher values in '{name}'")
+    if arr.size:
+        low, high = arr.min(), arr.max()  # NaN propagates into both
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise FisherInputError(f"non-finite Fisher values in '{name}'")
+        if low < 0:
+            raise FisherInputError(f"negative Fisher values in '{name}'")
     return arr
 
 
@@ -280,14 +286,41 @@ def _reject_shape_conflicts(alignment: SharedAlignment, strategy: str) -> None:
         )
 
 
-_KEY_CHUNK = 1 << 16  # bytes of an array in the eager part of its sort key
-_BLOCK = _KEY_CHUNK // 8  # elements the kernel sums at a time: one key chunk of float64
+_BLOCK = 8192  # elements the kernel sums, and a sort key compares, at a time
 
 
-class _Lazy:
-    """A sort key part compared by ``_cmp`` only when the parts before it tie."""
+class _Scalars:
+    """One weight per model for a whole tensor, as a weight source: rows of
+    one element, whose only block is the M scalars."""
 
-    __slots__ = ()
+    __slots__ = ("_weights",)
+    size = 1
+
+    def __init__(self, weights):
+        self._weights = weights
+
+    def block(self, lo) -> np.ndarray:
+        return self._weights
+
+
+class _Rest:
+    """Row ``i`` past its first block, of equal-length rows whose blocks
+    from element ``lo`` are ``rows(lo)``; ordered as the bytes of those
+    parts of the rows are: block by block, taking a block only while the
+    rows tie on the earlier ones. Only rows of the same ``rows`` compare."""
+
+    __slots__ = ("rows", "i", "size")
+
+    def __init__(self, rows, i, size):
+        self.rows, self.i, self.size = rows, i, size
+
+    def _cmp(self, other) -> int:
+        for lo in range(_BLOCK, self.size, _BLOCK):
+            rows = self.rows(lo)
+            x, y = rows[self.i].tobytes(), rows[other.i].tobytes()
+            if x != y:
+                return -1 if x < y else 1
+        return 0
 
     def __eq__(self, other):
         return self._cmp(other) == 0
@@ -296,71 +329,28 @@ class _Lazy:
         return self._cmp(other) < 0
 
 
-class _Rest(_Lazy):
-    """The bytes of an array past its first chunk, compared chunk by chunk
-    up to the first difference, as ``bytes`` objects compare."""
-
-    __slots__ = ("flat",)
-
-    def __init__(self, flat):
-        self.flat = flat
-
-    def _cmp(self, other) -> int:
-        a, b = self.flat, other.flat
-        for i in range(0, max(len(a), len(b)), _KEY_CHUNK):
-            x, y = a[i:i + _KEY_CHUNK].tobytes(), b[i:i + _KEY_CHUNK].tobytes()
-            if x != y:
-                return -1 if x < y else 1
-        return 0
+def _row_keys(head, rows, size) -> list:
+    """Sort keys of rows of ``size`` elements, ordered exactly as the rows'
+    whole bytes are: the bytes of the first block of each row of ``head``
+    (the rows, or their first blocks), then, for rows longer than a block,
+    a ``_Rest`` over ``rows(lo)``, the rows' blocks from element ``lo``."""
+    if size <= _BLOCK:
+        return [r.tobytes() for r in head]
+    return [(r[:_BLOCK].tobytes(), _Rest(rows, i, size)) for i, r in enumerate(head)]
 
 
-_NO_REST = _Rest(np.empty(0, np.uint8))
-
-
-class _Row(_Lazy):
-    """Row ``i`` of equal-length float64 rows that ``blocks(lo)`` computes
-    one block at a time, from element ``start`` on, ordered as the bytes of
-    those parts of the rows are: block by block, computing a block only
-    while the rows tie on the earlier ones. Only rows of the same
-    ``blocks`` are compared."""
-
-    __slots__ = ("blocks", "i", "size", "start")
-
-    def __init__(self, blocks, i, size, start=0):
-        self.blocks, self.i, self.size, self.start = blocks, i, size, start
-
-    def _cmp(self, other) -> int:
-        for lo in range(self.start, self.size, _BLOCK):
-            rows = self.blocks(lo)
-            x, y = rows[self.i].tobytes(), rows[other.i].tobytes()
-            if x != y:
-                return -1 if x < y else 1
-        return 0
-
-
-def _content_key(a) -> tuple:
-    """Key that orders arrays exactly as their ``tobytes()`` do, copying
-    only the first chunk; the rest is compared lazily when chunks tie.
-    A computed ``_Row`` is its own key."""
-    if isinstance(a, _Row):
-        return (a,)
-    a = np.asarray(a)
-    if a.nbytes <= _KEY_CHUNK:
-        return a.tobytes(), _NO_REST
-    flat = np.ascontiguousarray(a).reshape(-1).view(np.uint8)
-    return flat[:_KEY_CHUNK].tobytes(), _Rest(flat[_KEY_CHUNK:])
-
-
-def _content_order(weights, arrays) -> list[int]:
-    """Indices of the (weight, array) pairs in content order: by the
-    array's bytes, then the weight's; ties keep their index order."""
-    keys = [_content_key(x) + _content_key(w) for w, x in zip(weights, arrays)]
+def _content_order(weights, xs) -> list[int]:
+    """Indices of the (weight, array) pairs of a weight source and flat
+    arrays in content order: by the array's bytes, then the weight row's;
+    ties keep their index order."""
+    keys = list(zip(_row_keys(xs, lambda lo: [x[lo:lo + _BLOCK] for x in xs], xs[0].size),
+                    _row_keys(weights.block(0), weights.block, weights.size)))
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 class _FisherBlocks:
-    """Per-element Fisher weights of one shared tensor, computed a block at
-    a time from the M checked float64 Fisher arrays.
+    """Per-element Fisher weights of one shared tensor, as a weight source
+    computed a block at a time from the M checked float64 Fisher arrays.
 
     Each element's Fisher values are divided by their largest value (1 for
     every model where all are zero), and then by the sum of these quotients,
@@ -372,15 +362,8 @@ class _FisherBlocks:
         self._fishers = [f.reshape(-1) for f in fishers]
         self.size = self._fishers[0].size
         self._lo = self._mass = self._weights = None
-        head = self.mass(0)  # the first block as bytes decides most comparisons
-        mass_keys = [(head[i].tobytes(), _Row(self.mass, i, self.size, _BLOCK))
-                     for i in range(len(fishers))]
-        self._order = sorted(range(len(fishers)), key=mass_keys.__getitem__)
-
-    def rows(self) -> list[_Row]:
-        """The M weight rows as sort keys; not kept, so no cycle keeps the
-        Fisher arrays alive once the caller drops this object."""
-        return [_Row(self.weights, i, self.size) for i in range(len(self._fishers))]
+        keys = _row_keys(self.mass(0), self.mass, self.size)
+        self._order = sorted(range(len(keys)), key=keys.__getitem__)
 
     def mass(self, lo) -> np.ndarray:
         """The (M, n) normalised Fisher mass of the block starting at ``lo``."""
@@ -394,7 +377,7 @@ class _FisherBlocks:
             self._lo, self._mass, self._weights = lo, mass, None
         return self._mass
 
-    def weights(self, lo) -> np.ndarray:
+    def block(self, lo) -> np.ndarray:
         """The (M, n) weights of the block starting at ``lo``."""
         if lo != self._lo or self._weights is None:
             mass = self.mass(lo)
@@ -408,36 +391,37 @@ class _FisherBlocks:
 
 def _blends(weights, anchor) -> bool:
     """Whether a model other than the anchor has a non-zero weight."""
-    if isinstance(weights, _FisherBlocks):
-        return any(_blends(weights.weights(lo), anchor) for lo in range(0, weights.size, _BLOCK))
-    return np.count_nonzero(weights) > np.count_nonzero(weights[anchor])
+    for lo in range(0, weights.size, _BLOCK):
+        w = weights.block(lo)
+        if np.count_nonzero(w) > np.count_nonzero(w[anchor]):
+            return True
+    return False
 
 
 def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
-    """``sum_i w_i * x_i`` in float64, cast to ``dtype``; the weights are
-    M scalars, or ``_FisherBlocks`` for one weight per element.
+    """``sum_i w_i * x_i`` in float64, cast to ``dtype``, for a weight
+    source ``weights``: ``weights.block(lo)`` gives the M weights of the
+    block of elements starting at ``lo``, rows of ``weights.size`` elements
+    (``_Scalars`` for one weight per model, ``_FisherBlocks`` for one per
+    element).
 
     The (weight, array) pairs are added in the order of their content (the
-    array's bytes, then the weight's, compared up to the first difference),
-    so the result depends only on the multiset of pairs, never on model
-    order; pairs with equal keys are byte-identical and give identical
-    terms. The sum runs over blocks of ``_BLOCK`` elements in two float64
-    block buffers, every block in that one order, so each element gets the
-    same float64 operations as a sum over whole arrays; each block is cast
-    into the output as soon as it is summed.
+    array's bytes, then the weight row's, compared up to the first
+    difference), so the result depends only on the multiset of pairs, never
+    on model order; pairs with equal keys are byte-identical and give
+    identical terms. The sum runs over blocks of ``_BLOCK`` elements in two
+    float64 block buffers, every block in that one order, so each element
+    gets the same float64 operations as a sum over whole arrays; each block
+    is cast into the output as soon as it is summed.
     """
-    if isinstance(weights, _FisherBlocks):
-        rows, block_weights = weights.rows(), weights.weights
-    else:
-        rows, block_weights = weights, lambda lo: weights
-    first, *rest = _content_order(rows, arrays)
     xs = [x.reshape(-1) for x in arrays]
+    first, *rest = _content_order(weights, xs)
     size = xs[0].size
     out = np.empty(size, dtype)
     acc, term = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK))
     for lo in range(0, size, _BLOCK):
         hi = min(lo + _BLOCK, size)
-        w, a, t = block_weights(lo), acc[:hi - lo], term[:hi - lo]
+        w, a, t = weights.block(lo), acc[:hi - lo], term[:hi - lo]
         np.multiply(w[first], xs[first][lo:hi], out=a, dtype=np.float64)
         for i in rest:
             np.multiply(w[i], xs[i][lo:hi], out=t, dtype=np.float64)
@@ -450,11 +434,11 @@ def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
 def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
     """The merge loop behind every strategy.
 
-    ``weights_for(layer, name, kind, shape)`` returns the M weights of one
-    shared tensor, as an array of M scalars or as ``_FisherBlocks``. Shared
-    tensors become weighted sums cast to the anchor's dtype; anchor-only
-    tensors, and shared tensors whose non-anchor weights are all zero, keep
-    the anchor's array. The output follows the anchor's tensor order.
+    ``weights_for(layer, name, kind, shape)`` returns the weight source of
+    one shared tensor, ``_Scalars`` or ``_FisherBlocks``. Shared tensors
+    become weighted sums cast to the anchor's dtype; anchor-only tensors,
+    and shared tensors whose non-anchor weights are all zero, keep the
+    anchor's array. The output follows the anchor's tensor order.
     """
     if alignment.model_count != len(ckpts):
         raise MergeError(
@@ -529,7 +513,7 @@ def layerwise_merge(
         )
     if anchor != schedule.anchor or anchor != alignment.anchor:
         raise MergeError("anchor disagrees between schedule, alignment and call")
-    per_layer = schedule.weights.T
+    per_layer = [_Scalars(w) for w in schedule.weights.T]
     extra = {
         "merge_start_layer": str(schedule.start_layer),
         "merge_first_layer_weight": repr(schedule.first_layer_weight),
@@ -540,7 +524,7 @@ def layerwise_merge(
 def isotropic_merge(ckpts: list[Checkpoint], alignment: SharedAlignment) -> Checkpoint:
     """Plain average of shared tensors; rejects shape-conflicted names."""
     _reject_shape_conflicts(alignment, "isotropic")
-    uniform = np.full(len(ckpts), 1.0 / len(ckpts))
+    uniform = _Scalars(np.full(len(ckpts), 1.0 / len(ckpts)))
     return _merge(ckpts, alignment, "isotropic", lambda *_: uniform)
 
 
@@ -564,7 +548,7 @@ def scalar_weighted_merge(
             raise MergeError(f"performance score of model {i} must be positive, got {s!r}")
     exact = [Fraction(float(s)) for s in scores]
     total = sum(exact)
-    weights = np.array([float(s / total) for s in exact])
+    weights = _Scalars(np.array([float(s / total) for s in exact]))
     extra = {"merge_scores": ",".join(repr(float(s)) for s in scores)}
     return _merge(ckpts, alignment, "scalar", lambda *_: weights, extra)
 
@@ -575,7 +559,7 @@ def _fisher_weights(fishers, name, kind, shape):
     Fisher values (see ``_FisherBlocks``)."""
     m = len(fishers)
     if kind in NON_GRADIENT_KINDS:
-        return np.full(m, 1.0 / m)
+        return _Scalars(np.full(m, 1.0 / m))
     arrays = []
     for i, fisher in enumerate(fishers):
         f = fisher.tensors.get(name)

@@ -1,6 +1,7 @@
 import contextlib
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -121,6 +122,8 @@ class TestComputeSchedule:
             MergeSchedule(2, 2, 0, 1, 0.25, np.array([[0.5, 0.5], [0.25, 0.5]]))
         with pytest.raises(ScheduleError, match="non-negative"):
             MergeSchedule(2, 2, 0, 1, 0.25, np.array([[1.25, 0.5], [-0.25, 0.5]]))
+        with pytest.raises(ScheduleError):
+            MergeSchedule(2, 1, 0, 1, 0.5, [[np.nan], [np.nan]])
 
 
 class TestLayerwiseMerge:
@@ -399,8 +402,24 @@ class TestFisherMerge:
             fisher_merge(pool, fishers, alignment)
 
     def test_negative_fisher_rejected(self):
-        with pytest.raises(MergeError, match="negative"):
-            FisherWeights({"x": np.array([-1.0])})
+        # non-finite values are reported before negative ones
+        table = [
+            ([-1.0], "negative"),
+            ([np.nan], "non-finite"),
+            ([np.inf], "non-finite"),
+            ([-np.inf], "non-finite"),
+            ([-1.0, np.nan], "non-finite"),
+            ([-0.0], None),
+            ([], None),
+        ]
+        for values, verdict in table:
+            for dtype in (np.float64, np.float32):
+                arrays = {"x": np.array(values, dtype=dtype)}
+                if verdict is None:
+                    assert FisherWeights(arrays).tensors["x"].dtype == np.float64
+                else:
+                    with pytest.raises(MergeError, match=f"^{verdict} Fisher values in 'x'$"):
+                        FisherWeights(arrays)
 
 
 class TestMergeProperties:
@@ -529,26 +548,39 @@ class TestContentOrder:
             out.append(x)
         return out
 
+    @staticmethod
+    def order(weights, arrays):
+        """``_content_order`` of the pairs, the M weights given as a weight
+        source: scalars, or rows whose blocks are slices."""
+        w = np.stack(weights)
+        if w.ndim == 1:
+            source = merge_module._Scalars(w)
+        else:
+            source = SimpleNamespace(size=w.shape[1], block=lambda lo: w[:, lo:lo + merge_module._BLOCK])
+        return merge_module._content_order(source, [x.reshape(-1) for x in arrays])
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_order_equals_whole_bytes_order(self, data):
-        # small chunk sizes put most arrays past the first chunk
-        chunk = data.draw(st.sampled_from([8, 40, merge_module._KEY_CHUNK]), label="chunk")
-        n = data.draw(st.integers(0, 3 * chunk // 8 + 2), label="elements")
+        # small blocks put most arrays past the first block; F32 arrays are
+        # compared in blocks of the same number of elements, half the bytes
+        block = data.draw(st.sampled_from([1, 5, merge_module._BLOCK]), label="block")
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+        n = data.draw(st.integers(0, 3 * block + 2), label="elements")
         m = data.draw(st.integers(1, 5), label="models")
-        arrays = self.variants(data, np.arange(n, dtype=np.float64), m)
+        arrays = self.variants(data, np.arange(n, dtype=dtype), m)
         if n % 2 == 0 and data.draw(st.booleans()):  # not C-contiguous
             arrays = [x.reshape(2, -1).T for x in arrays]
         if data.draw(st.booleans()):  # one weight per element, as Fisher merging has
             weights = self.variants(data, np.full(n, 0.25), m)
         else:
             weights = [np.float64(data.draw(st.sampled_from([0.0, 0.25, 0.5]))) for _ in range(m)]
-        with mock.patch.object(merge_module, "_KEY_CHUNK", chunk):
-            order = merge_module._content_order(weights, arrays)
+        with mock.patch.object(merge_module, "_BLOCK", block):
+            order = self.order(weights, arrays)
         assert order == ref.ref_content_order(weights, arrays)
 
     def test_arrays_differing_only_past_the_first_chunk(self):
-        n = 3 * merge_module._KEY_CHUNK // 8
+        n = 3 * merge_module._BLOCK
         arrays = [np.zeros(n) for _ in range(5)]
         arrays[0][-1] = 2.0
         arrays[1][n // 2] = 1.0
@@ -559,7 +591,7 @@ class TestContentOrder:
         # little-endian bytes: 0.0 < 2.0 < 1.0 and 0.5 < 0.1, 0.125 < 0.5
         for weights, expected in (([0.5, 0.1, 0.1, 0.2, 0.1], [3, 0, 4, 2, 1]),
                                   ([late, *(np.full(n, 0.125) for _ in range(4))], [3, 4, 0, 2, 1])):
-            order = merge_module._content_order(weights, arrays)
+            order = self.order(weights, arrays)
             assert order == ref.ref_content_order(weights, arrays) == expected
 
     def test_weighted_sum_copies_no_whole_tensor(self, rng):
@@ -572,9 +604,9 @@ class TestContentOrder:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the sum and one term buffer, plus one chunk per key; whole-tensor
-        # keys would add 8 more tensors
-        assert peak < 2 * tensor + 8 * merge_module._KEY_CHUNK + 65536
+        # the output plus a few blocks per model (keys, Fisher weights and
+        # the two sum buffers); whole-tensor keys would add 8 more tensors
+        assert peak < 2 * tensor + 64 * merge_module._BLOCK + 65536
 
 
 class TestBlockedKernel:
@@ -628,9 +660,10 @@ class TestBlockedKernel:
 
     @staticmethod
     def oracle_fisher_weights(fishers, name, kind, shape):
+        # a weight source whose one block is the whole (M, *shape) weights
         if kind in merge_module.NON_GRADIENT_KINDS:
-            return np.full(len(fishers), 1.0 / len(fishers))
-        return ref.ref_fisher_weights([f.tensors[name] for f in fishers])
+            return merge_module._Scalars(np.full(len(fishers), 1.0 / len(fishers)))
+        return merge_module._Scalars(ref.ref_fisher_weights([f.tensors[name] for f in fishers]))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -641,12 +674,11 @@ class TestBlockedKernel:
         pool, fishers = self.pool(data, rng, block, dtype)
         anchor = data.draw(st.integers(0, len(pool) - 1), label="anchor")
         scores = list(1.0 + rng.random(len(pool)))
-        with mock.patch.object(merge_module, "_BLOCK", block), \
-                mock.patch.object(merge_module, "_KEY_CHUNK", 8 * block):
+        with mock.patch.object(merge_module, "_BLOCK", block):
             blocked = self.merges(pool, fishers, anchor, scores)
         with mock.patch.object(merge_module, "_fisher_weights", self.oracle_fisher_weights), \
                 mock.patch.object(merge_module, "_weighted_sum",
-                                  lambda w, xs, dtype: ref.ref_weighted_sum(w, xs).astype(dtype)):
+                                  lambda w, xs, dtype: ref.ref_weighted_sum(w.block(0), xs).astype(dtype)):
             whole = self.merges(pool, fishers, anchor, scores)
         for got, expected in zip(blocked, whole):
             assert got.names() == expected.names()
