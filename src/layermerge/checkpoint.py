@@ -16,9 +16,11 @@ Saving is deterministic: the same checkpoint value always produces the same
 bytes (metadata keys are sorted; tensor order is part of the value), and
 writes each tensor's buffer to the file without assembling the whole file
 in memory. ``open_file`` parses the header and reads a tensor only when its
-``data`` is accessed, through the descriptor that read the header; ``load``
-is ``open_file`` plus one pass that reads every tensor. Every read fills a
-fresh read-only array.
+``data`` is accessed, through the descriptor that read the header. It is
+the one reader: ``load`` is ``open_file`` plus one pass that reads every
+tensor, and ``inspect`` is ``open_file`` plus one pass over the header's
+names, dtypes and shapes that reads no data. Every read fills a fresh
+read-only array.
 
 Only F32 and F64 element types are supported. Metadata values are plain
 strings; numeric values are parsed where they are used.
@@ -261,9 +263,9 @@ def _reject_duplicate_keys(pairs):
 
 
 def _read_header(fh, path):
-    """Parse and validate the header of the unbuffered file ``fh``, leaving
-    it at the data section. Returns (entries, metadata), where entries is an
-    ordered list of (name, dtype, shape, start, end)."""
+    """Parse and validate the header of the unbuffered file ``fh``. Returns
+    (tensors, metadata): one :class:`FileTensor` per header entry, in header
+    order, each reading through one :class:`_DataSection` of ``fh``."""
     size = os.fstat(fh.fileno()).st_size
     prefix = fh.read(8)
     if len(prefix) < 8:
@@ -274,6 +276,7 @@ def _read_header(fh, path):
             f"{path}: header length {header_len} exceeds file size {size}"
         )
     raw = fh.read(header_len)
+    section = _DataSection(fh, path)
     try:
         header = json.loads(raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -287,7 +290,7 @@ def _read_header(fh, path):
         raise CheckpointFormatError(f"{path}: malformed header: metadata must map strings to strings")
 
     data_size = size - 8 - header_len
-    entries = []
+    tensors, spans = [], []
     for name, info in header["tensors"].items():
         if not name or not isinstance(info, dict):
             raise CheckpointFormatError(f"{path}: malformed tensor entry '{name}'")
@@ -323,15 +326,17 @@ def _read_header(fh, path):
                 raise CheckpointFormatError(
                     f"{path}: tensor '{name}' has invalid shape {shape!r}: {exc}"
                 ) from exc
-        entries.append((name, dtype, shape, start, end))
+        tensors.append(FileTensor(name, dtype, tuple(shape), start, section))
+        if end > start:
+            spans.append((start, end, name))
 
-    by_start = sorted((e for e in entries if e[4] > e[3]), key=lambda e: e[3])
-    for (name_a, _, _, _, ea), (name_b, _, _, sb, _) in zip(by_start, by_start[1:]):
-        if sb < ea:
+    spans.sort(key=lambda span: span[0])  # stable: ties keep header order
+    for (_, end_a, name_a), (start_b, _, name_b) in zip(spans, spans[1:]):
+        if start_b < end_a:
             raise CheckpointFormatError(
                 f"{path}: tensors '{name_a}' and '{name_b}' have overlapping offset ranges"
             )
-    return entries, metadata
+    return tensors, metadata
 
 
 class FileTensor:
@@ -406,23 +411,13 @@ def open_file(path):
     """
     # unbuffered, so no part of the data section is read twice
     with open(path, "rb", buffering=0) as fh:
-        entries, metadata = _read_header(fh, path)
-        section = _DataSection(fh, path)
-        yield Checkpoint(
-            [FileTensor(name, dtype, tuple(shape), start, section)
-             for name, dtype, shape, start, _ in entries],
-            dict(metadata),
-        )
+        yield Checkpoint(*_read_header(fh, path))
 
 
 def load(path) -> Checkpoint:
     """Load a checkpoint; tensor order equals header order."""
-    with open(path, "rb", buffering=0) as fh:
-        entries, metadata = _read_header(fh, path)
-        section = _DataSection(fh, path)
-        tensors = [TensorRecord(name, section.read(dtype, shape, start))
-                   for name, dtype, shape, start, _ in entries]
-    return Checkpoint(tensors, dict(metadata))
+    with open_file(path) as ckpt:
+        return Checkpoint([TensorRecord(t.name, t.data) for t in ckpt.tensors], ckpt.metadata)
 
 
 @dataclass(frozen=True)
@@ -443,8 +438,7 @@ class CheckpointSummary:
 
 def inspect(path) -> CheckpointSummary:
     """Summarize a checkpoint file without decoding any tensor data."""
-    with open(path, "rb", buffering=0) as fh:
-        entries, metadata = _read_header(fh, path)
-    tensors = [(name, dtype, tuple(shape)) for name, dtype, shape, _, _ in entries]
-    total = sum(math.prod(shape) for _, _, shape in tensors)
-    return CheckpointSummary(tensors, total, dict(metadata))
+    with open_file(path) as ckpt:
+        return CheckpointSummary(
+            [(t.name, t.dtype, t.shape) for t in ckpt.tensors], ckpt.total_parameters, ckpt.metadata
+        )

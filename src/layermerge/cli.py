@@ -86,7 +86,14 @@ def _resolve_anchor(value: str | None, inputs: list[str], strategy: str) -> int:
     return idx
 
 
+# flags that only one strategy reads, and that strategy
+_STRATEGY_FLAGS = {"fisher": "fisher", "perf": "scalar", "s": "layerwise", "w0": "layerwise"}
+
+
 def _cmd_merge(args) -> int:
+    for flag, strategy in _STRATEGY_FLAGS.items():
+        if getattr(args, flag) is not None and args.strategy != strategy:
+            raise UsageError(f"--{flag} applies only to --strategy {strategy}")
     anchor = _resolve_anchor(args.anchor, args.inputs, args.strategy)
     if args.strategy == "fisher" and not args.fisher:
         raise UsageError("--strategy fisher requires --fisher files, one per input")
@@ -129,7 +136,7 @@ def _merge_inputs(args, ckpts, anchor, alignment, files):
             len(ckpts),
             alignment.n_shared_layers,
             anchor,
-            start_layer=args.s,
+            start_layer=1 if args.s is None else args.s,
             first_layer_weight=args.w0,
         )
         merged = layerwise_merge(ckpts, anchor, schedule, alignment)
@@ -225,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="input checkpoint files")
     p.add_argument("--anchor", help="anchor checkpoint: input path or index")
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
-    p.add_argument("--s", type=int, default=1, help="uniform-plateau end layer")
-    p.add_argument("--w0", type=float, default=None, help="first-layer non-anchor weight")
-    p.add_argument("--perf", type=float, nargs="+", help="performance scores, one per input")
-    p.add_argument("--fisher", nargs="+", help="fisher checkpoint files, one per input")
+    p.add_argument("--s", type=int, help="layerwise: uniform-plateau end layer (default 1)")
+    p.add_argument("--w0", type=float, help="layerwise: first-layer non-anchor weight")
+    p.add_argument("--perf", type=float, nargs="+", help="scalar: performance scores, one per input")
+    p.add_argument("--fisher", nargs="+", help="fisher: fisher checkpoint files, one per input")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_merge)
 

@@ -72,7 +72,9 @@ class ToyModel:
         model's input size and as many classes as the head has outputs."""
         inputs, *_, outputs = self.layer_sizes
         if inputs != data.inputs.shape[1]:
-            raise ValueError("model input size does not match the data")
+            raise ValueError(
+                f"model expects {inputs}-dimensional inputs, data has {data.inputs.shape[1]}"
+            )
         if outputs != data.classes:
             raise ValueError(f"model output size {outputs} does not match "
                              f"the class count {data.classes}")
@@ -158,11 +160,8 @@ def evaluate(models, data, ensemble: bool = False) -> float:
         models = [models]
     if not models:
         raise ValueError("need at least one model")
-    in_dim = models[0].weights[0].shape[1]
-    if data.inputs.shape[1] != in_dim:
-        raise ValueError(
-            f"model expects {in_dim}-dimensional inputs, data has {data.inputs.shape[1]}"
-        )
+    for model in models:
+        model.check_fits(data)
     if ensemble:
         probs = sum(m.predict_proba(data.inputs) for m in models) / len(models)
     else:

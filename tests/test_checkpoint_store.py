@@ -27,6 +27,15 @@ import _reference as ref
 from conftest import make_checkpoint, patch_header
 
 
+def open_and_close(path) -> None:
+    with ckpt_store.open_file(path):
+        pass
+
+
+# every public way to read a checkpoint file
+READERS = (load, inspect, open_and_close)
+
+
 def identical(a: Checkpoint, b: Checkpoint) -> bool:
     if a.names() != b.names() or a.metadata != b.metadata:
         return False
@@ -257,7 +266,7 @@ class TestLoadErrors:
             header["tensors"]["layer0.weight"][field] = value
 
         saved.write_bytes(patch_header(saved, mutate))
-        for reader in (load, inspect):
+        for reader in READERS:
             with pytest.raises(CheckpointFormatError, match=f"invalid {field}"):
                 reader(saved)
 
@@ -272,7 +281,7 @@ class TestLoadErrors:
         path = tmp_path / "one.st"
         save(Checkpoint.from_arrays({"x": np.zeros(1 if 0 not in shape else 0)}), path)
         path.write_bytes(patch_header(path, lambda h: h["tensors"]["x"].update(shape=shape)))
-        for reader in (load, inspect):
+        for reader in READERS:
             with pytest.raises(CheckpointFormatError, match="invalid shape"):
                 reader(path)
         assert main(["inspect", str(path)]) == 2
@@ -291,9 +300,44 @@ class TestLoadErrors:
         header = raw[8 : 8 + header_len].decode().replace(*edit, 1)
         assert header != raw[8 : 8 + header_len].decode()
         path.write_bytes(struct.pack("<Q", len(header)) + header.encode() + raw[8 + header_len :])
-        for reader in (load, inspect):
+        for reader in READERS:
             with pytest.raises(CheckpointFormatError, match="duplicate key"):
                 reader(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda path: b"", r"malformed header \(file too short\)", id="empty"),
+        pytest.param(lambda path: struct.pack("<Q", 10_000) + b"{}", "exceeds file size",
+                     id="header-length"),
+        pytest.param(lambda path: struct.pack("<Q", 4) + b"nope", "malformed header: Expecting",
+                     id="not-json"),
+        pytest.param(lambda path: path.read_bytes()[:-8], "out of bounds", id="truncated-data"),
+        pytest.param(lambda path: patch_header(path, lambda h: h.pop("tensors")),
+                     "malformed header: missing 'tensors' object", id="no-tensors"),
+        pytest.param(lambda path: patch_header(path, lambda h: h.update(tensors=[])),
+                     "malformed header: missing 'tensors' object", id="tensors-not-object"),
+        pytest.param(lambda path: patch_header(path, lambda h: h["metadata"].update(epoch=3)),
+                     "malformed header: metadata must map strings to strings",
+                     id="metadata-not-string"),
+        pytest.param(lambda path: patch_header(path, lambda h: h["tensors"].update(x=[0, 16])),
+                     "malformed tensor entry 'x'", id="entry-not-object"),
+        pytest.param(lambda path: patch_header(
+                         path, lambda h: h["tensors"]["layer0.weight"].update(dtype="I8")),
+                     "tensor 'layer0.weight' has unknown dtype 'I8'", id="dtype"),
+        pytest.param(lambda path: patch_header(
+                         path, lambda h: h["tensors"]["layer0.bias"].update(offsets=[0, 16])),
+                     "tensors 'layer0.weight' and 'layer0.bias' have overlapping offset ranges",
+                     id="overlap"),
+    ])
+    def test_every_reader_rejects_with_one_message(self, saved, capsys, edit, message):
+        saved.write_bytes(edit(saved))
+        messages = set()
+        for reader in READERS:
+            with pytest.raises(CheckpointFormatError, match=message) as caught:
+                reader(saved)
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+        assert main(["inspect", str(saved)]) == 2
+        assert capsys.readouterr().err == f"error: {messages.pop()}\n"
 
     def test_file_truncated_after_header_read(self, saved, monkeypatch):
         read_header = ckpt_store._read_header
@@ -500,12 +544,15 @@ class TestFuzzedInput:
         bad, good, out = work / "bad.st", work / "good.st", work / "m.st"
         bad.write_bytes(raw)
         good.write_bytes(FUZZ_BASE)
-        rejected = False
-        for reader in (load, inspect):
+        verdicts = set()
+        for reader in READERS:
             try:
                 reader(bad)
-            except CheckpointFormatError:
-                rejected = True
+                verdicts.add(None)
+            except CheckpointFormatError as exc:
+                verdicts.add(str(exc))
+        assert len(verdicts) == 1  # every reader gives the same verdict
+        rejected = None not in verdicts
         for argv in (["inspect", bad], ["merge", bad, good, "--strategy", "isotropic", "--out", out]):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -262,6 +262,45 @@ class TestMerge:
                          "--anchor", "0", "--out", tmp_path / "m.st", "--bogus")
         assert code == 1
 
+    @pytest.mark.parametrize("strategy, flag, values", [
+        ("layerwise", "--fisher", ["nope1", "nope2", "nope3"]),  # files never opened
+        ("isotropic", "--fisher", ["nope1", "nope2", "nope3"]),
+        ("isotropic", "--perf", ["1", "2", "3"]),
+        ("layerwise", "--perf", ["1", "2", "3"]),
+        ("isotropic", "--w0", ["5"]),  # layer-wise would reject 5 > 1/3
+        ("scalar", "--w0", ["0.1"]),
+        ("fisher", "--s", ["1"]),
+        ("isotropic", "--s", ["2"]),
+    ])
+    def test_flag_of_another_strategy_usage_error(self, tmp_path, rng, capsys,
+                                                  strategy, flag, values):
+        base = make_checkpoint([(3, 2), (2, 3)], rng, metadata={"performance": "1"})
+        paths = [tmp_path / f"m{i}.st" for i in range(3)]
+        for path in paths:
+            save(clone_with_noise(base, rng), path)
+        out = tmp_path / "m.st"
+        code, stdout, err = run(capsys, "merge", *paths, "--anchor", "0", "--strategy", strategy,
+                                flag, *values, "--out", out)
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"usage error: {flag} applies only to --strategy ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--strategy", "layerwise", "--anchor", "abc"], "neither an input path nor an index"),
+        (["--strategy", "fisher", "--fisher", "f0.st"], "1 --fisher files for 2 inputs"),
+        (["--strategy", "scalar", "--perf", "1"], "1 --perf scores for 2 inputs"),
+        (["--strategy", "scalar", "--perf", "0", "1"], "positive reals"),
+        (["--strategy", "scalar", "--perf", "-1", "1"], "positive reals"),
+        (["--strategy", "scalar", "--perf", "nan", "1"], "positive reals"),
+        (["--strategy", "scalar", "--perf", "inf", "1"], "positive reals"),
+    ])
+    def test_bad_flag_value_usage_error(self, pair, tmp_path, capsys, args, message):
+        out = tmp_path / "m.st"
+        code, stdout, err = run(capsys, "merge", *pair, *args, "--out", out)
+        assert code == 1 and stdout == ""
+        assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
+
     def test_anchor_index_out_of_range(self, pair, tmp_path, capsys):
         pa, pb = pair
         code, _, err = run(capsys, "merge", pa, pb, "--anchor", "5",

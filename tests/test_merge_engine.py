@@ -422,6 +422,41 @@ class TestFisherMerge:
                         FisherWeights(arrays)
 
 
+class TestMisuseRejected:
+    """Arguments built for another pool are rejected, not merged."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda pool, al, fishers, rng: isotropic_merge(pool[:2], al),
+                     MergeError, "alignment covers 3 models, got 2", id="alignment-pool-size"),
+        pytest.param(lambda pool, al, fishers, rng: isotropic_merge(
+                         [pool[0], make_checkpoint([(2, 3), (3, 2)], rng), pool[2]], al),
+                     MergeError, "shape mismatch for shared tensor 'layer0.weight': "
+                     r"\(2, 3\) vs \(2, 2\)", id="alignment-shape"),
+        pytest.param(lambda pool, al, fishers, rng: layerwise_merge(
+                         pool, 0, compute_schedule(3, 1, 0), al),
+                     MergeError, "schedule built for 1 shared layers, alignment has 2",
+                     id="schedule-layer-count"),
+        pytest.param(lambda pool, al, fishers, rng: layerwise_merge(
+                         pool, 1, compute_schedule(3, 2, 1), al),
+                     MergeError, "anchor disagrees", id="alignment-anchor"),
+        pytest.param(lambda pool, al, fishers, rng: layerwise_merge(
+                         pool, 0, compute_schedule(3, 2, 1), al),
+                     MergeError, "anchor disagrees", id="schedule-anchor"),
+        pytest.param(lambda pool, al, fishers, rng: fisher_merge(
+                         pool, [fishers[0], FisherWeights(
+                             {**fishers[1].tensors, "layer1.bias": np.ones(2)}), fishers[2]], al),
+                     FisherInputError, r"Fisher tensor 'layer1.bias' of model 1 has shape "
+                     r"\(2,\), expected \(3,\)", id="fisher-shape"),
+        pytest.param(lambda pool, al, fishers, rng: fisher_merge(pool, fishers[:2], al),
+                     MergeError, "2 Fisher inputs for 3 models", id="fisher-count"),
+    ])
+    def test_rejected(self, rng, call, error, message):
+        pool = [make_checkpoint([(2, 2), (3, 2)], rng) for _ in range(3)]  # two shared layers
+        fishers = [FisherWeights({t.name: np.ones(t.shape) for t in c.tensors}) for c in pool]
+        with pytest.raises(error, match=message):
+            call(pool, shared_parameters(pool, 0), fishers, rng)
+
+
 class TestMergeProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31))

@@ -120,6 +120,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="dimensional"):
             evaluate(model, src)
 
+    @pytest.mark.parametrize("ensemble", [False, True])
+    def test_class_count_mismatch_rejected(self, ensemble):
+        data = make_domain_pair(1, 40, 4)[0]
+        fits, wrong = ToyModel.init([2, 8, 4], 0), ToyModel.init([2, 8, 3], 0)
+        models = [fits, wrong] if ensemble else wrong  # every ensemble member is checked
+        with pytest.raises(ValueError, match="^model output size 3 does not match the class count 4$"):
+            evaluate(models, data, ensemble=ensemble)
+
 
 class TestTrain:
     def test_zero_epochs_identity(self):
