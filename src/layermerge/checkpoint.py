@@ -19,8 +19,11 @@ in memory. ``open_file`` parses the header and reads a tensor only when its
 ``data`` is accessed, through the descriptor that read the header. It is
 the one reader: ``load`` is ``open_file`` plus one pass that reads every
 tensor, and ``inspect`` is ``open_file`` plus one pass over the header's
-names, dtypes and shapes that reads no data. Every read fills a fresh
-read-only array.
+names, dtypes and shapes that reads no data. Small tensors that lie next to
+each other are read in runs, one read per run of at most 256 KiB, and each
+is handed out once as a read-only view of its run; any other access reads
+the tensor alone into a fresh read-only array. A reader keeps at most one
+run per file beyond the arrays it has handed out.
 
 Only F32 and F64 element types are supported. Metadata values are plain
 strings; numeric values are parsed where they are used.
@@ -31,17 +34,23 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import os
 import struct
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 DTYPE_TO_NUMPY = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 NUMPY_TO_DTYPE = {np.dtype("float32"): "F32", np.dtype("float64"): "F64"}
+_DTYPE_NAMES = tuple(DTYPE_TO_NUMPY)  # compared by ==, so an unhashable value is just unknown
+_ITEMSIZE = {name: dtype.itemsize for name, dtype in DTYPE_TO_NUMPY.items()}
+
+_RUN_BYTES = 1 << 18  # adjacent tensors in one window of this size are read together
 
 # Optional metadata keys with toolkit-level meaning.
 META_LAYER_ORDER = "layer_order"   # JSON list of layer-group prefixes
@@ -254,18 +263,101 @@ def save(ckpt: Checkpoint, path) -> None:
 
 
 def _reject_duplicate_keys(pairs):
-    obj = {}
-    for k, v in pairs:
-        if k in obj:
-            raise CheckpointFormatError(f"duplicate key '{k}' in header")
-        obj[k] = v
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for k, _ in pairs:
+            if k in seen:
+                raise CheckpointFormatError(f"duplicate key '{k}' in header")
+            seen.add(k)
     return obj
+
+
+def _entry_error(name, info, data_size) -> str | None:
+    """The message of the first check that the header entry ``name: info``
+    fails, without the path, or None when it passes them all."""
+    if not name or not isinstance(info, dict):
+        return f"malformed tensor entry '{name}'"
+    dtype = info.get("dtype")
+    if dtype not in _DTYPE_NAMES:
+        return f"tensor '{name}' has unknown dtype {dtype!r}"
+    shape = info.get("shape")
+    # type() rather than isinstance(): JSON true/false decode to bool, an int subclass
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        return f"tensor '{name}' has invalid shape {shape!r}"
+    offs = info.get("offsets")
+    if not (isinstance(offs, list) and len(offs) == 2 and all(type(o) is int for o in offs)):
+        return f"tensor '{name}' has invalid offsets {offs!r}"
+    start, end = offs
+    if not (0 <= start <= end <= data_size):
+        return (f"tensor '{name}' offsets [{start}, {end}) out of bounds "
+                f"for data section of {data_size} bytes")
+    expected = math.prod(shape) * DTYPE_TO_NUMPY[dtype].itemsize
+    if end - start != expected:
+        return (f"tensor '{name}' byte range {end - start} does not match "
+                f"shape {shape} ({expected} bytes expected)")
+    # A shape that fits the data section can only exceed numpy's limits by
+    # its dimension count (at least 32 in every numpy), or, when it holds no
+    # elements, by the product of its extents; only those are tried.
+    if expected == 0 or len(shape) > 32:
+        try:
+            np.broadcast_to(np.empty((), DTYPE_TO_NUMPY[dtype]), shape)
+        except ValueError as exc:
+            return f"tensor '{name}' has invalid shape {shape!r}: {exc}"
+    return None
+
+
+def _valid_entries(entries, data_size):
+    """``(dtypes, shapes, starts, ends)`` of the header's tensor entries, in
+    header order, when every entry passes every check of ``_entry_error``;
+    else None. The type checks run as C-level passes over all entries, and
+    bounds and byte sizes as array operations."""
+    infos = list(entries.values())
+    if "" in entries or set(map(type, infos)) - {dict}:
+        return None
+    try:
+        dtypes = [info["dtype"] for info in infos]
+        shapes = [info["shape"] for info in infos]
+        offsets = [info["offsets"] for info in infos]
+    except KeyError:
+        return None
+    if (
+        set(map(type, dtypes)) - {str} or set(dtypes) - set(_DTYPE_NAMES)
+        or set(map(type, shapes)) - {list}
+        or set(map(type, offsets)) - {list} or set(map(len, offsets)) - {2}
+    ):
+        return None
+    dims, offs = list(chain.from_iterable(shapes)), list(chain.from_iterable(offsets))
+    if set(map(type, dims)) - {int} or min(dims, default=0) < 0 or set(map(type, offs)) - {int}:
+        return None
+    sizes = map(operator.mul, map(math.prod, shapes), map(_ITEMSIZE.get, dtypes))  # exact
+    try:
+        bounds = np.array(offs, np.int64).reshape(-1, 2)
+        expected = np.array(list(sizes), np.int64)
+    except OverflowError:  # a value no data section can hold
+        return None
+    starts, ends = bounds[:, 0], bounds[:, 1]
+    good = (0 <= starts) & (starts <= ends) & (ends <= data_size) & (ends - starts == expected)
+    if not good.all():
+        return None
+    ndims = np.fromiter(map(len, shapes), int, len(shapes))
+    for i in np.flatnonzero((expected == 0) | (ndims > 32)):
+        try:
+            np.broadcast_to(np.empty((), DTYPE_TO_NUMPY[dtypes[i]]), shapes[i])
+        except ValueError:
+            return None
+    return dtypes, shapes, starts, ends
 
 
 def _read_header(fh, path):
     """Parse and validate the header of the unbuffered file ``fh``. Returns
     (tensors, metadata): one :class:`FileTensor` per header entry, in header
-    order, each reading through one :class:`_DataSection` of ``fh``."""
+    order, each reading through one :class:`_DataSection` of ``fh``.
+
+    Entries are checked in header order, and each entry's checks in one
+    order, so a header with several faults is reported by the first check
+    of its first failing entry; overlaps are checked after every entry.
+    """
     size = os.fstat(fh.fileno()).st_size
     prefix = fh.read(8)
     if len(prefix) < 8:
@@ -289,66 +381,67 @@ def _read_header(fh, path):
     ):
         raise CheckpointFormatError(f"{path}: malformed header: metadata must map strings to strings")
 
+    entries = header["tensors"]
     data_size = size - 8 - header_len
-    tensors, spans = [], []
-    for name, info in header["tensors"].items():
-        if not name or not isinstance(info, dict):
-            raise CheckpointFormatError(f"{path}: malformed tensor entry '{name}'")
-        dtype = info.get("dtype")
-        if dtype not in DTYPE_TO_NUMPY:
-            raise CheckpointFormatError(f"{path}: tensor '{name}' has unknown dtype {dtype!r}")
-        shape = info.get("shape")
-        # type() rather than isinstance(): JSON true/false decode to bool, an int subclass
-        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-            raise CheckpointFormatError(f"{path}: tensor '{name}' has invalid shape {shape!r}")
-        offs = info.get("offsets")
-        if not (isinstance(offs, list) and len(offs) == 2 and all(type(o) is int for o in offs)):
-            raise CheckpointFormatError(f"{path}: tensor '{name}' has invalid offsets {offs!r}")
-        start, end = offs
-        if not (0 <= start <= end <= data_size):
-            raise CheckpointFormatError(
-                f"{path}: tensor '{name}' offsets [{start}, {end}) out of bounds "
-                f"for data section of {data_size} bytes"
-            )
-        expected = math.prod(shape) * DTYPE_TO_NUMPY[dtype].itemsize
-        if end - start != expected:
-            raise CheckpointFormatError(
-                f"{path}: tensor '{name}' byte range {end - start} does not match "
-                f"shape {shape} ({expected} bytes expected)"
-            )
-        # A shape that fits the data section can only exceed numpy's limits by
-        # its dimension count (at least 32 in every numpy), or, when it holds no
-        # elements, by the product of its extents; only those are tried.
-        if expected == 0 or len(shape) > 32:
-            try:
-                np.broadcast_to(np.empty((), DTYPE_TO_NUMPY[dtype]), shape)
-            except ValueError as exc:
-                raise CheckpointFormatError(
-                    f"{path}: tensor '{name}' has invalid shape {shape!r}: {exc}"
-                ) from exc
-        tensors.append(FileTensor(name, dtype, tuple(shape), start, section))
-        if end > start:
-            spans.append((start, end, name))
+    valid = _valid_entries(entries, data_size)
+    if valid is None:
+        for name, info in entries.items():
+            message = _entry_error(name, info, data_size)
+            if message:
+                raise CheckpointFormatError(f"{path}: {message}")
+    dtypes, shapes, starts, ends = valid
 
-    spans.sort(key=lambda span: span[0])  # stable: ties keep header order
-    for (_, end_a, name_a), (start_b, _, name_b) in zip(spans, spans[1:]):
-        if start_b < end_a:
-            raise CheckpointFormatError(
-                f"{path}: tensors '{name_a}' and '{name_b}' have overlapping offset ranges"
-            )
+    # non-empty tensors by start; stable, so ties keep header order
+    spans = np.flatnonzero(ends > starts)
+    spans = spans[np.argsort(starts[spans], kind="stable")]
+    first, last = starts[spans], ends[spans]
+    overlaps = np.flatnonzero(first[1:] < last[:-1])
+    if overlaps.size:
+        a, b = spans[overlaps[0]], spans[overlaps[0] + 1]
+        names = list(entries)
+        raise CheckpointFormatError(
+            f"{path}: tensors '{names[a]}' and '{names[b]}' have overlapping offset ranges"
+        )
+    members = _runs(spans, first, last, np.array(dtypes, "U3")[spans])
+    runs = np.full(len(dtypes), -1)
+    for run, indices in enumerate(members):
+        runs[indices] = run
+    tensors = [
+        FileTensor(name, dtype, tuple(shape), start, run, section)
+        for name, dtype, shape, start, run
+        in zip(entries, dtypes, shapes, starts.tolist(), runs.tolist())
+    ]
+    section.runs = [(int(starts[indices[0]]), int(ends[indices[-1]]),
+                     [tensors[i] for i in indices.tolist()]) for indices in members]
     return tensors, metadata
+
+
+def _runs(spans, starts, ends, dtypes) -> list:
+    """The runs (see ``_DataSection``) of the non-empty tensors ``spans``,
+    header indices sorted by start with their starts, ends and dtypes, as
+    arrays of header indices in file order."""
+    # a tensor joins the one before it when it follows it directly, has its
+    # dtype and ends in the window where that one starts; so every tensor
+    # of a run lies in that one window
+    joins = (
+        (starts[1:] == ends[:-1]) & (dtypes[1:] == dtypes[:-1])
+        & (starts[:-1] // _RUN_BYTES == (ends[1:] - 1) // _RUN_BYTES)
+    )
+    groups = np.split(spans, np.flatnonzero(~joins) + 1) if spans.size else []
+    return [g for g in groups if g.size > 1]
 
 
 class FileTensor:
     """A tensor of a checkpoint opened with :func:`open_file`. Name, dtype
-    and shape come from the header; every access to ``data`` reads the
-    tensor from the file into a fresh read-only array."""
+    and shape come from the header; ``data`` is read from the file when it
+    is accessed (see :class:`_DataSection`), into a read-only array that no
+    earlier access returned."""
 
-    __slots__ = ("name", "dtype", "shape", "_start", "_section")
+    __slots__ = ("name", "dtype", "shape", "_start", "_run", "_section")
 
-    def __init__(self, name, dtype, shape, start, section):
+    def __init__(self, name, dtype, shape, start, run, section):
         self.name, self.dtype, self.shape = name, dtype, shape
-        self._start, self._section = start, section
+        self._start, self._run, self._section = start, run, section
 
     @property
     def element_count(self) -> int:
@@ -356,7 +449,14 @@ class FileTensor:
 
     @property
     def data(self) -> np.ndarray:
-        return self._section.read(self.dtype, self.shape, self._start)
+        return self._section.read(self)[0]
+
+    def read_checked(self, ok):
+        """``(data, passed)``: the tensor as ``data`` reads it, and whether
+        ``ok(array)`` held for the whole run it was read with (it is then
+        called once per run). False means nothing about the tensor itself:
+        ``ok`` was not tried on a run holding it."""
+        return self._section.read(self, ok)
 
 
 def _identity(fh):
@@ -367,6 +467,18 @@ def _identity(fh):
 class _DataSection:
     """Reads tensors from the data section of an open checkpoint file.
 
+    A run is two or more tensors of one dtype that follow each other in the
+    file without a gap and lie in one aligned window of ``_RUN_BYTES``; a
+    tensor larger than the window is never in a run. Reading a tensor of a
+    run reads the whole run with one ``preadv``, and each of its tensors is
+    handed out once as a view of that buffer. Only the run read last is
+    kept, so a section holds at most ``_RUN_BYTES`` beyond the arrays it
+    has handed out (which keep their run's buffer alive). A tensor
+    accessed again, or whose run was read before and dropped, is read on
+    its own, as is every tensor outside a run. A run that the file no
+    longer holds in full is dropped too, so a file that shrank fails at the
+    first tensor it lost.
+
     Once the file is closed, a read reopens its path and refuses any file
     but the one that was opened, unchanged.
     """
@@ -375,28 +487,68 @@ class _DataSection:
         self.fh, self.path = fh, path
         self.base = fh.tell()
         self.identity = _identity(fh)
+        self.runs = []  # (start, end, tensors) of each run
+        self._read_runs = set()
+        self._buf, self._views = None, {}  # the run kept, and its views not handed out
+        self._verdicts = {}  # check -> its result on the run kept
 
-    def read(self, dtype, shape, start) -> np.ndarray:
-        arr = np.empty(shape, DTYPE_TO_NUMPY[dtype])
-        if not self.fh.closed:
-            self._fill(self.fh, arr, start)
-        else:
-            with open(self.path, "rb", buffering=0) as fh:
-                if _identity(fh) != self.identity:
-                    raise CheckpointFormatError(f"{self.path}: file changed after it was closed")
-                self._fill(fh, arr, start)
+    def read(self, t, ok=None):
+        """``(array, passed)`` for the tensor ``t`` (see ``FileTensor``)."""
+        if t._run >= 0 and t._run not in self._read_runs:
+            self._read_run(t._run)
+        view = self._views.pop(t, None)
+        if view is not None:
+            if ok is None:
+                return view, False
+            if ok not in self._verdicts:
+                self._verdicts[ok] = bool(ok(self._buf))
+            return view, self._verdicts[ok]
+        arr = np.empty(t.shape, DTYPE_TO_NUMPY[t.dtype])
+        with self._file() as fh:
+            if not self._fill(fh, arr, t._start):
+                raise CheckpointFormatError(f"{self.path}: file shrank while it was read")
         arr.setflags(write=False)
-        return arr
+        return arr, False
 
-    def _fill(self, fh, arr, start) -> None:
+    def _read_run(self, run) -> None:
+        self._read_runs.add(run)
+        self._buf, self._views = None, {}  # dropped, even if this run falls short
+        start, end, tensors = self.runs[run]
+        dtype = DTYPE_TO_NUMPY[tensors[0].dtype]
+        buf = np.empty((end - start) // dtype.itemsize, dtype)
+        with self._file() as fh:
+            if not self._fill(fh, buf, start):
+                return
+        buf.setflags(write=False)
+        for t in tensors:
+            lo = (t._start - start) // dtype.itemsize
+            self._views[t] = buf[lo:lo + t.element_count].reshape(t.shape)
+        self._buf, self._verdicts = buf, {}
+
+    @contextlib.contextmanager
+    def _file(self):
+        if not self.fh.closed:
+            yield self.fh
+            return
+        with open(self.path, "rb", buffering=0) as fh:
+            if _identity(fh) != self.identity:
+                raise CheckpointFormatError(f"{self.path}: file changed after it was closed")
+            yield fh
+
+    def _fill(self, fh, arr, start) -> bool:
+        """Read ``arr.nbytes`` bytes from data-section offset ``start`` into
+        ``arr``; False when the file ends first."""
         # a positioned read into the array itself: no seek, no intermediate copy
+        if not arr.nbytes:  # nothing to read, so no read
+            return True
         pos = self.base + start
         done = os.preadv(fh.fileno(), [arr], pos)
         while done < arr.nbytes:  # a read stopped short; one that reads nothing hit the end
             n = os.preadv(fh.fileno(), [arr.reshape(-1).view(np.uint8)[done:]], pos + done)
             if not n:
-                raise CheckpointFormatError(f"{self.path}: file shrank while it was read")
+                return False
             done += n
+        return True
 
 
 @contextlib.contextmanager
@@ -405,9 +557,13 @@ def open_file(path):
     :class:`FileTensor` records, closing it on exit.
 
     The header is parsed now; each tensor is read when its ``data`` is
-    accessed, through the one descriptor that read the header, so a file
-    replaced meanwhile is never read half old, half new, and a file that
-    shrinks is a :class:`CheckpointFormatError`.
+    first accessed, with the run of adjacent tensors it belongs to (see
+    :class:`_DataSection`), through the one descriptor that read the
+    header, so a file replaced meanwhile is never read half old, half new,
+    and a file that shrinks is a :class:`CheckpointFormatError` at the
+    first tensor it lost. Accessing the tensors in file order reads every
+    byte of the data section once, with one read per run; beyond the arrays
+    handed out, at most one run (256 KiB) per open file is kept in memory.
     """
     # unbuffered, so no part of the data section is read twice
     with open(path, "rb", buffering=0) as fh:

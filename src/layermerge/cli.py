@@ -4,7 +4,9 @@ Exit codes: 0 on success, 1 for usage errors (bad flags, flag values or
 experiment config), 2 for data errors (malformed files, incompatible pools,
 non-finite merged values, diverged training).
 Every run prints a one-line summary to standard error; nonzero exits leave
-no partial output files behind.
+no partial output files behind. An interrupt (Ctrl-C) prints the summary
+``interrupted`` and exits 130, the shell's code for SIGINT, after removing
+any output file it was writing.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .toy import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+EXIT_INTERRUPTED = 130
 
 
 class UsageError(Exception):
@@ -285,6 +288,9 @@ def main(argv=None) -> int:
                 TrainingDivergedError, OSError, ValueError) as exc:
             _summary(f"error: {exc}")
             return EXIT_DATA
+        except KeyboardInterrupt:
+            _summary("interrupted")
+            return EXIT_INTERRUPTED
         finally:
             for w in caught:
                 _summary(f"warning: {w.message}")

@@ -59,13 +59,23 @@ class DiscrepancyProfile:
         return exceed / total if total else 0.0
 
 
+_BATCH = 1 << 20  # elements of (group, kind) slices compared with one set of array operations
+
+
 def discrepancy_profile(
     a: Checkpoint,
     b: Checkpoint,
     tau: float,
     mode: str = "elementwise",
 ) -> DiscrepancyProfile:
-    """Profile where two checkpoints disagree, per layer and parameter kind."""
+    """Profile where two checkpoints disagree, per layer and parameter kind.
+
+    The (group, kind) slices are compared in batches of about ``_BATCH``
+    elements: each batch is flattened to float64 once, and its flags are
+    counted per slice. Every element meets the same operations as in a
+    slice-by-slice comparison, and each ``layer_norm`` norm is taken over
+    its slice alone, so the counts do not depend on the batching.
+    """
     if not (math.isfinite(tau) and tau > 0):
         raise DiscrepancyError(f"tau must be a positive real, got {tau!r}")
     if mode not in MODES:
@@ -73,7 +83,7 @@ def discrepancy_profile(
 
     alignment = shared_parameters([a, b], anchor=0)
     a_arrays, b_arrays = a.arrays(), b.arrays()
-    rows = []
+    rows, batch, size = [], [], 0
     for group in alignment.shared_groups:
         by_kind: dict[str, list[str]] = {}
         for name, kind in group.members:
@@ -81,23 +91,42 @@ def discrepancy_profile(
         for kind in KIND_ORDER:
             if kind not in by_kind:
                 continue
-            ref, other = (
-                np.concatenate([np.asarray(x[n], dtype=np.float64).ravel() for n in by_kind[kind]])
-                for x in (a_arrays, b_arrays)
-            )
-            if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(other))):
+            n = sum(a_arrays[name].size for name in by_kind[kind])
+            if batch and size + n > _BATCH:
+                rows += _compare(batch, a_arrays, b_arrays, tau, mode)
+                batch, size = [], 0
+            batch.append((group, kind, by_kind[kind], n))
+            size += n
+    if batch:
+        rows += _compare(batch, a_arrays, b_arrays, tau, mode)
+    return DiscrepancyProfile(tau=float(tau), mode=mode, rows=tuple(rows))
+
+
+def _compare(batch, a_arrays, b_arrays, tau, mode) -> list[ProfileRow]:
+    """The rows of a batch of ``(group, kind, names, size)`` slices."""
+    ref, other = (
+        np.concatenate([x[name].reshape(-1) for _, _, names, _ in batch for name in names],
+                       dtype=np.float64)
+        for x in (a_arrays, b_arrays)
+    )
+    bounds = np.cumsum([0] + [n for *_, n in batch])
+    if not (np.isfinite(ref).all() and np.isfinite(other).all()):
+        for (group, kind, _, _), lo, hi in zip(batch, bounds, bounds[1:]):
+            if not (np.isfinite(ref[lo:hi]).all() and np.isfinite(other[lo:hi]).all()):
                 raise DiscrepancyError(
                     f"non-finite values in group '{group.prefix}' kind '{kind}'"
                 )
-            diff = np.abs(ref - other)
-            n = ref.size
-            if mode == "elementwise":
-                threshold = np.abs(ref) / tau
-            else:
-                threshold = np.full(n, np.linalg.norm(ref) / (tau * math.sqrt(n))) if n else ref
-            flagged = (diff >= threshold) & (diff > 0)
-            rows.append(ProfileRow(group.index, kind, int(flagged.sum()), int(n)))
-    return DiscrepancyProfile(tau=float(tau), mode=mode, rows=tuple(rows))
+    diff = np.abs(ref - other)
+    if mode == "elementwise":
+        threshold = np.abs(ref) / tau
+    else:
+        norms = [np.linalg.norm(ref[lo:hi]) / (tau * math.sqrt(n)) if n else 0.0
+                 for (*_, n), lo, hi in zip(batch, bounds, bounds[1:])]
+        threshold = np.repeat(norms, [n for *_, n in batch])
+    flagged = np.concatenate([[0], np.cumsum((diff >= threshold) & (diff > 0))])
+    counts = flagged[bounds[1:]] - flagged[bounds[:-1]]
+    return [ProfileRow(group.index, kind, int(c), int(n))
+            for (group, kind, _, n), c in zip(batch, counts.tolist())]
 
 
 CSV_HEADER = "layer_index,kind,exceed_count,total_count,fraction"

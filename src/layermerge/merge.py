@@ -22,17 +22,19 @@ byte-identical and give identical terms. One kernel sums every tensor in
 blocks of 8,192 elements: each block adds its float64 terms in that one
 order of the whole tensors, so every element gets the same operations as a
 sum over whole tensors, and is then cast into the output. Inputs are read
-tensor by tensor as the loop needs them, and every tensor of every input,
-blended or not, is checked as it is read: for finiteness, and Fisher values
-also for sign. Fisher weights are each element's Fisher values divided by
-their largest value and then by the sum of these quotients, added in the
-content order of the whole rows of quotients, so no intermediate can
-overflow; elements without Fisher mass in any model, and batch-norm running
-statistics, get weight 1/M. The kernel computes Fisher weights block by
-block. Every sort key, of a tensor, a row of weights or a row of quotients,
-is the bytes of the row's first block, with the rest compared one block at
-a time only while rows tie; the elements of a shared tensor have one dtype
-in every model, so this is exactly the order of the rows' whole bytes.
+as the loop needs them, small adjacent tensors of a file in runs, and every
+tensor of every input, blended or not, is checked: for finiteness, and
+Fisher values also for sign, once per run and tensor by tensor only in a
+run that fails, so an error names the tensor the loop reached first.
+Fisher weights are each element's Fisher values divided by their largest
+value and then by the sum of these quotients, added in the content order
+of the whole rows of quotients, so no intermediate can overflow; elements
+without Fisher mass in any model, and batch-norm running statistics, get
+weight 1/M. The kernel computes Fisher weights block by block. Every sort
+key, of a tensor, a row of weights or a row of quotients, is the bytes of
+the row's first block, with the rest compared one block at a time only
+while rows tie; the elements of a shared tensor have one dtype in every
+model, so this is exactly the order of the rows' whole bytes.
 Besides the inputs and the output, no array holds more than M blocks.
 Each merged tensor is cast to the anchor's storage dtype as it is summed;
 if the result is not finite, which finite inputs reach by overflow, the
@@ -53,7 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 from .alignment import NON_GRADIENT_KINDS, SharedAlignment
-from .checkpoint import META_LAYER_ORDER, Checkpoint, TensorRecord
+from .checkpoint import META_LAYER_ORDER, Checkpoint, FileTensor, TensorRecord
 
 STRATEGIES = ("layerwise", "isotropic", "scalar", "fisher")
 
@@ -201,21 +203,29 @@ def compute_schedule(
 
 class _Reads(Mapping):
     """Name -> array view of a checkpoint that reads a tensor each time it
-    is looked up and passes it through ``check(name, array)``, which raises
-    or returns the array to use. ``check_rest`` reads and checks the
-    tensors never looked up, so that every tensor is checked as it is read
-    and none goes unchecked."""
+    is looked up and checks it: ``ok(array)`` says whether an array passes,
+    and ``reject(name, array)`` raises the error of a tensor that does not.
+    A tensor of a file opened with ``open_file`` is read with its run of
+    adjacent tensors, and ``ok`` is tried once on the whole run; only the
+    tensors of a run that fails are tried one by one, so every error is
+    still raised when its tensor is looked up. ``check_rest`` reads and
+    checks the tensors never looked up, so that none goes unchecked."""
 
-    def __init__(self, ckpt, check):
+    def __init__(self, ckpt, ok, reject):
         self._tensors = ckpt.tensors
         self._by_name = {t.name: t for t in ckpt.tensors}
-        self._check = check
+        self._ok, self._reject = ok, reject
         self._read = set()
 
-    def __getitem__(self, name):
-        t = self._by_name[name]
+    def _get(self, t):
         self._read.add(id(t))
-        return self._check(name, t.data)
+        x, passed = t.read_checked(self._ok) if isinstance(t, FileTensor) else (t.data, False)
+        if not (passed or self._ok(x)):
+            self._reject(t.name, x)
+        return x
+
+    def __getitem__(self, name):
+        return self._get(self._by_name[name])
 
     def __contains__(self, name):
         return name in self._by_name
@@ -229,18 +239,22 @@ class _Reads(Mapping):
     def check_rest(self) -> None:
         for t in self._tensors:
             if id(t) not in self._read:
-                self._read.add(id(t))
-                self._check(t.name, t.data)
+                self._get(t)
+
+
+def _fisher_ok(x) -> bool:
+    if not x.size:
+        return True
+    low, high = x.min(), x.max()  # NaN propagates into both
+    return bool(np.isfinite(low) and np.isfinite(high) and low >= 0)
 
 
 def _checked_fisher(name, arr) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
-    if arr.size:
-        low, high = arr.min(), arr.max()  # NaN propagates into both
-        if not (np.isfinite(low) and np.isfinite(high)):
+    if not _fisher_ok(arr):
+        if not np.isfinite(arr).all():
             raise FisherInputError(f"non-finite Fisher values in '{name}'")
-        if low < 0:
-            raise FisherInputError(f"negative Fisher values in '{name}'")
+        raise FisherInputError(f"negative Fisher values in '{name}'")
     return arr
 
 
@@ -248,10 +262,11 @@ def _checked_fisher(name, arr) -> np.ndarray:
 class FisherWeights:
     """Non-negative diagonal Fisher estimates, aligned by tensor name.
 
-    Built from arrays, every tensor is checked at construction. Built with
-    :meth:`from_checkpoint`, a tensor is read and checked each time it is
-    looked up in ``tensors``, and ``fisher_merge`` checks the ones it never
-    looks up after merging, so a file-backed checkpoint is read lazily.
+    Built from arrays, every tensor is checked at construction and held as
+    float64. Built with :meth:`from_checkpoint`, a tensor is read and
+    checked each time it is looked up in ``tensors``, in its stored dtype,
+    and ``fisher_merge`` checks the ones it never looks up after merging,
+    so a file-backed checkpoint is read lazily.
     """
 
     tensors: Mapping[str, np.ndarray]
@@ -263,18 +278,20 @@ class FisherWeights:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "FisherWeights":
-        return cls(_Reads(ckpt, _checked_fisher))
+        return cls(_Reads(ckpt, _fisher_ok, _checked_fisher))
 
     def to_checkpoint(self, metadata: dict[str, str] | None = None) -> Checkpoint:
         return Checkpoint.from_arrays(self.tensors, metadata)
 
 
-def _finite_model_tensor(model):
-    def check(name, x):
-        if not np.isfinite(x).all():
-            raise NonFiniteTensorError(f"non-finite values in tensor '{name}' of model {model}")
-        return x
-    return check
+def _all_finite(x) -> bool:
+    return bool(np.isfinite(x).all())
+
+
+def _model_reads(ckpt, model) -> _Reads:
+    def reject(name, x):
+        raise NonFiniteTensorError(f"non-finite values in tensor '{name}' of model {model}")
+    return _Reads(ckpt, _all_finite, reject)
 
 
 def _reject_shape_conflicts(alignment: SharedAlignment, strategy: str) -> None:
@@ -359,7 +376,7 @@ class _FisherBlocks:
     """
 
     def __init__(self, fishers):
-        self._fishers = [f.reshape(-1) for f in fishers]
+        self._fishers = [np.asarray(f, np.float64).reshape(-1) for f in fishers]
         self.size = self._fishers[0].size
         self._lo = self._mass = self._weights = None
         keys = _row_keys(self.mass(0), self.mass, self.size)
@@ -446,7 +463,7 @@ def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
         )
     anchor = alignment.anchor
     anchor_ckpt = ckpts[anchor]
-    pool = [_Reads(c, _finite_model_tensor(i)) for i, c in enumerate(ckpts)]
+    pool = [_model_reads(c, i) for i, c in enumerate(ckpts)]
     shared = {
         name: (group.index, kind)
         for group in alignment.shared_groups

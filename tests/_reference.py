@@ -3,12 +3,22 @@
 Most of this works element by element with plain Python floats and loops,
 in model-index order, deliberately sharing no code with the package's
 vectorized engine. ``ref_weighted_sum`` and ``ref_fisher_weights`` are the
-engine's earlier whole-array kernel, kept as the oracle for the blocked one.
+engine's earlier whole-array kernel, kept as the oracle for the blocked one,
+and ``ref_discrepancy_profile`` is the earlier slice-by-slice profile, kept
+as the oracle for the batched one.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import struct
+from pathlib import Path
+
 import numpy as np
+
+from layermerge.alignment import KIND_ORDER, shared_parameters
+from layermerge.discrepancy import DiscrepancyError, ProfileRow
 
 
 def ref_layerwise(pools, anchor, weights_per_layer, groups, anchor_names):
@@ -156,3 +166,109 @@ def ref_fisher_weights(fishers):
     np.copyto(mass, 1.0, where=zero)
     mass /= ref_weighted_sum(np.ones(len(fishers)), mass)
     return mass
+
+
+def ref_discrepancy_profile(a, b, tau, mode):
+    """The rows of the discrepancy profile of two checkpoints, one (group,
+    kind) slice at a time, each flattened to float64 on its own."""
+    alignment = shared_parameters([a, b], anchor=0)
+    a_arrays, b_arrays = a.arrays(), b.arrays()
+    rows = []
+    for group in alignment.shared_groups:
+        by_kind = {}
+        for name, kind in group.members:
+            by_kind.setdefault(kind, []).append(name)
+        for kind in KIND_ORDER:
+            if kind not in by_kind:
+                continue
+            ref, other = (
+                np.concatenate([np.asarray(x[n], dtype=np.float64).ravel() for n in by_kind[kind]])
+                for x in (a_arrays, b_arrays)
+            )
+            if not (np.all(np.isfinite(ref)) and np.all(np.isfinite(other))):
+                raise DiscrepancyError(
+                    f"non-finite values in group '{group.prefix}' kind '{kind}'"
+                )
+            diff = np.abs(ref - other)
+            n = ref.size
+            if mode == "elementwise":
+                threshold = np.abs(ref) / tau
+            else:
+                threshold = np.full(n, np.linalg.norm(ref) / (tau * math.sqrt(n))) if n else ref
+            flagged = (diff >= threshold) & (diff > 0)
+            rows.append(ProfileRow(group.index, kind, int(flagged.sum()), int(n)))
+    return tuple(rows)
+
+
+def ref_read_checkpoint(path):
+    """name -> (dtype name, shape, bytes) of every tensor of a checkpoint
+    file, from the whole file read at once, in header order."""
+    raw = Path(path).read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[:8])
+    header = json.loads(raw[8:8 + header_len])
+    base = 8 + header_len
+    return {
+        name: (info["dtype"], tuple(info["shape"]),
+               raw[base + info["offsets"][0]:base + info["offsets"][1]])
+        for name, info in header["tensors"].items()
+    }
+
+
+def ref_read_units(path, window):
+    """The reads a reader of runs makes for a whole checkpoint file: one for
+    each greatest set of non-empty tensors that follow each other without a
+    gap, share a dtype and lie in one aligned window of ``window`` bytes,
+    and one for every other non-empty tensor."""
+    raw = Path(path).read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[:8])
+    tensors = json.loads(raw[8:8 + header_len])["tensors"].values()
+    spans = sorted((t["offsets"][0], t["offsets"][1], t["dtype"])
+                   for t in tensors if t["offsets"][1] > t["offsets"][0])
+    units, last = 0, None
+    for start, end, dtype in spans:
+        joins = (last is not None and last[1] == start and last[2] == dtype
+                 and last[0] // window == (end - 1) // window)
+        units += not joins
+        last = (start, end, dtype)
+    return units
+
+
+def ref_entries_error(entries, data_size):
+    """The reader's message for a header's "tensors" object, without the
+    path, or None: each entry checked in turn, every check of one entry
+    before the next entry, and overlaps after all entries (the reader's
+    earlier loop, kept as the oracle for its array checks)."""
+    dtypes = {"F32": 4, "F64": 8}
+    spans = []
+    for name, info in entries.items():
+        if not name or not isinstance(info, dict):
+            return f"malformed tensor entry '{name}'"
+        dtype = info.get("dtype")
+        if not any(dtype == d for d in dtypes):
+            return f"tensor '{name}' has unknown dtype {dtype!r}"
+        shape = info.get("shape")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            return f"tensor '{name}' has invalid shape {shape!r}"
+        offs = info.get("offsets")
+        if not (isinstance(offs, list) and len(offs) == 2 and all(type(o) is int for o in offs)):
+            return f"tensor '{name}' has invalid offsets {offs!r}"
+        start, end = offs
+        if not (0 <= start <= end <= data_size):
+            return (f"tensor '{name}' offsets [{start}, {end}) out of bounds "
+                    f"for data section of {data_size} bytes")
+        expected = math.prod(shape) * dtypes[dtype]
+        if end - start != expected:
+            return (f"tensor '{name}' byte range {end - start} does not match "
+                    f"shape {shape} ({expected} bytes expected)")
+        if expected == 0 or len(shape) > 32:
+            try:
+                np.broadcast_to(np.empty((), "<f4" if dtype == "F32" else "<f8"), shape)
+            except ValueError as exc:
+                return f"tensor '{name}' has invalid shape {shape!r}: {exc}"
+        if end > start:
+            spans.append((start, end, name))
+    spans.sort(key=lambda span: span[0])
+    for (_, end_a, name_a), (start_b, _, name_b) in zip(spans, spans[1:]):
+        if start_b < end_a:
+            return f"tensors '{name_a}' and '{name_b}' have overlapping offset ranges"
+    return None

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -80,3 +81,41 @@ def as_flat_dicts(pool):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+def preadv_recorder():
+    """``(reads, preadv)``: an ``os.preadv`` that appends the (inode,
+    offset, byte count) of every read it makes to ``reads``."""
+    reads = []
+    preadv = os.preadv
+
+    def counted(fd, buffers, offset):
+        done = preadv(fd, buffers, offset)
+        reads.append((os.fstat(fd).st_ino, offset, done))
+        return done
+
+    return reads, counted
+
+
+def counting_reads(monkeypatch):
+    reads, counted = preadv_recorder()
+    monkeypatch.setattr(os, "preadv", counted)
+    return reads
+
+
+def data_section(path) -> tuple[int, int]:
+    """The file offsets where the data section of a checkpoint starts and ends."""
+    (header_len,) = struct.unpack("<Q", path.read_bytes()[:8])
+    return 8 + header_len, path.stat().st_size
+
+
+def bytes_read_once(reads, path) -> bool:
+    """Whether the reads of ``path`` cover its whole data section (with no
+    gaps between tensors) exactly once."""
+    ino = path.stat().st_ino
+    spans = sorted((offset, offset + n) for i, offset, n in reads if i == ino)
+    start, end = data_section(path)
+    return spans == [] if start == end else (
+        spans[0][0] == start and spans[-1][1] == end
+        and all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    )

@@ -5,6 +5,7 @@ import os
 import stat
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from layermerge import checkpoint as ckpt_store
 from layermerge.cli import main
 
 import _reference as ref
-from conftest import make_checkpoint, patch_header
+from conftest import (
+    bytes_read_once, counting_reads, make_checkpoint, patch_header, preadv_recorder,
+)
 
 
 def open_and_close(path) -> None:
@@ -368,6 +371,92 @@ class TestLoadErrors:
         assert identical(load(saved), original)
 
 
+@st.composite
+def layouts(draw):
+    """``(arrays, order, gaps, window)``: tensors in header order, their
+    order in the data section, the junk bytes before each, and a run
+    window; F32 and F64, zero-size and 0-d tensors, tensors larger than
+    the window, and header order unlike file order all occur."""
+    count = draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = st.sampled_from([(), (0,), (1,), (3,), (2, 5), (4, 0), (30,), (9, 9)])
+    arrays = {
+        f"t{i}": rng.standard_normal(draw(shapes)).astype(draw(st.sampled_from(["<f4", "<f8"])))
+        for i in range(count)
+    }
+    order = draw(st.permutations(list(arrays)))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 0, 4, 8, 13]), min_size=count, max_size=count))
+    return arrays, order, gaps, draw(st.sampled_from([8, 64, 256, 1 << 18]))
+
+
+def write_layout(path, arrays, order, gaps) -> None:
+    """A checkpoint whose data section holds ``arrays`` in ``order``, each
+    after its gap of junk bytes; the header lists them in ``arrays`` order."""
+    entries, chunks, offset = {}, [], 0
+    for name, gap in zip(order, gaps):
+        data = arrays[name].tobytes()
+        chunks += [b"\xa5" * gap, data]
+        offset += gap
+        entries[name] = [offset, offset + len(data)]
+        offset += len(data)
+    header = {"tensors": {
+        name: {"dtype": "F32" if a.dtype.itemsize == 4 else "F64",
+               "shape": list(a.shape), "offsets": entries[name]}
+        for name, a in arrays.items()
+    }, "metadata": {}}
+    blob = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob + b"".join(chunks))
+
+
+class TestRunReads:
+    """Adjacent tensors are read in runs; what a reader returns never
+    depends on it."""
+
+    @staticmethod
+    def matches(array, expected) -> bool:
+        dtype, shape, raw = expected
+        return (array.dtype == ckpt_store.DTYPE_TO_NUMPY[dtype] and array.shape == shape
+                and array.tobytes() == raw and not array.flags.writeable)
+
+    @settings(max_examples=120, deadline=None)
+    @given(layouts(), st.randoms(use_true_random=False))
+    def test_readers_equal_a_plain_reader(self, tmp_path_factory, layout, random):
+        arrays, order, gaps, window = layout
+        path = tmp_path_factory.mktemp("runs") / "c.st"
+        write_layout(path, arrays, order, gaps)
+        expected = ref.ref_read_checkpoint(path)
+        with mock.patch.object(ckpt_store, "_RUN_BYTES", window):
+            loaded = load(path)
+            assert loaded.names() == list(expected)
+            assert all(self.matches(t.data, expected[t.name]) for t in loaded.tensors)
+            with ckpt_store.open_file(path) as ckpt:
+                tensors = list(ckpt.tensors)
+                random.shuffle(tensors)
+                for t in tensors[: len(tensors) // 2]:  # the rest after the file is closed
+                    first = t.data
+                    again = t.data
+                    assert self.matches(first, expected[t.name])
+                    assert self.matches(again, expected[t.name]) and again is not first
+            for t in tensors[len(tensors) // 2 :]:
+                assert self.matches(t.data, expected[t.name])
+
+    @settings(max_examples=120, deadline=None)
+    @given(layouts())
+    def test_file_order_reads_every_byte_once_one_read_per_run(self, tmp_path_factory, layout):
+        arrays, order, gaps, window = layout
+        path = tmp_path_factory.mktemp("runs") / "c.st"
+        write_layout(path, arrays, order, [0] * len(order))  # no gaps: every byte is a tensor's
+        reads, counted = preadv_recorder()
+        with mock.patch.object(ckpt_store, "_RUN_BYTES", window), \
+                mock.patch.object(os, "preadv", counted):
+            with ckpt_store.open_file(path) as ckpt:
+                by_name = {t.name: t for t in ckpt.tensors}
+                for name in order:
+                    by_name[name].data
+        assert bytes_read_once(reads, path)
+        assert len(reads) == ref.ref_read_units(path, window)
+
+
 class TestOpenFile:
     @pytest.fixture
     def saved(self, tmp_path, rng):
@@ -378,21 +467,9 @@ class TestOpenFile:
         save(ckpt, path)
         return path
 
-    @staticmethod
-    def counting_reads(monkeypatch):
-        reads = []
-        preadv = os.preadv
-
-        def counted(fd, buffers, offset):
-            reads.append(offset)
-            return preadv(fd, buffers, offset)
-
-        monkeypatch.setattr(os, "preadv", counted)
-        return reads
-
     def test_header_now_tensors_on_access(self, saved, monkeypatch):
         expected = load(saved)
-        reads = self.counting_reads(monkeypatch)
+        reads = counting_reads(monkeypatch)
         with ckpt_store.open_file(saved) as ckpt:
             assert reads == []
             assert ckpt.names() == expected.names() and ckpt.metadata == expected.metadata
@@ -400,9 +477,11 @@ class TestOpenFile:
                 (t.dtype, t.shape) for t in expected.tensors
             ]
             assert ckpt.total_parameters == expected.total_parameters
-            assert identical(ckpt, expected)
-            assert len(reads) == 6  # one per tensor
             arrays = [t.data for t in ckpt.tensors]
+        # every byte once: the four F64 tensors in one read, the F32 scalar
+        # in another, the empty tensor in none
+        assert bytes_read_once(reads, saved) and len(reads) == 2
+        assert all(np.array_equal(a, t.data) for a, t in zip(arrays, expected.tensors))
         assert all(not a.flags.writeable for a in arrays)
         assert arrays[0] is not ckpt.tensors[0].data  # a fresh array on each access
 
@@ -562,6 +641,74 @@ class TestFuzzedInput:
                 assert code == 2 and not out.exists()
             else:
                 assert code in (0, 2)
+
+
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(["F32", "x", 2**63, 2**64, -(2**63) - 1, 1.5]),
+    st.lists(st.integers(0, 3), max_size=2),
+    # extents whose byte count wraps to 0 in 64 bits, alone and after a 0
+    st.sampled_from([[2**61], [2**62, 4], [0, 2**61], [2**61, 0, 8]]),
+)
+
+
+@st.composite
+def headers(draw):
+    """A "tensors" object near a valid one, and its data section's size:
+    entries placed one after another, some with a field changed, removed
+    or moved over another entry's bytes, some not objects at all."""
+    entries, offset = {}, 0
+    for i in range(draw(st.integers(0, 6))):
+        dtype = draw(st.sampled_from(["F32", "F64"]))
+        shape = draw(st.lists(st.integers(0, 3), max_size=3))
+        size = int(np.prod(shape)) * (4 if dtype == "F32" else 8)
+        entries[f"t{i}"] = {"dtype": dtype, "shape": shape, "offsets": [offset, offset + size]}
+        offset += size
+    for name in draw(st.lists(st.sampled_from(sorted(entries)), max_size=3)) if entries else []:
+        field = draw(st.sampled_from(["dtype", "shape", "offsets", "start", "end", "entry"]))
+        info = entries[name]
+        if not isinstance(info, dict):
+            continue
+        if field == "entry":
+            entries[name] = draw(st.one_of(ODD_VALUES, st.just({})))
+        elif field in ("start", "end"):
+            offsets = info.get("offsets")
+            if not (isinstance(offsets, list) and len(offsets) == 2
+                    and all(type(o) is int for o in offsets)):
+                continue
+            shift = draw(st.one_of(st.integers(-20, 20), st.sampled_from([2**62, 2**63, 2**64])))
+            info["offsets"] = list(info["offsets"])
+            info["offsets"][field == "end"] += shift
+        elif field in ("dtype", "shape", "offsets"):
+            if draw(st.booleans()):
+                info.pop(field, None)
+            else:
+                info[field] = draw(st.one_of(ODD_VALUES, st.lists(ODD_VALUES, max_size=3)))
+    if draw(st.booleans()):
+        entries[""] = {"dtype": "F32", "shape": [], "offsets": [0, 4]}
+    data_size = offset + draw(st.sampled_from([0, 0, 4, 64]))
+    return entries, data_size
+
+
+class TestHeaderChecks:
+    """The reader's array checks of header entries against its earlier
+    entry-by-entry loop: the same verdict, and the same message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(headers())
+    def test_same_message_as_entry_by_entry_checks(self, tmp_path_factory, case):
+        entries, data_size = case
+        path = tmp_path_factory.mktemp("hdr") / "c.st"
+        blob = json.dumps({"tensors": entries, "metadata": {}}).encode()
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + b"\0" * data_size)
+        expected = ref.ref_entries_error(entries, data_size)
+        if expected is None:
+            assert inspect(path).tensors == [
+                (name, info["dtype"], tuple(info["shape"])) for name, info in entries.items()
+            ]
+        else:
+            with pytest.raises(CheckpointFormatError) as caught:
+                inspect(path)
+            assert str(caught.value) == f"{path}: {expected}"
 
 
 class TestInspect:

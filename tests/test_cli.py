@@ -9,6 +9,7 @@ import pytest
 
 from layermerge import Checkpoint, isotropic_merge, load, save, shared_parameters
 from layermerge import checkpoint as ckpt_store
+from layermerge import merge as merge_module
 from layermerge.cli import main
 import layermerge.toy.experiment as experiment
 from layermerge.toy import ToyModel, estimate_fisher, make_domain_pair
@@ -171,6 +172,23 @@ class TestMerge:
                            "--strategy", "layerwise", "--out", out)
         assert code == 2
         assert "shrank" in err and "Traceback" not in err
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("where", ["merge", "save"])
+    def test_interrupt_exit_130_without_traceback(self, pair, tmp_path, capsys, monkeypatch,
+                                                  where):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        if where == "merge":
+            monkeypatch.setattr(merge_module, "_weighted_sum", interrupt)
+        else:  # the temporary file is written and about to be synced
+            monkeypatch.setattr(os, "fsync", interrupt)
+        out = tmp_path / "m.st"
+        code, stdout, err = run(capsys, "merge", *pair, "--anchor", "0",
+                                "--strategy", "layerwise", "--out", out)
+        assert code == 130
+        assert err == "interrupted\n" and stdout == ""
         assert not out.exists() and not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("name", ["layer2.weight", "layer2.bias"])

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
 from layermerge import Checkpoint, discrepancy_profile, emit_profile
+from layermerge import discrepancy as discrepancy_module
 from layermerge.discrepancy import DiscrepancyError
 
 import _reference as ref
@@ -144,6 +147,62 @@ class TestProfileProperties:
         base = discrepancy_profile(a, b, 5.0)
         scaled = discrepancy_profile(scale(a), scale(b), 5.0)
         assert rows_as_tuples(base) == rows_as_tuples(scaled)
+
+
+class TestBatchedProfile:
+    """The batched profile against the slice-by-slice one it replaced."""
+
+    KINDS = ("weight", "bias", "running_mean", "running_var", "num_batches_tracked")
+
+    @staticmethod
+    @st.composite
+    def pairs(draw):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a, b = {}, {}
+        for g in range(draw(st.integers(1, 6))):
+            for kind in draw(st.lists(st.sampled_from(TestBatchedProfile.KINDS),
+                                      min_size=1, max_size=4, unique=True)):
+                shape = draw(st.sampled_from([(), (0,), (1,), (3,), (2, 5), (4, 4)]))
+                dtype = draw(st.sampled_from([np.float32, np.float64]))
+                x = rng.standard_normal(shape).astype(dtype)
+                change = draw(st.sampled_from(["same", "noise", "zero", "scale"]))
+                y = {"same": x, "noise": x + 0.2 * rng.standard_normal(shape).astype(dtype),
+                     "zero": np.zeros_like(x), "scale": x * dtype(1.3)}[change]
+                a[f"g{g}.{kind}"], b[f"g{g}.{kind}"] = x, np.asarray(y, dtype)
+        x = draw(st.sampled_from([a, b]))
+        candidates = sorted(n for n in x if x[n].size)
+        if candidates and draw(st.booleans()):  # a non-finite element somewhere
+            name = draw(st.sampled_from(candidates))
+            x[name] = x[name].copy()
+            x[name].reshape(-1)[0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        return Checkpoint.from_arrays(a), Checkpoint.from_arrays(b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs(), st.integers(1, 40), st.sampled_from(["elementwise", "layer_norm"]),
+           st.sampled_from([0.5, 3.0, 10.0]))
+    def test_equals_slice_by_slice_profile(self, pair, batch, mode, tau):
+        a, b = pair
+        try:
+            expected = ref.ref_discrepancy_profile(a, b, tau, mode)
+        except DiscrepancyError as exc:
+            with mock.patch.object(discrepancy_module, "_BATCH", batch):
+                with pytest.raises(DiscrepancyError) as got:
+                    discrepancy_profile(a, b, tau, mode)
+            assert str(got.value) == str(exc)
+        else:
+            with mock.patch.object(discrepancy_module, "_BATCH", batch):
+                assert discrepancy_profile(a, b, tau, mode).rows == expected
+
+    def test_large_slices_at_any_offset_of_a_batch(self, rng):
+        # odd sizes put each slice at another alignment within a batch
+        a = Checkpoint.from_arrays({f"g{i}.weight": rng.standard_normal(n) for i, n in
+                                    enumerate([1, 4096, 3, 3500, 1000, 7, 4099, 1])})
+        b = clone_with_noise(a, rng)
+        for mode in ("elementwise", "layer_norm"):
+            expected = ref.ref_discrepancy_profile(a, b, 4.0, mode)
+            for batch in (1, 100, 5000, 1 << 20):
+                with mock.patch.object(discrepancy_module, "_BATCH", batch):
+                    assert discrepancy_profile(a, b, 4.0, mode).rows == expected
 
 
 class TestEmitProfile:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from layermerge import (
     Checkpoint,
     FisherWeights,
+    CheckpointFormatError,
     MergeError,
     MergeSchedule,
     NonFiniteTensorError,
@@ -31,7 +32,9 @@ from layermerge import merge as merge_module
 from layermerge.merge import FisherInputError
 
 import _reference as ref
-from conftest import as_flat_dicts, make_checkpoint, random_pool
+from conftest import (
+    as_flat_dicts, bytes_read_once, counting_reads, data_section, make_checkpoint, random_pool,
+)
 
 
 def merged_arrays(ckpt):
@@ -768,20 +771,100 @@ class TestFileBackedMerge:
         paths, fisher_paths = self.pool(tmp_path, rng)
         if strategy == "layerwise":
             fisher_paths = []
-        reads = []
-        read = ckpt_store._DataSection.read
-
-        def counted(section, *args):
-            reads.append((section.path, args[-1]))
-            return read(section, *args)
-
-        monkeypatch.setattr(ckpt_store._DataSection, "read", counted)
+        reads = counting_reads(monkeypatch)
         with contextlib.ExitStack() as files:
             opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
             self.merge(strategy, opened[:4], opened[4:])
         # every tensor of every input, including the last layer that only
-        # the anchor weighs
-        assert sorted(reads) == sorted(set(reads)) and len(reads) == 6 * len(opened)
+        # the anchor weighs, and in fewer reads than tensors: each file's
+        # six tensors are one run
+        for path in [*paths, *fisher_paths]:
+            assert bytes_read_once(reads, path)
+        assert len(reads) == len(opened) < 6 * len(opened)
+
+    def test_no_more_reads_than_runs(self, tmp_path, monkeypatch):
+        # a miniature of the benchmark's many-tensor pool: BN-style groups
+        # of small F32 tensors and a head whose class count differs per
+        # model, in runs of at most 4 KiB
+        rng = np.random.default_rng(7)
+        models = []
+        for i in range(4):
+            arrays = {}
+            for k in range(150):
+                arrays[f"blocks.{k}.weight"] = rng.standard_normal((8, 8)).astype(np.float32)
+                for kind in ("bias", "running_mean", "running_var"):
+                    arrays[f"blocks.{k}.{kind}"] = rng.random(8).astype(np.float32)
+            arrays["head.weight"] = rng.standard_normal((10 + i, 8)).astype(np.float32)
+            arrays["head.bias"] = rng.standard_normal(10 + i).astype(np.float32)
+            models.append(Checkpoint.from_arrays(arrays))
+        paths = self.saved(tmp_path, models)
+        expected = self.merge("layerwise", [load(p) for p in paths])
+        monkeypatch.setattr(ckpt_store, "_RUN_BYTES", 4096)
+        reads = counting_reads(monkeypatch)
+        with contextlib.ExitStack() as files:
+            merged = self.merge("layerwise", [files.enter_context(ckpt_store.open_file(p))
+                                              for p in paths])
+        runs = sum(ref.ref_read_units(p, 4096) for p in paths)
+        assert len(reads) <= runs and 10 * runs < 4 * 602  # 602 tensors per model
+        assert all(bytes_read_once(reads, p) for p in paths)
+        assert all(t.data.tobytes() == expected.get(t.name).data.tobytes() for t in merged.tensors)
+
+    @staticmethod
+    def one_run(tmp_path, ckpts, stem="m"):
+        """Save the checkpoints and check that each file is one run."""
+        paths = TestFileBackedMerge.saved(tmp_path, ckpts, stem)
+        assert all(ref.ref_read_units(p, ckpt_store._RUN_BYTES) == 1 for p in paths)
+        return paths
+
+    def test_error_order_within_a_run(self, tmp_path, rng):
+        # model 2's tensor k and model 0's tensor k + 1 are not finite: the
+        # loop reaches model 2's first, although model 0's run fails first
+        models = [make_checkpoint([(3, 3), (2, 3)], rng) for _ in range(4)]
+        names = models[0].names()
+        k = names.index("layer0.bias")
+        models[2].get(names[k]).data[0] = np.nan
+        models[0].get(names[k + 1]).data[0, 0] = np.inf
+        paths = self.one_run(tmp_path, models)
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            with pytest.raises(NonFiniteTensorError,
+                               match=r"tensor 'layer0.bias' of model 2$"):
+                self.merge("isotropic", opened)
+
+    def test_negative_fisher_inside_a_run_named(self, tmp_path, rng):
+        models = [make_checkpoint([(3, 3), (2, 3), (4, 2)], rng) for _ in range(4)]
+        fishers = [Checkpoint.from_arrays({t.name: rng.random(t.shape) for t in m.tensors})
+                   for m in models]
+        fishers[3].get("layer1.weight").data[1, 1] = -0.5
+        paths, fisher_paths = self.one_run(tmp_path, models), self.one_run(tmp_path, fishers, "f")
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
+            with pytest.raises(FisherInputError, match="negative Fisher values in 'layer1.weight'$"):
+                self.merge("fisher", opened[:4], opened[4:])
+
+    def test_file_truncated_mid_run(self, tmp_path, rng, monkeypatch):
+        models = [make_checkpoint([(3, 3), (2, 3), (4, 2)], rng) for _ in range(2)]
+        paths = self.one_run(tmp_path, models)
+        read = ckpt_store.FileTensor.read_checked
+        returned = []
+
+        def recorded(t, ok):
+            result = read(t, ok)
+            returned.append((t._section.path, t.name))
+            return result
+
+        monkeypatch.setattr(ckpt_store.FileTensor, "read_checked", recorded)
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            start, end = data_section(paths[1])
+            cut = start + 9 * 8 + 3 * 8 + 8  # inside layer1.weight, the run's third tensor
+            paths[1].write_bytes(paths[1].read_bytes()[:cut])
+            with pytest.raises(CheckpointFormatError, match="shrank"):
+                self.merge("isotropic", opened)
+        # the tensors before the cut were read and used, in the loop's order
+        assert returned == [(paths[0], "layer0.weight"), (paths[1], "layer0.weight"),
+                            (paths[0], "layer0.bias"), (paths[1], "layer0.bias"),
+                            (paths[0], "layer1.weight")]
 
     def test_peak_memory_well_under_the_pool(self, tmp_path, rng):
         # 8 tensors per model, the 4 weights of 0.5 MB each the largest
