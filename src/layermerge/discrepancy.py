@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -59,7 +60,9 @@ class DiscrepancyProfile:
         return exceed / total if total else 0.0
 
 
-_BATCH = 1 << 20  # elements of (group, kind) slices compared with one set of array operations
+# elements of (group, kind) slices compared with one set of array operations:
+# few enough that a batch's float64 working arrays take about 0.5 MB each
+_BATCH = 1 << 16
 
 
 def discrepancy_profile(
@@ -71,10 +74,11 @@ def discrepancy_profile(
     """Profile where two checkpoints disagree, per layer and parameter kind.
 
     The (group, kind) slices are compared in batches of about ``_BATCH``
-    elements: each batch is flattened to float64 once, and its flags are
-    counted per slice. Every element meets the same operations as in a
-    slice-by-slice comparison, and each ``layer_norm`` norm is taken over
-    its slice alone, so the counts do not depend on the batching.
+    elements (a larger slice is a batch of its own): each batch is
+    flattened to float64 once, and its flags are counted per slice. Every
+    element meets the same operations as in a slice-by-slice comparison,
+    and each ``layer_norm`` norm is taken over its slice alone, so the
+    counts do not depend on the batching.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise DiscrepancyError(f"tau must be a positive real, got {tau!r}")
@@ -109,7 +113,7 @@ def _compare(batch, a_arrays, b_arrays, tau, mode) -> list[ProfileRow]:
                        dtype=np.float64)
         for x in (a_arrays, b_arrays)
     )
-    bounds = np.cumsum([0] + [n for *_, n in batch])
+    bounds = [0, *accumulate(n for *_, n in batch)]
     if not (np.isfinite(ref).all() and np.isfinite(other).all()):
         for (group, kind, _, _), lo, hi in zip(batch, bounds, bounds[1:]):
             if not (np.isfinite(ref[lo:hi]).all() and np.isfinite(other[lo:hi]).all()):
@@ -123,10 +127,9 @@ def _compare(batch, a_arrays, b_arrays, tau, mode) -> list[ProfileRow]:
         norms = [np.linalg.norm(ref[lo:hi]) / (tau * math.sqrt(n)) if n else 0.0
                  for (*_, n), lo, hi in zip(batch, bounds, bounds[1:])]
         threshold = np.repeat(norms, [n for *_, n in batch])
-    flagged = np.concatenate([[0], np.cumsum((diff >= threshold) & (diff > 0))])
-    counts = flagged[bounds[1:]] - flagged[bounds[:-1]]
-    return [ProfileRow(group.index, kind, int(c), int(n))
-            for (group, kind, _, n), c in zip(batch, counts.tolist())]
+    flagged = (diff >= threshold) & (diff > 0)
+    return [ProfileRow(group.index, kind, int(np.count_nonzero(flagged[lo:hi])), int(n))
+            for (group, kind, _, n), lo, hi in zip(batch, bounds, bounds[1:])]
 
 
 CSV_HEADER = "layer_index,kind,exceed_count,total_count,fraction"
