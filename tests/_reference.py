@@ -4,8 +4,9 @@ Most of this works element by element with plain Python floats and loops,
 in model-index order, deliberately sharing no code with the package's
 vectorized engine. ``ref_weighted_sum`` and ``ref_fisher_weights`` are the
 engine's earlier whole-array kernel, kept as the oracle for the blocked one,
-and ``ref_discrepancy_profile`` is the earlier slice-by-slice profile, kept
-as the oracle for the batched one.
+``ref_discrepancy_profile`` is the earlier slice-by-slice profile (on the
+package's alignment), kept as the oracle for the batched one, and
+``ref_entries_error`` is the reader's earlier entry-by-entry header check.
 """
 
 from __future__ import annotations
