@@ -693,11 +693,8 @@ class TestHeaderChecks:
     """The reader's array checks of header entries against its earlier
     entry-by-entry loop: the same verdict, and the same message."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(headers())
-    def test_same_message_as_entry_by_entry_checks(self, tmp_path_factory, case):
-        entries, data_size = case
-        path = tmp_path_factory.mktemp("hdr") / "c.st"
+    @staticmethod
+    def same_message(path, entries, data_size) -> None:
         blob = json.dumps({"tensors": entries, "metadata": {}}).encode()
         path.write_bytes(struct.pack("<Q", len(blob)) + blob + b"\0" * data_size)
         expected = ref.ref_entries_error(entries, data_size)
@@ -709,6 +706,17 @@ class TestHeaderChecks:
             with pytest.raises(CheckpointFormatError) as caught:
                 inspect(path)
             assert str(caught.value) == f"{path}: {expected}"
+
+    @settings(max_examples=400, deadline=None)
+    @given(headers())
+    def test_same_message_as_entry_by_entry_checks(self, tmp_path_factory, case):
+        self.same_message(tmp_path_factory.mktemp("hdr") / "c.st", *case)
+
+    def test_first_of_several_overlaps_named(self, tmp_path):
+        # header order c, a, d, b; by start a, b, c, d: a/b and c/d overlap
+        spans = {"c": [16, 24], "a": [0, 8], "d": [20, 28], "b": [4, 12]}
+        entries = {n: {"dtype": "F32", "shape": [2], "offsets": o} for n, o in spans.items()}
+        self.same_message(tmp_path / "c.st", entries, 28)
 
 
 class TestInspect:

@@ -169,12 +169,13 @@ class TestBatchedProfile:
                 y = {"same": x, "noise": x + 0.2 * rng.standard_normal(shape).astype(dtype),
                      "zero": np.zeros_like(x), "scale": x * dtype(1.3)}[change]
                 a[f"g{g}.{kind}"], b[f"g{g}.{kind}"] = x, np.asarray(y, dtype)
-        x = draw(st.sampled_from([a, b]))
-        candidates = sorted(n for n in x if x[n].size)
-        if candidates and draw(st.booleans()):  # a non-finite element somewhere
-            name = draw(st.sampled_from(candidates))
-            x[name] = x[name].copy()
-            x[name].reshape(-1)[0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        for _ in range(draw(st.integers(0, 2))):  # non-finite elements, in one slice or two
+            x = draw(st.sampled_from([a, b]))
+            candidates = sorted(n for n in x if x[n].size)
+            if candidates:
+                name = draw(st.sampled_from(candidates))
+                x[name] = x[name].copy()
+                x[name].reshape(-1)[-1] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         return Checkpoint.from_arrays(a), Checkpoint.from_arrays(b)
 
     @settings(max_examples=150, deadline=None)
