@@ -11,9 +11,11 @@ drops the whole group from the shared set.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import compress
 
-from .checkpoint import Checkpoint, CheckpointError, match_layer_order
+from .checkpoint import NUMPY_TO_DTYPE, Checkpoint, CheckpointError, TensorRecord, match_layer_order
 
 KIND_WEIGHT = "weight"
 KIND_BIAS = "bias"
@@ -43,14 +45,12 @@ class NoSharedParametersError(AlignmentError):
 
 
 def classify_kind(name: str) -> str:
-    for suffix, kind in _SUFFIX_KINDS.items():
-        if name.endswith(suffix):
-            return kind
-    return KIND_OTHER
+    # every suffix is a dot and a dotless word, so only the last dot can start one
+    return _SUFFIX_KINDS.get(name[name.rfind("."):], KIND_OTHER)
 
 
 def default_prefix(name: str) -> str:
-    return name.rsplit(".", 1)[0] if "." in name else name
+    return name.rsplit(".", 1)[0]  # the name itself when it has no dot
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,12 @@ def group_layers(ckpt: Checkpoint) -> list[LayerGroup]:
             raise AlignmentError(str(exc)) from exc
         order = list(explicit)
     else:
-        assignment = {name: default_prefix(name) for name in names}
-        order = list(dict.fromkeys(assignment[name] for name in names))
+        assignment = dict(zip(names, map(default_prefix, names)))
+        order = list(dict.fromkeys(map(assignment.__getitem__, names)))
 
     by_prefix: dict[str, list[tuple[str, str]]] = {p: [] for p in order}
-    for name in names:
-        by_prefix[assignment[name]].append((name, classify_kind(name)))
+    for name, kind in zip(names, map(classify_kind, names)):
+        by_prefix[assignment[name]].append((name, kind))
     return [
         LayerGroup(prefix, j, tuple(by_prefix[prefix]))
         for j, prefix in enumerate(order, start=1)
@@ -116,6 +116,16 @@ class SharedAlignment:
         return [name for g in self.shared_groups for name in g.names()]
 
 
+def _signatures(ckpt: Checkpoint) -> dict:
+    """Name -> ``(dtype, shape)`` of a checkpoint's tensors; a loaded
+    tensor's are read off its array rather than through its properties."""
+    return {
+        t.name: (NUMPY_TO_DTYPE[t.data.dtype], t.data.shape) if type(t) is TensorRecord
+        else (t.dtype, t.shape)
+        for t in ckpt.tensors
+    }
+
+
 def shared_parameters(ckpts: list[Checkpoint], anchor: int) -> SharedAlignment:
     """Compute the shared-parameter alignment of a pool around an anchor.
 
@@ -128,25 +138,20 @@ def shared_parameters(ckpts: list[Checkpoint], anchor: int) -> SharedAlignment:
     if not 0 <= anchor < len(ckpts):
         raise AlignmentError(f"anchor index {anchor} out of range for {len(ckpts)} models")
 
-    signatures = [
-        {t.name: (t.dtype, t.shape) for t in ckpt.tensors} for ckpt in ckpts
-    ]
-    anchor_sig = signatures[anchor]
-
-    shared_names = set()
-    conflicts = set()
-    for name, sig in anchor_sig.items():
-        matches = [s.get(name) for i, s in enumerate(signatures) if i != anchor]
-        if all(m == sig for m in matches):
-            shared_names.add(name)
-        elif any(m is not None and m != sig for m in matches):
-            conflicts.add(name)
+    signatures = [_signatures(ckpt) for ckpt in ckpts]
+    names, mine = list(signatures[anchor]), list(signatures[anchor].values())
+    unshared, conflicts = set(), set()  # conflicts: held by another model as another signature
+    for i, theirs in enumerate(signatures):
+        if i != anchor:
+            differ = set(compress(names, map(operator.ne, mine, map(theirs.get, names))))
+            unshared |= differ
+            conflicts |= differ & theirs.keys()
 
     groups = group_layers(ckpts[anchor])
     shared_groups = []
     anchor_only = []
     for g in groups:
-        if all(name in shared_names for name, _ in g.members):
+        if unshared.isdisjoint(map(operator.itemgetter(0), g.members)):
             shared_groups.append(g)
         else:
             anchor_only.extend(g.names())
@@ -158,7 +163,8 @@ def shared_parameters(ckpts: list[Checkpoint], anchor: int) -> SharedAlignment:
         )
 
     reindexed = tuple(
-        LayerGroup(g.prefix, j, g.members) for j, g in enumerate(shared_groups, start=1)
+        g if g.index == j else LayerGroup(g.prefix, j, g.members)
+        for j, g in enumerate(shared_groups, start=1)
     )
     anchor_names = ckpts[anchor].names()
     return SharedAlignment(

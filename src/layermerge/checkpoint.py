@@ -407,9 +407,9 @@ def _read_header(fh, path):
     for run, indices in enumerate(members):
         runs[indices] = run
     tensors = [
-        FileTensor(name, dtype, tuple(shape), start, run, section)
-        for name, dtype, shape, start, run
-        in zip(entries, dtypes, shapes, starts.tolist(), runs.tolist())
+        FileTensor(name, dtype, tuple(shape), start, end, run, section)
+        for name, dtype, shape, start, end, run
+        in zip(entries, dtypes, shapes, starts.tolist(), ends.tolist(), runs.tolist())
     ]
     section.runs = [(int(starts[indices[0]]), int(ends[indices[-1]]),
                      [tensors[i] for i in indices.tolist()]) for indices in members]
@@ -437,11 +437,11 @@ class FileTensor:
     is accessed (see :class:`_DataSection`), into a read-only array that no
     earlier access returned."""
 
-    __slots__ = ("name", "dtype", "shape", "_start", "_run", "_section")
+    __slots__ = ("name", "dtype", "shape", "_start", "_end", "_run", "_section")
 
-    def __init__(self, name, dtype, shape, start, run, section):
+    def __init__(self, name, dtype, shape, start, end, run, section):
         self.name, self.dtype, self.shape = name, dtype, shape
-        self._start, self._run, self._section = start, run, section
+        self._start, self._end, self._run, self._section = start, end, run, section
 
     @property
     def element_count(self) -> int:
@@ -457,6 +457,42 @@ class FileTensor:
         called once per run). False means nothing about the tensor itself:
         ``ok`` was not tried on a run holding it."""
         return self._section.read(self, ok)
+
+    def read_run(self, count, ok):
+        """``(values, passed, tensors)`` from the run that holds this
+        tensor, read now if it never was: the ``count`` elements from
+        where this tensor starts (the run must hold them, see
+        ``run_segments``), as a flat read-only view; whether ``ok(array)``
+        held for the whole run; and the run's tensors. None when the
+        tensor is in no run, its run was read before and dropped, or the
+        file no longer holds it. Nothing is handed out: ``data`` still
+        returns a tensor's view of the run once."""
+        return self._section.read_run(self, count, ok)
+
+    def run(self) -> list:
+        """The tensors read with this one, in file order (only itself when
+        it is in no run)."""
+        return self._section.runs[self._run][2] if self._run >= 0 else [self]
+
+
+def run_segments(tensors) -> np.ndarray:
+    """An id for each of ``tensors`` (records or None) such that a stretch
+    of equal ids lies back to back, in that order, in one run of one file
+    opened with ``open_file``, and is one slice of the run's buffer; -1
+    for a tensor in no run."""
+    files = tensors if set(map(type, tensors)) <= {FileTensor} else \
+        [t if type(t) is FileTensor else _OUTSIDE for t in tensors]
+    n = len(files)
+    runs, starts, ends = (np.fromiter(map(operator.attrgetter(a), files), np.int64, n)
+                          for a in ("_run", "_start", "_end"))
+    sections = np.fromiter(map(id, map(operator.attrgetter("_section"), files)), np.uint64, n)
+    joins = (runs[1:] >= 0) & (runs[1:] == runs[:-1]) & (sections[1:] == sections[:-1]) \
+        & (starts[1:] == ends[:-1])
+    ids = np.cumsum(np.concatenate([[True], ~joins])[:n])
+    return np.where(runs >= 0, ids, -1)
+
+
+_OUTSIDE = FileTensor("", "F32", (), 0, 0, -1, None)  # stands for a tensor in no run
 
 
 def _identity(fh):
@@ -477,7 +513,9 @@ class _DataSection:
     accessed again, or whose run was read before and dropped, is read on
     its own, as is every tensor outside a run. A run that the file no
     longer holds in full is dropped too, so a file that shrank fails at the
-    first tensor it lost.
+    first tensor it lost. ``read_run`` gives a stretch of the kept run
+    without handing out its tensors, so a merge can read several tensors
+    as one view and still fall back to reading them one at a time.
 
     Once the file is closed, a read reopens its path and refuses any file
     but the one that was opened, unchanged.
@@ -489,20 +527,28 @@ class _DataSection:
         self.identity = _identity(fh)
         self.runs = []  # (start, end, tensors) of each run
         self._read_runs = set()
-        self._buf, self._views = None, {}  # the run kept, and its views not handed out
+        self._kept, self._buf, self._unread = -1, None, set()  # the run kept, its tensors not handed out
         self._verdicts = {}  # check -> its result on the run kept
+
+    def _verdict(self, ok) -> bool:
+        if ok not in self._verdicts:
+            self._verdicts[ok] = bool(ok(self._buf))
+        return self._verdicts[ok]
+
+    def _view(self, t, count) -> np.ndarray:
+        """``count`` elements of the kept run's buffer, from where the
+        tensor ``t`` starts."""
+        first = (t._start - self.runs[self._kept][0]) // self._buf.itemsize
+        return self._buf[first:first + count]
 
     def read(self, t, ok=None):
         """``(array, passed)`` for the tensor ``t`` (see ``FileTensor``)."""
         if t._run >= 0 and t._run not in self._read_runs:
             self._read_run(t._run)
-        view = self._views.pop(t, None)
-        if view is not None:
-            if ok is None:
-                return view, False
-            if ok not in self._verdicts:
-                self._verdicts[ok] = bool(ok(self._buf))
-            return view, self._verdicts[ok]
+        if t in self._unread:
+            self._unread.remove(t)
+            view = self._view(t, (t._end - t._start) // self._buf.itemsize).reshape(t.shape)
+            return view, ok is not None and self._verdict(ok)
         arr = np.empty(t.shape, DTYPE_TO_NUMPY[t.dtype])
         with self._file() as fh:
             if not self._fill(fh, arr, t._start):
@@ -510,9 +556,19 @@ class _DataSection:
         arr.setflags(write=False)
         return arr, False
 
+    def read_run(self, t, count, ok):
+        """``FileTensor.read_run`` of the tensor ``t``."""
+        if t._run < 0:
+            return None
+        if t._run not in self._read_runs:
+            self._read_run(t._run)
+        if self._kept != t._run:
+            return None
+        return self._view(t, count), self._verdict(ok), self.runs[t._run][2]
+
     def _read_run(self, run) -> None:
         self._read_runs.add(run)
-        self._buf, self._views = None, {}  # dropped, even if this run falls short
+        self._kept, self._buf, self._unread = -1, None, set()  # dropped, even if this run falls short
         start, end, tensors = self.runs[run]
         dtype = DTYPE_TO_NUMPY[tensors[0].dtype]
         buf = np.empty((end - start) // dtype.itemsize, dtype)
@@ -520,10 +576,7 @@ class _DataSection:
             if not self._fill(fh, buf, start):
                 return
         buf.setflags(write=False)
-        for t in tensors:
-            lo = (t._start - start) // dtype.itemsize
-            self._views[t] = buf[lo:lo + t.element_count].reshape(t.shape)
-        self._buf, self._verdicts = buf, {}
+        self._kept, self._buf, self._unread, self._verdicts = run, buf, set(tensors), {}
 
     @contextlib.contextmanager
     def _file(self):

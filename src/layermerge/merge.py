@@ -18,24 +18,35 @@ then the weight row's. The order costs O(M log M) comparisons per tensor,
 each of which reads bytes only up to the first difference, and depends only
 on the multiset of pairs, so every strategy is exactly invariant to
 permutations of the non-anchor models; pairs that compare equal are
-byte-identical and give identical terms. One kernel sums every tensor in
-blocks of 8,192 elements: each block adds its float64 terms in that one
-order of the whole tensors, so every element gets the same operations as a
-sum over whole tensors, and is then cast into the output. Inputs are read
-as the loop needs them, small adjacent tensors of a file in runs, and every
+byte-identical and give identical terms. One kernel sums blocks of at most
+8,192 elements, in the anchor's tensor order: a tensor larger than a block
+a block at a time, and shared tensors that fit in one, of one dtype and
+next to each other, whole and several to a block. Either way every
+element's float64 terms are added in the content order of its own whole
+tensor, so every element gets the same operations as a sum over whole
+tensors, and is then cast into the output. A block of whole tensors
+orders each tensor's pairs by one stable sort per tensor size, over keys
+of the tensor's bytes followed by its weight row's, and gathers each
+element's terms in its tensor's order. Inputs are read as the loop needs
+them, small adjacent tensors of a file in runs; a model's values for a
+block are one view of the run they lie in back to back, else a copy. Every
 tensor of every input, blended or not, is checked: for finiteness, and
 Fisher values also for sign, once per run and tensor by tensor only in a
-run that fails, so an error names the tensor the loop reached first.
+run that fails. A block in which anything fails (an input, a read, a
+Fisher-weighted tensor that does not blend, the output) is merged again
+one tensor at a time, so an error names the tensor the loop reached first.
 Fisher weights are each element's Fisher values divided by their largest
 value and then by the sum of these quotients, added in the content order
 of the whole rows of quotients, so no intermediate can overflow; elements
 without Fisher mass in any model, and batch-norm running statistics, get
-weight 1/M. The kernel computes Fisher weights block by block. Every sort
-key, of a tensor, a row of weights or a row of quotients, is the bytes of
-the row's first block, with the rest compared one block at a time only
-while rows tie; the elements of a shared tensor have one dtype in every
-model, so this is exactly the order of the rows' whole bytes.
-Besides the inputs and the output, no array holds more than M blocks.
+weight 1/M. The kernel computes Fisher weights block by block. A sort key
+of a tensor longer than a block, of its rows of weights or of quotients,
+is the bytes of the row's first block, with the rest compared one block
+at a time only while rows tie; the elements of a shared tensor have one
+dtype in every model, so this is exactly the order of the rows' whole
+bytes. Besides the inputs and the output, the kernel's work arrays are a
+few arrays of M blocks: float64 values, weights and indices, and sort
+keys of at most 16 bytes an element.
 Each merged tensor is cast to the anchor's storage dtype as it is summed;
 if the result is not finite, which finite inputs reach by overflow, the
 merge raises ``NonFiniteTensorError``.
@@ -47,15 +58,26 @@ rounding on the float side.
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
 from .alignment import NON_GRADIENT_KINDS, SharedAlignment
-from .checkpoint import META_LAYER_ORDER, Checkpoint, FileTensor, TensorRecord
+from .checkpoint import (
+    META_LAYER_ORDER,
+    Checkpoint,
+    CheckpointError,
+    FileTensor,
+    TensorRecord,
+    run_segments,
+)
 
 STRATEGIES = ("layerwise", "isotropic", "scalar", "fisher")
 
@@ -208,19 +230,29 @@ class _Reads(Mapping):
     A tensor of a file opened with ``open_file`` is read with its run of
     adjacent tensors, and ``ok`` is tried once on the whole run; only the
     tensors of a run that fails are tried one by one, so every error is
-    still raised when its tensor is looked up. ``check_rest`` reads and
-    checks the tensors never looked up, so that none goes unchecked."""
+    still raised when its tensor is looked up, and every tensor of a run
+    that passes counts as checked. ``block`` reads several tensors at once
+    for the block kernel. ``check_rest`` reads and checks the tensors not
+    checked yet, so that none goes unchecked."""
 
     def __init__(self, ckpt, ok, reject):
         self._tensors = ckpt.tensors
         self._by_name = {t.name: t for t in ckpt.tensors}
         self._ok, self._reject = ok, reject
-        self._read = set()
+        self._checked, self._passed_runs = set(), set()
+
+    def _passed(self, run) -> None:
+        """Count the tensors of a file's run, which passed ``ok``, as checked."""
+        if id(run) not in self._passed_runs:  # the run's list lives as long as its file's reader
+            self._passed_runs.add(id(run))
+            self._checked.update(map(id, run))
 
     def _get(self, t):
-        self._read.add(id(t))
+        self._checked.add(id(t))
         x, passed = t.read_checked(self._ok) if isinstance(t, FileTensor) else (t.data, False)
-        if not (passed or self._ok(x)):
+        if passed:
+            self._passed(t.run())
+        elif not self._ok(x):
             self._reject(t.name, x)
         return x
 
@@ -236,9 +268,46 @@ class _Reads(Mapping):
     def __len__(self):
         return len(self._by_name)
 
+    def records(self, names) -> list:
+        """The tensor records of ``names``, None for a name it lacks; reads
+        nothing."""
+        return list(map(self._by_name.get, names))
+
+    def block(self, records, sizes, segments):
+        """The values of the tensor ``records``, of ``sizes`` elements,
+        back to back in one flat array, when all of them pass ``ok``; they
+        then count as checked. Neighbours of one run segment (``segments``,
+        see ``run_segments``) are read as one view of their run, and pass
+        when the whole run does. None when a value fails or a tensor cannot
+        be read: looked up one at a time, the first of them that fails
+        raises its error. Nothing is handed out."""
+        cuts = np.flatnonzero((segments[1:] != segments[:-1]) | (segments[1:] < 0)) + 1
+        bounds = [0, *cuts.tolist(), len(records)]
+        pieces, passed_runs = [], []
+        try:
+            for lo, hi in zip(bounds, bounds[1:]):
+                got = records[lo].read_run(int(sizes[lo:hi].sum()), self._ok) \
+                    if segments[lo] >= 0 else None
+                if got is None:
+                    pieces.extend(t.data.reshape(-1) for t in records[lo:hi])
+                    continue
+                pieces.append(got[0])
+                if got[1]:
+                    passed_runs.append(got[2])
+        except (CheckpointError, OSError):
+            return None
+        x = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+        if len(passed_runs) < len(pieces):  # not all from runs that passed
+            if not self._ok(x):
+                return None
+            self._checked.update(map(id, records))
+        for run in passed_runs:
+            self._passed(run)
+        return x
+
     def check_rest(self) -> None:
         for t in self._tensors:
-            if id(t) not in self._read:
+            if id(t) not in self._checked:
                 self._get(t)
 
 
@@ -447,15 +516,215 @@ def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
     return out.reshape(np.shape(arrays[0]))
 
 
+def _stable_orders(*parts) -> np.ndarray:
+    """(T, M) indices: for each of T tensors, its M rows in the order of
+    their bytes, the bytes of the parts put together, ties in index order.
+    Each part is an (M, T, L) array of one row per model and tensor."""
+    key = np.concatenate(
+        [np.ascontiguousarray(p.transpose(1, 0, 2)).view(np.uint8).reshape(*p.shape[1::-1], -1)
+         for p in parts], axis=2,
+    )
+    voids = key.view(np.dtype((np.void, key.shape[2]))).reshape(key.shape[:2])
+    return np.argsort(voids, axis=1, kind="stable")
+
+
+def _gather(orders, sizes) -> np.ndarray:
+    """(M, n) flat indices into (M, n) rows of tensors laid back to back,
+    of ``sizes`` elements: each element's column of rows in the order of
+    its tensor's row of the (T, M) ``orders``."""
+    n = int(sizes.sum())
+    return np.repeat(orders.T * n, sizes, axis=1) + np.arange(n)
+
+
+class _Blocks:
+    """The blocks of one merge: runs of whole shared tensors, in the
+    anchor's order, that the kernel sums together.
+
+    A tensor joins a block when it is blended, holds 1 to ``_BLOCK``
+    elements, has the anchor's dtype and shape in every model and, when
+    Fisher merging weighs it per element, a Fisher tensor of that shape in
+    every Fisher input; a block holds tensors of one dtype and at most
+    ``_BLOCK`` elements. Any other tensor ends a block. Whether a source's
+    tensors of a block lie back to back in one run of its file, so that
+    their values are one view of it, is decided here for every block at
+    once from the header offsets and run ids.
+    """
+
+    def __init__(self, tensors, shared, weights_for, pool, fishers, anchor):
+        names = list(map(operator.attrgetter("name"), tensors))
+        self.anchor, self.pool, self.fishers = anchor, pool, fishers
+        dtypes = list(map(operator.attrgetter("dtype"), tensors))
+        self.shapes = list(map(operator.attrgetter("shape"), tensors))
+        self.sizes = sizes = np.fromiter(map(math.prod, self.shapes), np.int64, len(names))
+        entries = list(map(shared.get, names))
+        given = [None if e is None else weights_for(*e) for e in entries]
+        sources = list({id(w): w for w in given if w is not None}.values())
+        self.table = np.stack([w.block(0) for w in sources]) if sources else np.zeros((1, len(pool)))
+        # _blends of every source at once
+        blends = np.count_nonzero(self.table, axis=1) > (self.table[:, anchor] != 0)
+        self._blending = {id(w): (b, w) for w, b in zip(sources, blends.tolist())}
+        # each tensor's row of table; -1 for per-element Fisher weights, -2 when not blended
+        row = {id(w): i if b else -2 for i, (w, b) in enumerate(zip(sources, blends.tolist()))}
+        row[id(None)] = -1
+        self.src = src = np.array([-2 if e is None else row[id(w)] for e, w in zip(entries, given)])
+        fits = (src != -2) & (sizes > 0) & (sizes <= _BLOCK)
+        self.records, self.segments = [], []  # of each model, per tensor
+        for p in pool:
+            records = p.records(names)
+            fits &= _matches(records, dtype=dtypes, shape=self.shapes)
+            self.records.append(records)
+            self.segments.append(run_segments(records))
+        self.fisher_records, self.fisher_segments, self.fisher_same = [], [], []
+        for f in fishers or ():
+            tensors = f.tensors  # a _Reads, or a dict of checked arrays
+            records = tensors.records(names) if isinstance(tensors, _Reads) else list(map(tensors.get, names))
+            same = _matches(records, shape=self.shapes)
+            fits &= (src != -1) | same
+            self.fisher_records.append(records)
+            self.fisher_segments.append(run_segments(records))
+            self.fisher_same.append(same)
+
+        spans, start, total = [], -1, 0
+        for k in np.flatnonzero(fits).tolist():
+            n = int(sizes[k])
+            if start >= 0 and k == end and dtypes[k] == dtypes[start] and total + n <= _BLOCK:
+                end, total = k + 1, total + n
+            else:
+                if start >= 0:
+                    spans.append((start, end))
+                start, end, total = k, k + 1, n
+        if start >= 0:
+            spans.append((start, end))
+        self.spans = spans
+
+    def blends(self, w) -> bool:
+        """``_blends`` of the ``_Scalars`` ``w``, computed once per source."""
+        if id(w) not in self._blending:  # the source is kept, so its id is not reused
+            self._blending[id(w)] = _blends(w, self.anchor), w
+        return self._blending[id(w)][0]
+
+    def merge(self, j):
+        """The merged arrays of block ``j``, each a view of the block's
+        output cast to the anchor's dtype; None when anything fails (an
+        input not finite, a negative Fisher value, a read, a Fisher-weighted
+        tensor that does not blend, an output not finite), so that its
+        tensors are merged one at a time and the first failure raises."""
+        a, b = self.spans[j]
+        sizes, src = self.sizes[a:b], self.src[a:b]
+        n = int(sizes.sum())
+        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        xs = []
+        for p, records, segments in zip(self.pool, self.records, self.segments):
+            x = p.block(records[a:b], sizes, segments[a:b])
+            if x is None:
+                return None
+            xs.append(x)
+        x = np.stack(xs)
+        m = len(xs)
+        scalars = self.table[np.maximum(src, 0)]  # (T, M); rows of Fisher tensors unused
+        fisher = src == -1
+        weights = None
+        if fisher.any():
+            weights = self._fisher_weights(a, b, n, sizes, offsets, fisher)
+            if weights is None:
+                return None
+            elements = np.repeat(fisher, sizes)
+        orders = np.empty((b - a, m), np.intp)
+        kinds = sizes * 2 + fisher
+        for kind in np.unique(kinds):
+            members = np.flatnonzero(kinds == kind)
+            idx = offsets[members, None] + np.arange(sizes[members[0]])
+            w_rows = weights.take(idx, axis=1) if kind & 1 else scalars[members].T[:, :, None]
+            orders[members] = _stable_orders(x.take(idx, axis=1), w_rows)
+        index = _gather(orders, sizes)
+        xs = x.take(index)
+        ws = np.repeat(np.take_along_axis(scalars, orders, axis=1).T, sizes, axis=1)
+        if weights is not None:
+            ws[:, elements] = weights.take(index[:, elements])
+        acc = np.multiply(ws[0], xs[0], dtype=np.float64)
+        for i in range(1, m):
+            acc += np.multiply(ws[i], xs[i], dtype=np.float64)
+        out = acc.astype(x.dtype)
+        # finite inputs can still sum, or cast, past the dtype's range
+        if not np.isfinite(out).all():
+            return None
+        return [out[lo:lo + size].reshape(shape) for lo, size, shape
+                in zip(offsets.tolist(), sizes.tolist(), self.shapes[a:b])]
+
+    def _fisher_weights(self, a, b, n, sizes, offsets, fisher):
+        """The (M, n) per-element Fisher weights of the block of tensors
+        ``a`` to ``b`` (only its Fisher-weighted tensors' elements are
+        meaningful), as ``_FisherBlocks`` computes them; None when a Fisher
+        value fails its check or a Fisher-weighted tensor does not blend."""
+        names = np.flatnonzero(fisher)
+        elements = np.repeat(fisher, sizes)
+        mass = np.zeros((len(self.fishers), n))
+        for i, f in enumerate(self.fishers):
+            records = self.fisher_records[i][a:b]
+            if not isinstance(f.tensors, _Reads):  # checked when the weights were built
+                mass[i, elements] = np.concatenate([records[k].reshape(-1) for k in names])
+            elif self.fisher_same[i][a:b].all():
+                # every tensor of the block, weighed per element or not, is
+                # there with the anchor's shape: all are read, in runs
+                values = f.tensors.block(records, sizes, self.fisher_segments[i][a:b])
+                if values is None:
+                    return None
+                mass[i] = values
+            else:
+                values = f.tensors.block([records[k] for k in names], sizes[names],
+                                         np.full(len(names), -1))
+                if values is None:
+                    return None
+                mass[i, elements] = values
+        scale = mass.max(axis=0)
+        zero = scale == 0.0
+        np.copyto(scale, 1.0, where=zero)
+        mass /= scale
+        np.copyto(mass, 1.0, where=zero)
+        orders = np.tile(np.arange(len(mass)), (b - a, 1))
+        for size in np.unique(sizes[names]):
+            members = names[sizes[names] == size]
+            orders[members] = _stable_orders(mass.take(offsets[members, None] + np.arange(size), axis=1))
+        quotients = mass.take(_gather(orders, sizes))
+        total = quotients[0].copy()
+        for row in quotients[1:]:
+            total += row
+        weights = mass / total
+        others = np.delete(weights, self.anchor, axis=0) != 0
+        blended = np.logical_or.reduceat(others.any(axis=0), offsets)
+        if not blended[fisher].all():
+            return None
+        return weights
+
+
+def _matches(records, **expected) -> np.ndarray:
+    """Whether each of ``records`` is there and has the attribute values
+    ``expected`` (attribute -> one value per record)."""
+    if any(map(operator.is_, records, repeat(None))):
+        records = [_MISSING if r is None else r for r in records]
+    same = np.ones(len(records), bool)
+    for name, values in expected.items():
+        same &= np.fromiter(map(operator.eq, map(operator.attrgetter(name), records), values),
+                            bool, len(records))
+    return same
+
+
+_MISSING = SimpleNamespace(dtype=None, shape=None)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
-def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
+def _merge(ckpts, alignment, strategy, weights_for, fishers=None, metadata_extra=None):
     """The merge loop behind every strategy.
 
-    ``weights_for(layer, name, kind, shape)`` returns the weight source of
-    one shared tensor, ``_Scalars`` or ``_FisherBlocks``. Shared tensors
+    ``weights_for(layer, kind)`` returns the ``_Scalars`` of one shared
+    layer and tensor kind, or None where the weights are per element,
+    computed from ``fishers`` (see ``_fisher_weights``). Shared tensors
     become weighted sums cast to the anchor's dtype; anchor-only tensors,
     and shared tensors whose non-anchor weights are all zero, keep the
-    anchor's array. The output follows the anchor's tensor order.
+    anchor's array. The output follows the anchor's tensor order. Small
+    tensors are merged in blocks (see ``_Blocks``); the tensors of a block
+    that fails are merged again one at a time, which raises the error the
+    first failing tensor gives.
     """
     if alignment.model_count != len(ckpts):
         raise MergeError(
@@ -469,14 +738,18 @@ def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
         for group in alignment.shared_groups
         for name, kind in group.members
     }
+    anchor_tensors = anchor_ckpt.tensors
+    blocks = _Blocks(anchor_tensors, shared, weights_for, pool, fishers, anchor)
 
-    tensors = []
-    for t in anchor_ckpt.tensors:
-        data = None
+    def merge_one(t):
         if t.name in shared:
-            layer, kind = shared[t.name]
-            w = weights_for(layer, t.name, kind, t.shape)
-            if _blends(w, anchor):
+            w = weights_for(*shared[t.name])
+            if w is None:
+                w = _fisher_weights(fishers, t.name, t.shape)
+                mixes = _blends(w, anchor)
+            else:
+                mixes = blocks.blends(w)
+            if mixes:
                 arrays = [p[t.name] for p in pool]
                 for x in arrays:
                     if x.shape != t.shape:
@@ -488,11 +761,17 @@ def _merge(ckpts, alignment, strategy, weights_for, metadata_extra=None):
                 # finite inputs can still sum, or cast, past the dtype's range
                 if not np.isfinite(data).all():
                     raise NonFiniteTensorError(f"merged tensor '{t.name}' is not finite")
-                del arrays, x
-            del w  # this tensor's inputs and weights go before the next one's are read
-        if data is None:  # kept from the anchor
-            data = pool[anchor][t.name]
-        tensors.append(TensorRecord(t.name, data))
+                return data
+        return pool[anchor][t.name]
+
+    merged, done = [], 0
+    for j, (a, b) in enumerate(blocks.spans):
+        merged.extend(merge_one(t) for t in anchor_tensors[done:a])
+        data = blocks.merge(j)
+        merged.extend(data if data is not None else (merge_one(t) for t in anchor_tensors[a:b]))
+        done = b
+    merged.extend(merge_one(t) for t in anchor_tensors[done:])
+    tensors = [TensorRecord(t.name, data) for t, data in zip(anchor_tensors, merged)]
     for p in pool:  # tensors no merged value depends on are checked all the same
         p.check_rest()
 
@@ -535,7 +814,8 @@ def layerwise_merge(
         "merge_start_layer": str(schedule.start_layer),
         "merge_first_layer_weight": repr(schedule.first_layer_weight),
     }
-    return _merge(ckpts, alignment, "layerwise", lambda layer, *_: per_layer[layer - 1], extra)
+    return _merge(ckpts, alignment, "layerwise", lambda layer, _: per_layer[layer - 1],
+                  metadata_extra=extra)
 
 
 def isotropic_merge(ckpts: list[Checkpoint], alignment: SharedAlignment) -> Checkpoint:
@@ -567,16 +847,12 @@ def scalar_weighted_merge(
     total = sum(exact)
     weights = _Scalars(np.array([float(s / total) for s in exact]))
     extra = {"merge_scores": ",".join(repr(float(s)) for s in scores)}
-    return _merge(ckpts, alignment, "scalar", lambda *_: weights, extra)
+    return _merge(ckpts, alignment, "scalar", lambda *_: weights, metadata_extra=extra)
 
 
-def _fisher_weights(fishers, name, kind, shape):
-    """The M weights of one shared tensor: 1/M each for batch-norm running
-    statistics, else per-element weights proportional to each model's
-    Fisher values (see ``_FisherBlocks``)."""
-    m = len(fishers)
-    if kind in NON_GRADIENT_KINDS:
-        return _Scalars(np.full(m, 1.0 / m))
+def _fisher_weights(fishers, name, shape):
+    """The per-element weights of one shared tensor, proportional to each
+    model's Fisher values (see ``_FisherBlocks``)."""
     arrays = []
     for i, fisher in enumerate(fishers):
         f = fisher.tensors.get(name)
@@ -607,9 +883,10 @@ def fisher_merge(
     _reject_shape_conflicts(alignment, "Fisher-weighted")
     if len(fishers) != len(ckpts):
         raise MergeError(f"{len(fishers)} Fisher inputs for {len(ckpts)} models")
+    uniform = _Scalars(np.full(len(ckpts), 1.0 / len(ckpts)))
     merged = _merge(
         ckpts, alignment, "fisher",
-        lambda layer, name, kind, shape: _fisher_weights(fishers, name, kind, shape),
+        lambda layer, kind: uniform if kind in NON_GRADIENT_KINDS else None, fishers,
     )
     for fisher in fishers:
         if isinstance(fisher.tensors, _Reads):

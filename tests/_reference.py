@@ -5,8 +5,9 @@ in model-index order, deliberately sharing no code with the package's
 vectorized engine. ``ref_weighted_sum`` and ``ref_fisher_weights`` are the
 engine's earlier whole-array kernel, kept as the oracle for the blocked one,
 ``ref_discrepancy_profile`` is the earlier slice-by-slice profile (on the
-package's alignment), kept as the oracle for the batched one, and
-``ref_entries_error`` is the reader's earlier entry-by-entry header check.
+package's alignment), kept as the oracle for the batched one,
+``ref_entries_error`` is the reader's earlier entry-by-entry header check,
+and ``ref_shared_parameters`` is the earlier name-by-name alignment.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from layermerge.alignment import KIND_ORDER, shared_parameters
+from layermerge.alignment import (
+    KIND_ORDER,
+    AlignmentError,
+    LayerGroup,
+    NoSharedParametersError,
+    SharedAlignment,
+    shared_parameters,
+)
+from layermerge.checkpoint import CheckpointError, match_layer_order
 from layermerge.discrepancy import DiscrepancyError, ProfileRow
 
 
@@ -273,3 +282,79 @@ def ref_entries_error(entries, data_size):
         if start_b < end_a:
             return f"tensors '{name_a}' and '{name_b}' have overlapping offset ranges"
     return None
+
+
+_REF_SUFFIX_KINDS = {
+    ".weight": "weight",
+    ".bias": "bias",
+    ".running_mean": "bn_mean",
+    ".running_var": "bn_var",
+}
+
+
+def ref_group_layers(ckpt):
+    """The earlier layer grouping: each name's kind by a scan of the
+    suffixes, its default prefix up to the last dot."""
+    names = ckpt.names()
+    explicit = ckpt.layer_order()
+    if explicit is not None:
+        try:
+            assignment = match_layer_order(names, explicit)
+        except CheckpointError as exc:
+            raise AlignmentError(str(exc)) from exc
+        order = list(explicit)
+    else:
+        assignment = {name: name.rsplit(".", 1)[0] if "." in name else name for name in names}
+        order = list(dict.fromkeys(assignment[name] for name in names))
+
+    def kind(name):
+        for suffix, k in _REF_SUFFIX_KINDS.items():
+            if name.endswith(suffix):
+                return k
+        return "other"
+
+    by_prefix = {p: [] for p in order}
+    for name in names:
+        by_prefix[assignment[name]].append((name, kind(name)))
+    return [LayerGroup(prefix, j, tuple(by_prefix[prefix])) for j, prefix in enumerate(order, start=1)]
+
+
+def ref_shared_parameters(ckpts, anchor):
+    """The earlier alignment: every anchor tensor's signature compared with
+    each other model's, name by name."""
+    if not ckpts:
+        raise AlignmentError("empty checkpoint pool")
+    if not 0 <= anchor < len(ckpts):
+        raise AlignmentError(f"anchor index {anchor} out of range for {len(ckpts)} models")
+
+    signatures = [{t.name: (t.dtype, t.shape) for t in ckpt.tensors} for ckpt in ckpts]
+    anchor_sig = signatures[anchor]
+    shared_names = set()
+    conflicts = set()
+    for name, sig in anchor_sig.items():
+        matches = [s.get(name) for i, s in enumerate(signatures) if i != anchor]
+        if all(m == sig for m in matches):
+            shared_names.add(name)
+        elif any(m is not None and m != sig for m in matches):
+            conflicts.add(name)
+
+    shared_groups, anchor_only = [], []
+    for g in ref_group_layers(ckpts[anchor]):
+        if all(name in shared_names for name, _ in g.members):
+            shared_groups.append(g)
+        else:
+            anchor_only.extend(g.names())
+    if len(ckpts) >= 2 and not shared_groups:
+        raise NoSharedParametersError(
+            "no shared parameters: the models have no layer group with "
+            "matching names, dtypes and shapes"
+        )
+    return SharedAlignment(
+        anchor=anchor,
+        model_count=len(ckpts),
+        shared_groups=tuple(
+            LayerGroup(g.prefix, j, g.members) for j, g in enumerate(shared_groups, start=1)
+        ),
+        anchor_only=tuple(anchor_only),
+        shape_conflicts=tuple(n for n in ckpts[anchor].names() if n in conflicts),
+    )

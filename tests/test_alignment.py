@@ -12,7 +12,9 @@ from layermerge import (
     group_layers,
     shared_parameters,
 )
+from layermerge.checkpoint import TensorRecord
 
+import _reference as ref
 from conftest import make_checkpoint
 
 
@@ -187,3 +189,54 @@ class TestAlignmentProperties:
         before = set(shared_parameters(pool, 0).shared_names())
         after = set(shared_parameters(pool + [extra], 0).shared_names())
         assert after <= before
+
+
+class TestSetAlignment:
+    """``shared_parameters`` matches signatures with set operations; it
+    gives exactly the alignment, or the error, of the earlier name-by-name
+    loop kept in ``_reference.py``."""
+
+    PREFIXES = ("bb.0", "bb.1", "head", "emb")
+    SUFFIXES = ("weight", "bias", "running_mean", "running_var", "gamma")
+
+    @classmethod
+    def model(cls, data, rng):
+        names = [f"{p}.{s}" for p in cls.PREFIXES for s in cls.SUFFIXES] + ["emb", "scale"]
+        chosen = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=12, unique=True),
+                           label="tensors")
+        records = []
+        for name in chosen:
+            shape = data.draw(st.sampled_from([(2,), (3,), (2, 2), ()]), label=f"{name} shape")
+            dtype = data.draw(st.sampled_from([np.float32, np.float64]), label=f"{name} dtype")
+            records.append(TensorRecord(name, rng.standard_normal(shape).astype(dtype)))
+        if data.draw(st.booleans(), label="duplicate name"):
+            records.append(TensorRecord(chosen[0], np.zeros(5)))
+        metadata = {}
+        if data.draw(st.booleans(), label="layer_order"):
+            prefixes = list(dict.fromkeys(n.rsplit(".", 1)[0] for n in chosen))
+            prefixes = data.draw(st.permutations(prefixes), label="order")
+            if data.draw(st.booleans(), label="unused prefix"):
+                prefixes = [*prefixes, "ghost"]
+            metadata["layer_order"] = json.dumps(prefixes)
+        return Checkpoint(records, metadata)
+
+    @staticmethod
+    def outcome(align, pool, anchor):
+        try:
+            return align(pool, anchor)
+        except AlignmentError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_name_by_name_alignment(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        base = self.model(data, rng)
+        pool = []
+        for _ in range(data.draw(st.integers(1, 4), label="models")):
+            # mostly near copies of one model, so that much is shared
+            pool.append(self.model(data, rng) if data.draw(st.booleans(), label="own schema")
+                        else Checkpoint(list(base.tensors), dict(base.metadata)))
+        for anchor in range(-1, len(pool) + 1):
+            expected = self.outcome(ref.ref_shared_parameters, pool, anchor)
+            assert self.outcome(shared_parameters, pool, anchor) == expected

@@ -180,8 +180,9 @@ class TestMerge:
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
-        if where == "merge":
+        if where == "merge":  # the kernel of one tensor and of a block of tensors
             monkeypatch.setattr(merge_module, "_weighted_sum", interrupt)
+            monkeypatch.setattr(merge_module._Blocks, "merge", interrupt)
         else:  # the temporary file is written and about to be synced
             monkeypatch.setattr(os, "fsync", interrupt)
         out = tmp_path / "m.st"

@@ -1,6 +1,9 @@
 import contextlib
+import math
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -648,15 +651,18 @@ class TestContentOrder:
 
 
 class TestBlockedKernel:
-    """The blocked kernel gives the bytes of the whole-array kernel it
-    replaced (``ref_weighted_sum`` and ``ref_fisher_weights``), run in the
-    same merge loop, with blocks of 1-5 elements so that tensors span many
-    blocks and the content order is decided past the first one."""
+    """The block kernel gives the bytes of the whole-array kernel it
+    replaced (``ref_weighted_sum`` and ``ref_fisher_weights``, run one
+    tensor at a time in the same merge loop), with blocks of 1-5 elements,
+    so that blocks hold several whole tensors, larger tensors span many
+    blocks and the content order is decided past the first one; in memory
+    and from files, whose tensors may lie in another order than the
+    anchor's or in several runs."""
 
     @staticmethod
-    def pool(data, rng, block, dtype):
+    def pool(data, rng, block):
         m = data.draw(st.integers(1, 4), label="models")
-        sizes = data.draw(st.lists(st.integers(0, 4 * block + 2), min_size=1, max_size=3), label="sizes")
+        sizes = data.draw(st.lists(st.integers(0, 4 * block + 2), min_size=1, max_size=4), label="sizes")
         shapes = {}
         for k, n in enumerate(sizes):
             shapes[f"layer{k}.weight"] = (n, 2) if n % 3 == 0 else (n,)  # zero-size when n == 0
@@ -664,9 +670,11 @@ class TestBlockedKernel:
         bn = data.draw(st.integers(1, 2 * block + 1), label="bn size")
         for kind in ("weight", "running_mean", "running_var"):
             shapes[f"bn.{kind}"] = (bn,)
+        dtypes = {n: data.draw(st.sampled_from([np.float32, np.float64]), label=f"{n} dtype")
+                  for n in shapes}  # F32 and F64 tensors interleaved
         # few distinct values, so that models tie on some blocks
         values = [-1.5, -0.0, 0.0, 0.25, 2.0, 3.0]
-        models = [{n: (rng.choice(values, s) + rng.integers(0, 2) * rng.standard_normal(s)).astype(dtype)
+        models = [{n: (rng.choice(values, s) + rng.integers(0, 2) * rng.standard_normal(s)).astype(dtypes[n])
                    for n, s in shapes.items()} for _ in range(m)]
         fishers = [{n: rng.exponential(1.0, s) * (rng.random(s) < 0.8) for n, s in shapes.items()}
                    for _ in range(m)]
@@ -675,6 +683,10 @@ class TestBlockedKernel:
                 lead = data.draw(st.integers(0, int(np.prod(s))), label="zero elements")
                 for f in fishers:
                     f[n].reshape(-1)[:lead] = 0.0  # all of it when lead is the size
+            elif data.draw(st.booleans(), label=f"{n} Fisher mass in one model only"):
+                owner = data.draw(st.integers(0, m - 1), label="owner")  # no blend when the anchor
+                for i, f in enumerate(fishers):
+                    f[n][...] = rng.uniform(0.5, 1.0, s) if i == owner else 0.0
         if m > 1 and data.draw(st.booleans(), label="twins"):
             # byte-identical models whose Fisher values differ past block 0
             a, b = data.draw(st.permutations(range(m)), label="twin pair")[:2]
@@ -682,8 +694,7 @@ class TestBlockedKernel:
             fishers[b] = {n: f.copy() for n, f in fishers[a].items()}
             for f in fishers[b].values():
                 f.reshape(-1)[block:] *= rng.uniform(0.5, 2.0, max(f.size - block, 0))
-        return ([Checkpoint.from_arrays(x) for x in models],
-                [FisherWeights(f) for f in fishers])
+        return models, fishers
 
     @staticmethod
     def merges(pool, fishers, anchor, scores):
@@ -697,27 +708,55 @@ class TestBlockedKernel:
         ]
 
     @staticmethod
-    def oracle_fisher_weights(fishers, name, kind, shape):
+    def oracle_fisher_weights(fishers, name, shape):
         # a weight source whose one block is the whole (M, *shape) weights
-        if kind in merge_module.NON_GRADIENT_KINDS:
-            return merge_module._Scalars(np.full(len(fishers), 1.0 / len(fishers)))
         return merge_module._Scalars(ref.ref_fisher_weights([f.tensors[name] for f in fishers]))
+
+    @staticmethod
+    def whole(pool, fishers, anchor, scores):
+        """The merges with every tensor summed by the whole-array kernel:
+        the block kernel hands every block back, one tensor at a time."""
+        with mock.patch.object(merge_module, "_fisher_weights", TestBlockedKernel.oracle_fisher_weights), \
+                mock.patch.object(merge_module, "_weighted_sum",
+                                  lambda w, xs, dtype: ref.ref_weighted_sum(w.block(0), xs).astype(dtype)), \
+                mock.patch.object(merge_module._Blocks, "merge", lambda self, j: None):
+            return TestBlockedKernel.merges(pool, fishers, anchor, scores)
+
+    @staticmethod
+    def opened(files, data, tmp, models, fishers, anchor):
+        """The models and Fisher values saved and opened with ``open_file``;
+        a file other than the anchor's may list its tensors in another order."""
+        out = []
+        for stem, arrays in (("m", models), ("f", fishers)):
+            for i, x in enumerate(arrays):
+                reorder = (stem, i) != ("m", anchor) and data.draw(st.booleans(), label=f"{stem}{i} reordered")
+                order = data.draw(st.permutations(list(x)), label=f"{stem}{i} order") if reorder else list(x)
+                path = tmp / f"{stem}{i}.st"
+                save(Checkpoint.from_arrays({n: x[n] for n in order}), path)
+                out.append(files.enter_context(ckpt_store.open_file(path)))
+        return out[:len(models)], [FisherWeights.from_checkpoint(f) for f in out[len(models):]]
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_equals_whole_array_kernel(self, data):
         block = data.draw(st.integers(1, 5), label="block")
-        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        pool, fishers = self.pool(data, rng, block, dtype)
-        anchor = data.draw(st.integers(0, len(pool) - 1), label="anchor")
-        scores = list(1.0 + rng.random(len(pool)))
-        with mock.patch.object(merge_module, "_BLOCK", block):
-            blocked = self.merges(pool, fishers, anchor, scores)
-        with mock.patch.object(merge_module, "_fisher_weights", self.oracle_fisher_weights), \
-                mock.patch.object(merge_module, "_weighted_sum",
-                                  lambda w, xs, dtype: ref.ref_weighted_sum(w.block(0), xs).astype(dtype)):
-            whole = self.merges(pool, fishers, anchor, scores)
+        models, fishers = self.pool(data, rng, block)
+        anchor = data.draw(st.integers(0, len(models) - 1), label="anchor")
+        scores = list(1.0 + rng.random(len(models)))
+        whole = self.whole([Checkpoint.from_arrays(x) for x in models],
+                           [FisherWeights(f) for f in fishers], anchor, scores)
+        with contextlib.ExitStack() as files:
+            files.enter_context(mock.patch.object(merge_module, "_BLOCK", block))
+            if data.draw(st.booleans(), label="from files"):
+                window = data.draw(st.sampled_from([16, 64, ckpt_store._RUN_BYTES]), label="run bytes")
+                files.enter_context(mock.patch.object(ckpt_store, "_RUN_BYTES", window))
+                tmp = Path(files.enter_context(tempfile.TemporaryDirectory()))
+                pool, weights = self.opened(files, data, tmp, models, fishers, anchor)
+            else:
+                pool = [Checkpoint.from_arrays(x) for x in models]
+                weights = [FisherWeights(f) for f in fishers]
+            blocked = self.merges(pool, weights, anchor, scores)
         for got, expected in zip(blocked, whole):
             assert got.names() == expected.names()
             for t in got.tensors:
@@ -782,22 +821,37 @@ class TestFileBackedMerge:
             assert bytes_read_once(reads, path)
         assert len(reads) == len(opened) < 6 * len(opened)
 
-    def test_no_more_reads_than_runs(self, tmp_path, monkeypatch):
-        # a miniature of the benchmark's many-tensor pool: BN-style groups
-        # of small F32 tensors and a head whose class count differs per
-        # model, in runs of at most 4 KiB
+    @staticmethod
+    def many_tensor_models(with_fisher=False):
+        """A miniature of the benchmark's many-tensor pool: BN-style groups
+        of small F32 tensors and a head whose class count differs per
+        model. ``with_fisher`` drops the head and adds F64 Fisher values,
+        with one more tensor per group that no model has."""
         rng = np.random.default_rng(7)
-        models = []
+        models, fishers = [], []
         for i in range(4):
             arrays = {}
             for k in range(150):
                 arrays[f"blocks.{k}.weight"] = rng.standard_normal((8, 8)).astype(np.float32)
                 for kind in ("bias", "running_mean", "running_var"):
                     arrays[f"blocks.{k}.{kind}"] = rng.random(8).astype(np.float32)
-            arrays["head.weight"] = rng.standard_normal((10 + i, 8)).astype(np.float32)
-            arrays["head.bias"] = rng.standard_normal(10 + i).astype(np.float32)
+            if not with_fisher:
+                arrays["head.weight"] = rng.standard_normal((10 + i, 8)).astype(np.float32)
+                arrays["head.bias"] = rng.standard_normal(10 + i).astype(np.float32)
+                models.append(Checkpoint.from_arrays(arrays))
+                continue
             models.append(Checkpoint.from_arrays(arrays))
-        paths = self.saved(tmp_path, models)
+            fisher = {}
+            for n, x in arrays.items():
+                fisher[n] = rng.exponential(1.0, x.shape) * (rng.random(x.shape) < 0.9)
+                if n.endswith("running_var"):
+                    fisher[n.replace("running_var", "extra")] = rng.random(3)
+            fishers.append(Checkpoint.from_arrays(fisher))
+        return (models, fishers) if with_fisher else models
+
+    def test_no_more_reads_than_runs(self, tmp_path, monkeypatch):
+        # in runs of at most 4 KiB
+        paths = self.saved(tmp_path, self.many_tensor_models())
         expected = self.merge("layerwise", [load(p) for p in paths])
         monkeypatch.setattr(ckpt_store, "_RUN_BYTES", 4096)
         reads = counting_reads(monkeypatch)
@@ -808,6 +862,44 @@ class TestFileBackedMerge:
         assert len(reads) <= runs and 10 * runs < 4 * 602  # 602 tensors per model
         assert all(bytes_read_once(reads, p) for p in paths)
         assert all(t.data.tobytes() == expected.get(t.name).data.tobytes() for t in merged.tensors)
+
+    @pytest.mark.parametrize("blocks", [True, False], ids=["blocks", "one at a time"])
+    def test_fisher_batch_norm_statistics_read_in_runs(self, tmp_path, monkeypatch, blocks):
+        # batch-norm statistics are weighted 1/M, so no Fisher value of
+        # theirs is looked up; a run that passed its check counts them checked
+        models, fishers = self.many_tensor_models(with_fisher=True)
+        paths, fisher_paths = self.saved(tmp_path, models), self.saved(tmp_path, fishers, "f")
+        expected = self.merge("fisher", [load(p) for p in paths], [load(p) for p in fisher_paths])
+        monkeypatch.setattr(ckpt_store, "_RUN_BYTES", 4096)
+        if not blocks:
+            monkeypatch.setattr(merge_module._Blocks, "merge", lambda self, j: None)
+        reads = counting_reads(monkeypatch)
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
+            merged = self.merge("fisher", opened[:4], opened[4:])
+        runs = sum(ref.ref_read_units(p, 4096) for p in [*paths, *fisher_paths])
+        assert len(reads) <= runs
+        assert all(bytes_read_once(reads, p) for p in [*paths, *fisher_paths])
+        assert all(t.data.tobytes() == expected.get(t.name).data.tobytes() for t in merged.tensors)
+
+    def test_kernel_passes_cover_many_tensors(self, tmp_path, monkeypatch):
+        # the kernel sums blocks of whole tensors, not one tensor at a time
+        paths = self.saved(tmp_path, self.many_tensor_models())
+        monkeypatch.setattr(ckpt_store, "_RUN_BYTES", 4096)
+        passes = []
+        for owner, name in ((merge_module._Blocks, "merge"), (merge_module, "_weighted_sum")):
+            def counted(*args, _kernel=getattr(owner, name), _name=name):
+                passes.append(_name)
+                return _kernel(*args)
+            monkeypatch.setattr(owner, name, counted)
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            alignment = shared_parameters(opened, 0)
+            self.merge("layerwise", opened)
+        shared_elements = sum(math.prod(opened[0].get(n).shape) for n in alignment.shared_names())
+        runs = sum(ref.ref_read_units(p, 4096) for p in paths)
+        assert "_weighted_sum" not in passes
+        assert len(passes) <= runs + shared_elements / merge_module._BLOCK < 600
 
     @staticmethod
     def one_run(tmp_path, ckpts, stem="m"):
@@ -865,6 +957,59 @@ class TestFileBackedMerge:
         assert returned == [(paths[0], "layer0.weight"), (paths[1], "layer0.weight"),
                             (paths[0], "layer0.bias"), (paths[1], "layer0.bias"),
                             (paths[0], "layer1.weight")]
+
+    def test_non_finite_output_before_a_non_finite_input_of_its_block(self, tmp_path, rng):
+        # finite inputs whose weighted sum overflows at tensor k, and a NaN
+        # input at tensor k + 1 of the same block: tensor k is reached first
+        big = np.finfo(np.float64).max
+        models = [{"layer0.weight": np.array([big, -big]), "layer0.bias": rng.random(3),
+                   "layer1.weight": rng.random(4)} for _ in range(4)]
+        models[1]["layer0.bias"][2] = np.nan
+        paths = self.one_run(tmp_path, [Checkpoint.from_arrays(x) for x in models])
+        scores = [0.6331871446860424, 0.09401534358238482, 0.8426441476533978, 0.7970983074886834]
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            with pytest.raises(NonFiniteTensorError, match="^merged tensor 'layer0.weight' is not finite$"):
+                scalar_weighted_merge(opened, scores, shared_parameters(opened, 0))
+
+    def test_first_non_finite_input_of_a_block_named(self, tmp_path, rng):
+        # model 3's tensor k and model 0's tensor k + 2 are not finite
+        models = [make_checkpoint([(3, 3), (2, 3)], rng) for _ in range(4)]
+        names = models[0].names()
+        models[3].get(names[1]).data[1] = np.nan
+        models[0].get(names[3]).data[0] = -np.inf
+        paths = self.one_run(tmp_path, models)
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            with pytest.raises(NonFiniteTensorError, match=rf"^non-finite values in tensor '{names[1]}' of model 3$"):
+                self.merge("isotropic", opened)
+
+    def test_file_truncated_mid_block(self, tmp_path, rng, monkeypatch):
+        # ten tensors of 3 elements, blocks of 3 tensors; model 1's file ends
+        # inside the fifth tensor, in the second block: the blocks before it
+        # are merged, and the second is merged again one tensor at a time
+        # until the tensor the file lost
+        models = [Checkpoint.from_arrays({f"layer{k}.weight": rng.random(3) for k in range(10)})
+                  for _ in range(2)]
+        paths = self.one_run(tmp_path, models)
+        monkeypatch.setattr(merge_module, "_BLOCK", 9)
+        read = ckpt_store.FileTensor.read_checked
+        returned = []
+
+        def recorded(t, ok):
+            result = read(t, ok)
+            returned.append((t._section.path, t.name))
+            return result
+
+        monkeypatch.setattr(ckpt_store.FileTensor, "read_checked", recorded)
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            start, _ = data_section(paths[1])
+            paths[1].write_bytes(paths[1].read_bytes()[:start + 4 * 24 + 8])
+            with pytest.raises(CheckpointFormatError, match="shrank"):
+                self.merge("isotropic", opened)
+        assert returned == [(paths[0], "layer3.weight"), (paths[1], "layer3.weight"),
+                            (paths[0], "layer4.weight")]
 
     def test_peak_memory_well_under_the_pool(self, tmp_path, rng):
         # 8 tensors per model, the 4 weights of 0.5 MB each the largest
