@@ -562,8 +562,8 @@ class _Blocks:
         self.table = np.stack([w.block(0) for w in sources]) if sources else np.zeros((1, len(pool)))
         # _blends of every source at once
         blends = np.count_nonzero(self.table, axis=1) > (self.table[:, anchor] != 0)
-        self._blending = {id(w): (b, w) for w, b in zip(sources, blends.tolist())}
-        # each tensor's row of table; -1 for per-element Fisher weights, -2 when not blended
+        # each tensor's row of table; -1 for per-element Fisher weights, -2
+        # when it keeps the anchor's array: not shared, or not blended
         row = {id(w): i if b else -2 for i, (w, b) in enumerate(zip(sources, blends.tolist()))}
         row[id(None)] = -1
         self.src = src = np.array([-2 if e is None else row[id(w)] for e, w in zip(entries, given)])
@@ -597,12 +597,6 @@ class _Blocks:
             spans.append((start, end))
         self.spans = spans
 
-    def blends(self, w) -> bool:
-        """``_blends`` of the ``_Scalars`` ``w``, computed once per source."""
-        if id(w) not in self._blending:  # the source is kept, so its id is not reused
-            self._blending[id(w)] = _blends(w, self.anchor), w
-        return self._blending[id(w)][0]
-
     def merge(self, j):
         """The merged arrays of block ``j``, each a view of the block's
         output cast to the anchor's dtype; None when anything fails (an
@@ -629,6 +623,8 @@ class _Blocks:
             if weights is None:
                 return None
             elements = np.repeat(fisher, sizes)
+        # one stable sort per tensor size and kind of weight row (a scalar,
+        # or one Fisher weight per element), over the tensors' keys
         orders = np.empty((b - a, m), np.intp)
         kinds = sizes * 2 + fisher
         for kind in np.unique(kinds):
@@ -636,14 +632,15 @@ class _Blocks:
             idx = offsets[members, None] + np.arange(sizes[members[0]])
             w_rows = weights.take(idx, axis=1) if kind & 1 else scalars[members].T[:, :, None]
             orders[members] = _stable_orders(x.take(idx, axis=1), w_rows)
+        # each element's (weight, value) terms in its tensor's content order
         index = _gather(orders, sizes)
-        xs = x.take(index)
-        ws = np.repeat(np.take_along_axis(scalars, orders, axis=1).T, sizes, axis=1)
+        x_terms = x.take(index)
+        w_terms = np.repeat(np.take_along_axis(scalars, orders, axis=1).T, sizes, axis=1)
         if weights is not None:
-            ws[:, elements] = weights.take(index[:, elements])
-        acc = np.multiply(ws[0], xs[0], dtype=np.float64)
+            w_terms[:, elements] = weights.take(index[:, elements])
+        acc = np.multiply(w_terms[0], x_terms[0], dtype=np.float64)
         for i in range(1, m):
-            acc += np.multiply(ws[i], xs[i], dtype=np.float64)
+            acc += np.multiply(w_terms[i], x_terms[i], dtype=np.float64)
         out = acc.astype(x.dtype)
         # finite inputs can still sum, or cast, past the dtype's range
         if not np.isfinite(out).all():
@@ -741,36 +738,35 @@ def _merge(ckpts, alignment, strategy, weights_for, fishers=None, metadata_extra
     anchor_tensors = anchor_ckpt.tensors
     blocks = _Blocks(anchor_tensors, shared, weights_for, pool, fishers, anchor)
 
-    def merge_one(t):
-        if t.name in shared:
-            w = weights_for(*shared[t.name])
-            if w is None:
-                w = _fisher_weights(fishers, t.name, t.shape)
-                mixes = _blends(w, anchor)
-            else:
-                mixes = blocks.blends(w)
-            if mixes:
-                arrays = [p[t.name] for p in pool]
-                for x in arrays:
-                    if x.shape != t.shape:
-                        raise MergeError(
-                            f"shape mismatch for shared tensor '{t.name}': "
-                            f"{x.shape} vs {t.shape} (alignment inconsistency)"
-                        )
-                data = _weighted_sum(w, arrays, arrays[anchor].dtype)
-                # finite inputs can still sum, or cast, past the dtype's range
-                if not np.isfinite(data).all():
-                    raise NonFiniteTensorError(f"merged tensor '{t.name}' is not finite")
-                return data
-        return pool[anchor][t.name]
+    def merge_one(k):
+        t = anchor_tensors[k]
+        if blocks.src[k] == -2:  # not shared, or not blended
+            return pool[anchor][t.name]
+        w = weights_for(*shared[t.name])
+        if w is None:
+            w = _fisher_weights(fishers, t.name, t.shape)
+            if not _blends(w, anchor):
+                return pool[anchor][t.name]
+        arrays = [p[t.name] for p in pool]
+        for x in arrays:
+            if x.shape != t.shape:
+                raise MergeError(
+                    f"shape mismatch for shared tensor '{t.name}': "
+                    f"{x.shape} vs {t.shape} (alignment inconsistency)"
+                )
+        data = _weighted_sum(w, arrays, arrays[anchor].dtype)
+        # finite inputs can still sum, or cast, past the dtype's range
+        if not np.isfinite(data).all():
+            raise NonFiniteTensorError(f"merged tensor '{t.name}' is not finite")
+        return data
 
     merged, done = [], 0
     for j, (a, b) in enumerate(blocks.spans):
-        merged.extend(merge_one(t) for t in anchor_tensors[done:a])
+        merged.extend(map(merge_one, range(done, a)))
         data = blocks.merge(j)
-        merged.extend(data if data is not None else (merge_one(t) for t in anchor_tensors[a:b]))
+        merged.extend(data if data is not None else map(merge_one, range(a, b)))
         done = b
-    merged.extend(merge_one(t) for t in anchor_tensors[done:])
+    merged.extend(map(merge_one, range(done, len(anchor_tensors))))
     tensors = [TensorRecord(t.name, data) for t, data in zip(anchor_tensors, merged)]
     for p in pool:  # tensors no merged value depends on are checked all the same
         p.check_rest()

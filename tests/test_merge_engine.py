@@ -882,9 +882,18 @@ class TestFileBackedMerge:
         assert all(bytes_read_once(reads, p) for p in [*paths, *fisher_paths])
         assert all(t.data.tobytes() == expected.get(t.name).data.tobytes() for t in merged.tensors)
 
-    def test_kernel_passes_cover_many_tensors(self, tmp_path, monkeypatch):
-        # the kernel sums blocks of whole tensors, not one tensor at a time
-        paths = self.saved(tmp_path, self.many_tensor_models())
+    @pytest.mark.parametrize("strategy", ["layerwise", "fisher"])
+    def test_kernel_passes_cover_many_tensors(self, tmp_path, monkeypatch, strategy):
+        # the kernel sums blocks of whole tensors, not one tensor at a time,
+        # and no block falls back to the tensor-by-tensor kernel
+        if strategy == "fisher":
+            models, fishers = self.many_tensor_models(with_fisher=True)
+            for f in fishers:
+                f.get("blocks.3.bias").data[:4] = 0.0  # no Fisher mass in any model
+            fisher_paths = self.saved(tmp_path, fishers, "f")
+        else:
+            models, fisher_paths = self.many_tensor_models(), []
+        paths = self.saved(tmp_path, models)
         monkeypatch.setattr(ckpt_store, "_RUN_BYTES", 4096)
         passes = []
         for owner, name in ((merge_module._Blocks, "merge"), (merge_module, "_weighted_sum")):
@@ -893,9 +902,9 @@ class TestFileBackedMerge:
                 return _kernel(*args)
             monkeypatch.setattr(owner, name, counted)
         with contextlib.ExitStack() as files:
-            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
-            alignment = shared_parameters(opened, 0)
-            self.merge("layerwise", opened)
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
+            alignment = shared_parameters(opened[:4], 0)
+            self.merge(strategy, opened[:4], opened[4:])
         shared_elements = sum(math.prod(opened[0].get(n).shape) for n in alignment.shared_names())
         runs = sum(ref.ref_read_units(p, 4096) for p in paths)
         assert "_weighted_sum" not in passes
