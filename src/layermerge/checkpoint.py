@@ -527,7 +527,8 @@ class _DataSection:
         self.identity = _identity(fh)
         self.runs = []  # (start, end, tensors) of each run
         self._read_runs = set()
-        self._kept, self._buf, self._unread = -1, None, set()  # the run kept, its tensors not handed out
+        # the run kept (its index, buffer and tensors not handed out yet)
+        self._kept, self._buf, self._unread = -1, None, set()
         self._verdicts = {}  # check -> its result on the run kept
 
     def _verdict(self, ok) -> bool:
@@ -568,7 +569,8 @@ class _DataSection:
 
     def _read_run(self, run) -> None:
         self._read_runs.add(run)
-        self._kept, self._buf, self._unread = -1, None, set()  # dropped, even if this run falls short
+        # dropped, even if this run falls short
+        self._kept, self._buf, self._unread = -1, None, set()
         start, end, tensors = self.runs[run]
         dtype = DTYPE_TO_NUMPY[tensors[0].dtype]
         buf = np.empty((end - start) // dtype.itemsize, dtype)

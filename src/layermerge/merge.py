@@ -559,7 +559,8 @@ class _Blocks:
         entries = list(map(shared.get, names))
         given = [None if e is None else weights_for(*e) for e in entries]
         sources = list({id(w): w for w in given if w is not None}.values())
-        self.table = np.stack([w.block(0) for w in sources]) if sources else np.zeros((1, len(pool)))
+        rows = [w.block(0) for w in sources] or [np.zeros(len(pool))]
+        self.table = np.stack(rows)
         # _blends of every source at once
         blends = np.count_nonzero(self.table, axis=1) > (self.table[:, anchor] != 0)
         # each tensor's row of table; -1 for per-element Fisher weights, -2
@@ -577,7 +578,8 @@ class _Blocks:
         self.fisher_records, self.fisher_segments, self.fisher_same = [], [], []
         for f in fishers or ():
             tensors = f.tensors  # a _Reads, or a dict of checked arrays
-            records = tensors.records(names) if isinstance(tensors, _Reads) else list(map(tensors.get, names))
+            records = tensors.records(names) if isinstance(tensors, _Reads) \
+                else list(map(tensors.get, names))
             same = _matches(records, shape=self.shapes)
             fits &= (src != -1) | same
             self.fisher_records.append(records)
@@ -681,7 +683,8 @@ class _Blocks:
         orders = np.tile(np.arange(len(mass)), (b - a, 1))
         for size in np.unique(sizes[names]):
             members = names[sizes[names] == size]
-            orders[members] = _stable_orders(mass.take(offsets[members, None] + np.arange(size), axis=1))
+            idx = offsets[members, None] + np.arange(size)
+            orders[members] = _stable_orders(mass.take(idx, axis=1))
         quotients = mass.take(_gather(orders, sizes))
         total = quotients[0].copy()
         for row in quotients[1:]:

@@ -353,6 +353,18 @@ class TestFisherMerge:
         merged = fisher_merge([a, b], fishers, alignment)
         assert merged.get("x.weight").data.tolist() == [5.0, 9.0]
 
+    def test_tensor_without_donor_fisher_mass_kept_from_anchor(self):
+        # only the anchor has Fisher mass, so the tensor does not blend and
+        # keeps the anchor's bytes; a weighted sum would turn -0.0 into 0.0
+        a = Checkpoint.from_arrays({"x.weight": np.array([-0.0, 1.5, -2.0])})
+        b = Checkpoint.from_arrays({"x.weight": np.array([3.0, 0.5, 0.25])})
+        fishers = [
+            FisherWeights({"x.weight": np.array([1.0, 2.0, 0.5])}),
+            FisherWeights({"x.weight": np.zeros(3)}),
+        ]
+        merged = fisher_merge([a, b], fishers, shared_parameters([a, b], 0))
+        assert merged.get("x.weight").data.tobytes() == a.get("x.weight").data.tobytes()
+
     def test_zero_fisher_falls_back_to_mean(self):
         a = Checkpoint.from_arrays({"x.weight": np.array([2.0, 8.0])})
         b = Checkpoint.from_arrays({"x.weight": np.array([4.0, 0.0])})
