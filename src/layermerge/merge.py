@@ -544,10 +544,10 @@ class _Blocks:
     elements, has the anchor's dtype and shape in every model and, when
     Fisher merging weighs it per element, a Fisher tensor of that shape in
     every Fisher input; a block holds tensors of one dtype and at most
-    ``_BLOCK`` elements. Any other tensor ends a block. Whether a source's
-    tensors of a block lie back to back in one run of its file, so that
-    their values are one view of it, is decided here for every block at
-    once from the header offsets and run ids.
+    ``_BLOCK`` elements. Any other tensor ends a block. Which of a
+    source's tensors lie back to back in one run of its file, so that they
+    are read as one view of it, is decided here once, from the header
+    offsets and run ids (``run_segments``).
     """
 
     def __init__(self, tensors, shared, weights_for, pool, fishers, anchor):
