@@ -23,7 +23,12 @@ names, dtypes and shapes that reads no data. Small tensors that lie next to
 each other are read in runs, one read per run of at most 256 KiB, and each
 is handed out once as a read-only view of its run; any other access reads
 the tensor alone into a fresh read-only array. A reader keeps at most one
-run per file beyond the arrays it has handed out.
+run per file beyond the arrays it has handed out. ``read_flat`` reads the
+values of several tensors, neighbours in a run as one view of it without
+handing them out, for the merge's blocks and the profile's batches. The
+records of an open file refer to its reader and the reader to none of
+them, so reference counting frees a checkpoint's records, with no help
+from the cyclic garbage collector, as soon as it is dropped.
 
 Only F32 and F64 element types are supported. Metadata values are plain
 strings; numeric values are parsed where they are used.
@@ -40,8 +45,9 @@ import struct
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -202,20 +208,14 @@ def _encode(ckpt: Checkpoint) -> list:
     """The file as a list of buffers: length prefix, header, then each
     tensor's contiguous little-endian array (not copied when the tensor
     already is one)."""
-    header_tensors = {}
-    buffers = []
-    offset = 0
-    for t in ckpt.tensors:
-        arr = np.ascontiguousarray(t.data, dtype=DTYPE_TO_NUMPY[t.dtype])
-        header_tensors[t.name] = {
-            "dtype": t.dtype,
-            "shape": list(t.shape),
-            "offsets": [offset, offset + arr.nbytes],
-        }
-        buffers.append(arr)
-        offset += arr.nbytes
+    data = [t.data for t in ckpt.tensors]
+    dtypes = [NUMPY_TO_DTYPE[x.dtype] for x in data]
+    buffers = list(map(np.ascontiguousarray, data, map(DTYPE_TO_NUMPY.get, dtypes)))
+    ends = list(accumulate(map(operator.attrgetter("nbytes"), buffers)))
     header = {
-        "tensors": header_tensors,
+        # the shape of the data, not of its buffer: a 0-d array's buffer is 1-d
+        "tensors": {t.name: {"dtype": dtype, "shape": list(x.shape), "offsets": [start, end]}
+                    for t, x, dtype, start, end in zip(ckpt.tensors, data, dtypes, [0, *ends], ends)},
         "metadata": {k: ckpt.metadata[k] for k in sorted(ckpt.metadata)},
     }
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
@@ -406,13 +406,15 @@ def _read_header(fh, path):
     runs = np.full(len(dtypes), -1)
     for run, indices in enumerate(members):
         runs[indices] = run
+    # the section holds no tensor, so nothing refers back from it and a
+    # closed checkpoint's records are freed as soon as they are dropped
+    section.runs = [(int(starts[indices[0]]), int(ends[indices[-1]]), dtypes[indices[0]])
+                    for indices in members]
     tensors = [
         FileTensor(name, dtype, tuple(shape), start, end, run, section)
         for name, dtype, shape, start, end, run
         in zip(entries, dtypes, shapes, starts.tolist(), ends.tolist(), runs.tolist())
     ]
-    section.runs = [(int(starts[indices[0]]), int(ends[indices[-1]]),
-                     [tensors[i] for i in indices.tolist()]) for indices in members]
     return tensors, metadata
 
 
@@ -458,21 +460,21 @@ class FileTensor:
         ``ok`` was not tried on a run holding it."""
         return self._section.read(self, ok)
 
-    def read_run(self, count, ok):
-        """``(values, passed, tensors)`` from the run that holds this
-        tensor, read now if it never was: the ``count`` elements from
-        where this tensor starts (the run must hold them, see
-        ``run_segments``), as a flat read-only view; whether ``ok(array)``
-        held for the whole run; and the run's tensors. None when the
-        tensor is in no run, its run was read before and dropped, or the
-        file no longer holds it. Nothing is handed out: ``data`` still
-        returns a tensor's view of the run once."""
+    def read_run(self, count, ok=None):
+        """``(values, passed)`` from the run that holds this tensor, read
+        now if it never was: the ``count`` elements from where this tensor
+        starts (the run must hold them, see ``run_segments``), as a flat
+        read-only view, and whether ``ok(array)`` held for the whole run
+        (False without ``ok``). None when the tensor is in no run, its run
+        was read before and dropped, or the file no longer holds it.
+        Nothing is handed out: ``data`` still returns a tensor's view of
+        the run once."""
         return self._section.read_run(self, count, ok)
 
-    def run(self) -> list:
-        """The tensors read with this one, in file order (only itself when
-        it is in no run)."""
-        return self._section.runs[self._run][2] if self._run >= 0 else [self]
+    def run_key(self):
+        """A value equal for the tensors of one run of one open file, and
+        None for a tensor in no run."""
+        return (self._section, self._run) if self._run >= 0 else None
 
 
 def run_segments(tensors) -> np.ndarray:
@@ -492,7 +494,29 @@ def run_segments(tensors) -> np.ndarray:
     return np.where(runs >= 0, ids, -1)
 
 
-_OUTSIDE = FileTensor("", "F32", (), 0, 0, -1, None)  # stands for a tensor in no run
+_OUTSIDE = SimpleNamespace(_run=-1, _start=0, _end=0, _section=None)  # a tensor in no run
+
+
+def read_flat(records, sizes, segments, ok=None):
+    """``(pieces, passed)``: the values of the tensor ``records`` (of any
+    kind, ``sizes`` elements each) as flat arrays that hold them back to
+    back when put together, and the records that begin a piece read from
+    a run for which ``ok(run)`` held. Neighbours of one run segment
+    (``segments``, see ``run_segments``) are one view of their run
+    (``FileTensor.read_run``) while it is kept; every other tensor is
+    read through its ``data``. Nothing of a run is handed out."""
+    cuts = np.flatnonzero((segments[1:] != segments[:-1]) | (segments[1:] < 0)) + 1
+    bounds = [0, *cuts.tolist(), len(records)]
+    pieces, passed = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        got = records[lo].read_run(int(sizes[lo:hi].sum()), ok) if segments[lo] >= 0 else None
+        if got is None:
+            pieces.extend(t.data.reshape(-1) for t in records[lo:hi])
+            continue
+        pieces.append(got[0])
+        if got[1]:
+            passed.append(records[lo])
+    return pieces, passed
 
 
 def _identity(fh):
@@ -514,8 +538,10 @@ class _DataSection:
     its own, as is every tensor outside a run. A run that the file no
     longer holds in full is dropped too, so a file that shrank fails at the
     first tensor it lost. ``read_run`` gives a stretch of the kept run
-    without handing out its tensors, so a merge can read several tensors
-    as one view and still fall back to reading them one at a time.
+    without handing out its tensors, so a merge or a profile can read
+    several tensors as one view and still fall back to reading them one at
+    a time. A section refers to no tensor: runs are offsets and a dtype,
+    and the tensors of the kept run not handed out yet are their starts.
 
     Once the file is closed, a read reopens its path and refuses any file
     but the one that was opened, unchanged.
@@ -525,10 +551,10 @@ class _DataSection:
         self.fh, self.path = fh, path
         self.base = fh.tell()
         self.identity = _identity(fh)
-        self.runs = []  # (start, end, tensors) of each run
+        self.runs = []  # (start, end, dtype) of each run
         self._read_runs = set()
-        # the run kept (its index, buffer and tensors not handed out yet)
-        self._kept, self._buf, self._unread = -1, None, set()
+        # the run kept: its index, buffer and the starts of its tensors handed out
+        self._kept, self._buf, self._handed = -1, None, set()
         self._verdicts = {}  # check -> its result on the run kept
 
     def _verdict(self, ok) -> bool:
@@ -546,8 +572,8 @@ class _DataSection:
         """``(array, passed)`` for the tensor ``t`` (see ``FileTensor``)."""
         if t._run >= 0 and t._run not in self._read_runs:
             self._read_run(t._run)
-        if t in self._unread:
-            self._unread.remove(t)
+        if self._kept >= 0 and t._run == self._kept and t._start not in self._handed:
+            self._handed.add(t._start)
             view = self._view(t, (t._end - t._start) // self._buf.itemsize).reshape(t.shape)
             return view, ok is not None and self._verdict(ok)
         arr = np.empty(t.shape, DTYPE_TO_NUMPY[t.dtype])
@@ -565,20 +591,20 @@ class _DataSection:
             self._read_run(t._run)
         if self._kept != t._run:
             return None
-        return self._view(t, count), self._verdict(ok), self.runs[t._run][2]
+        return self._view(t, count), ok is not None and self._verdict(ok)
 
     def _read_run(self, run) -> None:
         self._read_runs.add(run)
         # dropped, even if this run falls short
-        self._kept, self._buf, self._unread = -1, None, set()
-        start, end, tensors = self.runs[run]
-        dtype = DTYPE_TO_NUMPY[tensors[0].dtype]
+        self._kept, self._buf, self._handed = -1, None, set()
+        start, end, dtype = self.runs[run]
+        dtype = DTYPE_TO_NUMPY[dtype]
         buf = np.empty((end - start) // dtype.itemsize, dtype)
         with self._file() as fh:
             if not self._fill(fh, buf, start):
                 return
         buf.setflags(write=False)
-        self._kept, self._buf, self._unread, self._verdicts = run, buf, set(tensors), {}
+        self._kept, self._buf, self._verdicts = run, buf, {}
 
     @contextlib.contextmanager
     def _file(self):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 import warnings
 from pathlib import Path
@@ -49,6 +50,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERRUPTED = 130
+
+# Allocations between generation-0 collections while a command runs (the
+# interpreter's default is 700). A command's many small objects live until
+# it ends or are freed by reference counting, so frequent collections would
+# only walk them again and again.
+_GC_THRESHOLD = 100_000
 
 
 class UsageError(Exception):
@@ -176,9 +183,9 @@ def _merge_inputs(args, ckpts, anchor, alignment, files):
 def _cmd_profile(args) -> int:
     if not np.isfinite(args.tau) or args.tau <= 0:
         raise UsageError("--tau must be a positive real")
-    a = ckpt_store.load(args.a)
-    b = ckpt_store.load(args.b)
-    profile = discrepancy_profile(a, b, args.tau, mode=args.mode)
+    # both inputs are read a batch of slices at a time, not held whole
+    with ckpt_store.open_file(args.a) as a, ckpt_store.open_file(args.b) as b:
+        profile = discrepancy_profile(a, b, args.tau, mode=args.mode)
     target = _emit(emit_profile(profile, format=args.format), args.out)
     _summary(
         f"profiled {len(profile.rows)} layer/kind rows "
@@ -276,9 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    thresholds = gc.get_threshold()  # the caller's, restored on the way out
     # warnings reach the user as one summary line each, not as source excerpts
     with warnings.catch_warnings(record=True) as caught:
         try:
+            gc.set_threshold(_GC_THRESHOLD, *thresholds[1:])
             args = parser.parse_args(argv)
             return args.func(args)
         except (UsageError, ScheduleError) as exc:
@@ -292,6 +301,7 @@ def main(argv=None) -> int:
             _summary("interrupted")
             return EXIT_INTERRUPTED
         finally:
+            gc.set_threshold(*thresholds)
             for w in caught:
                 _summary(f"warning: {w.message}")
 

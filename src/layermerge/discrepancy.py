@@ -15,19 +15,27 @@ to the first checkpoint. Two threshold modes are provided:
 Identical elements are never flagged, so the self-profile is zero in both
 modes. Larger tau lowers the thresholds, so counts are non-decreasing in
 tau.
+
+The slices are read and compared in batches of about 2^16 elements. Of a
+checkpoint opened with ``open_file`` nothing is held beyond one batch (a
+slice larger than that is a batch of its own) and the run the file's
+reader keeps: neighbouring tensors of a run are read as one view of it, so
+comparing the slices in file order reads each byte once, with one read
+per run, and builds no ``TensorRecord``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .alignment import KIND_ORDER, shared_parameters
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, read_flat, run_segments
 
 MODES = ("elementwise", "layer_norm")
 
@@ -74,11 +82,14 @@ def discrepancy_profile(
     """Profile where two checkpoints disagree, per layer and parameter kind.
 
     The (group, kind) slices are compared in batches of about ``_BATCH``
-    elements (a larger slice is a batch of its own): each batch is
-    flattened to float64 once, and its flags are counted per slice. Every
-    element meets the same operations as in a slice-by-slice comparison,
-    and each ``layer_norm`` norm is taken over its slice alone, so the
-    counts do not depend on the batching.
+    elements (a larger slice is a batch of its own): each batch is read
+    and flattened to float64 once, and its flags are counted per slice.
+    Every element meets the same operations as in a slice-by-slice
+    comparison, and each ``layer_norm`` norm is taken over its slice
+    alone, so the counts do not depend on the batching. Of a checkpoint
+    opened with ``open_file``, a batch's tensors that lie back to back in
+    one run of the file are read as one view of it (``read_flat``), and
+    only one batch is held at a time.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise DiscrepancyError(f"tau must be a positive real, got {tau!r}")
@@ -86,36 +97,50 @@ def discrepancy_profile(
         raise DiscrepancyError(f"unknown mode {mode!r}, expected one of {MODES}")
 
     alignment = shared_parameters([a, b], anchor=0)
-    a_arrays, b_arrays = a.arrays(), b.arrays()
-    rows, batch, size = [], [], 0
+    # each (group, kind) slice and where its tensors are in ``names``
+    slices, names = [], []
     for group in alignment.shared_groups:
         by_kind: dict[str, list[str]] = {}
         for name, kind in group.members:
             by_kind.setdefault(kind, []).append(name)
         for kind in KIND_ORDER:
-            if kind not in by_kind:
-                continue
-            n = sum(a_arrays[name].size for name in by_kind[kind])
-            if batch and size + n > _BATCH:
-                rows += _compare(batch, a_arrays, b_arrays, tau, mode)
-                batch, size = [], 0
-            batch.append((group, kind, by_kind[kind], n))
-            size += n
+            if kind in by_kind:
+                slices.append((group, kind, len(names), len(names) + len(by_kind[kind])))
+                names += by_kind[kind]
+    sides = []  # each checkpoint's records of ``names``, their sizes and run segments
+    for ckpt in (a, b):
+        by_name = {t.name: t for t in ckpt.tensors}
+        records = list(map(by_name.__getitem__, names))
+        sizes = np.fromiter(map(operator.attrgetter("element_count"), records),
+                            np.int64, len(records))
+        sides.append((records, sizes, run_segments(records)))
+    firsts = [first for _, _, first, _ in slices]
+    elements = np.add.reduceat(sides[0][1], firsts).tolist() if slices else []
+
+    rows, batch, size = [], [], 0
+    for (group, kind, first, end), n in zip(slices, elements):
+        if batch and size + n > _BATCH:
+            rows += _compare(batch, sides, tau, mode)
+            batch, size = [], 0
+        batch.append((group, kind, first, end, n))
+        size += n
     if batch:
-        rows += _compare(batch, a_arrays, b_arrays, tau, mode)
+        rows += _compare(batch, sides, tau, mode)
     return DiscrepancyProfile(tau=float(tau), mode=mode, rows=tuple(rows))
 
 
-def _compare(batch, a_arrays, b_arrays, tau, mode) -> list[ProfileRow]:
-    """The rows of a batch of ``(group, kind, names, size)`` slices."""
+def _compare(batch, sides, tau, mode) -> list[ProfileRow]:
+    """The rows of a batch of ``(group, kind, first, end, size)`` slices,
+    the tensors ``first`` to ``end`` of each side's records."""
+    lo, hi = batch[0][2], batch[-1][3]
     ref, other = (
-        np.concatenate([x[name].reshape(-1) for _, _, names, _ in batch for name in names],
+        np.concatenate(read_flat(records[lo:hi], sizes[lo:hi], segments[lo:hi])[0],
                        dtype=np.float64)
-        for x in (a_arrays, b_arrays)
+        for records, sizes, segments in sides
     )
     bounds = [0, *accumulate(n for *_, n in batch)]
     if not (np.isfinite(ref).all() and np.isfinite(other).all()):
-        for (group, kind, _, _), lo, hi in zip(batch, bounds, bounds[1:]):
+        for (group, kind, *_), lo, hi in zip(batch, bounds, bounds[1:]):
             if not (np.isfinite(ref[lo:hi]).all() and np.isfinite(other[lo:hi]).all()):
                 raise DiscrepancyError(
                     f"non-finite values in group '{group.prefix}' kind '{kind}'"
@@ -129,7 +154,7 @@ def _compare(batch, a_arrays, b_arrays, tau, mode) -> list[ProfileRow]:
         threshold = np.repeat(norms, [n for *_, n in batch])
     flagged = (diff >= threshold) & (diff > 0)
     return [ProfileRow(group.index, kind, int(np.count_nonzero(flagged[lo:hi])), int(n))
-            for (group, kind, _, n), lo, hi in zip(batch, bounds, bounds[1:])]
+            for (group, kind, *_, n), lo, hi in zip(batch, bounds, bounds[1:])]
 
 
 CSV_HEADER = "layer_index,kind,exceed_count,total_count,fraction"

@@ -76,6 +76,7 @@ from .checkpoint import (
     CheckpointError,
     FileTensor,
     TensorRecord,
+    read_flat,
     run_segments,
 )
 
@@ -199,19 +200,21 @@ def compute_schedule(
                 stacklevel=2,
             )
 
-    exact: list[list[Fraction]] = [[Fraction(0)] * layer_count for _ in range(model_count)]
-    for j in range(1, layer_count + 1):
-        if j >= layer_count:
-            non_anchor = Fraction(0)  # last shared layer belongs to the anchor
-        elif j <= start_layer:
-            non_anchor = w0
-        else:
-            non_anchor = w0 * Fraction(layer_count - j, layer_count - start_layer)
-        for i in range(model_count):
-            exact[i][j - 1] = non_anchor
-        exact[anchor][j - 1] = 1 - (model_count - 1) * non_anchor
-
-    weights = np.array([[float(w) for w in row] for row in exact])
+    # the non-anchor weight of each layer, one Fraction shared by every
+    # non-anchor model, and the anchor's remainder
+    p, q = w0.numerator, w0.denominator
+    plateau = min(start_layer, layer_count - 1)
+    non_anchor = [w0] * plateau + [
+        Fraction(p * (layer_count - j), q * (layer_count - start_layer))
+        for j in range(plateau + 1, layer_count)
+    ] + [Fraction(0)]  # last shared layer belongs to the anchor
+    anchor_row = [Fraction(w.denominator - (model_count - 1) * w.numerator, w.denominator)
+                  for w in non_anchor]
+    exact = [list(anchor_row if i == anchor else non_anchor) for i in range(model_count)]
+    # int / int is correctly rounded, as float(Fraction) is
+    weights = np.empty((model_count, layer_count))
+    weights[:] = [w.numerator / w.denominator for w in non_anchor]
+    weights[anchor] = [w.numerator / w.denominator for w in anchor_row]
     return MergeSchedule(
         model_count=model_count,
         layer_count=layer_count,
@@ -239,19 +242,14 @@ class _Reads(Mapping):
         self._tensors = ckpt.tensors
         self._by_name = {t.name: t for t in ckpt.tensors}
         self._ok, self._reject = ok, reject
+        # ids of the tensors checked one by one, and run keys of the runs that passed
         self._checked, self._passed_runs = set(), set()
-
-    def _passed(self, run) -> None:
-        """Count the tensors of a file's run, which passed ``ok``, as checked."""
-        if id(run) not in self._passed_runs:  # the run's list lives as long as its file's reader
-            self._passed_runs.add(id(run))
-            self._checked.update(map(id, run))
 
     def _get(self, t):
         self._checked.add(id(t))
         x, passed = t.read_checked(self._ok) if isinstance(t, FileTensor) else (t.data, False)
         if passed:
-            self._passed(t.run())
+            self._passed_runs.add(t.run_key())
         elif not self._ok(x):
             self._reject(t.name, x)
         return x
@@ -281,33 +279,22 @@ class _Reads(Mapping):
         when the whole run does. None when a value fails or a tensor cannot
         be read: looked up one at a time, the first of them that fails
         raises its error. Nothing is handed out."""
-        cuts = np.flatnonzero((segments[1:] != segments[:-1]) | (segments[1:] < 0)) + 1
-        bounds = [0, *cuts.tolist(), len(records)]
-        pieces, passed_runs = [], []
         try:
-            for lo, hi in zip(bounds, bounds[1:]):
-                got = records[lo].read_run(int(sizes[lo:hi].sum()), self._ok) \
-                    if segments[lo] >= 0 else None
-                if got is None:
-                    pieces.extend(t.data.reshape(-1) for t in records[lo:hi])
-                    continue
-                pieces.append(got[0])
-                if got[1]:
-                    passed_runs.append(got[2])
+            pieces, passed = read_flat(records, sizes, segments, self._ok)
         except (CheckpointError, OSError):
             return None
         x = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-        if len(passed_runs) < len(pieces):  # not all from runs that passed
+        if len(passed) < len(pieces):  # not all from runs that passed
             if not self._ok(x):
                 return None
             self._checked.update(map(id, records))
-        for run in passed_runs:
-            self._passed(run)
+        self._passed_runs.update(t.run_key() for t in passed)
         return x
 
     def check_rest(self) -> None:
+        checked, passed = self._checked, self._passed_runs
         for t in self._tensors:
-            if id(t) not in self._checked:
+            if id(t) not in checked and not (isinstance(t, FileTensor) and t.run_key() in passed):
                 self._get(t)
 
 

@@ -7,7 +7,10 @@ engine's earlier whole-array kernel, kept as the oracle for the blocked one,
 ``ref_discrepancy_profile`` is the earlier slice-by-slice profile (on the
 package's alignment), kept as the oracle for the batched one,
 ``ref_entries_error`` is the reader's earlier entry-by-entry header check,
-and ``ref_shared_parameters`` is the earlier name-by-name alignment.
+``ref_shared_parameters`` is the earlier name-by-name alignment,
+``ref_encode`` is the earlier tensor-by-tensor save encoder, and
+``ref_compute_schedule`` is the earlier schedule with one ``Fraction`` per
+layer and model.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 import struct
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +32,9 @@ from layermerge.alignment import (
     SharedAlignment,
     shared_parameters,
 )
-from layermerge.checkpoint import CheckpointError, match_layer_order
+from layermerge.checkpoint import DTYPE_TO_NUMPY, CheckpointError, match_layer_order
 from layermerge.discrepancy import DiscrepancyError, ProfileRow
+from layermerge.merge import MergeSchedule, ScheduleError
 
 
 def ref_layerwise(pools, anchor, weights_per_layer, groups, anchor_names):
@@ -357,4 +363,88 @@ def ref_shared_parameters(ckpts, anchor):
         ),
         anchor_only=tuple(anchor_only),
         shape_conflicts=tuple(n for n in ckpts[anchor].names() if n in conflicts),
+    )
+
+
+def ref_encode(ckpt):
+    """The buffers of a saved checkpoint file (length prefix, header, each
+    tensor's contiguous array), built tensor by tensor."""
+    header_tensors = {}
+    buffers = []
+    offset = 0
+    for t in ckpt.tensors:
+        arr = np.ascontiguousarray(t.data, dtype=DTYPE_TO_NUMPY[t.dtype])
+        header_tensors[t.name] = {
+            "dtype": t.dtype,
+            "shape": list(t.shape),
+            "offsets": [offset, offset + arr.nbytes],
+        }
+        buffers.append(arr)
+        offset += arr.nbytes
+    header = {
+        "tensors": header_tensors,
+        "metadata": {k: ckpt.metadata[k] for k in sorted(ckpt.metadata)},
+    }
+    header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return [struct.pack("<Q", len(header_bytes)), header_bytes, *buffers]
+
+
+def ref_compute_schedule(model_count, layer_count, anchor, start_layer=1, first_layer_weight=None):
+    """The layer-wise schedule with one ``Fraction`` per layer and model,
+    each converted with ``float``."""
+    if model_count < 1:
+        raise ScheduleError("model count must be >= 1")
+    if layer_count < 1:
+        raise ScheduleError("shared layer count must be >= 1")
+    if not 0 <= anchor < model_count:
+        raise ScheduleError(f"anchor index {anchor} out of range for {model_count} models")
+    if not 1 <= start_layer <= layer_count:
+        raise ScheduleError(
+            f"start layer {start_layer} outside [1, {layer_count}]"
+        )
+
+    if first_layer_weight is None:
+        w0 = Fraction(layer_count - 1, layer_count * model_count)
+    else:
+        try:
+            w0 = Fraction(first_layer_weight)
+        except (OverflowError, ValueError) as exc:  # inf, nan
+            raise ScheduleError(
+                f"first-layer weight must be finite, got {first_layer_weight!r}"
+            ) from exc
+        if w0 < 0:
+            raise ScheduleError("first-layer weight must be non-negative")
+        if w0 > Fraction(1, model_count):
+            raise ScheduleError(
+                f"first-layer weight {float(w0)} exceeds 1/{model_count}; "
+                "the anchor would no longer dominate"
+            )
+        if w0 == Fraction(1, model_count) and model_count > 1:
+            warnings.warn(
+                "first-layer weight equals 1/M: anchor and non-anchor weights "
+                "tie at the plateau layers",
+                stacklevel=2,
+            )
+
+    exact = [[Fraction(0)] * layer_count for _ in range(model_count)]
+    for j in range(1, layer_count + 1):
+        if j >= layer_count:
+            non_anchor = Fraction(0)  # last shared layer belongs to the anchor
+        elif j <= start_layer:
+            non_anchor = w0
+        else:
+            non_anchor = w0 * Fraction(layer_count - j, layer_count - start_layer)
+        for i in range(model_count):
+            exact[i][j - 1] = non_anchor
+        exact[anchor][j - 1] = 1 - (model_count - 1) * non_anchor
+
+    weights = np.array([[float(w) for w in row] for row in exact])
+    return MergeSchedule(
+        model_count=model_count,
+        layer_count=layer_count,
+        anchor=anchor,
+        start_layer=start_layer,
+        first_layer_weight=float(w0),
+        weights=weights,
+        exact_weights=exact,
     )

@@ -119,3 +119,22 @@ def bytes_read_once(reads, path) -> bool:
         spans[0][0] == start and spans[-1][1] == end
         and all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
     )
+
+
+def write_layout(path, arrays, order, gaps) -> None:
+    """A checkpoint whose data section holds ``arrays`` in ``order``, each
+    after its gap of junk bytes; the header lists them in ``arrays`` order."""
+    entries, chunks, offset = {}, [], 0
+    for name, gap in zip(order, gaps):
+        data = arrays[name].tobytes()
+        chunks += [b"\xa5" * gap, data]
+        offset += gap
+        entries[name] = [offset, offset + len(data)]
+        offset += len(data)
+    header = {"tensors": {
+        name: {"dtype": "F32" if a.dtype.itemsize == 4 else "F64",
+               "shape": list(a.shape), "offsets": entries[name]}
+        for name, a in arrays.items()
+    }, "metadata": {}}
+    blob = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob + b"".join(chunks))

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -26,7 +27,7 @@ from layermerge.cli import main
 
 import _reference as ref
 from conftest import (
-    bytes_read_once, counting_reads, make_checkpoint, patch_header, preadv_recorder,
+    bytes_read_once, counting_reads, make_checkpoint, patch_header, preadv_recorder, write_layout,
 )
 
 
@@ -144,6 +145,38 @@ class TestDeterminism:
         blob = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode()
         expected = struct.pack("<Q", len(blob)) + blob + b"".join(buffers)
         assert (tmp_path / "r.st").read_bytes() == expected
+
+
+@st.composite
+def encoder_inputs(draw):
+    """Checkpoints of F32 and F64 tensors, 0-d, empty and non-contiguous
+    among them, with non-ASCII names and metadata."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+    arrays = {}
+    for name in draw(st.lists(text, max_size=6, unique=True)):
+        shape = draw(st.sampled_from([(), (0,), (0, 3), (1,), (5,), (3, 4), (2, 3, 2)]))
+        x = rng.standard_normal(shape).astype(draw(st.sampled_from([np.float32, np.float64])))
+        layout = draw(st.sampled_from(["c", "fortran", "strided", "reversed"]))
+        if layout == "fortran":
+            x = np.asfortranarray(x)
+        elif x.ndim and layout == "strided":
+            x = np.repeat(x, 2, axis=-1)[..., ::2]
+        elif x.ndim and layout == "reversed":
+            x = x[::-1]
+        arrays[name] = x
+    metadata = draw(st.dictionaries(text, st.text(max_size=6), max_size=3))
+    return Checkpoint.from_arrays(arrays, metadata)
+
+
+class TestEncode:
+    @settings(max_examples=150, deadline=None)
+    @given(encoder_inputs())
+    def test_equals_tensor_by_tensor_encoder(self, ckpt):
+        def as_bytes(buffers):
+            return [bytes(b) if isinstance(b, bytes) else b.tobytes() for b in buffers]
+
+        assert as_bytes(ckpt_store._encode(ckpt)) == as_bytes(ref.ref_encode(ckpt))
 
 
 class TestSaveErrors:
@@ -389,25 +422,6 @@ def layouts(draw):
     return arrays, order, gaps, draw(st.sampled_from([8, 64, 256, 1 << 18]))
 
 
-def write_layout(path, arrays, order, gaps) -> None:
-    """A checkpoint whose data section holds ``arrays`` in ``order``, each
-    after its gap of junk bytes; the header lists them in ``arrays`` order."""
-    entries, chunks, offset = {}, [], 0
-    for name, gap in zip(order, gaps):
-        data = arrays[name].tobytes()
-        chunks += [b"\xa5" * gap, data]
-        offset += gap
-        entries[name] = [offset, offset + len(data)]
-        offset += len(data)
-    header = {"tensors": {
-        name: {"dtype": "F32" if a.dtype.itemsize == 4 else "F64",
-               "shape": list(a.shape), "offsets": entries[name]}
-        for name, a in arrays.items()
-    }, "metadata": {}}
-    blob = json.dumps(header).encode()
-    path.write_bytes(struct.pack("<Q", len(blob)) + blob + b"".join(chunks))
-
-
 class TestRunReads:
     """Adjacent tensors are read in runs; what a reader returns never
     depends on it."""
@@ -511,6 +525,28 @@ class TestOpenFile:
         os.replace(tmp_path / "other.st", saved)
         with pytest.raises(CheckpointFormatError, match="changed"):
             ckpt.tensors[0].data
+
+    def test_closed_checkpoint_freed_without_the_collector(self, saved):
+        def file_tensors() -> int:
+            return sum(type(o) is ckpt_store.FileTensor for o in gc.get_objects())
+
+        expected = ref.ref_read_checkpoint(saved)
+        gc.collect()
+        before = file_tensors()
+        gc.disable()
+        try:
+            with ckpt_store.open_file(saved) as ckpt:
+                ckpt.tensors[0].data  # its run is read and kept
+            kept = ckpt.tensors[0]
+            del ckpt
+            load(saved)
+            assert file_tensors() == before + 1  # reference counting freed all but one
+            # handed out before, so read again from the reopened file
+            assert TestRunReads.matches(kept.data, expected[kept.name])
+            del kept
+            assert file_tensors() == before
+        finally:
+            gc.enable()
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.st"

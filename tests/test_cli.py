@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from layermerge import Checkpoint, isotropic_merge, load, save, shared_parameters
 from layermerge import checkpoint as ckpt_store
+from layermerge import cli as cli_module
 from layermerge import merge as merge_module
 from layermerge.cli import main
 import layermerge.toy.experiment as experiment
@@ -405,6 +407,40 @@ def test_out_in_missing_directory_names_the_target(pair, tmp_path, capsys, argv)
     assert code == 2
     assert f"No such file or directory: '{out}'" in err and ".tmp" not in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestCollector:
+    """``main`` collects rarely while it runs and gives the caller back its
+    collector thresholds however it ends."""
+
+    @pytest.fixture
+    def caller(self):
+        saved = gc.get_threshold()
+        gc.set_threshold(123, 7, 9)
+        yield (123, 7, 9)
+        gc.set_threshold(*saved)
+
+    @pytest.mark.parametrize("ending, code", [
+        ("success", 0), ("usage", 1), ("data", 2), ("interrupt", 130),
+    ])
+    def test_thresholds_restored(self, pair, tmp_path, capsys, monkeypatch, caller, ending, code):
+        seen = []
+        inspect = ckpt_store.inspect
+
+        def command(path):
+            seen.append(gc.get_threshold())
+            if ending == "interrupt":
+                raise KeyboardInterrupt
+            return inspect(path)
+
+        monkeypatch.setattr(ckpt_store, "inspect", command)
+        bad = tmp_path / "bad.st"
+        bad.write_bytes(b"")
+        argv = {"success": ["inspect", pair[0]], "usage": ["inspect", pair[0], "--bogus"],
+                "data": ["inspect", bad], "interrupt": ["inspect", pair[0]]}[ending]
+        assert run(capsys, *argv)[0] == code
+        assert gc.get_threshold() == caller and gc.isenabled()
+        assert seen == ([] if ending == "usage" else [(cli_module._GC_THRESHOLD, 7, 9)])
 
 
 class TestInspect:

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from unittest import mock
 
-from layermerge import Checkpoint, discrepancy_profile, emit_profile
+from layermerge import Checkpoint, discrepancy_profile, emit_profile, load, save
+from layermerge import checkpoint as ckpt_store
 from layermerge import discrepancy as discrepancy_module
+from layermerge.cli import main
 from layermerge.discrepancy import DiscrepancyError
 
 import _reference as ref
-from conftest import clone_with_noise, make_checkpoint
+from conftest import clone_with_noise, counting_reads, data_section, make_checkpoint, write_layout
 
 
 def rows_as_tuples(profile):
@@ -204,6 +206,73 @@ class TestBatchedProfile:
             for batch in (1, 100, 5000, 1 << 20):
                 with mock.patch.object(discrepancy_module, "_BATCH", batch):
                     assert discrepancy_profile(a, b, 4.0, mode).rows == expected
+
+
+class TestStreamedProfile:
+    """A profile of two checkpoints opened with ``open_file`` against the
+    same profile of the loaded checkpoints."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(TestBatchedProfile.pairs(), st.data(), st.sampled_from(["elementwise", "layer_norm"]))
+    def test_equals_profile_of_loaded_checkpoints(self, tmp_path_factory, pair, data, mode):
+        tmp = tmp_path_factory.mktemp("profile")
+        paths = []
+        for stem, ckpt in zip("ab", pair):  # each file in its own order, unlike its header's
+            arrays = ckpt.arrays()
+            order = data.draw(st.permutations(list(arrays)), label=f"{stem} file order")
+            paths.append(tmp / f"{stem}.st")
+            write_layout(paths[-1], arrays, order, [0] * len(order))
+        window = data.draw(st.sampled_from([16, 64, 1 << 18]), label="run bytes")
+        batch = data.draw(st.integers(1, 40), label="batch")
+        with mock.patch.object(ckpt_store, "_RUN_BYTES", window), \
+                mock.patch.object(discrepancy_module, "_BATCH", batch):
+            loaded = [load(p) for p in paths]
+            try:
+                expected = discrepancy_profile(*loaded, 3.0, mode)
+            except DiscrepancyError as exc:
+                with ckpt_store.open_file(paths[0]) as a, ckpt_store.open_file(paths[1]) as b:
+                    with pytest.raises(DiscrepancyError) as got:
+                        discrepancy_profile(a, b, 3.0, mode)
+                assert str(got.value) == str(exc)
+            else:
+                with ckpt_store.open_file(paths[0]) as a, ckpt_store.open_file(paths[1]) as b:
+                    assert discrepancy_profile(a, b, 3.0, mode) == expected
+
+    def test_mini_pool_read_once_in_runs_without_records(self, tmp_path, rng, monkeypatch):
+        # groups of a weight, a bias and batch-norm statistics, then a head
+        # whose shape differs between the models, so it is not compared
+        paths = []
+        for i in range(2):
+            arrays = {}
+            for k in range(60):
+                arrays[f"blocks.{k}.weight"] = rng.standard_normal((8, 8)).astype(np.float32)
+                for kind in ("bias", "running_mean", "running_var"):
+                    arrays[f"blocks.{k}.{kind}"] = rng.standard_normal(8).astype(np.float32)
+            arrays["head.weight"] = rng.standard_normal((10 + i, 8)).astype(np.float32)
+            paths.append(tmp_path / f"m{i}.st")
+            save(Checkpoint.from_arrays(arrays), paths[-1])
+        monkeypatch.setattr(ckpt_store, "_RUN_BYTES", 4096)
+        records = []
+        post_init = ckpt_store.TensorRecord.__post_init__
+
+        def counted(self):
+            records.append(self.name)
+            post_init(self)
+
+        monkeypatch.setattr(ckpt_store.TensorRecord, "__post_init__", counted)
+        reads = counting_reads(monkeypatch)
+        assert main(["profile", *map(str, paths), "--tau", "4", "--out", str(tmp_path / "p.csv")]) == 0
+        assert records == []
+        for classes, path in enumerate(paths, 10):
+            start, end = data_section(path)
+            head = end - classes * 8 * 4
+            spans = sorted((offset, offset + n) for i, offset, n in reads
+                           if i == path.stat().st_ino)
+            # the shared tensors' bytes once, in order (the head's only when
+            # they are read with the run it ends)
+            assert spans[0][0] == start and spans[-1][1] in (head, end)
+            assert all(x[1] == y[0] for x, y in zip(spans, spans[1:]))
+            assert len(spans) <= ref.ref_read_units(path, 4096)
 
 
 class TestEmitProfile:

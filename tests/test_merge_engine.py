@@ -2,6 +2,7 @@ import contextlib
 import math
 import tempfile
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -122,6 +123,44 @@ class TestComputeSchedule:
     def test_non_finite_w0_rejected(self, w0):
         with pytest.raises(ScheduleError, match="finite"):
             compute_schedule(2, 4, anchor=0, first_layer_weight=w0)
+
+    @staticmethod
+    def outcome(f, *args, **kwargs):
+        """``(schedule, error message, warning messages)`` of one call."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                schedule, error = f(*args, **kwargs), None
+            except ScheduleError as exc:
+                schedule, error = None, str(exc)
+        return schedule, error, [str(w.message) for w in caught]
+
+    @staticmethod
+    def grid():
+        for m in range(1, 8):
+            for n in (1, 2, 3, 10, 2000):
+                small = n < 2000
+                for anchor in range(m) if small else sorted({0, m - 1}):
+                    starts = {0, 1, 2, n // 2, n - 1, n, n + 1} if small else {1, n // 2, n}
+                    w0s = [None, 0.0, 0.05, 1 / 3, 1 / m, 1 / m + 1e-12, -0.1, np.nan, np.inf] \
+                        if small else [None, 0.05, 1 / m]
+                    for start in sorted(starts):
+                        for w0 in w0s:
+                            yield m, n, anchor, start, w0
+
+    def test_equals_fraction_per_layer_and_model(self):
+        for m, n, anchor, start, w0 in self.grid():
+            args = (m, n, anchor)
+            kwargs = {"start_layer": start, "first_layer_weight": w0}
+            got, error, warned = self.outcome(compute_schedule, *args, **kwargs)
+            expected, expected_error, expected_warned = self.outcome(
+                ref.ref_compute_schedule, *args, **kwargs)
+            case = (m, n, anchor, start, w0)
+            assert (error, warned) == (expected_error, expected_warned), case
+            if expected is not None:
+                assert got.weights.tobytes() == expected.weights.tobytes(), case
+                assert got.exact_weights == expected.exact_weights, case
+                assert got.first_layer_weight == expected.first_layer_weight, case
 
     def test_constructor_checks_normalization(self):
         with pytest.raises(ScheduleError, match="sum to 1"):
