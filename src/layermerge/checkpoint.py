@@ -20,15 +20,19 @@ in memory. ``open_file`` parses the header and reads a tensor only when its
 the one reader: ``load`` is ``open_file`` plus one pass that reads every
 tensor, and ``inspect`` is ``open_file`` plus one pass over the header's
 names, dtypes and shapes that reads no data. Small tensors that lie next to
-each other are read in runs, one read per run of at most 256 KiB, and each
-is handed out once as a read-only view of its run; any other access reads
-the tensor alone into a fresh read-only array. A reader keeps at most one
-run per file beyond the arrays it has handed out. ``read_flat`` reads the
-values of several tensors, neighbours in a run as one view of it without
-handing them out, for the merge's blocks and the profile's batches. The
-records of an open file refer to its reader and the reader to none of
-them, so reference counting frees a checkpoint's records, with no help
-from the cyclic garbage collector, as soon as it is dropped.
+each other are read in runs, one read per run of at most 256 KiB. While the
+file is open, every access to a tensor of the run a reader keeps returns a
+new read-only view of that run, a tensor of a run not read yet reads and
+keeps that run, and any other tensor is read alone into a new read-only
+array, as is every tensor after the file is closed. A reader keeps at most
+one run per file beyond the arrays it has returned, and reads no run twice.
+``read_flat`` reads the values of several tensors, neighbours in a run as
+one view of it, for the merge's blocks and the profile's batches, and
+returns the runs they came from, so that a caller can check each run once;
+the reader itself checks no values. The records of an open file refer to
+its reader and the reader to none of them, so reference counting frees a
+checkpoint's records, with no help from the cyclic garbage collector, as
+soon as it is dropped.
 
 Only F32 and F64 element types are supported. Metadata values are plain
 strings; numeric values are parsed where they are used.
@@ -100,6 +104,11 @@ class TensorRecord:
     @property
     def element_count(self) -> int:
         return int(self.data.size)
+
+    def run_key(self):
+        """None: a tensor in memory is in no run of a file (see
+        ``FileTensor.run_key``)."""
+        return None
 
 
 @dataclass
@@ -451,25 +460,17 @@ class FileTensor:
 
     @property
     def data(self) -> np.ndarray:
-        return self._section.read(self)[0]
+        return self._section.read(self)
 
-    def read_checked(self, ok):
-        """``(data, passed)``: the tensor as ``data`` reads it, and whether
-        ``ok(array)`` held for the whole run it was read with (it is then
-        called once per run). False means nothing about the tensor itself:
-        ``ok`` was not tried on a run holding it."""
-        return self._section.read(self, ok)
-
-    def read_run(self, count, ok=None):
-        """``(values, passed)`` from the run that holds this tensor, read
-        now if it never was: the ``count`` elements from where this tensor
-        starts (the run must hold them, see ``run_segments``), as a flat
-        read-only view, and whether ``ok(array)`` held for the whole run
-        (False without ``ok``). None when the tensor is in no run, its run
-        was read before and dropped, or the file no longer holds it.
-        Nothing is handed out: ``data`` still returns a tensor's view of
-        the run once."""
-        return self._section.read_run(self, count, ok)
+    def read_run(self, count):
+        """``(values, run)`` from the run that holds this tensor, read now
+        if it never was: the ``count`` elements from where this tensor
+        starts (the run must hold them, see ``run_segments``) as a flat
+        read-only view, and the whole run's values, so that a caller can
+        check the run once. None when the tensor is in no run, its run was
+        read before and dropped, the file is closed or no longer holds the
+        run."""
+        return self._section.read_run(self, count)
 
     def run_key(self):
         """A value equal for the tensors of one run of one open file, and
@@ -497,26 +498,25 @@ def run_segments(tensors) -> np.ndarray:
 _OUTSIDE = SimpleNamespace(_run=-1, _start=0, _end=0, _section=None)  # a tensor in no run
 
 
-def read_flat(records, sizes, segments, ok=None):
-    """``(pieces, passed)``: the values of the tensor ``records`` (of any
+def read_flat(records, sizes, segments):
+    """``(pieces, runs)``: the values of the tensor ``records`` (of any
     kind, ``sizes`` elements each) as flat arrays that hold them back to
-    back when put together, and the records that begin a piece read from
-    a run for which ``ok(run)`` held. Neighbours of one run segment
-    (``segments``, see ``run_segments``) are one view of their run
-    (``FileTensor.read_run``) while it is kept; every other tensor is
-    read through its ``data``. Nothing of a run is handed out."""
+    back when put together, and ``(record, run)`` for each piece read as a
+    view of a run: the record it begins with and the whole run's values.
+    Neighbours of one run segment (``segments``, see ``run_segments``) are
+    one view of their run (``FileTensor.read_run``) while it is kept; every
+    other tensor is read through its ``data``."""
     cuts = np.flatnonzero((segments[1:] != segments[:-1]) | (segments[1:] < 0)) + 1
     bounds = [0, *cuts.tolist(), len(records)]
-    pieces, passed = [], []
+    pieces, runs = [], []
     for lo, hi in zip(bounds, bounds[1:]):
-        got = records[lo].read_run(int(sizes[lo:hi].sum()), ok) if segments[lo] >= 0 else None
+        got = records[lo].read_run(int(sizes[lo:hi].sum())) if segments[lo] >= 0 else None
         if got is None:
             pieces.extend(t.data.reshape(-1) for t in records[lo:hi])
             continue
         pieces.append(got[0])
-        if got[1]:
-            passed.append(records[lo])
-    return pieces, passed
+        runs.append((records[lo], got[1]))
+    return pieces, runs
 
 
 def _identity(fh):
@@ -529,22 +529,19 @@ class _DataSection:
 
     A run is two or more tensors of one dtype that follow each other in the
     file without a gap and lie in one aligned window of ``_RUN_BYTES``; a
-    tensor larger than the window is never in a run. Reading a tensor of a
-    run reads the whole run with one ``preadv``, and each of its tensors is
-    handed out once as a view of that buffer. Only the run read last is
-    kept, so a section holds at most ``_RUN_BYTES`` beyond the arrays it
-    has handed out (which keep their run's buffer alive). A tensor
-    accessed again, or whose run was read before and dropped, is read on
-    its own, as is every tensor outside a run. A run that the file no
-    longer holds in full is dropped too, so a file that shrank fails at the
-    first tensor it lost. ``read_run`` gives a stretch of the kept run
-    without handing out its tensors, so a merge or a profile can read
-    several tensors as one view and still fall back to reading them one at
-    a time. A section refers to no tensor: runs are offsets and a dtype,
-    and the tensors of the kept run not handed out yet are their starts.
+    tensor larger than the window is never in a run. One rule serves every
+    access, through ``FileTensor.data`` or ``FileTensor.read_run``, while
+    the file is open: a tensor of the run kept gets a new read-only view of
+    that run; a tensor of a run not read yet reads that whole run with one
+    ``preadv`` and keeps it; any other tensor is read alone. Only the run
+    read last is kept, so a section holds at most ``_RUN_BYTES`` beyond the
+    arrays it has returned (which keep their run's buffer alive), and a run
+    is read at most once. A run that the file no longer holds in full is
+    dropped too, so a file that shrank fails at the first tensor it lost. A
+    section refers to no tensor: runs are offsets and a dtype.
 
-    Once the file is closed, a read reopens its path and refuses any file
-    but the one that was opened, unchanged.
+    Once the file is closed, every tensor is read alone: a read reopens its
+    path and refuses any file but the one that was opened, unchanged.
     """
 
     def __init__(self, fh, path):
@@ -553,58 +550,41 @@ class _DataSection:
         self.identity = _identity(fh)
         self.runs = []  # (start, end, dtype) of each run
         self._read_runs = set()
-        # the run kept: its index, buffer and the starts of its tensors handed out
-        self._kept, self._buf, self._handed = -1, None, set()
-        self._verdicts = {}  # check -> its result on the run kept
+        self._kept, self._buf = -1, None  # the run kept and its values
 
-    def _verdict(self, ok) -> bool:
-        if ok not in self._verdicts:
-            self._verdicts[ok] = bool(ok(self._buf))
-        return self._verdicts[ok]
-
-    def _view(self, t, count) -> np.ndarray:
-        """``count`` elements of the kept run's buffer, from where the
-        tensor ``t`` starts."""
-        first = (t._start - self.runs[self._kept][0]) // self._buf.itemsize
-        return self._buf[first:first + count]
-
-    def read(self, t, ok=None):
-        """``(array, passed)`` for the tensor ``t`` (see ``FileTensor``)."""
-        if t._run >= 0 and t._run not in self._read_runs:
-            self._read_run(t._run)
-        if self._kept >= 0 and t._run == self._kept and t._start not in self._handed:
-            self._handed.add(t._start)
-            view = self._view(t, (t._end - t._start) // self._buf.itemsize).reshape(t.shape)
-            return view, ok is not None and self._verdict(ok)
+    def read(self, t) -> np.ndarray:
+        """The array of the tensor ``t`` (see ``FileTensor.data``)."""
+        got = self.read_run(t, math.prod(t.shape))
+        if got is not None:
+            return got[0].reshape(t.shape)
         arr = np.empty(t.shape, DTYPE_TO_NUMPY[t.dtype])
         with self._file() as fh:
             if not self._fill(fh, arr, t._start):
                 raise CheckpointFormatError(f"{self.path}: file shrank while it was read")
         arr.setflags(write=False)
-        return arr, False
+        return arr
 
-    def read_run(self, t, count, ok):
+    def read_run(self, t, count):
         """``FileTensor.read_run`` of the tensor ``t``."""
-        if t._run < 0:
+        if t._run < 0 or self.fh.closed:
             return None
         if t._run not in self._read_runs:
             self._read_run(t._run)
         if self._kept != t._run:
             return None
-        return self._view(t, count), ok is not None and self._verdict(ok)
+        first = (t._start - self.runs[t._run][0]) // self._buf.itemsize
+        return self._buf[first:first + count], self._buf
 
     def _read_run(self, run) -> None:
         self._read_runs.add(run)
-        # dropped, even if this run falls short
-        self._kept, self._buf, self._handed = -1, None, set()
+        self._kept, self._buf = -1, None  # dropped, even if this run falls short
         start, end, dtype = self.runs[run]
         dtype = DTYPE_TO_NUMPY[dtype]
         buf = np.empty((end - start) // dtype.itemsize, dtype)
-        with self._file() as fh:
-            if not self._fill(fh, buf, start):
-                return
+        if not self._fill(self.fh, buf, start):
+            return
         buf.setflags(write=False)
-        self._kept, self._buf, self._verdicts = run, buf, {}
+        self._kept, self._buf = run, buf
 
     @contextlib.contextmanager
     def _file(self):
@@ -637,14 +617,17 @@ def open_file(path):
     """Open a checkpoint file as a :class:`Checkpoint` of
     :class:`FileTensor` records, closing it on exit.
 
-    The header is parsed now; each tensor is read when its ``data`` is
-    first accessed, with the run of adjacent tensors it belongs to (see
-    :class:`_DataSection`), through the one descriptor that read the
-    header, so a file replaced meanwhile is never read half old, half new,
-    and a file that shrinks is a :class:`CheckpointFormatError` at the
-    first tensor it lost. Accessing the tensors in file order reads every
-    byte of the data section once, with one read per run; beyond the arrays
-    handed out, at most one run (256 KiB) per open file is kept in memory.
+    The header is parsed now; a tensor is read when its ``data`` is
+    accessed, by one rule (see :class:`_DataSection`): while the file is
+    open, a tensor of the run kept is a new view of it, a tensor of a run
+    not read yet reads and keeps that run, and any other tensor is read
+    alone, as is every tensor after the file is closed. Reads go through
+    the one descriptor that read the header, so a file replaced meanwhile
+    is never read half old, half new, and a file that shrinks is a
+    :class:`CheckpointFormatError` at the first tensor it lost. Accessing
+    the tensors in file order reads every byte of the data section once,
+    with one read per run; beyond the arrays returned, at most one run
+    (256 KiB) per open file is kept in memory.
     """
     # unbuffered, so no part of the data section is read twice
     with open(path, "rb", buffering=0) as fh:

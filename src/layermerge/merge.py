@@ -74,7 +74,6 @@ from .checkpoint import (
     META_LAYER_ORDER,
     Checkpoint,
     CheckpointError,
-    FileTensor,
     TensorRecord,
     read_flat,
     run_segments,
@@ -230,27 +229,47 @@ class _Reads(Mapping):
     """Name -> array view of a checkpoint that reads a tensor each time it
     is looked up and checks it: ``ok(array)`` says whether an array passes,
     and ``reject(name, array)`` raises the error of a tensor that does not.
-    A tensor of a file opened with ``open_file`` is read with its run of
-    adjacent tensors, and ``ok`` is tried once on the whole run; only the
-    tensors of a run that fails are tried one by one, so every error is
-    still raised when its tensor is looked up, and every tensor of a run
-    that passes counts as checked. ``block`` reads several tensors at once
-    for the block kernel. ``check_rest`` reads and checks the tensors not
-    checked yet, so that none goes unchecked."""
+    Each run a file opened with ``open_file`` gives (see ``read_flat``) is
+    checked once, by one ``ok`` on the whole run, and its verdict is kept
+    per ``run_key``: a tensor of a run that passed counts as checked, and
+    only a tensor of a run that failed, or of none, is tried on its own, so
+    every error is still raised when its tensor is looked up. ``block``
+    reads several tensors at once for the block kernel. ``check_rest``
+    reads and checks the tensors not checked yet, so that none goes
+    unchecked."""
 
     def __init__(self, ckpt, ok, reject):
         self._tensors = ckpt.tensors
         self._by_name = {t.name: t for t in ckpt.tensors}
         self._ok, self._reject = ok, reject
-        # ids of the tensors checked one by one, and run keys of the runs that passed
-        self._checked, self._passed_runs = set(), set()
+        # ids of the tensors checked apart from their run, and each run's verdict
+        self._checked, self._run_passed = set(), {}
+
+    def _read(self, records, sizes, segments):
+        """``(values, passed)``: the values of the tensor ``records``, of
+        ``sizes`` elements, back to back in one flat array (``read_flat``),
+        and whether they pass: at once when every piece is a view of a run
+        that passed, else when all the values together pass ``ok``, and
+        then every record counts as checked."""
+        pieces, runs = read_flat(records, sizes, segments)
+        x = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+        run_passed = self._run_passed
+        for t, run in runs:
+            key = t.run_key()
+            if key not in run_passed:
+                run_passed[key] = self._ok(run)
+        if len(runs) == len(pieces) and all(run_passed[t.run_key()] for t, _ in runs):
+            return x, True
+        passed = self._ok(x)
+        if passed:
+            self._checked.update(map(id, records))
+        return x, passed
 
     def _get(self, t):
-        self._checked.add(id(t))
-        x, passed = t.read_checked(self._ok) if isinstance(t, FileTensor) else (t.data, False)
-        if passed:
-            self._passed_runs.add(t.run_key())
-        elif not self._ok(x):
+        segment = np.array([-1 if t.run_key() is None else 0])  # see run_segments
+        x, passed = self._read([t], np.array([t.element_count]), segment)
+        x = x.reshape(t.shape)
+        if not passed:
             self._reject(t.name, x)
         return x
 
@@ -275,26 +294,19 @@ class _Reads(Mapping):
         """The values of the tensor ``records``, of ``sizes`` elements,
         back to back in one flat array, when all of them pass ``ok``; they
         then count as checked. Neighbours of one run segment (``segments``,
-        see ``run_segments``) are read as one view of their run, and pass
-        when the whole run does. None when a value fails or a tensor cannot
-        be read: looked up one at a time, the first of them that fails
-        raises its error. Nothing is handed out."""
+        see ``run_segments``) are read as one view of their run. None when
+        a value fails or a tensor cannot be read: looked up one at a time,
+        the first of them that fails raises its error."""
         try:
-            pieces, passed = read_flat(records, sizes, segments, self._ok)
+            x, passed = self._read(records, sizes, segments)
         except (CheckpointError, OSError):
             return None
-        x = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-        if len(passed) < len(pieces):  # not all from runs that passed
-            if not self._ok(x):
-                return None
-            self._checked.update(map(id, records))
-        self._passed_runs.update(t.run_key() for t in passed)
-        return x
+        return x if passed else None
 
     def check_rest(self) -> None:
-        checked, passed = self._checked, self._passed_runs
+        checked, run_passed = self._checked, self._run_passed
         for t in self._tensors:
-            if id(t) not in checked and not (isinstance(t, FileTensor) and t.run_key() in passed):
+            if id(t) not in checked and not run_passed.get(t.run_key()):
                 self._get(t)
 
 
@@ -318,11 +330,13 @@ def _checked_fisher(name, arr) -> np.ndarray:
 class FisherWeights:
     """Non-negative diagonal Fisher estimates, aligned by tensor name.
 
-    Built from arrays, every tensor is checked at construction and held as
-    float64. Built with :meth:`from_checkpoint`, a tensor is read and
-    checked each time it is looked up in ``tensors``, in its stored dtype,
-    and ``fisher_merge`` checks the ones it never looks up after merging,
-    so a file-backed checkpoint is read lazily.
+    ``tensors`` is always a ``_Reads``: a tensor is read and checked each
+    time it is looked up, in its stored dtype, and ``fisher_merge`` checks
+    the ones it never looks up after merging, so a file-backed checkpoint
+    (:meth:`from_checkpoint`) is read lazily. Built from arrays, every
+    tensor is checked at construction and held as float64, in a checkpoint
+    of its own, so an empty tensor name is refused there with the
+    checkpoint's error.
     """
 
     tensors: Mapping[str, np.ndarray]
@@ -330,7 +344,8 @@ class FisherWeights:
     def __post_init__(self):
         if not isinstance(self.tensors, _Reads):
             checked = {name: _checked_fisher(name, a) for name, a in self.tensors.items()}
-            object.__setattr__(self, "tensors", checked)
+            reads = _Reads(Checkpoint.from_arrays(checked), _fisher_ok, _checked_fisher)
+            object.__setattr__(self, "tensors", reads)
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "FisherWeights":
@@ -564,9 +579,7 @@ class _Blocks:
             self.segments.append(run_segments(records))
         self.fisher_records, self.fisher_segments, self.fisher_same = [], [], []
         for f in fishers or ():
-            tensors = f.tensors  # a _Reads, or a dict of checked arrays
-            records = tensors.records(names) if isinstance(tensors, _Reads) \
-                else list(map(tensors.get, names))
+            records = f.tensors.records(names)
             same = _matches(records, shape=self.shapes)
             fits &= (src != -1) | same
             self.fisher_records.append(records)
@@ -647,9 +660,7 @@ class _Blocks:
         mass = np.zeros((len(self.fishers), n))
         for i, f in enumerate(self.fishers):
             records = self.fisher_records[i][a:b]
-            if not isinstance(f.tensors, _Reads):  # checked when the weights were built
-                mass[i, elements] = np.concatenate([records[k].reshape(-1) for k in names])
-            elif self.fisher_same[i][a:b].all():
+            if self.fisher_same[i][a:b].all():
                 # every tensor of the block, weighed per element or not, is
                 # there with the anchor's shape: all are read, in runs
                 values = f.tensors.block(records, sizes, self.fisher_segments[i][a:b])
@@ -875,6 +886,5 @@ def fisher_merge(
         lambda layer, kind: uniform if kind in NON_GRADIENT_KINDS else None, fishers,
     )
     for fisher in fishers:
-        if isinstance(fisher.tensors, _Reads):
-            fisher.tensors.check_rest()
+        fisher.tensors.check_rest()
     return merged

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,17 @@ def pytest_configure(config):
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
+    if getattr(item, "_hypothesis_failing_examples", None):
+        # Hypothesis's own report hook imports this module to show the failing
+        # example as a patch, and it imports libcst, which raises a
+        # DeprecationWarning that the suite's filters turn into an error that
+        # ends the session; imported here first, it is cached for that hook.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:  # no libcst: the hook skips the patch
+                pass
     outcome = yield
     report = outcome.get_result()
     if report.when != "call":

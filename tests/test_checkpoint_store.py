@@ -492,9 +492,11 @@ class TestOpenFile:
             ]
             assert ckpt.total_parameters == expected.total_parameters
             arrays = [t.data for t in ckpt.tensors]
+            again = ckpt.tensors[0].data  # of the run kept: a new view of it, no read
         # every byte once: the four F64 tensors in one read, the F32 scalar
         # in another, the empty tensor in none
         assert bytes_read_once(reads, saved) and len(reads) == 2
+        assert again is not arrays[0] and again.tobytes() == arrays[0].tobytes()
         assert all(np.array_equal(a, t.data) for a, t in zip(arrays, expected.tensors))
         assert all(not a.flags.writeable for a in arrays)
         assert arrays[0] is not ckpt.tensors[0].data  # a fresh array on each access
@@ -520,11 +522,15 @@ class TestOpenFile:
         original = load(saved)
         with ckpt_store.open_file(saved) as ckpt:
             pass
+        with ckpt_store.open_file(saved) as read_open:
+            read_open.tensors[0].data  # its run is read and kept
         assert identical(ckpt, original)  # the unchanged file is opened again
         save(make_checkpoint([(3, 2), (4, 3)], rng), tmp_path / "other.st")
         os.replace(tmp_path / "other.st", saved)
-        with pytest.raises(CheckpointFormatError, match="changed"):
-            ckpt.tensors[0].data
+        # after close every read is from the reopened file, never the run kept
+        for closed in (ckpt, read_open):
+            with pytest.raises(CheckpointFormatError, match="changed"):
+                closed.tensors[0].data
 
     def test_closed_checkpoint_freed_without_the_collector(self, saved):
         def file_tensors() -> int:
@@ -541,7 +547,7 @@ class TestOpenFile:
             del ckpt
             load(saved)
             assert file_tensors() == before + 1  # reference counting freed all but one
-            # handed out before, so read again from the reopened file
+            # read after close, so from the reopened file, not the run kept
             assert TestRunReads.matches(kept.data, expected[kept.name])
             del kept
             assert file_tensors() == before

@@ -477,6 +477,9 @@ class TestFisherMerge:
                 else:
                     with pytest.raises(MergeError, match=f"^{verdict} Fisher values in 'x'$"):
                         FisherWeights(arrays)
+        # the arrays are held as a checkpoint, whose tensors need names
+        with pytest.raises(ckpt_store.CheckpointError, match="^tensor name must be non-empty$"):
+            FisherWeights({"": np.ones(2)})
 
 
 class TestMisuseRejected:
@@ -997,15 +1000,15 @@ class TestFileBackedMerge:
     def test_file_truncated_mid_run(self, tmp_path, rng, monkeypatch):
         models = [make_checkpoint([(3, 3), (2, 3), (4, 2)], rng) for _ in range(2)]
         paths = self.one_run(tmp_path, models)
-        read = ckpt_store.FileTensor.read_checked
+        get = merge_module._Reads._get
         returned = []
 
-        def recorded(t, ok):
-            result = read(t, ok)
+        def recorded(reads, t):
+            result = get(reads, t)
             returned.append((t._section.path, t.name))
             return result
 
-        monkeypatch.setattr(ckpt_store.FileTensor, "read_checked", recorded)
+        monkeypatch.setattr(merge_module._Reads, "_get", recorded)
         with contextlib.ExitStack() as files:
             opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
             start, end = data_section(paths[1])
@@ -1053,15 +1056,15 @@ class TestFileBackedMerge:
                   for _ in range(2)]
         paths = self.one_run(tmp_path, models)
         monkeypatch.setattr(merge_module, "_BLOCK", 9)
-        read = ckpt_store.FileTensor.read_checked
+        get = merge_module._Reads._get
         returned = []
 
-        def recorded(t, ok):
-            result = read(t, ok)
+        def recorded(reads, t):
+            result = get(reads, t)
             returned.append((t._section.path, t.name))
             return result
 
-        monkeypatch.setattr(ckpt_store.FileTensor, "read_checked", recorded)
+        monkeypatch.setattr(merge_module._Reads, "_get", recorded)
         with contextlib.ExitStack() as files:
             opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
             start, _ = data_section(paths[1])
