@@ -15,7 +15,9 @@ import operator
 from dataclasses import dataclass
 from itertools import compress
 
-from .checkpoint import NUMPY_TO_DTYPE, Checkpoint, CheckpointError, TensorRecord, match_layer_order
+import numpy as np
+
+from .checkpoint import Checkpoint, CheckpointError, index, match_layer_order, same_signature
 
 KIND_WEIGHT = "weight"
 KIND_BIAS = "bias"
@@ -116,16 +118,6 @@ class SharedAlignment:
         return [name for g in self.shared_groups for name in g.names()]
 
 
-def _signatures(ckpt: Checkpoint) -> dict:
-    """Name -> ``(dtype, shape)`` of a checkpoint's tensors; a loaded
-    tensor's are read off its array rather than through its properties."""
-    return {
-        t.name: (NUMPY_TO_DTYPE[t.data.dtype], t.data.shape) if type(t) is TensorRecord
-        else (t.dtype, t.shape)
-        for t in ckpt.tensors
-    }
-
-
 def shared_parameters(ckpts: list[Checkpoint], anchor: int) -> SharedAlignment:
     """Compute the shared-parameter alignment of a pool around an anchor.
 
@@ -138,14 +130,17 @@ def shared_parameters(ckpts: list[Checkpoint], anchor: int) -> SharedAlignment:
     if not 0 <= anchor < len(ckpts):
         raise AlignmentError(f"anchor index {anchor} out of range for {len(ckpts)} models")
 
-    signatures = [_signatures(ckpt) for ckpt in ckpts]
-    names, mine = list(signatures[anchor]), list(signatures[anchor].values())
-    unshared, conflicts = set(), set()  # conflicts: held by another model as another signature
-    for i, theirs in enumerate(signatures):
+    indexes = [index(ckpt) for ckpt in ckpts]
+    mine = indexes[anchor]
+    names = list(mine.rows)
+    rows = np.fromiter(mine.rows.values(), np.intp, len(names))
+    unshared, conflicts = np.zeros((2, len(names)), bool)  # conflicts: held as another signature
+    for i, theirs in enumerate(indexes):
         if i != anchor:
-            differ = set(compress(names, map(operator.ne, mine, map(theirs.get, names))))
-            unshared |= differ
-            conflicts |= differ & theirs.keys()
+            found = theirs.lookup(names)
+            differ = ~same_signature(mine, rows, theirs, found)
+            unshared, conflicts = unshared | differ, conflicts | differ & (found >= 0)
+    unshared, conflicts = set(compress(names, unshared)), set(compress(names, conflicts))
 
     groups = group_layers(ckpts[anchor])
     shared_groups = []
@@ -166,11 +161,10 @@ def shared_parameters(ckpts: list[Checkpoint], anchor: int) -> SharedAlignment:
         g if g.index == j else LayerGroup(g.prefix, j, g.members)
         for j, g in enumerate(shared_groups, start=1)
     )
-    anchor_names = ckpts[anchor].names()
     return SharedAlignment(
         anchor=anchor,
         model_count=len(ckpts),
         shared_groups=reindexed,
         anchor_only=tuple(anchor_only),
-        shape_conflicts=tuple(n for n in anchor_names if n in conflicts),
+        shape_conflicts=tuple(n for n in mine.names if n in conflicts),
     )

@@ -15,24 +15,10 @@ file equals the order of the "tensors" object and round-trips exactly.
 Saving is deterministic: the same checkpoint value always produces the same
 bytes (metadata keys are sorted; tensor order is part of the value), and
 writes each tensor's buffer to the file without assembling the whole file
-in memory. ``open_file`` parses the header and reads a tensor only when its
-``data`` is accessed, through the descriptor that read the header. It is
-the one reader: ``load`` is ``open_file`` plus one pass that reads every
-tensor, and ``inspect`` is ``open_file`` plus one pass over the header's
-names, dtypes and shapes that reads no data. Small tensors that lie next to
-each other are read in runs, one read per run of at most 256 KiB. While the
-file is open, every access to a tensor of the run a reader keeps returns a
-new read-only view of that run, a tensor of a run not read yet reads and
-keeps that run, and any other tensor is read alone into a new read-only
-array, as is every tensor after the file is closed. A reader keeps at most
-one run per file beyond the arrays it has returned, and reads no run twice.
-``read_flat`` reads the values of several tensors, neighbours in a run as
-one view of it, for the merge's blocks and the profile's batches, and
-returns the runs they came from, so that a caller can check each run once;
-the reader itself checks no values. The records of an open file refer to
-its reader and the reader to none of them, so reference counting frees a
-checkpoint's records, with no help from the cyclic garbage collector, as
-soon as it is dropped.
+in memory. ``open_file`` is the one reader: it parses the header into the
+checkpoint's index (see ``index``) and reads a tensor only when it is
+accessed (see ``_DataSection``); ``load`` is ``open_file`` plus one pass
+that reads every tensor, and ``inspect`` one that reads none.
 
 Only F32 and F64 element types are supported. Metadata values are plain
 strings; numeric values are parsed where they are used.
@@ -49,9 +35,8 @@ import struct
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -105,11 +90,6 @@ class TensorRecord:
     def element_count(self) -> int:
         return int(self.data.size)
 
-    def run_key(self):
-        """None: a tensor in memory is in no run of a file (see
-        ``FileTensor.run_key``)."""
-        return None
-
 
 @dataclass
 class Checkpoint:
@@ -117,6 +97,7 @@ class Checkpoint:
 
     tensors: list[TensorRecord] = field(default_factory=list)
     metadata: dict[str, str] = field(default_factory=dict)
+    _opened = (None, None)  # not a field: the records open_file made, and their file's index
 
     @classmethod
     def from_arrays(cls, arrays, metadata=None) -> "Checkpoint":
@@ -360,8 +341,8 @@ def _valid_entries(entries, data_size):
 
 def _read_header(fh, path):
     """Parse and validate the header of the unbuffered file ``fh``. Returns
-    (tensors, metadata): one :class:`FileTensor` per header entry, in header
-    order, each reading through one :class:`_DataSection` of ``fh``.
+    ``(section, metadata)``: the :class:`_DataSection` of ``fh``, which is
+    the index of its tensors, and the header's metadata.
 
     Entries are checked in header order, and each entry's checks in one
     order, so a header with several faults is reported by the first check
@@ -377,7 +358,6 @@ def _read_header(fh, path):
             f"{path}: header length {header_len} exceeds file size {size}"
         )
     raw = fh.read(header_len)
-    section = _DataSection(fh, path)
     try:
         header = json.loads(raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -412,19 +392,8 @@ def _read_header(fh, path):
             f"{path}: tensors '{names[a]}' and '{names[b]}' have overlapping offset ranges"
         )
     members = _runs(spans, first, last, np.array(dtypes, "U3")[spans])
-    runs = np.full(len(dtypes), -1)
-    for run, indices in enumerate(members):
-        runs[indices] = run
-    # the section holds no tensor, so nothing refers back from it and a
-    # closed checkpoint's records are freed as soon as they are dropped
-    section.runs = [(int(starts[indices[0]]), int(ends[indices[-1]]), dtypes[indices[0]])
-                    for indices in members]
-    tensors = [
-        FileTensor(name, dtype, tuple(shape), start, end, run, section)
-        for name, dtype, shape, start, end, run
-        in zip(entries, dtypes, shapes, starts.tolist(), ends.tolist(), runs.tolist())
-    ]
-    return tensors, metadata
+    shapes = list(map(tuple, shapes))
+    return _DataSection(fh, path, list(entries), dtypes, shapes, starts, ends, members), metadata
 
 
 def _runs(spans, starts, ends, dtypes) -> list:
@@ -442,17 +411,69 @@ def _runs(spans, starts, ends, dtypes) -> list:
     return [g for g in groups if g.size > 1]
 
 
+class TensorIndex:
+    """The index of a checkpoint's tensors, one row per tensor in the
+    checkpoint's order: the columns ``names``, ``dtypes``, ``shapes`` and
+    ``sizes`` (element counts), ``rows`` (name -> row, the last for a name
+    given twice) and, for the tensors of a file, ``runs`` (each tensor's
+    run, -1 for none; see ``_DataSection``), ``starts`` and ``ends`` (its
+    offsets in the data section). Functions address tensors by row, with
+    -1 for a tensor that is missing. An index built from records has no
+    runs and reads a tensor through its record."""
+
+    def __init__(self, names, dtypes, shapes, records=None):
+        n = len(names)
+        self.names, self.dtypes, self.shapes, self.records = names, dtypes, shapes, records
+        self.sizes = np.fromiter(map(math.prod, shapes), np.int64, n)
+        self.rows = dict(zip(names, range(n)))
+        self.runs = np.full(n, -1)
+        self.starts = self.ends = np.zeros(n, np.int64)
+
+    def lookup(self, names) -> np.ndarray:
+        """The row of each of ``names``, -1 for a name it lacks."""
+        return np.fromiter(map(self.rows.get, names, repeat(-1)), np.intp, len(names))
+
+    def read(self, row) -> np.ndarray:
+        """The array of the tensor ``row``."""
+        return self.records[row].data
+
+
+def index(ckpt: Checkpoint) -> TensorIndex:
+    """The index of the tensors of ``ckpt``: its file's when they are the
+    records ``open_file`` made, else one built from its records, with no
+    runs, so that no run of a file stands for a tensor put in its place."""
+    made, section = ckpt._opened
+    if ckpt.tensors is made:
+        return section
+    records = ckpt.tensors
+    return TensorIndex([t.name for t in records], [t.dtype for t in records],
+                       [t.shape for t in records], records)
+
+
+def same_signature(a, rows_a, b, rows_b, dtype=True) -> np.ndarray:
+    """Whether the tensor ``rows_a[k]`` of the index ``a`` and the tensor
+    ``rows_b[k]`` of ``b`` have one shape, and one dtype when ``dtype``;
+    False where ``rows_b[k]`` is -1."""
+    same = rows_b >= 0
+    mine, theirs = rows_a.tolist(), rows_b.tolist()
+    for ours, other in [(a.shapes, b.shapes), (a.dtypes, b.dtypes)][:1 + dtype]:
+        other = [*other, None]  # row -1
+        same &= np.fromiter(map(operator.eq, map(ours.__getitem__, mine),
+                                map(other.__getitem__, theirs)), bool, len(mine))
+    return same
+
+
 class FileTensor:
     """A tensor of a checkpoint opened with :func:`open_file`. Name, dtype
     and shape come from the header; ``data`` is read from the file when it
     is accessed (see :class:`_DataSection`), into a read-only array that no
     earlier access returned."""
 
-    __slots__ = ("name", "dtype", "shape", "_start", "_end", "_run", "_section")
+    __slots__ = ("name", "dtype", "shape", "_row", "_section")
 
-    def __init__(self, name, dtype, shape, start, end, run, section):
+    def __init__(self, name, dtype, shape, row, section):
         self.name, self.dtype, self.shape = name, dtype, shape
-        self._start, self._end, self._run, self._section = start, end, run, section
+        self._row, self._section = row, section
 
     @property
     def element_count(self) -> int:
@@ -460,62 +481,41 @@ class FileTensor:
 
     @property
     def data(self) -> np.ndarray:
-        return self._section.read(self)
-
-    def read_run(self, count):
-        """``(values, run)`` from the run that holds this tensor, read now
-        if it never was: the ``count`` elements from where this tensor
-        starts (the run must hold them, see ``run_segments``) as a flat
-        read-only view, and the whole run's values, so that a caller can
-        check the run once. None when the tensor is in no run, its run was
-        read before and dropped, the file is closed or no longer holds the
-        run."""
-        return self._section.read_run(self, count)
-
-    def run_key(self):
-        """A value equal for the tensors of one run of one open file, and
-        None for a tensor in no run."""
-        return (self._section, self._run) if self._run >= 0 else None
+        return self._section.read(self._row)
 
 
-def run_segments(tensors) -> np.ndarray:
-    """An id for each of ``tensors`` (records or None) such that a stretch
-    of equal ids lies back to back, in that order, in one run of one file
-    opened with ``open_file``, and is one slice of the run's buffer; -1
-    for a tensor in no run."""
-    files = tensors if set(map(type, tensors)) <= {FileTensor} else \
-        [t if type(t) is FileTensor else _OUTSIDE for t in tensors]
-    n = len(files)
-    runs, starts, ends = (np.fromiter(map(operator.attrgetter(a), files), np.int64, n)
-                          for a in ("_run", "_start", "_end"))
-    sections = np.fromiter(map(id, map(operator.attrgetter("_section"), files)), np.uint64, n)
-    joins = (runs[1:] >= 0) & (runs[1:] == runs[:-1]) & (sections[1:] == sections[:-1]) \
-        & (starts[1:] == ends[:-1])
-    ids = np.cumsum(np.concatenate([[True], ~joins])[:n])
+def run_segments(index, rows) -> np.ndarray:
+    """An id for each of the tensors ``rows`` of ``index`` such that a
+    stretch of equal ids lies back to back, in that order, in one run and
+    is one slice of the run's values; -1 for a tensor in no run."""
+    if not index.names:  # every row is -1
+        return np.full(len(rows), -1)
+    runs = np.where(rows >= 0, index.runs[rows], -1)
+    starts, ends = index.starts[rows], index.ends[rows]
+    joins = (runs[1:] >= 0) & (runs[1:] == runs[:-1]) & (starts[1:] == ends[:-1])
+    ids = np.cumsum(np.concatenate([[True], ~joins])[:len(rows)])
     return np.where(runs >= 0, ids, -1)
 
 
-_OUTSIDE = SimpleNamespace(_run=-1, _start=0, _end=0, _section=None)  # a tensor in no run
-
-
-def read_flat(records, sizes, segments):
-    """``(pieces, runs)``: the values of the tensor ``records`` (of any
-    kind, ``sizes`` elements each) as flat arrays that hold them back to
-    back when put together, and ``(record, run)`` for each piece read as a
-    view of a run: the record it begins with and the whole run's values.
-    Neighbours of one run segment (``segments``, see ``run_segments``) are
-    one view of their run (``FileTensor.read_run``) while it is kept; every
-    other tensor is read through its ``data``."""
+def read_flat(index, rows, segments):
+    """``(pieces, runs)``: the values of the tensors ``rows`` of ``index``
+    as flat arrays that hold them back to back when put together, and
+    ``(run, values)`` for each piece that is a view of a run: the run's id
+    and all its values. Neighbours of one run segment (``segments``, see
+    ``run_segments``) are one ``view`` of their run; every other tensor is
+    read alone."""
+    sizes = index.sizes[rows]
     cuts = np.flatnonzero((segments[1:] != segments[:-1]) | (segments[1:] < 0)) + 1
-    bounds = [0, *cuts.tolist(), len(records)]
+    bounds = [0, *cuts.tolist(), len(rows)]
+    rows = rows.tolist()
     pieces, runs = [], []
     for lo, hi in zip(bounds, bounds[1:]):
-        got = records[lo].read_run(int(sizes[lo:hi].sum())) if segments[lo] >= 0 else None
+        got = index.view(rows[lo], int(sizes[lo:hi].sum())) if segments[lo] >= 0 else None
         if got is None:
-            pieces.extend(t.data.reshape(-1) for t in records[lo:hi])
+            pieces.extend(index.read(row).reshape(-1) for row in rows[lo:hi])
             continue
         pieces.append(got[0])
-        runs.append((records[lo], got[1]))
+        runs.append((int(index.runs[rows[lo]]), got[1]))
     return pieces, runs
 
 
@@ -524,67 +524,78 @@ def _identity(fh):
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-class _DataSection:
-    """Reads tensors from the data section of an open checkpoint file.
+class _DataSection(TensorIndex):
+    """The index of an open checkpoint file's tensors, which reads them
+    from its data section.
 
     A run is two or more tensors of one dtype that follow each other in the
     file without a gap and lie in one aligned window of ``_RUN_BYTES``; a
     tensor larger than the window is never in a run. One rule serves every
-    access, through ``FileTensor.data`` or ``FileTensor.read_run``, while
-    the file is open: a tensor of the run kept gets a new read-only view of
-    that run; a tensor of a run not read yet reads that whole run with one
-    ``preadv`` and keeps it; any other tensor is read alone. Only the run
-    read last is kept, so a section holds at most ``_RUN_BYTES`` beyond the
-    arrays it has returned (which keep their run's buffer alive), and a run
-    is read at most once. A run that the file no longer holds in full is
-    dropped too, so a file that shrank fails at the first tensor it lost. A
-    section refers to no tensor: runs are offsets and a dtype.
+    access while the file is open: a tensor of the run kept gets a new
+    read-only view of that run; a tensor of a run not read yet reads that
+    whole run with one ``preadv`` and keeps it; any other tensor is read
+    alone. Only the run read last is kept, so a section holds at most
+    ``_RUN_BYTES`` beyond the arrays it has returned (which keep their
+    run's buffer alive), and a run is read at most once. A run that the
+    file no longer holds in full is dropped too, so a file that shrank
+    fails at the first tensor it lost. A section refers to no tensor
+    record, so reference counting frees a checkpoint's records as soon as
+    it is dropped.
 
-    Once the file is closed, every tensor is read alone: a read reopens its
-    path and refuses any file but the one that was opened, unchanged.
+    Once the file is closed, the run kept is dropped and every tensor is
+    read alone: a read reopens its path and refuses any file but the one
+    that was opened, unchanged.
     """
 
-    def __init__(self, fh, path):
+    def __init__(self, fh, path, names, dtypes, shapes, starts, ends, members):
+        super().__init__(names, dtypes, shapes)
         self.fh, self.path = fh, path
         self.base = fh.tell()
         self.identity = _identity(fh)
-        self.runs = []  # (start, end, dtype) of each run
+        self.starts, self.ends = starts, ends
+        self.spans = []  # (start, end, dtype) of each run, whose rows are ``members``
+        for run, rows in enumerate(members):
+            self.runs[rows] = run
+            self.spans.append((int(starts[rows[0]]), int(ends[rows[-1]]), dtypes[rows[0]]))
         self._read_runs = set()
-        self._kept, self._buf = -1, None  # the run kept and its values
+        self._kept = -1, None  # the run kept and its values
 
-    def read(self, t) -> np.ndarray:
-        """The array of the tensor ``t`` (see ``FileTensor.data``)."""
-        got = self.read_run(t, math.prod(t.shape))
+    def read(self, row) -> np.ndarray:
+        shape = self.shapes[row]
+        got = self.view(row, int(self.sizes[row]))
         if got is not None:
-            return got[0].reshape(t.shape)
-        arr = np.empty(t.shape, DTYPE_TO_NUMPY[t.dtype])
+            return got[0].reshape(shape)
+        arr = np.empty(shape, DTYPE_TO_NUMPY[self.dtypes[row]])
         with self._file() as fh:
-            if not self._fill(fh, arr, t._start):
+            if not self._fill(fh, arr, int(self.starts[row])):
                 raise CheckpointFormatError(f"{self.path}: file shrank while it was read")
         arr.setflags(write=False)
         return arr
 
-    def read_run(self, t, count):
-        """``FileTensor.read_run`` of the tensor ``t``."""
-        if t._run < 0 or self.fh.closed:
+    def view(self, row, count):
+        """``(piece, values)`` while the file is open: ``piece`` is the
+        ``count`` elements from where the tensor ``row`` starts (its run
+        must hold them, see ``run_segments``) as a flat read-only view of
+        its run, and ``values`` the whole run's, so that a caller can check
+        the run once; the run is read now if it never was. None when the
+        tensor is in no run, or its run was read before and dropped, or the
+        file is closed or no longer holds the run."""
+        run = int(self.runs[row])
+        if run < 0 or self.fh.closed:
             return None
-        if t._run not in self._read_runs:
-            self._read_run(t._run)
-        if self._kept != t._run:
+        if run not in self._read_runs:
+            self._read_runs.add(run)
+            self._kept = -1, None  # dropped, even if this run falls short
+            start, end, dtype = self.spans[run]
+            values = np.empty((end - start) // _ITEMSIZE[dtype], DTYPE_TO_NUMPY[dtype])
+            if self._fill(self.fh, values, start):
+                values.setflags(write=False)
+                self._kept = run, values
+        kept, values = self._kept
+        if kept != run:
             return None
-        first = (t._start - self.runs[t._run][0]) // self._buf.itemsize
-        return self._buf[first:first + count], self._buf
-
-    def _read_run(self, run) -> None:
-        self._read_runs.add(run)
-        self._kept, self._buf = -1, None  # dropped, even if this run falls short
-        start, end, dtype = self.runs[run]
-        dtype = DTYPE_TO_NUMPY[dtype]
-        buf = np.empty((end - start) // dtype.itemsize, dtype)
-        if not self._fill(self.fh, buf, start):
-            return
-        buf.setflags(write=False)
-        self._kept, self._buf = run, buf
+        first = (int(self.starts[row]) - self.spans[run][0]) // values.itemsize
+        return values[first:first + count], values
 
     @contextlib.contextmanager
     def _file(self):
@@ -618,20 +629,21 @@ def open_file(path):
     :class:`FileTensor` records, closing it on exit.
 
     The header is parsed now; a tensor is read when its ``data`` is
-    accessed, by one rule (see :class:`_DataSection`): while the file is
-    open, a tensor of the run kept is a new view of it, a tensor of a run
-    not read yet reads and keeps that run, and any other tensor is read
-    alone, as is every tensor after the file is closed. Reads go through
-    the one descriptor that read the header, so a file replaced meanwhile
-    is never read half old, half new, and a file that shrinks is a
-    :class:`CheckpointFormatError` at the first tensor it lost. Accessing
-    the tensors in file order reads every byte of the data section once,
-    with one read per run; beyond the arrays returned, at most one run
-    (256 KiB) per open file is kept in memory.
+    accessed (see :class:`_DataSection`), through the one descriptor that
+    read the header, so a file replaced meanwhile is never read half old,
+    half new.
     """
     # unbuffered, so no part of the data section is read twice
     with open(path, "rb", buffering=0) as fh:
-        yield Checkpoint(*_read_header(fh, path))
+        section, metadata = _read_header(fh, path)
+        records = tuple(map(FileTensor, section.names, section.dtypes, section.shapes,
+                            range(len(section.names)), repeat(section)))
+        ckpt = Checkpoint(records, metadata)
+        ckpt._opened = records, section
+        try:
+            yield ckpt
+        finally:
+            section._kept = -1, None
 
 
 def load(path) -> Checkpoint:

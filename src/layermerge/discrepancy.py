@@ -15,27 +15,19 @@ to the first checkpoint. Two threshold modes are provided:
 Identical elements are never flagged, so the self-profile is zero in both
 modes. Larger tau lowers the thresholds, so counts are non-decreasing in
 tau.
-
-The slices are read and compared in batches of about 2^16 elements. Of a
-checkpoint opened with ``open_file`` nothing is held beyond one batch (a
-slice larger than that is a batch of its own) and the run the file's
-reader keeps: neighbouring tensors of a run are read as one view of it, so
-comparing the slices in file order reads each byte once, with one read
-per run, and builds no ``TensorRecord``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .alignment import KIND_ORDER, shared_parameters
-from .checkpoint import Checkpoint, read_flat, run_segments
+from .checkpoint import Checkpoint, index, read_flat, run_segments
 
 MODES = ("elementwise", "layer_norm")
 
@@ -107,15 +99,14 @@ def discrepancy_profile(
             if kind in by_kind:
                 slices.append((group, kind, len(names), len(names) + len(by_kind[kind])))
                 names += by_kind[kind]
-    sides = []  # each checkpoint's records of ``names``, their sizes and run segments
+    sides = []  # each checkpoint's index, its rows of ``names`` and their run segments
     for ckpt in (a, b):
-        by_name = {t.name: t for t in ckpt.tensors}
-        records = list(map(by_name.__getitem__, names))
-        sizes = np.fromiter(map(operator.attrgetter("element_count"), records),
-                            np.int64, len(records))
-        sides.append((records, sizes, run_segments(records)))
+        tensors = index(ckpt)
+        found = tensors.lookup(names)
+        sides.append((tensors, found, run_segments(tensors, found)))
     firsts = [first for _, _, first, _ in slices]
-    elements = np.add.reduceat(sides[0][1], firsts).tolist() if slices else []
+    tensors, found, _ = sides[0]
+    elements = np.add.reduceat(tensors.sizes[found], firsts).tolist() if slices else []
 
     rows, batch, size = [], [], 0
     for (group, kind, first, end), n in zip(slices, elements):
@@ -131,12 +122,11 @@ def discrepancy_profile(
 
 def _compare(batch, sides, tau, mode) -> list[ProfileRow]:
     """The rows of a batch of ``(group, kind, first, end, size)`` slices,
-    the tensors ``first`` to ``end`` of each side's records."""
+    the tensors ``first`` to ``end`` of each side's rows."""
     lo, hi = batch[0][2], batch[-1][3]
     ref, other = (
-        np.concatenate(read_flat(records[lo:hi], sizes[lo:hi], segments[lo:hi])[0],
-                       dtype=np.float64)
-        for records, sizes, segments in sides
+        np.concatenate(read_flat(tensors, found[lo:hi], segments[lo:hi])[0], dtype=np.float64)
+        for tensors, found, segments in sides
     )
     bounds = [0, *accumulate(n for *_, n in batch)]
     if not (np.isfinite(ref).all() and np.isfinite(other).all()):

@@ -6,66 +6,27 @@ uniform and decay linearly to zero for the non-anchor models, so the last
 shared layer is owned exclusively by the anchor. Isotropic, performance-
 weighted and diagonal-Fisher-weighted merging are provided as baselines.
 
-Numerics
---------
 Every strategy is one weighted sum per shared tensor, ``sum_i w_i * x_i``;
-the strategies differ only in the weights, which each give as M rows of
-weights read a block at a time. Layer-wise, isotropic and
-performance-weighted merging give each model one scalar per layer, a row of
-one element; Fisher merging gives one weight per element. The M (weight,
-tensor) pairs are put in the order of their content, the tensor's bytes and
-then the weight row's. The order costs O(M log M) comparisons per tensor,
-each of which reads bytes only up to the first difference, and depends only
-on the multiset of pairs, so every strategy is exactly invariant to
-permutations of the non-anchor models; pairs that compare equal are
-byte-identical and give identical terms. One kernel sums blocks of at most
-8,192 elements, in the anchor's tensor order: a tensor larger than a block
-a block at a time, and shared tensors that fit in one, of one dtype and
-next to each other, whole and several to a block. Either way every
-element's float64 terms are added in the content order of its own whole
-tensor, so every element gets the same operations as a sum over whole
-tensors, and is then cast into the output. A block of whole tensors
-orders each tensor's pairs by one stable sort per tensor size, over keys
-of the tensor's bytes followed by its weight row's, and gathers each
-element's terms in its tensor's order. Inputs are read as the loop needs
-them, small adjacent tensors of a file in runs; a model's values for a
-block are one view of the run they lie in back to back, else a copy. Every
-tensor of every input, blended or not, is checked: for finiteness, and
-Fisher values also for sign, once per run and tensor by tensor only in a
-run that fails. A block in which anything fails (an input, a read, a
-Fisher-weighted tensor that does not blend, the output) is merged again
-one tensor at a time, so an error names the tensor the loop reached first.
-Fisher weights are each element's Fisher values divided by their largest
-value and then by the sum of these quotients, added in the content order
-of the whole rows of quotients, so no intermediate can overflow; elements
-without Fisher mass in any model, and batch-norm running statistics, get
-weight 1/M. The kernel computes Fisher weights block by block. A sort key
-of a tensor longer than a block, of its rows of weights or of quotients,
-is the bytes of the row's first block, with the rest compared one block
-at a time only while rows tie; the elements of a shared tensor have one
-dtype in every model, so this is exactly the order of the rows' whole
-bytes. Besides the inputs and the output, the kernel's work arrays are a
-few arrays of M blocks: float64 values, weights and indices, and sort
-keys of at most 16 bytes an element.
-Each merged tensor is cast to the anchor's storage dtype as it is summed;
-if the result is not finite, which finite inputs reach by overflow, the
-merge raises ``NonFiniteTensorError``.
-Schedule weights are derived in exact rational arithmetic and rounded to
-float64 once, so schedule identities (rows summing to one, the
-anchor-dominance gap) hold exactly on the rational side and to within one
-rounding on the float side.
+the strategies differ only in the weights: one scalar per model and layer,
+or one per element for Fisher merging. Each element's float64 terms are
+added in the content order of its tensor's (tensor, weight row) pairs,
+which depends only on the multiset of pairs, so every strategy is exactly
+invariant to permutations of the non-anchor models. Two kernels compute the
+sum with the same operations for every element: ``_weighted_sum`` for a
+tensor larger than a block, ``_Blocks.merge`` for several small ones. Every
+tensor of every input, blended or not, is checked (finite, and Fisher
+values non-negative), and a merged tensor that is not finite, which finite
+inputs reach by overflow, raises ``NonFiniteTensorError``. Schedule weights
+are exact rationals rounded to float64 once, so schedule identities hold
+exactly on the rational side and to within one rounding on the float side.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -75,8 +36,10 @@ from .checkpoint import (
     Checkpoint,
     CheckpointError,
     TensorRecord,
+    index,
     read_flat,
     run_segments,
+    same_signature,
 )
 
 STRATEGIES = ("layerwise", "isotropic", "scalar", "fisher")
@@ -229,85 +192,79 @@ class _Reads(Mapping):
     """Name -> array view of a checkpoint that reads a tensor each time it
     is looked up and checks it: ``ok(array)`` says whether an array passes,
     and ``reject(name, array)`` raises the error of a tensor that does not.
-    Each run a file opened with ``open_file`` gives (see ``read_flat``) is
-    checked once, by one ``ok`` on the whole run, and its verdict is kept
-    per ``run_key``: a tensor of a run that passed counts as checked, and
-    only a tensor of a run that failed, or of none, is tried on its own, so
-    every error is still raised when its tensor is looked up. ``block``
-    reads several tensors at once for the block kernel. ``check_rest``
-    reads and checks the tensors not checked yet, so that none goes
-    unchecked."""
+    Tensors are addressed by their row of the checkpoint's ``index``. Each
+    run of a file that a read gives (see ``read_flat``) is checked once, by
+    one ``ok`` on the whole run, and its verdict is kept: a tensor of a run
+    that passed counts as checked, and only a tensor of a run that failed,
+    or of none, is tried on its own, so every error is still raised when
+    its tensor is looked up. ``block`` reads several tensors at once for
+    the block kernel. ``check_rest`` reads and checks the tensors not
+    checked yet, so that none goes unchecked."""
 
     def __init__(self, ckpt, ok, reject):
-        self._tensors = ckpt.tensors
-        self._by_name = {t.name: t for t in ckpt.tensors}
+        self.index = index(ckpt)
         self._ok, self._reject = ok, reject
-        # ids of the tensors checked apart from their run, and each run's verdict
-        self._checked, self._run_passed = set(), {}
+        # the rows checked apart from their run, and each run's verdict
+        self._checked, self._run_passed = np.zeros(len(self.index.names), bool), {}
 
-    def _read(self, records, sizes, segments):
-        """``(values, passed)``: the values of the tensor ``records``, of
-        ``sizes`` elements, back to back in one flat array (``read_flat``),
-        and whether they pass: at once when every piece is a view of a run
-        that passed, else when all the values together pass ``ok``, and
-        then every record counts as checked."""
-        pieces, runs = read_flat(records, sizes, segments)
+    def _read(self, rows, segments):
+        """``(values, passed)``: the values of the tensors ``rows`` back to
+        back in one flat array (``read_flat``), and whether they pass: at
+        once when every piece is a view of a run that passed, else when all
+        the values together pass ``ok``, and then every row counts as
+        checked."""
+        pieces, runs = read_flat(self.index, rows, segments)
         x = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
         run_passed = self._run_passed
-        for t, run in runs:
-            key = t.run_key()
-            if key not in run_passed:
-                run_passed[key] = self._ok(run)
-        if len(runs) == len(pieces) and all(run_passed[t.run_key()] for t, _ in runs):
+        for run, values in runs:
+            if run not in run_passed:
+                run_passed[run] = self._ok(values)
+        if len(runs) == len(pieces) and all(run_passed[run] for run, _ in runs):
             return x, True
         passed = self._ok(x)
         if passed:
-            self._checked.update(map(id, records))
+            self._checked[rows] = True
         return x, passed
 
-    def _get(self, t):
-        segment = np.array([-1 if t.run_key() is None else 0])  # see run_segments
-        x, passed = self._read([t], np.array([t.element_count]), segment)
-        x = x.reshape(t.shape)
+    def _get(self, row):
+        rows = np.array([row])
+        x, passed = self._read(rows, self.index.runs[rows])  # see run_segments
+        x = x.reshape(self.index.shapes[row])
         if not passed:
-            self._reject(t.name, x)
+            self._reject(self.index.names[row], x)
         return x
 
     def __getitem__(self, name):
-        return self._get(self._by_name[name])
+        return self._get(self.index.rows[name])
 
     def __contains__(self, name):
-        return name in self._by_name
+        return name in self.index.rows
 
     def __iter__(self):
-        return iter(self._by_name)
+        return iter(self.index.rows)
 
     def __len__(self):
-        return len(self._by_name)
+        return len(self.index.rows)
 
-    def records(self, names) -> list:
-        """The tensor records of ``names``, None for a name it lacks; reads
-        nothing."""
-        return list(map(self._by_name.get, names))
-
-    def block(self, records, sizes, segments):
-        """The values of the tensor ``records``, of ``sizes`` elements,
-        back to back in one flat array, when all of them pass ``ok``; they
-        then count as checked. Neighbours of one run segment (``segments``,
-        see ``run_segments``) are read as one view of their run. None when
-        a value fails or a tensor cannot be read: looked up one at a time,
-        the first of them that fails raises its error."""
+    def block(self, rows, segments):
+        """The values of the tensors ``rows`` back to back in one flat
+        array, when all of them pass ``ok``; they then count as checked.
+        Neighbours of one run segment (``segments``, see ``run_segments``)
+        are read as one view of their run. None when a value fails or a
+        tensor cannot be read: looked up one at a time, the first of them
+        that fails raises its error."""
         try:
-            x, passed = self._read(records, sizes, segments)
+            x, passed = self._read(rows, segments)
         except (CheckpointError, OSError):
             return None
         return x if passed else None
 
     def check_rest(self) -> None:
-        checked, run_passed = self._checked, self._run_passed
-        for t in self._tensors:
-            if id(t) not in checked and not run_passed.get(t.run_key()):
-                self._get(t)
+        runs, run_passed = self.index.runs, self._run_passed
+        passed = [run for run, ok in run_passed.items() if ok]
+        for row in np.flatnonzero(~self._checked & ~np.isin(runs, passed)).tolist():
+            if not run_passed.get(int(runs[row])):  # its run may have passed since
+                self._get(row)
 
 
 def _fisher_ok(x) -> bool:
@@ -436,6 +393,17 @@ def _content_order(weights, xs) -> list[int]:
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
+def _normalised(mass) -> np.ndarray:
+    """The (M, n) Fisher ``mass``, divided in place by each element's
+    largest value; an element with no mass in any model gets 1 in all."""
+    scale = mass.max(axis=0)
+    zero = scale == 0.0
+    np.copyto(scale, 1.0, where=zero)
+    mass /= scale
+    np.copyto(mass, 1.0, where=zero)
+    return mass
+
+
 class _FisherBlocks:
     """Per-element Fisher weights of one shared tensor, as a weight source
     computed a block at a time from the M checked float64 Fisher arrays.
@@ -456,12 +424,7 @@ class _FisherBlocks:
     def mass(self, lo) -> np.ndarray:
         """The (M, n) normalised Fisher mass of the block starting at ``lo``."""
         if lo != self._lo:
-            mass = np.stack([f[lo:lo + _BLOCK] for f in self._fishers])
-            scale = mass.max(axis=0)
-            zero = scale == 0.0
-            np.copyto(scale, 1.0, where=zero)
-            mass /= scale
-            np.copyto(mass, 1.0, where=zero)
+            mass = _normalised(np.stack([f[lo:lo + _BLOCK] for f in self._fishers]))
             self._lo, self._mass, self._weights = lo, mass, None
         return self._mass
 
@@ -546,18 +509,17 @@ class _Blocks:
     elements, has the anchor's dtype and shape in every model and, when
     Fisher merging weighs it per element, a Fisher tensor of that shape in
     every Fisher input; a block holds tensors of one dtype and at most
-    ``_BLOCK`` elements. Any other tensor ends a block. Which of a
-    source's tensors lie back to back in one run of its file, so that they
-    are read as one view of it, is decided here once, from the header
-    offsets and run ids (``run_segments``).
+    ``_BLOCK`` elements. Any other tensor ends a block. ``tensors`` is the
+    anchor's index. Which of a source's tensors lie back to back in one run
+    of its file, so that they are read as one view of it, is decided here
+    once, from its index (``run_segments``).
     """
 
     def __init__(self, tensors, shared, weights_for, pool, fishers, anchor):
-        names = list(map(operator.attrgetter("name"), tensors))
+        names, dtypes, self.shapes = tensors.names, tensors.dtypes, tensors.shapes
+        self.sizes = sizes = tensors.sizes
+        every = np.arange(len(names))
         self.anchor, self.pool, self.fishers = anchor, pool, fishers
-        dtypes = list(map(operator.attrgetter("dtype"), tensors))
-        self.shapes = list(map(operator.attrgetter("shape"), tensors))
-        self.sizes = sizes = np.fromiter(map(math.prod, self.shapes), np.int64, len(names))
         entries = list(map(shared.get, names))
         given = [None if e is None else weights_for(*e) for e in entries]
         sources = list({id(w): w for w in given if w is not None}.values())
@@ -571,19 +533,19 @@ class _Blocks:
         row[id(None)] = -1
         self.src = src = np.array([-2 if e is None else row[id(w)] for e, w in zip(entries, given)])
         fits = (src != -2) & (sizes > 0) & (sizes <= _BLOCK)
-        self.records, self.segments = [], []  # of each model, per tensor
+        self.rows, self.segments = [], []  # of each model, per tensor
         for p in pool:
-            records = p.records(names)
-            fits &= _matches(records, dtype=dtypes, shape=self.shapes)
-            self.records.append(records)
-            self.segments.append(run_segments(records))
-        self.fisher_records, self.fisher_segments, self.fisher_same = [], [], []
+            rows = p.index.lookup(names)
+            fits &= same_signature(tensors, every, p.index, rows)
+            self.rows.append(rows)
+            self.segments.append(run_segments(p.index, rows))
+        self.fisher_rows, self.fisher_segments, self.fisher_same = [], [], []
         for f in fishers or ():
-            records = f.tensors.records(names)
-            same = _matches(records, shape=self.shapes)
+            rows = f.tensors.index.lookup(names)
+            same = same_signature(tensors, every, f.tensors.index, rows, dtype=False)
             fits &= (src != -1) | same
-            self.fisher_records.append(records)
-            self.fisher_segments.append(run_segments(records))
+            self.fisher_rows.append(rows)
+            self.fisher_segments.append(run_segments(f.tensors.index, rows))
             self.fisher_same.append(same)
 
         spans, start, total = [], -1, 0
@@ -610,8 +572,8 @@ class _Blocks:
         n = int(sizes.sum())
         offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         xs = []
-        for p, records, segments in zip(self.pool, self.records, self.segments):
-            x = p.block(records[a:b], sizes, segments[a:b])
+        for p, rows, segments in zip(self.pool, self.rows, self.segments):
+            x = p.block(rows[a:b], segments[a:b])
             if x is None:
                 return None
             xs.append(x)
@@ -659,25 +621,20 @@ class _Blocks:
         elements = np.repeat(fisher, sizes)
         mass = np.zeros((len(self.fishers), n))
         for i, f in enumerate(self.fishers):
-            records = self.fisher_records[i][a:b]
+            rows = self.fisher_rows[i][a:b]
             if self.fisher_same[i][a:b].all():
                 # every tensor of the block, weighed per element or not, is
                 # there with the anchor's shape: all are read, in runs
-                values = f.tensors.block(records, sizes, self.fisher_segments[i][a:b])
+                values = f.tensors.block(rows, self.fisher_segments[i][a:b])
                 if values is None:
                     return None
                 mass[i] = values
             else:
-                values = f.tensors.block([records[k] for k in names], sizes[names],
-                                         np.full(len(names), -1))
+                values = f.tensors.block(rows[names], np.full(len(names), -1))
                 if values is None:
                     return None
                 mass[i, elements] = values
-        scale = mass.max(axis=0)
-        zero = scale == 0.0
-        np.copyto(scale, 1.0, where=zero)
-        mass /= scale
-        np.copyto(mass, 1.0, where=zero)
+        _normalised(mass)
         orders = np.tile(np.arange(len(mass)), (b - a, 1))
         for size in np.unique(sizes[names]):
             members = names[sizes[names] == size]
@@ -693,21 +650,6 @@ class _Blocks:
         if not blended[fisher].all():
             return None
         return weights
-
-
-def _matches(records, **expected) -> np.ndarray:
-    """Whether each of ``records`` is there and has the attribute values
-    ``expected`` (attribute -> one value per record)."""
-    if any(map(operator.is_, records, repeat(None))):
-        records = [_MISSING if r is None else r for r in records]
-    same = np.ones(len(records), bool)
-    for name, values in expected.items():
-        same &= np.fromiter(map(operator.eq, map(operator.attrgetter(name), records), values),
-                            bool, len(records))
-    return same
-
-
-_MISSING = SimpleNamespace(dtype=None, shape=None)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
@@ -736,29 +678,30 @@ def _merge(ckpts, alignment, strategy, weights_for, fishers=None, metadata_extra
         for group in alignment.shared_groups
         for name, kind in group.members
     }
-    anchor_tensors = anchor_ckpt.tensors
-    blocks = _Blocks(anchor_tensors, shared, weights_for, pool, fishers, anchor)
+    tensors = pool[anchor].index
+    names, shapes = tensors.names, tensors.shapes
+    blocks = _Blocks(tensors, shared, weights_for, pool, fishers, anchor)
 
     def merge_one(k):
-        t = anchor_tensors[k]
+        name, shape = names[k], shapes[k]
         if blocks.src[k] == -2:  # not shared, or not blended
-            return pool[anchor][t.name]
-        w = weights_for(*shared[t.name])
+            return pool[anchor][name]
+        w = weights_for(*shared[name])
         if w is None:
-            w = _fisher_weights(fishers, t.name, t.shape)
+            w = _fisher_weights(fishers, name, shape)
             if not _blends(w, anchor):
-                return pool[anchor][t.name]
-        arrays = [p[t.name] for p in pool]
+                return pool[anchor][name]
+        arrays = [p[name] for p in pool]
         for x in arrays:
-            if x.shape != t.shape:
+            if x.shape != shape:
                 raise MergeError(
-                    f"shape mismatch for shared tensor '{t.name}': "
-                    f"{x.shape} vs {t.shape} (alignment inconsistency)"
+                    f"shape mismatch for shared tensor '{name}': "
+                    f"{x.shape} vs {shape} (alignment inconsistency)"
                 )
         data = _weighted_sum(w, arrays, arrays[anchor].dtype)
         # finite inputs can still sum, or cast, past the dtype's range
         if not np.isfinite(data).all():
-            raise NonFiniteTensorError(f"merged tensor '{t.name}' is not finite")
+            raise NonFiniteTensorError(f"merged tensor '{name}' is not finite")
         return data
 
     merged, done = [], 0
@@ -767,8 +710,7 @@ def _merge(ckpts, alignment, strategy, weights_for, fishers=None, metadata_extra
         data = blocks.merge(j)
         merged.extend(data if data is not None else map(merge_one, range(a, b)))
         done = b
-    merged.extend(map(merge_one, range(done, len(anchor_tensors))))
-    tensors = [TensorRecord(t.name, data) for t, data in zip(anchor_tensors, merged)]
+    merged.extend(map(merge_one, range(done, len(names))))
     for p in pool:  # tensors no merged value depends on are checked all the same
         p.check_rest()
 
@@ -785,7 +727,7 @@ def _merge(ckpts, alignment, strategy, weights_for, fishers=None, metadata_extra
         metadata.update(metadata_extra)
     if META_LAYER_ORDER in anchor_ckpt.metadata:
         metadata[META_LAYER_ORDER] = anchor_ckpt.metadata[META_LAYER_ORDER]
-    return Checkpoint(tensors, metadata)
+    return Checkpoint(list(map(TensorRecord, names, merged)), metadata)
 
 
 def layerwise_merge(

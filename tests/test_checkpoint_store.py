@@ -6,6 +6,7 @@ import os
 import stat
 import struct
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -553,6 +554,15 @@ class TestOpenFile:
             assert file_tensors() == before
         finally:
             gc.enable()
+
+    def test_run_kept_dropped_at_close(self, saved):
+        with ckpt_store.open_file(saved) as ckpt:
+            first = ckpt.tensors[0].data  # a view of its run, which the reader keeps
+            run = weakref.ref(first.base)
+            del first
+            assert run() is not None
+        assert run() is None  # while the closed checkpoint is still held
+        assert np.array_equal(ckpt.tensors[0].data, load(saved).tensors[0].data)
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.st"

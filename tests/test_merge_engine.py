@@ -936,14 +936,17 @@ class TestFileBackedMerge:
         assert all(bytes_read_once(reads, p) for p in [*paths, *fisher_paths])
         assert all(t.data.tobytes() == expected.get(t.name).data.tobytes() for t in merged.tensors)
 
-    @pytest.mark.parametrize("strategy", ["layerwise", "fisher"])
+    @pytest.mark.parametrize("strategy", ["layerwise", "fisher", "fisher-no-bn-twins"])
     def test_kernel_passes_cover_many_tensors(self, tmp_path, monkeypatch, strategy):
         # the kernel sums blocks of whole tensors, not one tensor at a time,
         # and no block falls back to the tensor-by-tensor kernel
-        if strategy == "fisher":
+        if strategy.startswith("fisher"):
             models, fishers = self.many_tensor_models(with_fisher=True)
             for f in fishers:
                 f.get("blocks.3.bias").data[:4] = 0.0  # no Fisher mass in any model
+            if strategy == "fisher-no-bn-twins":  # blocks weigh only some tensors per element
+                fishers = [Checkpoint([t for t in f.tensors if ".running_" not in t.name])
+                           for f in fishers]
             fisher_paths = self.saved(tmp_path, fishers, "f")
         else:
             models, fisher_paths = self.many_tensor_models(), []
@@ -958,7 +961,7 @@ class TestFileBackedMerge:
         with contextlib.ExitStack() as files:
             opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
             alignment = shared_parameters(opened[:4], 0)
-            self.merge(strategy, opened[:4], opened[4:])
+            self.merge(strategy.split("-")[0], opened[:4], opened[4:])
         shared_elements = sum(math.prod(opened[0].get(n).shape) for n in alignment.shared_names())
         runs = sum(ref.ref_read_units(p, 4096) for p in paths)
         assert "_weighted_sum" not in passes
@@ -997,15 +1000,29 @@ class TestFileBackedMerge:
             with pytest.raises(FisherInputError, match="negative Fisher values in 'layer1.weight'$"):
                 self.merge("fisher", opened[:4], opened[4:])
 
+    def test_checkpoint_of_records_from_two_files_checked_by_record(self, tmp_path, rng):
+        # only the records open_file made are read through their file's index;
+        # a run of the first file that passed must not stand for the second's
+        models = [make_checkpoint([(3, 3), (2, 3)], rng) for _ in range(2)]
+        models[1].get("layer0.bias").data[1] = np.nan
+        paths = self.one_run(tmp_path, models)
+        with contextlib.ExitStack() as files:
+            a, b = (files.enter_context(ckpt_store.open_file(p)) for p in paths)
+            mixed = Checkpoint([b.get(t.name) if t.name == "layer0.bias" else t for t in a.tensors])
+            assert ckpt_store.index(mixed) is not ckpt_store.index(a) is ckpt_store.index(a)
+            assert (ckpt_store.index(mixed).runs == -1).all()
+            with pytest.raises(NonFiniteTensorError, match=r"tensor 'layer0.bias' of model 1$"):
+                self.merge("isotropic", [a, mixed])
+
     def test_file_truncated_mid_run(self, tmp_path, rng, monkeypatch):
         models = [make_checkpoint([(3, 3), (2, 3), (4, 2)], rng) for _ in range(2)]
         paths = self.one_run(tmp_path, models)
         get = merge_module._Reads._get
         returned = []
 
-        def recorded(reads, t):
-            result = get(reads, t)
-            returned.append((t._section.path, t.name))
+        def recorded(reads, row):
+            result = get(reads, row)
+            returned.append((reads.index.path, reads.index.names[row]))
             return result
 
         monkeypatch.setattr(merge_module._Reads, "_get", recorded)
@@ -1059,9 +1076,9 @@ class TestFileBackedMerge:
         get = merge_module._Reads._get
         returned = []
 
-        def recorded(reads, t):
-            result = get(reads, t)
-            returned.append((t._section.path, t.name))
+        def recorded(reads, row):
+            result = get(reads, row)
+            returned.append((reads.index.path, reads.index.names[row]))
             return result
 
         monkeypatch.setattr(merge_module._Reads, "_get", recorded)
