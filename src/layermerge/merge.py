@@ -228,7 +228,7 @@ class _Reads(Mapping):
 
     def _get(self, row):
         rows = np.array([row])
-        x, passed = self._read(rows, self.index.runs[rows])  # see run_segments
+        x, passed = self._read(rows, self.index.runs[rows])  # one row: its run is its segment
         x = x.reshape(self.index.shapes[row])
         if not passed:
             self._reject(self.index.names[row], x)
