@@ -205,6 +205,9 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_fisher(args) -> int:
+    for flag in ("rotation", "tx", "ty"):
+        if not np.isfinite(getattr(args, flag)):
+            raise UsageError(f"--{flag} must be a finite real")
     model = ToyModel.from_checkpoint(ckpt_store.load(args.model))
     classes = model.layer_sizes[-1]
     if args.samples < classes:

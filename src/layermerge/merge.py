@@ -7,17 +7,19 @@ shared layer is owned exclusively by the anchor. Isotropic, performance-
 weighted and diagonal-Fisher-weighted merging are provided as baselines.
 
 Every strategy is one weighted sum per shared tensor, ``sum_i w_i * x_i``;
-the strategies differ only in the weights: one scalar per model and layer,
-or one per element for Fisher merging. Each element's float64 terms are
-added in the content order of its tensor's (tensor, weight row) pairs,
-which depends only on the multiset of pairs, so every strategy is exactly
-invariant to permutations of the non-anchor models. Two kernels compute the
-sum with the same operations for every element: ``_weighted_sum`` for a
-tensor larger than a block, ``_Blocks.merge`` for several small ones. Every
-tensor of every input, blended or not, is checked (finite, and Fisher
-values non-negative), and a merged tensor that is not finite, which finite
-inputs reach by overflow, raises ``NonFiniteTensorError``. Schedule weights
-are exact rationals rounded to float64 once, so schedule identities hold
+the strategies differ only in the weights they hand the merge: an (M, L)
+table of each model's weight at each shared layer, plus for Fisher merging
+the Fisher inputs, which weigh gradient-bearing tensors per element. Each
+element's float64 terms are added in the content order of its tensor's
+(tensor, weight row) pairs, which depends only on the multiset of pairs,
+so every strategy is exactly invariant to permutations of the non-anchor
+models. Two kernels, chosen by tensor size, compute the sum with the same
+operations for every element: ``_weighted_sum`` for a tensor larger than a
+block, ``_Blocks.merge`` for several small ones. Every tensor of every
+input, blended or not, is checked (finite, and Fisher values
+non-negative), and a merged tensor that is not finite, which finite inputs
+reach by overflow, raises ``NonFiniteTensorError``. Schedule weights are
+exact rationals rounded to float64 once, so schedule identities hold
 exactly on the rational side and to within one rounding on the float side.
 """
 
@@ -288,8 +290,8 @@ class FisherWeights:
     """Non-negative diagonal Fisher estimates, aligned by tensor name.
 
     ``tensors`` is always a ``_Reads``: a tensor is read and checked each
-    time it is looked up, in its stored dtype, and ``fisher_merge`` checks
-    the ones it never looks up after merging, so a file-backed checkpoint
+    time it is looked up, in its stored dtype, and the merge checks the
+    ones it never looks up, so a file-backed checkpoint
     (:meth:`from_checkpoint`) is read lazily. Built from arrays, every
     tensor is checked at construction and held as float64, in a checkpoint
     of its own, so an empty tensor name is refused there with the
@@ -502,36 +504,36 @@ def _gather(orders, sizes) -> np.ndarray:
 
 
 class _Blocks:
-    """The blocks of one merge: runs of whole shared tensors, in the
-    anchor's order, that the kernel sums together.
-
-    A tensor joins a block when it is blended, holds 1 to ``_BLOCK``
-    elements, has the anchor's dtype and shape in every model and, when
-    Fisher merging weighs it per element, a Fisher tensor of that shape in
-    every Fisher input; a block holds tensors of one dtype and at most
-    ``_BLOCK`` elements. Any other tensor ends a block. ``tensors`` is the
-    anchor's index. Which of a source's tensors lie back to back in one run
-    of its file, so that they are read as one view of it, is decided here
-    once, from its index (``run_segments``).
+    """The plan of one merge. ``table`` is the (M, L) weights as (L, M),
+    and ``src`` gives each tensor of the anchor's index ``tensors`` its row
+    of ``table``; -1 where Fisher merging weighs it per element, -2 where it
+    keeps the anchor's array: not shared, or in a row where no model but
+    the anchor has a non-zero weight. ``spans`` are the blocks: runs of
+    whole shared tensors, in the anchor's order, that the kernel sums
+    together. A tensor joins a block when it is blended, holds 1 to
+    ``_BLOCK`` elements, has the anchor's dtype and shape in every model
+    and, when weighed per element, a Fisher tensor of that shape in every
+    Fisher input; a block holds tensors of one dtype and at most ``_BLOCK``
+    elements. Any other tensor ends a block. Which of a source's tensors lie
+    back to back in one run of its file, so that they are read as one view
+    of it, is decided here once, from its index (``run_segments``).
     """
 
-    def __init__(self, tensors, shared, weights_for, pool, fishers, anchor):
+    def __init__(self, tensors, alignment, weights, pool, fishers):
         names, dtypes, self.shapes = tensors.names, tensors.dtypes, tensors.shapes
         self.sizes = sizes = tensors.sizes
         every = np.arange(len(names))
-        self.anchor, self.pool, self.fishers = anchor, pool, fishers
-        entries = list(map(shared.get, names))
-        given = [None if e is None else weights_for(*e) for e in entries]
-        sources = list({id(w): w for w in given if w is not None}.values())
-        rows = [w.block(0) for w in sources] or [np.zeros(len(pool))]
-        self.table = np.stack(rows)
-        # _blends of every source at once
-        blends = np.count_nonzero(self.table, axis=1) > (self.table[:, anchor] != 0)
-        # each tensor's row of table; -1 for per-element Fisher weights, -2
-        # when it keeps the anchor's array: not shared, or not blended
-        row = {id(w): i if b else -2 for i, (w, b) in enumerate(zip(sources, blends.tolist()))}
-        row[id(None)] = -1
-        self.src = src = np.array([-2 if e is None else row[id(w)] for e, w in zip(entries, given)])
+        self.anchor = anchor = alignment.anchor
+        self.pool, self.fishers = pool, fishers
+        self.table = table = np.ascontiguousarray(weights.T)
+        per_element = fishers is not None
+        src = np.full(len(names), -2)
+        src[tensors.lookup(alignment.shared_names())] = [
+            -1 if per_element and kind not in NON_GRADIENT_KINDS else g.index - 1
+            for g in alignment.shared_groups for _, kind in g.members]
+        # whether each row blends, then True for -1 and False for -2
+        blends = np.append(np.count_nonzero(table, axis=1) > (table[:, anchor] != 0), [False, True])
+        self.src = src = np.where(blends[src], src, -2)
         fits = (src != -2) & (sizes > 0) & (sizes <= _BLOCK)
         self.rows, self.segments = [], []  # of each model, per tensor
         for p in pool:
@@ -653,18 +655,19 @@ class _Blocks:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
-def _merge(ckpts, alignment, strategy, weights_for, fishers=None, metadata_extra=None):
+def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=None):
     """The merge loop behind every strategy.
 
-    ``weights_for(layer, kind)`` returns the ``_Scalars`` of one shared
-    layer and tensor kind, or None where the weights are per element,
-    computed from ``fishers`` (see ``_fisher_weights``). Shared tensors
-    become weighted sums cast to the anchor's dtype; anchor-only tensors,
-    and shared tensors whose non-anchor weights are all zero, keep the
-    anchor's array. The output follows the anchor's tensor order. Small
-    tensors are merged in blocks (see ``_Blocks``); the tensors of a block
-    that fails are merged again one at a time, which raises the error the
-    first failing tensor gives.
+    ``weights`` is the (M, L) table of each model's weight at each shared
+    layer; with ``fishers``, gradient-bearing tensors are weighed per
+    element instead (see ``_FisherBlocks``). Shared tensors become weighted
+    sums cast to the anchor's dtype; anchor-only tensors, and shared tensors
+    whose non-anchor weights are all zero, keep the anchor's array. The
+    output follows the anchor's tensor order. Tensors larger than a block
+    go through ``_weighted_sum``, smaller ones through the block kernel
+    (see ``_Blocks``); the tensors of a block that fails are merged again
+    one at a time, which raises the error the first failing tensor gives.
+    Every tensor of every input and Fisher input is checked.
     """
     if alignment.model_count != len(ckpts):
         raise MergeError(
@@ -673,24 +676,20 @@ def _merge(ckpts, alignment, strategy, weights_for, fishers=None, metadata_extra
     anchor = alignment.anchor
     anchor_ckpt = ckpts[anchor]
     pool = [_model_reads(c, i) for i, c in enumerate(ckpts)]
-    shared = {
-        name: (group.index, kind)
-        for group in alignment.shared_groups
-        for name, kind in group.members
-    }
     tensors = pool[anchor].index
     names, shapes = tensors.names, tensors.shapes
-    blocks = _Blocks(tensors, shared, weights_for, pool, fishers, anchor)
+    blocks = _Blocks(tensors, alignment, weights, pool, fishers)
 
     def merge_one(k):
-        name, shape = names[k], shapes[k]
-        if blocks.src[k] == -2:  # not shared, or not blended
+        name, shape, src = names[k], shapes[k], blocks.src[k]
+        if src == -2:  # not shared, or not blended
             return pool[anchor][name]
-        w = weights_for(*shared[name])
-        if w is None:
+        if src == -1:
             w = _fisher_weights(fishers, name, shape)
             if not _blends(w, anchor):
                 return pool[anchor][name]
+        else:
+            w = _Scalars(blocks.table[src])
         arrays = [p[name] for p in pool]
         for x in arrays:
             if x.shape != shape:
@@ -711,8 +710,9 @@ def _merge(ckpts, alignment, strategy, weights_for, fishers=None, metadata_extra
         merged.extend(data if data is not None else map(merge_one, range(a, b)))
         done = b
     merged.extend(map(merge_one, range(done, len(names))))
-    for p in pool:  # tensors no merged value depends on are checked all the same
-        p.check_rest()
+    # tensors no merged value depends on are checked all the same
+    for reads in (*pool, *(f.tensors for f in fishers or ())):
+        reads.check_rest()
 
     metadata = {
         "model_id": "merged",
@@ -748,20 +748,21 @@ def layerwise_merge(
         )
     if anchor != schedule.anchor or anchor != alignment.anchor:
         raise MergeError("anchor disagrees between schedule, alignment and call")
-    per_layer = [_Scalars(w) for w in schedule.weights.T]
     extra = {
         "merge_start_layer": str(schedule.start_layer),
         "merge_first_layer_weight": repr(schedule.first_layer_weight),
     }
-    return _merge(ckpts, alignment, "layerwise", lambda layer, _: per_layer[layer - 1],
-                  metadata_extra=extra)
+    return _merge(ckpts, alignment, "layerwise", schedule.weights, metadata_extra=extra)
+
+
+def _uniform(ckpts, alignment) -> np.ndarray:
+    return np.full((len(ckpts), alignment.n_shared_layers), 1.0 / len(ckpts))
 
 
 def isotropic_merge(ckpts: list[Checkpoint], alignment: SharedAlignment) -> Checkpoint:
     """Plain average of shared tensors; rejects shape-conflicted names."""
     _reject_shape_conflicts(alignment, "isotropic")
-    uniform = _Scalars(np.full(len(ckpts), 1.0 / len(ckpts)))
-    return _merge(ckpts, alignment, "isotropic", lambda *_: uniform)
+    return _merge(ckpts, alignment, "isotropic", _uniform(ckpts, alignment))
 
 
 def scalar_weighted_merge(
@@ -784,9 +785,9 @@ def scalar_weighted_merge(
             raise MergeError(f"performance score of model {i} must be positive, got {s!r}")
     exact = [Fraction(float(s)) for s in scores]
     total = sum(exact)
-    weights = _Scalars(np.array([float(s / total) for s in exact]))
+    weights = np.repeat([[float(s / total)] for s in exact], alignment.n_shared_layers, axis=1)
     extra = {"merge_scores": ",".join(repr(float(s)) for s in scores)}
-    return _merge(ckpts, alignment, "scalar", lambda *_: weights, metadata_extra=extra)
+    return _merge(ckpts, alignment, "scalar", weights, metadata_extra=extra)
 
 
 def _fisher_weights(fishers, name, shape):
@@ -822,11 +823,4 @@ def fisher_merge(
     _reject_shape_conflicts(alignment, "Fisher-weighted")
     if len(fishers) != len(ckpts):
         raise MergeError(f"{len(fishers)} Fisher inputs for {len(ckpts)} models")
-    uniform = _Scalars(np.full(len(ckpts), 1.0 / len(ckpts)))
-    merged = _merge(
-        ckpts, alignment, "fisher",
-        lambda layer, kind: uniform if kind in NON_GRADIENT_KINDS else None, fishers,
-    )
-    for fisher in fishers:
-        fisher.tensors.check_rest()
-    return merged
+    return _merge(ckpts, alignment, "fisher", _uniform(ckpts, alignment), fishers)

@@ -44,6 +44,11 @@ _REAL_FIELDS = ("learning_rate", "head_lr_multiplier", "shift_rotation")
 _NULLABLE = ("first_layer_weight", "tau")  # real numbers or null
 
 
+def _finite_number(value) -> bool:
+    # abs() <= max rejects nan and inf, and ints too large for a float
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 7
@@ -78,18 +83,16 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must hold integers, got {value!r}")
         for name in (*_REAL_FIELDS, *_NULLABLE):
             value = getattr(self, name)
-            if value is None and name in _NULLABLE:
-                continue
-            # abs() <= max rejects nan and inf, and ints too large for a float
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            if not (value is None and name in _NULLABLE or _finite_number(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if type(self.shared_init) is not bool:
             raise ValueError(f"shared_init must be true or false, got {self.shared_init!r}")
         if min(self.hidden, default=1) < 1:
             raise ValueError(f"hidden sizes must be at least 1, got {list(self.hidden)}")
         translation = self.shift_translation
-        if len(translation) != 2 or not all(type(v) in (int, float) for v in translation):
-            raise ValueError(f"shift_translation must hold two numbers, got {list(translation)}")
+        if len(translation) != 2 or not all(map(_finite_number, translation)):
+            raise ValueError(
+                f"shift_translation must hold two finite numbers, got {list(translation)}")
         if self.mode not in ("donors", "checkpoints"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.donor_domain not in ("source", "target"):

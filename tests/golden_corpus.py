@@ -8,6 +8,8 @@ compares them with ``tests/data/golden.json``; a changed digest is a change
 of behaviour. To rewrite the file after an intended change:
 
     PYTHONPATH=src python tests/golden_corpus.py
+
+which names the runs whose record changed against the file it replaces.
 """
 
 import contextlib
@@ -179,13 +181,24 @@ def run_all(root: Path) -> dict:
     return record
 
 
+def changed_runs(old: dict, new: dict) -> list[str]:
+    """The names of the runs whose record differs between the records
+    ``old`` and ``new``, or that only one of them has."""
+    before, after = old.get("runs", {}), new["runs"]
+    return sorted(name for name in before.keys() | after.keys()
+                  if before.get(name) != after.get(name))
+
+
 def main_rewrite() -> int:
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         record = run_all(Path(tmp))
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     failed = sorted(name for name, r in record["runs"].items() if r["exit"])
     print(f"wrote {len(record['runs'])} runs to {GOLDEN} ({len(failed)} exit non-zero: {failed})",
           file=sys.stderr)
+    changed = changed_runs(old, record)
+    print(f"{len(changed)} runs changed against the previous file: {changed}", file=sys.stderr)
     return 0
 
 

@@ -509,6 +509,22 @@ class TestFisherCommand:
         assert "usage error" in err and "--samples" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, domain", [
+        ("--tx", "nan", "target"),
+        ("--rotation", "inf", "target"),
+        ("--tx", "nan", "source"),
+        ("--ty", "inf", "source"),
+    ])
+    def test_non_finite_shift_usage_error(self, tmp_path, capsys, flag, value, domain):
+        pm = tmp_path / "model.st"
+        save(ToyModel.init([2, 8, 3], seed=5).to_checkpoint(), pm)
+        out = tmp_path / "f.st"
+        code, _, err = run(capsys, "fisher", pm, flag, value, "--domain", domain, "--out", out)
+        assert code == 1
+        assert "usage error" in err and flag in err
+        assert "warning" not in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_classes_flag_removed(self, tmp_path, capsys):
         pm = tmp_path / "model.st"
         save(ToyModel.init([2, 8, 3], seed=5).to_checkpoint(), pm)
@@ -592,6 +608,8 @@ class TestToyCommand:
         ("shift_translation", 0.3),
         ("strategies", ["x", 3]),
         ("strategies", [["a"]]),
+        ("shift_translation", [float("nan"), 0.0]),
+        ("shift_translation", [float("inf"), 0]),
     ])
     def test_malformed_config_usage_error(self, tmp_path, capsys, field, value):
         cfg = self.config_file(tmp_path, **{field: value})

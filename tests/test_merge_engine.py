@@ -239,6 +239,38 @@ class TestLayerwiseMerge:
         for name in alignment.shared_groups[-1].names():
             assert np.array_equal(merged.get(name).data, pool[0].get(name).data)
 
+    # a weight tensor above the 8,192-element block goes through _weighted_sum,
+    # tensors of 20 elements through the block kernel
+    @pytest.mark.parametrize("shape", [(100, 90), (4, 5)], ids=["whole-tensor", "blocks"])
+    @pytest.mark.parametrize("source", ["memory", "file"])
+    def test_blend_decided_per_layer(self, tmp_path, rng, shape, source):
+        """A middle layer where only the anchor has weight keeps the anchor's
+        bytes, as the last one does, and a layer where the anchor has none
+        blends. Each anchor tensor starts with -0.0, which a sum would turn
+        into +0.0, so a kept tensor differs from a blended one."""
+        arrays = [{n: x.copy() for n, x in make_checkpoint([shape] * 4, rng).arrays().items()}
+                  for _ in range(3)]
+        for i, model in enumerate(arrays):
+            for x in model.values():
+                x.flat[0] = 1.0 if i else -0.0
+        weights = np.array([[0.5, 1.0, 0.0, 1.0], [0.25, 0.0, 0.5, 0.0], [0.25, 0.0, 0.5, 0.0]])
+        schedule = MergeSchedule(3, 4, 0, 1, 0.25, weights)
+        pool = [Checkpoint.from_arrays(a) for a in arrays]
+        with contextlib.ExitStack() as files:
+            if source == "file":
+                pool = [files.enter_context(ckpt_store.open_file(p))
+                        for p in TestFileBackedMerge.saved(tmp_path, pool)]
+            alignment = shared_parameters(pool, 0)
+            merged = layerwise_merge(pool, 0, schedule, alignment)
+        assert alignment.n_shared_layers == 4
+        for j, group in enumerate(alignment.shared_groups):
+            for name in group.names():
+                xs = [a[name] for a in arrays]
+                blended = ref.ref_weighted_sum(weights[:, j], xs)
+                assert blended.tobytes() != xs[0].tobytes()
+                expected = xs[0] if j in (1, 3) else blended
+                assert merged.get(name).data.tobytes() == expected.tobytes(), name
+
     def test_order_invariance_of_donors(self, rng):
         base = make_checkpoint([(3, 3), (2, 3)], rng)
         donors = [make_checkpoint([(3, 3), (2, 3)], rng) for _ in range(3)]
