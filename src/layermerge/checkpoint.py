@@ -484,39 +484,29 @@ class FileTensor:
         return self._section.read(self._row)
 
 
-def run_segments(index, rows) -> np.ndarray:
-    """An id for each of the tensors ``rows`` of ``index`` such that a
-    stretch of equal ids lies back to back, in that order, in one run and
-    is one slice of the run's values; -1 for a tensor in no run."""
-    if not index.names:  # every row is -1
-        return np.full(len(rows), -1)
-    runs = np.where(rows >= 0, index.runs[rows], -1)
-    starts, ends = index.starts[rows], index.ends[rows]
-    joins = (runs[1:] >= 0) & (runs[1:] == runs[:-1]) & (starts[1:] == ends[:-1])
-    ids = np.cumsum(np.concatenate([[True], ~joins])[:len(rows)])
-    return np.where(runs >= 0, ids, -1)
-
-
-def read_flat(index, rows, segments):
+def read_flat(index, rows):
     """``(pieces, runs)``: the values of the tensors ``rows`` of ``index``
-    as flat arrays that hold them back to back when put together, and
-    ``(run, values)`` for each piece that is a view of a run: the run's id
-    and all its values. Neighbours of one run segment (``segments``, see
-    ``run_segments``) are one ``view`` of their run; every other tensor is
+    (no row -1) as flat arrays that hold them back to back when put
+    together, and ``(run, values)`` for each piece that is a view of a run:
+    the run's id and all its values. Neighbours that lie back to back, in
+    that order, in one run are one ``view`` of it; every other tensor is
     read alone."""
-    sizes = index.sizes[rows]
-    cuts = np.flatnonzero((segments[1:] != segments[:-1]) | (segments[1:] < 0)) + 1
-    bounds = [0, *cuts.tolist(), len(rows)]
+    runs, sizes = index.runs[rows], index.sizes[rows]
+    cuts = []  # where a tensor does not follow the one before it directly in its run
+    if len(rows) > 1:
+        cuts = (np.flatnonzero((runs[1:] < 0) | (runs[1:] != runs[:-1])
+                               | (index.starts[rows[1:]] != index.ends[rows[:-1]])) + 1).tolist()
+    bounds = [0, *cuts, len(rows)]
     rows = rows.tolist()
-    pieces, runs = [], []
+    pieces, found = [], []
     for lo, hi in zip(bounds, bounds[1:]):
-        got = index.view(rows[lo], int(sizes[lo:hi].sum())) if segments[lo] >= 0 else None
+        got = index.view(rows[lo], int(sizes[lo:hi].sum())) if runs[lo] >= 0 else None
         if got is None:
             pieces.extend(index.read(row).reshape(-1) for row in rows[lo:hi])
             continue
         pieces.append(got[0])
-        runs.append((int(index.runs[rows[lo]]), got[1]))
-    return pieces, runs
+        found.append((int(runs[lo]), got[1]))
+    return pieces, found
 
 
 def _identity(fh):
@@ -575,11 +565,11 @@ class _DataSection(TensorIndex):
     def view(self, row, count):
         """``(piece, values)`` while the file is open: ``piece`` is the
         ``count`` elements from where the tensor ``row`` starts (its run
-        must hold them, see ``run_segments``) as a flat read-only view of
-        its run, and ``values`` the whole run's, so that a caller can check
-        the run once; the run is read now if it never was. None when the
-        tensor is in no run, or its run was read before and dropped, or the
-        file is closed or no longer holds the run."""
+        must hold them, as ``read_flat`` makes sure) as a flat read-only
+        view of its run, and ``values`` the whole run's, so that a caller
+        can check the run once; the run is read now if it never was. None
+        when the tensor is in no run, or its run was read before and
+        dropped, or the file is closed or no longer holds the run."""
         run = int(self.runs[row])
         if run < 0 or self.fh.closed:
             return None

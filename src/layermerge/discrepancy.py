@@ -27,7 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 from .alignment import KIND_ORDER, shared_parameters
-from .checkpoint import Checkpoint, index, read_flat, run_segments
+from .checkpoint import Checkpoint, index, read_flat
 
 MODES = ("elementwise", "layer_norm")
 
@@ -99,13 +99,10 @@ def discrepancy_profile(
             if kind in by_kind:
                 slices.append((group, kind, len(names), len(names) + len(by_kind[kind])))
                 names += by_kind[kind]
-    sides = []  # each checkpoint's index, its rows of ``names`` and their run segments
-    for ckpt in (a, b):
-        tensors = index(ckpt)
-        found = tensors.lookup(names)
-        sides.append((tensors, found, run_segments(tensors, found)))
+    # each checkpoint's index and its rows of ``names``
+    sides = [(tensors, tensors.lookup(names)) for tensors in map(index, (a, b))]
     firsts = [first for _, _, first, _ in slices]
-    tensors, found, _ = sides[0]
+    tensors, found = sides[0]
     elements = np.add.reduceat(tensors.sizes[found], firsts).tolist() if slices else []
 
     rows, batch, size = [], [], 0
@@ -125,8 +122,8 @@ def _compare(batch, sides, tau, mode) -> list[ProfileRow]:
     the tensors ``first`` to ``end`` of each side's rows."""
     lo, hi = batch[0][2], batch[-1][3]
     ref, other = (
-        np.concatenate(read_flat(tensors, found[lo:hi], segments[lo:hi])[0], dtype=np.float64)
-        for tensors, found, segments in sides
+        np.concatenate(read_flat(tensors, found[lo:hi])[0], dtype=np.float64)
+        for tensors, found in sides
     )
     bounds = [0, *accumulate(n for *_, n in batch)]
     if not (np.isfinite(ref).all() and np.isfinite(other).all()):

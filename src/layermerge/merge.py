@@ -29,6 +29,7 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key, partial
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .checkpoint import (
     TensorRecord,
     index,
     read_flat,
-    run_segments,
     same_signature,
 )
 
@@ -194,28 +194,31 @@ class _Reads(Mapping):
     """Name -> array view of a checkpoint that reads a tensor each time it
     is looked up and checks it: ``ok(array)`` says whether an array passes,
     and ``reject(name, array)`` raises the error of a tensor that does not.
-    Tensors are addressed by their row of the checkpoint's ``index``. Each
-    run of a file that a read gives (see ``read_flat``) is checked once, by
-    one ``ok`` on the whole run, and its verdict is kept: a tensor of a run
-    that passed counts as checked, and only a tensor of a run that failed,
-    or of none, is tried on its own, so every error is still raised when
-    its tensor is looked up. ``block`` reads several tensors at once for
-    the block kernel. ``check_rest`` reads and checks the tensors not
-    checked yet, so that none goes unchecked."""
+    Tensors are addressed by their row of the checkpoint's ``index``, so a
+    name held twice is refused, and read through ``read_flat``, which
+    alone decides which are one view of a run of a file. Each run a read
+    gives is checked once, by one ``ok`` on the whole run, and its verdict
+    is kept: a tensor of a run that passed counts as checked, and only a
+    tensor of a run that failed, or of none, is tried on its own, so every
+    error is still raised when its tensor is looked up. ``block`` reads
+    several tensors at once for the block kernel. ``check_rest`` reads and
+    checks the tensors not checked yet, so that none goes unchecked."""
 
     def __init__(self, ckpt, ok, reject):
         self.index = index(ckpt)
+        if len(self.index.rows) < len(self.index.names):
+            Checkpoint(ckpt.tensors).validate()  # raises its duplicate-name error
         self._ok, self._reject = ok, reject
         # the rows checked apart from their run, and each run's verdict
         self._checked, self._run_passed = np.zeros(len(self.index.names), bool), {}
 
-    def _read(self, rows, segments):
+    def _read(self, rows):
         """``(values, passed)``: the values of the tensors ``rows`` back to
         back in one flat array (``read_flat``), and whether they pass: at
         once when every piece is a view of a run that passed, else when all
         the values together pass ``ok``, and then every row counts as
         checked."""
-        pieces, runs = read_flat(self.index, rows, segments)
+        pieces, runs = read_flat(self.index, rows)
         x = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
         run_passed = self._run_passed
         for run, values in runs:
@@ -229,8 +232,7 @@ class _Reads(Mapping):
         return x, passed
 
     def _get(self, row):
-        rows = np.array([row])
-        x, passed = self._read(rows, self.index.runs[rows])  # one row: its run is its segment
+        x, passed = self._read(np.array([row]))
         x = x.reshape(self.index.shapes[row])
         if not passed:
             self._reject(self.index.names[row], x)
@@ -248,15 +250,13 @@ class _Reads(Mapping):
     def __len__(self):
         return len(self.index.rows)
 
-    def block(self, rows, segments):
+    def block(self, rows):
         """The values of the tensors ``rows`` back to back in one flat
         array, when all of them pass ``ok``; they then count as checked.
-        Neighbours of one run segment (``segments``, see ``run_segments``)
-        are read as one view of their run. None when a value fails or a
-        tensor cannot be read: looked up one at a time, the first of them
-        that fails raises its error."""
+        None when a value fails or a tensor cannot be read: looked up one
+        at a time, the first of them that fails raises its error."""
         try:
-            x, passed = self._read(rows, segments)
+            x, passed = self._read(rows)
         except (CheckpointError, OSError):
             return None
         return x if passed else None
@@ -333,7 +333,7 @@ def _reject_shape_conflicts(alignment: SharedAlignment, strategy: str) -> None:
         )
 
 
-_BLOCK = 8192  # elements the kernel sums, and a sort key compares, at a time
+_BLOCK = 8192  # elements the kernel sums, and a comparison reads, at a time
 
 
 class _Scalars:
@@ -350,49 +350,27 @@ class _Scalars:
         return self._weights
 
 
-class _Rest:
-    """Row ``i`` past its first block, of equal-length rows whose blocks
-    from element ``lo`` are ``rows(lo)``; ordered as the bytes of those
-    parts of the rows are: block by block, taking a block only while the
-    rows tie on the earlier ones. Only rows of the same ``rows`` compare."""
-
-    __slots__ = ("rows", "i", "size")
-
-    def __init__(self, rows, i, size):
-        self.rows, self.i, self.size = rows, i, size
-
-    def _cmp(self, other) -> int:
-        for lo in range(_BLOCK, self.size, _BLOCK):
-            rows = self.rows(lo)
-            x, y = rows[self.i].tobytes(), rows[other.i].tobytes()
-            if x != y:
-                return -1 if x < y else 1
-        return 0
-
-    def __eq__(self, other):
-        return self._cmp(other) == 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-
-def _row_keys(head, rows, size) -> list:
-    """Sort keys of rows of ``size`` elements, ordered exactly as the rows'
-    whole bytes are: the bytes of the first block of each row of ``head``
-    (the rows, or their first blocks), then, for rows longer than a block,
-    a ``_Rest`` over ``rows(lo)``, the rows' blocks from element ``lo``."""
-    if size <= _BLOCK:
-        return [r.tobytes() for r in head]
-    return [(r[:_BLOCK].tobytes(), _Rest(rows, i, size)) for i, r in enumerate(head)]
+def _compare_rows(blocks, size, i, j) -> int:
+    """-1, 0 or 1 as row ``i`` of equal-length rows of ``size`` elements,
+    whose blocks from element ``lo`` are ``blocks(lo)``, orders before,
+    with or after row ``j`` by its bytes: compared block by block, taking
+    a block only while the rows tie on the earlier ones."""
+    for lo in range(0, size, _BLOCK):
+        rows = blocks(lo)
+        x, y = rows[i].tobytes(), rows[j].tobytes()
+        if x != y:
+            return -1 if x < y else 1
+    return 0
 
 
 def _content_order(weights, xs) -> list[int]:
     """Indices of the (weight, array) pairs of a weight source and flat
     arrays in content order: by the array's bytes, then the weight row's;
     ties keep their index order."""
-    keys = list(zip(_row_keys(xs, lambda lo: [x[lo:lo + _BLOCK] for x in xs], xs[0].size),
-                    _row_keys(weights.block(0), weights.block, weights.size)))
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    def compare(i, j):
+        return (_compare_rows(lambda lo: [x[lo:lo + _BLOCK] for x in xs], xs[0].size, i, j)
+                or _compare_rows(weights.block, weights.size, i, j))
+    return sorted(range(len(xs)), key=cmp_to_key(compare))
 
 
 def _normalised(mass) -> np.ndarray:
@@ -413,15 +391,16 @@ class _FisherBlocks:
     Each element's Fisher values are divided by their largest value (1 for
     every model where all are zero), and then by the sum of these quotients,
     added in the content order of the whole quotient rows. The last block
-    computed is kept, so the sort keys, ``_blends`` and the kernel share it.
+    computed is kept, so the content order, ``_blends`` and the kernel
+    share it.
     """
 
     def __init__(self, fishers):
         self._fishers = [np.asarray(f, np.float64).reshape(-1) for f in fishers]
         self.size = self._fishers[0].size
         self._lo = self._mass = self._weights = None
-        keys = _row_keys(self.mass(0), self.mass, self.size)
-        self._order = sorted(range(len(keys)), key=keys.__getitem__)
+        compare = partial(_compare_rows, self.mass, self.size)
+        self._order = sorted(range(len(self._fishers)), key=cmp_to_key(compare))
 
     def mass(self, lo) -> np.ndarray:
         """The (M, n) normalised Fisher mass of the block starting at ``lo``."""
@@ -514,10 +493,8 @@ class _Blocks:
     ``_BLOCK`` elements, has the anchor's dtype and shape in every model
     and, when weighed per element, a Fisher tensor of that shape in every
     Fisher input; a block holds tensors of one dtype and at most ``_BLOCK``
-    elements. Any other tensor ends a block. Which of a source's tensors lie
-    back to back in one run of its file, so that they are read as one view
-    of it, is decided here once, from its index (``run_segments``).
-    """
+    elements. Any other tensor ends a block. A block's tensors are read
+    from each source in one ``_Reads.block``."""
 
     def __init__(self, tensors, alignment, weights, pool, fishers):
         names, dtypes, self.shapes = tensors.names, tensors.dtypes, tensors.shapes
@@ -535,19 +512,17 @@ class _Blocks:
         blends = np.append(np.count_nonzero(table, axis=1) > (table[:, anchor] != 0), [False, True])
         self.src = src = np.where(blends[src], src, -2)
         fits = (src != -2) & (sizes > 0) & (sizes <= _BLOCK)
-        self.rows, self.segments = [], []  # of each model, per tensor
+        self.rows = []  # of each model, per tensor
         for p in pool:
             rows = p.index.lookup(names)
             fits &= same_signature(tensors, every, p.index, rows)
             self.rows.append(rows)
-            self.segments.append(run_segments(p.index, rows))
-        self.fisher_rows, self.fisher_segments, self.fisher_same = [], [], []
+        self.fisher_rows, self.fisher_same = [], []
         for f in fishers or ():
             rows = f.tensors.index.lookup(names)
             same = same_signature(tensors, every, f.tensors.index, rows, dtype=False)
             fits &= (src != -1) | same
             self.fisher_rows.append(rows)
-            self.fisher_segments.append(run_segments(f.tensors.index, rows))
             self.fisher_same.append(same)
 
         spans, start, total = [], -1, 0
@@ -574,8 +549,8 @@ class _Blocks:
         n = int(sizes.sum())
         offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         xs = []
-        for p, rows, segments in zip(self.pool, self.rows, self.segments):
-            x = p.block(rows[a:b], segments[a:b])
+        for p, rows in zip(self.pool, self.rows):
+            x = p.block(rows[a:b])
             if x is None:
                 return None
             xs.append(x)
@@ -620,22 +595,14 @@ class _Blocks:
         meaningful), as ``_FisherBlocks`` computes them; None when a Fisher
         value fails its check or a Fisher-weighted tensor does not blend."""
         names = np.flatnonzero(fisher)
-        elements = np.repeat(fisher, sizes)
         mass = np.zeros((len(self.fishers), n))
         for i, f in enumerate(self.fishers):
-            rows = self.fisher_rows[i][a:b]
-            if self.fisher_same[i][a:b].all():
-                # every tensor of the block, weighed per element or not, is
-                # there with the anchor's shape: all are read, in runs
-                values = f.tensors.block(rows, self.fisher_segments[i][a:b])
-                if values is None:
-                    return None
-                mass[i] = values
-            else:
-                values = f.tensors.block(rows[names], np.full(len(names), -1))
-                if values is None:
-                    return None
-                mass[i, elements] = values
+            # all of the block's Fisher tensors of the anchor's shape, in runs
+            same = self.fisher_same[i][a:b]
+            values = f.tensors.block(self.fisher_rows[i][a:b][same])
+            if values is None:
+                return None
+            mass[i][np.repeat(same, sizes)] = values
         _normalised(mass)
         orders = np.tile(np.arange(len(mass)), (b - a, 1))
         for size in np.unique(sizes[names]):

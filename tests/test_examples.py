@@ -1,4 +1,5 @@
-"""The committed example configs and the README's demo script still run."""
+"""The committed example configs, the README's demo script and the line
+counter still run."""
 
 import json
 import os
@@ -48,3 +49,14 @@ def test_demo_workflow_runs(tmp_path):
     for strategy in ("layerwise", "isotropic", "scalar", "fisher"):
         assert (tmp_path / f"merged_{strategy}.st").is_file()
     assert (tmp_path / "anchor_vs_donor1.csv").is_file()
+
+
+def test_count_lines_skips_blank_comment_and_docstring_lines(tmp_path):
+    (tmp_path / "m.py").write_text('"""Doc\n\nstring."""\n\n# note\nx = 1  # set\n\n\n'
+                                   'def f():\n    """One line."""\n    return "not a docstring"\n')
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "count_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].split()[:2] == ["11", "3"]

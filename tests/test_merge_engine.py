@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from layermerge import (
     Checkpoint,
     FisherWeights,
+    CheckpointError,
     CheckpointFormatError,
     MergeError,
     MergeSchedule,
@@ -30,6 +31,7 @@ from layermerge import (
     load,
     save,
     shared_parameters,
+    TensorRecord,
 )
 from layermerge import checkpoint as ckpt_store
 from layermerge import merge as merge_module
@@ -548,6 +550,18 @@ class TestMisuseRejected:
         with pytest.raises(error, match=message):
             call(pool, shared_parameters(pool, 0), fishers, rng)
 
+    @pytest.mark.parametrize("strategy", ["layerwise", "isotropic", "scalar", "fisher"])
+    @pytest.mark.parametrize("model", [0, 1], ids=["anchor", "donor"])
+    def test_duplicate_tensor_name_rejected(self, strategy, model):
+        # a checkpoint built in memory can hold a name twice; the merge
+        # addresses tensors by name, so it refuses it as save would
+        pool = [Checkpoint.from_arrays({"l.weight": np.array([5.0, 6.0])}) for _ in range(2)]
+        pool[model] = Checkpoint([TensorRecord("l.weight", np.array([1.0, 2.0])),
+                                  TensorRecord("l.weight", np.array([3.0, 4.0]))])
+        fishers = [Checkpoint.from_arrays({"l.weight": np.ones(2)}) for _ in pool]
+        with pytest.raises(CheckpointError, match="^duplicate tensor name 'l.weight'$"):
+            TestFileBackedMerge.merge(strategy, pool, fishers)
+
 
 class TestMergeProperties:
     @settings(max_examples=25, deadline=None)
@@ -949,11 +963,17 @@ class TestFileBackedMerge:
         assert all(bytes_read_once(reads, p) for p in paths)
         assert all(t.data.tobytes() == expected.get(t.name).data.tobytes() for t in merged.tensors)
 
-    @pytest.mark.parametrize("blocks", [True, False], ids=["blocks", "one at a time"])
-    def test_fisher_batch_norm_statistics_read_in_runs(self, tmp_path, monkeypatch, blocks):
+    @pytest.mark.parametrize("blocks, twins", [(True, True), (False, True), (True, False), (False, False)],
+                             ids=["blocks", "one at a time", "blocks, no bn twins",
+                                  "one at a time, no bn twins"])
+    def test_fisher_batch_norm_statistics_read_in_runs(self, tmp_path, monkeypatch, blocks, twins):
         # batch-norm statistics are weighted 1/M, so no Fisher value of
-        # theirs is looked up; a run that passed its check counts them checked
+        # theirs is looked up; a run that passed its check counts them checked.
+        # Without those twins a block weighs only some of its tensors per
+        # element, and the Fisher tensors no model has are never looked up
         models, fishers = self.many_tensor_models(with_fisher=True)
+        if not twins:
+            fishers = [Checkpoint([t for t in f.tensors if ".running_" not in t.name]) for f in fishers]
         paths, fisher_paths = self.saved(tmp_path, models), self.saved(tmp_path, fishers, "f")
         expected = self.merge("fisher", [load(p) for p in paths], [load(p) for p in fisher_paths])
         monkeypatch.setattr(ckpt_store, "_RUN_BYTES", 4096)
