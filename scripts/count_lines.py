@@ -5,9 +5,7 @@ Two figures per file and in total: all lines, and code lines, which are the
 lines that are not blank, not a comment and not part of a docstring (the
 string that opens a module, class or function body, located with ``ast``).
 
-    python scripts/count_lines.py [ROOT]
-
-ROOT defaults to the ``src/`` directory next to this script.
+    python scripts/count_lines.py
 """
 
 import ast
@@ -30,8 +28,8 @@ def count(text: str) -> tuple[int, int]:
     return len(lines), code
 
 
-def main(argv) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
+def main() -> int:
+    root = Path(__file__).resolve().parents[1] / "src"
     total = code = 0
     for path in sorted(root.rglob("*.py")):
         lines, code_lines = count(path.read_text(encoding="utf-8"))
@@ -42,4 +40,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -99,7 +99,6 @@ def discrepancy_profile(
             if kind in by_kind:
                 slices.append((group, kind, len(names), len(names) + len(by_kind[kind])))
                 names += by_kind[kind]
-    # each checkpoint's index and its rows of ``names``
     sides = [(tensors, tensors.lookup(names)) for tensors in map(index, (a, b))]
     firsts = [first for _, _, first, _ in slices]
     tensors, found = sides[0]

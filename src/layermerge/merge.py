@@ -207,7 +207,7 @@ class _Reads(Mapping):
     def __init__(self, ckpt, ok, reject):
         self.index = index(ckpt)
         if len(self.index.rows) < len(self.index.names):
-            Checkpoint(ckpt.tensors).validate()  # raises its duplicate-name error
+            ckpt.validate()  # raises its duplicate-name error
         self._ok, self._reject = ok, reject
         # the rows checked apart from their run, and each run's verdict
         self._checked, self._run_passed = np.zeros(len(self.index.names), bool), {}

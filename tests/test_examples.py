@@ -3,6 +3,7 @@ counter still run."""
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -51,12 +52,8 @@ def test_demo_workflow_runs(tmp_path):
     assert (tmp_path / "anchor_vs_donor1.csv").is_file()
 
 
-def test_count_lines_skips_blank_comment_and_docstring_lines(tmp_path):
-    (tmp_path / "m.py").write_text('"""Doc\n\nstring."""\n\n# note\nx = 1  # set\n\n\n'
-                                   'def f():\n    """One line."""\n    return "not a docstring"\n')
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "count_lines.py"), str(tmp_path)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1].split()[:2] == ["11", "3"]
+def test_count_lines_skips_blank_comment_and_docstring_lines():
+    count = runpy.run_path(str(ROOT / "scripts" / "count_lines.py"))["count"]
+    text = ('"""Doc\n\nstring."""\n\n# note\nx = 1  # set\n\n\n'
+            'def f():\n    """One line."""\n    return "not a docstring"\n')
+    assert count(text) == (11, 3)
