@@ -34,6 +34,7 @@ from .merge import (
     isotropic_merge,
     layerwise_merge,
     scalar_weighted_merge,
+    score_weights,
 )
 from .toy import (
     DomainShift,
@@ -170,8 +171,7 @@ def _merge_inputs(args, ckpts, anchor, alignment, files):
                     )
                 scores.append(perf)
         merged = scalar_weighted_merge(ckpts, scores, alignment)
-        total = sum(scores)
-        detail = "weights: " + ", ".join(f"{s / total:.6f}" for s in scores)
+        detail = "weights: " + ", ".join(f"{w:.6f}" for w in score_weights(scores))
     else:
         fishers = [FisherWeights.from_checkpoint(files.enter_context(ckpt_store.open_file(p)))
                    for p in args.fisher]

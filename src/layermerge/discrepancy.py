@@ -133,11 +133,14 @@ def _compare(batch, sides, tau, mode) -> list[ProfileRow]:
                 )
     diff = np.abs(ref - other)
     if mode == "elementwise":
-        threshold = np.abs(ref) / tau
+        scale, divisor = np.abs(ref), tau
     else:
-        norms = [np.linalg.norm(ref[lo:hi]) / (tau * math.sqrt(n)) if n else 0.0
-                 for (*_, n), lo, hi in zip(batch, bounds, bounds[1:])]
-        threshold = np.repeat(norms, [n for *_, n in batch])
+        sizes = [n for *_, n in batch]
+        scale = np.repeat([np.linalg.norm(ref[lo:hi]) for lo, hi in zip(bounds, bounds[1:])], sizes)
+        divisor = np.repeat([tau * math.sqrt(n) for n in sizes], sizes)
+    # a tiny tau can take a threshold past the float range: inf flags nothing
+    with np.errstate(over="ignore"):
+        threshold = scale / divisor
     flagged = (diff >= threshold) & (diff > 0)
     return [ProfileRow(group.index, kind, int(np.count_nonzero(flagged[lo:hi])), int(n))
             for (group, kind, *_, n), lo, hi in zip(batch, bounds, bounds[1:])]

@@ -390,9 +390,9 @@ class _FisherBlocks:
 
     Each element's Fisher values are divided by their largest value (1 for
     every model where all are zero), and then by the sum of these quotients,
-    added in the content order of the whole quotient rows. The last block
-    computed is kept, so the content order, ``_blends`` and the kernel
-    share it.
+    added in the content order of the whole quotient rows (``_shares``, as
+    for the blocks of ``_Blocks``). The last block computed is kept, so the
+    content order, ``_blends`` and the kernel share it.
     """
 
     def __init__(self, fishers):
@@ -413,21 +413,28 @@ class _FisherBlocks:
         """The (M, n) weights of the block starting at ``lo``."""
         if lo != self._lo or self._weights is None:
             mass = self.mass(lo)
-            first, *rest = self._order
-            total = mass[first].copy()
-            for i in rest:
-                total += mass[i]
-            self._weights = mass / total
+            self._weights = _shares(mass, [mass[i] for i in self._order])
         return self._weights
 
 
+def _shares(mass, terms) -> np.ndarray:
+    """The (M, n) ``mass`` divided by the sum of the rows ``terms``, added
+    in their order."""
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return mass / total
+
+
+def _blended(weights, anchor) -> np.ndarray:
+    """For each column of the (M, ...) ``weights``, whether a model other
+    than the anchor has a non-zero weight."""
+    return np.count_nonzero(weights, axis=0) > (weights[anchor] != 0)
+
+
 def _blends(weights, anchor) -> bool:
-    """Whether a model other than the anchor has a non-zero weight."""
-    for lo in range(0, weights.size, _BLOCK):
-        w = weights.block(lo)
-        if np.count_nonzero(w) > np.count_nonzero(w[anchor]):
-            return True
-    return False
+    """Whether ``_blended`` holds for some element of a weight source."""
+    return any(_blended(weights.block(lo), anchor).any() for lo in range(0, weights.size, _BLOCK))
 
 
 def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
@@ -462,16 +469,20 @@ def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
     return out.reshape(np.shape(arrays[0]))
 
 
-def _stable_orders(*parts) -> np.ndarray:
+def _orders(sizes, *parts) -> np.ndarray:
     """(T, M) indices: for each of T tensors, its M rows in the order of
-    their bytes, the bytes of the parts put together, ties in index order.
-    Each part is an (M, T, L) array of one row per model and tensor."""
-    key = np.concatenate(
-        [np.ascontiguousarray(p.transpose(1, 0, 2)).view(np.uint8).reshape(*p.shape[1::-1], -1)
-         for p in parts], axis=2,
-    )
-    voids = key.view(np.dtype((np.void, key.shape[2]))).reshape(key.shape[:2])
-    return np.argsort(voids, axis=1, kind="stable")
+    their bytes, the bytes of its elements in every part put together, ties
+    in index order. Each part is an (M, n) array of the tensors laid back to
+    back, ``sizes`` elements each; one stable sort per tensor size."""
+    offsets = np.cumsum(sizes) - sizes
+    orders = np.empty((len(sizes), len(parts[0])), np.intp)
+    for size in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == size)
+        idx = offsets[members, None] + np.arange(size)
+        key = np.concatenate([p.take(idx, axis=1).view(np.uint8) for p in parts], axis=2)
+        voids = key.view(np.dtype((np.void, key.shape[2])))[..., 0]  # (M, members)
+        orders[members] = np.argsort(voids, axis=0, kind="stable").T
+    return orders
 
 
 def _gather(orders, sizes) -> np.ndarray:
@@ -487,14 +498,17 @@ class _Blocks:
     and ``src`` gives each tensor of the anchor's index ``tensors`` its row
     of ``table``; -1 where Fisher merging weighs it per element, -2 where it
     keeps the anchor's array: not shared, or in a row where no model but
-    the anchor has a non-zero weight. ``spans`` are the blocks: runs of
-    whole shared tensors, in the anchor's order, that the kernel sums
-    together. A tensor joins a block when it is blended, holds 1 to
+    the anchor has a non-zero weight. ``rows`` and ``fisher_rows`` give each
+    tensor's row in each model and each Fisher input, -1 where a Fisher
+    input has no tensor of the anchor's shape. ``spans`` are the blocks:
+    runs of whole shared tensors, in the anchor's order, that the kernel
+    sums together. A tensor joins a block when it is blended, holds 1 to
     ``_BLOCK`` elements, has the anchor's dtype and shape in every model
     and, when weighed per element, a Fisher tensor of that shape in every
     Fisher input; a block holds tensors of one dtype and at most ``_BLOCK``
     elements. Any other tensor ends a block. A block's tensors are read
-    from each source in one ``_Reads.block``."""
+    from each source in one ``_Reads.block``, and each element is weighed
+    from one (M, n) weight array."""
 
     def __init__(self, tensors, alignment, weights, pool, fishers):
         names, dtypes, self.shapes = tensors.names, tensors.dtypes, tensors.shapes
@@ -502,28 +516,26 @@ class _Blocks:
         every = np.arange(len(names))
         self.anchor = anchor = alignment.anchor
         self.pool, self.fishers = pool, fishers
-        self.table = table = np.ascontiguousarray(weights.T)
+        self.table = np.ascontiguousarray(weights.T)
         per_element = fishers is not None
         src = np.full(len(names), -2)
         src[tensors.lookup(alignment.shared_names())] = [
             -1 if per_element and kind not in NON_GRADIENT_KINDS else g.index - 1
             for g in alignment.shared_groups for _, kind in g.members]
         # whether each row blends, then True for -1 and False for -2
-        blends = np.append(np.count_nonzero(table, axis=1) > (table[:, anchor] != 0), [False, True])
+        blends = np.append(_blended(weights, anchor), [False, True])
         self.src = src = np.where(blends[src], src, -2)
         fits = (src != -2) & (sizes > 0) & (sizes <= _BLOCK)
-        self.rows = []  # of each model, per tensor
+        self.rows, self.fisher_rows = [], []
         for p in pool:
             rows = p.index.lookup(names)
             fits &= same_signature(tensors, every, p.index, rows)
             self.rows.append(rows)
-        self.fisher_rows, self.fisher_same = [], []
         for f in fishers or ():
             rows = f.tensors.index.lookup(names)
-            same = same_signature(tensors, every, f.tensors.index, rows, dtype=False)
-            fits &= (src != -1) | same
+            rows[~same_signature(tensors, every, f.tensors.index, rows, dtype=False)] = -1
+            fits &= (src != -1) | (rows >= 0)
             self.fisher_rows.append(rows)
-            self.fisher_same.append(same)
 
         spans, start, total = [], -1, 0
         for k in np.flatnonzero(fits).tolist():
@@ -546,8 +558,7 @@ class _Blocks:
         tensors are merged one at a time and the first failure raises."""
         a, b = self.spans[j]
         sizes, src = self.sizes[a:b], self.src[a:b]
-        n = int(sizes.sum())
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        offsets = np.cumsum(sizes) - sizes
         xs = []
         for p, rows in zip(self.pool, self.rows):
             x = p.block(rows[a:b])
@@ -555,32 +566,20 @@ class _Blocks:
                 return None
             xs.append(x)
         x = np.stack(xs)
-        m = len(xs)
-        scalars = self.table[np.maximum(src, 0)]  # (T, M); rows of Fisher tensors unused
+        # each element's M weights: its tensor's row of the table (the last
+        # row stands in for src -1), or its Fisher weights where src is -1
+        w = np.repeat(self.table[src].T, sizes, axis=1)
         fisher = src == -1
-        weights = None
         if fisher.any():
-            weights = self._fisher_weights(a, b, n, sizes, offsets, fisher)
+            weights = self._fisher_weights(a, b, sizes, offsets, fisher)
             if weights is None:
                 return None
-            elements = np.repeat(fisher, sizes)
-        # one stable sort per tensor size and kind of weight row (a scalar,
-        # or one Fisher weight per element), over the tensors' keys
-        orders = np.empty((b - a, m), np.intp)
-        kinds = sizes * 2 + fisher
-        for kind in np.unique(kinds):
-            members = np.flatnonzero(kinds == kind)
-            idx = offsets[members, None] + np.arange(sizes[members[0]])
-            w_rows = weights.take(idx, axis=1) if kind & 1 else scalars[members].T[:, :, None]
-            orders[members] = _stable_orders(x.take(idx, axis=1), w_rows)
+            w = np.where(np.repeat(fisher, sizes), weights, w)
         # each element's (weight, value) terms in its tensor's content order
-        index = _gather(orders, sizes)
-        x_terms = x.take(index)
-        w_terms = np.repeat(np.take_along_axis(scalars, orders, axis=1).T, sizes, axis=1)
-        if weights is not None:
-            w_terms[:, elements] = weights.take(index[:, elements])
+        index = _gather(_orders(sizes, x, w), sizes)
+        w_terms, x_terms = w.take(index), x.take(index)
         acc = np.multiply(w_terms[0], x_terms[0], dtype=np.float64)
-        for i in range(1, m):
+        for i in range(1, len(xs)):
             acc += np.multiply(w_terms[i], x_terms[i], dtype=np.float64)
         out = acc.astype(x.dtype)
         # finite inputs can still sum, or cast, past the dtype's range
@@ -589,36 +588,23 @@ class _Blocks:
         return [out[lo:lo + size].reshape(shape) for lo, size, shape
                 in zip(offsets.tolist(), sizes.tolist(), self.shapes[a:b])]
 
-    def _fisher_weights(self, a, b, n, sizes, offsets, fisher):
+    def _fisher_weights(self, a, b, sizes, offsets, fisher):
         """The (M, n) per-element Fisher weights of the block of tensors
         ``a`` to ``b`` (only its Fisher-weighted tensors' elements are
         meaningful), as ``_FisherBlocks`` computes them; None when a Fisher
         value fails its check or a Fisher-weighted tensor does not blend."""
-        names = np.flatnonzero(fisher)
-        mass = np.zeros((len(self.fishers), n))
+        mass = np.zeros((len(self.fishers), int(sizes.sum())))
         for i, f in enumerate(self.fishers):
             # all of the block's Fisher tensors of the anchor's shape, in runs
-            same = self.fisher_same[i][a:b]
-            values = f.tensors.block(self.fisher_rows[i][a:b][same])
+            rows = self.fisher_rows[i][a:b]
+            values = f.tensors.block(rows[rows >= 0])
             if values is None:
                 return None
-            mass[i][np.repeat(same, sizes)] = values
+            mass[i][np.repeat(rows >= 0, sizes)] = values
         _normalised(mass)
-        orders = np.tile(np.arange(len(mass)), (b - a, 1))
-        for size in np.unique(sizes[names]):
-            members = names[sizes[names] == size]
-            idx = offsets[members, None] + np.arange(size)
-            orders[members] = _stable_orders(mass.take(idx, axis=1))
-        quotients = mass.take(_gather(orders, sizes))
-        total = quotients[0].copy()
-        for row in quotients[1:]:
-            total += row
-        weights = mass / total
-        others = np.delete(weights, self.anchor, axis=0) != 0
-        blended = np.logical_or.reduceat(others.any(axis=0), offsets)
-        if not blended[fisher].all():
-            return None
-        return weights
+        weights = _shares(mass, mass.take(_gather(_orders(sizes, mass), sizes)))
+        blended = np.logical_or.reduceat(_blended(weights, self.anchor), offsets)
+        return weights if blended[fisher].all() else None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
@@ -732,6 +718,14 @@ def isotropic_merge(ckpts: list[Checkpoint], alignment: SharedAlignment) -> Chec
     return _merge(ckpts, alignment, "isotropic", _uniform(ckpts, alignment))
 
 
+def score_weights(scores) -> list[float]:
+    """Each score over their sum, normalised in exact rational arithmetic
+    and rounded to float64 once, as ``scalar_weighted_merge`` weighs them."""
+    exact = [Fraction(float(s)) for s in scores]
+    total = sum(exact)
+    return [float(s / total) for s in exact]
+
+
 def scalar_weighted_merge(
     ckpts: list[Checkpoint],
     scores: list[float],
@@ -750,9 +744,7 @@ def scalar_weighted_merge(
     for i, s in enumerate(scores):
         if s is None or not np.isfinite(s) or s <= 0:
             raise MergeError(f"performance score of model {i} must be positive, got {s!r}")
-    exact = [Fraction(float(s)) for s in scores]
-    total = sum(exact)
-    weights = np.repeat([[float(s / total)] for s in exact], alignment.n_shared_layers, axis=1)
+    weights = np.repeat([[w] for w in score_weights(scores)], alignment.n_shared_layers, axis=1)
     extra = {"merge_scores": ",".join(repr(float(s)) for s in scores)}
     return _merge(ckpts, alignment, "scalar", weights, metadata_extra=extra)
 

@@ -95,6 +95,22 @@ class TestMerge:
         expected = w * a.get("layer0.weight").data + (1 - w) * b.get("layer0.weight").data
         np.testing.assert_allclose(load(out).get("layer0.weight").data, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("source", ["--perf", "metadata"])
+    def test_scalar_prints_the_weights_it_used(self, tmp_path, rng, capsys, source):
+        # the scores' float sum overflows; the merge normalises them exactly
+        a = make_checkpoint([(3, 2)], rng, metadata={"performance": "1e308"})
+        pa, pb, out = tmp_path / "a.st", tmp_path / "b.st", tmp_path / "m.st"
+        save(a, pa)
+        save(clone_with_noise(a, rng), pb)
+        perf = ["--perf", "1e308", "1e308"] if source == "--perf" else []
+        code, stdout, err = run(capsys, "merge", pa, pb, "--strategy", "scalar", *perf,
+                                "--out", out)
+        assert code == 0 and len(err.splitlines()) == 1
+        assert "weights: 0.500000, 0.500000" in stdout
+        pool = [load(pa), load(pb)]
+        expected = isotropic_merge(pool, shared_parameters(pool, 0))
+        assert all(np.array_equal(load(out).get(t.name).data, t.data) for t in expected.tensors)
+
     def test_isotropic_matches_library(self, pair, tmp_path, capsys):
         pa, pb = pair
         out = tmp_path / "m.st"
@@ -363,6 +379,21 @@ class TestProfile:
         assert "usage error" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, weight_count", [("elementwise", 2), ("layer_norm", 0)])
+    def test_tau_that_overflows_flags_only_zero_references(self, tmp_path, capsys, mode,
+                                                            weight_count):
+        # every threshold of a non-zero reference overflows to inf
+        a = Checkpoint.from_arrays({"layer0.weight": np.array([[0.0, 1.0], [2.0, 0.0]]),
+                                    "layer0.bias": np.zeros(2)})
+        pa, pb, out = tmp_path / "a.st", tmp_path / "b.st", tmp_path / "p.csv"
+        save(a, pa)
+        save(Checkpoint.from_arrays({t.name: t.data + 1.0 for t in a.tensors}), pb)
+        code, _, err = run(capsys, "profile", pa, pb, "--tau", "1e-320", "--mode", mode,
+                           "--out", out)
+        assert code == 0 and len(err.splitlines()) == 1, err
+        rows = {tuple(line.split(",")[1:4]) for line in out.read_text().splitlines()[1:]}
+        assert rows == {("weight", str(weight_count), "4"), ("bias", "2", "2")}
+
     def test_csv_json_same_rows(self, pair, tmp_path, capsys):
         pa, pb = pair
         pcsv, pjson = tmp_path / "p.csv", tmp_path / "p.json"
@@ -560,6 +591,13 @@ class TestToyCommand:
             "isotropic", "layerwise", "fisher", "ensemble"
         ]
         assert len(report["models"]) == 2
+
+    def test_tau_that_overflows_warns_nothing(self, tmp_path, capsys):
+        cfg = self.config_file(tmp_path, strategies=["isotropic"], tau=1e-320)
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "toy", cfg, "--out", out)
+        assert code == 0 and len(err.splitlines()) == 1, err
+        assert [d["tau"] for d in json.loads(out.read_text())["discrepancy"]] == [1e-320]
 
     def test_identical_runs_identical_bytes(self, tmp_path, capsys):
         cfg = self.config_file(tmp_path)

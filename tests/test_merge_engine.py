@@ -988,7 +988,8 @@ class TestFileBackedMerge:
         assert all(bytes_read_once(reads, p) for p in [*paths, *fisher_paths])
         assert all(t.data.tobytes() == expected.get(t.name).data.tobytes() for t in merged.tensors)
 
-    @pytest.mark.parametrize("strategy", ["layerwise", "fisher", "fisher-no-bn-twins"])
+    @pytest.mark.parametrize("strategy", ["layerwise", "fisher", "fisher-no-bn-twins",
+                                          "fisher-bn-twins-in-anchor"])
     def test_kernel_passes_cover_many_tensors(self, tmp_path, monkeypatch, strategy):
         # the kernel sums blocks of whole tensors, not one tensor at a time,
         # and no block falls back to the tensor-by-tensor kernel
@@ -999,6 +1000,13 @@ class TestFileBackedMerge:
             if strategy == "fisher-no-bn-twins":  # blocks weigh only some tensors per element
                 fishers = [Checkpoint([t for t in f.tensors if ".running_" not in t.name])
                            for f in fishers]
+            if strategy == "fisher-bn-twins-in-anchor":
+                # the twins' Fisher weights do not blend, but their tensors are
+                # weighed by the table, so only Fisher-weighted tensors count
+                for i, f in enumerate(fishers):
+                    for t in f.tensors:
+                        if ".running_" in t.name:
+                            t.data[...] = 1.0 if i == 0 else 0.0
             fisher_paths = self.saved(tmp_path, fishers, "f")
         else:
             models, fisher_paths = self.many_tensor_models(), []
