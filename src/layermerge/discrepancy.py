@@ -11,6 +11,12 @@ to the first checkpoint. Two threshold modes are provided:
 * ``layer_norm``: the vector threshold ``||a||_2 / tau`` of the
   (group, kind) slice is distributed per element, flagging
   ``|a_k - b_k| >= ||a||_2 / (tau * sqrt(n))`` with n the slice size.
+  Where the slice's sum of squares would overflow or underflow, the norm
+  is taken of the slice divided by its largest ``|a_k|``, so finite values
+  of any size get the threshold they define.
+
+Finite values whose difference overflows differ by more than any finite
+threshold, and are flagged.
 
 Identical elements are never flagged, so the self-profile is zero in both
 modes. Larger tau lowers the thresholds, so counts are non-decreasing in
@@ -128,22 +134,33 @@ def _compare(batch, sides, tau, mode) -> list[ProfileRow]:
     if not (np.isfinite(ref).all() and np.isfinite(other).all()):
         for (group, kind, *_), lo, hi in zip(batch, bounds, bounds[1:]):
             if not (np.isfinite(ref[lo:hi]).all() and np.isfinite(other[lo:hi]).all()):
-                raise DiscrepancyError(
-                    f"non-finite values in group '{group.prefix}' kind '{kind}'"
-                )
-    diff = np.abs(ref - other)
-    if mode == "elementwise":
-        scale, divisor = np.abs(ref), tau
-    else:
-        sizes = [n for *_, n in batch]
-        scale = np.repeat([np.linalg.norm(ref[lo:hi]) for lo, hi in zip(bounds, bounds[1:])], sizes)
-        divisor = np.repeat([tau * math.sqrt(n) for n in sizes], sizes)
-    # a tiny tau can take a threshold past the float range: inf flags nothing
+                raise DiscrepancyError(f"non-finite values in group '{group.prefix}' kind '{kind}'")
+    # finite values can overflow: an inf difference is flagged, a norm past
+    # the float range is taken again scaled (``_norm_threshold``), and a tiny
+    # tau can take a threshold past the float range, where inf flags nothing
     with np.errstate(over="ignore"):
+        diff = np.abs(ref - other)
+        if mode == "elementwise":
+            scale, divisor = np.abs(ref), tau
+        else:
+            parts = [_norm_threshold(ref[lo:hi], tau) for lo, hi in zip(bounds, bounds[1:])]
+            scale, divisor = np.repeat(parts, np.diff(bounds), axis=0).T
         threshold = scale / divisor
     flagged = (diff >= threshold) & (diff > 0)
     return [ProfileRow(group.index, kind, int(np.count_nonzero(flagged[lo:hi])), int(n))
             for (group, kind, *_, n), lo, hi in zip(batch, bounds, bounds[1:])]
+
+
+def _norm_threshold(a, tau) -> tuple[float, float]:
+    """``(s, d)``, whose quotient is the ``layer_norm`` threshold of the
+    slice ``a`` of n values, ``||a||_2 / (tau * sqrt(n))``: the norm and
+    ``tau * sqrt(n)`` while the sum of squares is a normal float, else
+    ``max |a|`` and ``tau * sqrt(n)`` over the norm of ``a / max |a|``,
+    whose squares neither overflow nor underflow."""
+    norm, divisor = np.linalg.norm(a), tau * math.sqrt(a.size)
+    if 2.0 ** -511 <= norm < math.inf or not a.any():  # 2**-511 squared is the least normal
+        return norm, divisor
+    return (peak := np.abs(a).max()), divisor / np.linalg.norm(a / peak)
 
 
 CSV_HEADER = "layer_index,kind,exceed_count,total_count,fraction"

@@ -15,10 +15,12 @@ element's float64 terms are added in the content order of its tensor's
 so every strategy is exactly invariant to permutations of the non-anchor
 models. Two kernels, chosen by tensor size, compute the sum with the same
 operations for every element: ``_weighted_sum`` for a tensor larger than a
-block, ``_Blocks.merge`` for several small ones. Every tensor of every
-input, blended or not, is checked (finite, and Fisher values
-non-negative), and a merged tensor that is not finite, which finite inputs
-reach by overflow, raises ``NonFiniteTensorError``. Schedule weights are
+block, ``_Blocks.merge`` for several small ones. Before any tensor is
+read, the merge checks once that the models and Fisher inputs fit the
+alignment (``_fitted_rows``). Every tensor of every input, blended or not,
+is checked (finite, and Fisher values non-negative), and a merged tensor
+that is not finite, which finite inputs reach by overflow, raises
+``NonFiniteTensorError``. Schedule weights are
 exact rationals rounded to float64 once, so schedule identities hold
 exactly on the rational side and to within one rounding on the float side.
 """
@@ -493,52 +495,83 @@ def _gather(orders, sizes) -> np.ndarray:
     return np.repeat(orders.T * n, sizes, axis=1) + np.arange(n)
 
 
+def _fitted_rows(tensors, shared, names, other, i, per_element=None) -> np.ndarray:
+    """The row in the index ``other`` of each tensor of the anchor's index
+    ``tensors``: of each of its ``shared`` rows, named ``names``, and -1
+    for the others. ``other`` is model ``i``'s, and must hold every shared
+    tensor with the anchor's dtype and shape; or, given ``per_element``
+    (whether each shared tensor is weighed per element), it is model
+    ``i``'s Fisher input, which must hold those weighed per element with
+    the anchor's shape, and whose other tensors of another shape get -1.
+    The first tensor that does not fit raises."""
+    found = other.lookup(names)
+    fit = same_signature(tensors, shared, other, found, dtype=per_element is None)
+    misfit = ~fit if per_element is None else per_element & ~fit
+    if misfit.any():
+        k = int(np.argmax(misfit))  # the first
+        name, row, shape = names[k], found[k], tensors.shapes[shared[k]]
+        theirs = other.shapes[row] if row >= 0 else None
+        if per_element is not None:
+            raise FisherInputError(
+                f"model {i} has no Fisher tensor for shared tensor '{name}'" if row < 0
+                else f"Fisher tensor '{name}' of model {i} has shape {theirs}, expected {shape}")
+        if row < 0:
+            problem = f"model {i} has no shared tensor '{name}'"
+        elif theirs != shape:
+            problem = f"shape mismatch for shared tensor '{name}': {theirs} vs {shape}"
+        else:
+            problem = (f"dtype mismatch for shared tensor '{name}': "
+                       f"{other.dtypes[row]} vs {tensors.dtypes[shared[k]]}")
+        raise MergeError(f"{problem} (alignment inconsistency)")
+    rows = np.full(len(tensors.names), -1)
+    rows[shared] = np.where(fit, found, -1)
+    return rows
+
+
 class _Blocks:
-    """The plan of one merge. ``table`` is the (M, L) weights as (L, M),
-    and ``src`` gives each tensor of the anchor's index ``tensors`` its row
-    of ``table``; -1 where Fisher merging weighs it per element, -2 where it
-    keeps the anchor's array: not shared, or in a row where no model but
-    the anchor has a non-zero weight. ``rows`` and ``fisher_rows`` give each
-    tensor's row in each model and each Fisher input, -1 where a Fisher
-    input has no tensor of the anchor's shape. ``spans`` are the blocks:
-    runs of whole shared tensors, in the anchor's order, that the kernel
-    sums together. A tensor joins a block when it is blended, holds 1 to
-    ``_BLOCK`` elements, has the anchor's dtype and shape in every model
-    and, when weighed per element, a Fisher tensor of that shape in every
-    Fisher input; a block holds tensors of one dtype and at most ``_BLOCK``
-    elements. Any other tensor ends a block. A block's tensors are read
-    from each source in one ``_Reads.block``, and each element is weighed
-    from one (M, n) weight array."""
+    """The plan of one merge, made before any tensor is read. It first
+    checks that the pool and the Fisher inputs fit the alignment: the
+    anchor holds every shared tensor, every model holds each with the
+    anchor's dtype and shape, and every Fisher input holds each tensor
+    weighed per element with the anchor's shape; the first misfit raises.
+    ``table`` is the (M, L) weights as (L, M), and ``src`` gives each
+    tensor of the anchor's index ``tensors`` its row of ``table``; -1 where
+    Fisher merging weighs it per element, -2 where it keeps the anchor's
+    array: not shared, or in a row where no model but the anchor has a
+    non-zero weight. ``rows`` and ``fisher_rows`` give each shared tensor's
+    row in each model and each Fisher input, -1 for the other tensors and
+    where a Fisher input has no tensor of the anchor's shape. ``spans`` are
+    the blocks: runs of whole blended tensors of 1 to ``_BLOCK`` elements,
+    in the anchor's order, that the kernel sums together; a block holds
+    tensors of one dtype and at most ``_BLOCK`` elements. Any other tensor
+    ends a block. A block's tensors are read from each source in one
+    ``_Reads.block``, and each element is weighed from one (M, n) weight
+    array."""
 
     def __init__(self, tensors, alignment, weights, pool, fishers):
         names, dtypes, self.shapes = tensors.names, tensors.dtypes, tensors.shapes
         self.sizes = sizes = tensors.sizes
-        every = np.arange(len(names))
         self.anchor = anchor = alignment.anchor
         self.pool, self.fishers = pool, fishers
         self.table = np.ascontiguousarray(weights.T)
-        per_element = fishers is not None
+        shared_names = alignment.shared_names()
+        shared = tensors.lookup(shared_names)
+        if (shared < 0).any():  # argmin: the first -1
+            raise MergeError(f"the anchor has no shared tensor '{shared_names[np.argmin(shared)]}' "
+                             "(alignment inconsistency)")
         src = np.full(len(names), -2)
-        src[tensors.lookup(alignment.shared_names())] = [
-            -1 if per_element and kind not in NON_GRADIENT_KINDS else g.index - 1
-            for g in alignment.shared_groups for _, kind in g.members]
+        src[shared] = [-1 if fishers is not None and kind not in NON_GRADIENT_KINDS else g.index - 1
+                       for g in alignment.shared_groups for _, kind in g.members]
         # whether each row blends, then True for -1 and False for -2
         blends = np.append(_blended(weights, anchor), [False, True])
         self.src = src = np.where(blends[src], src, -2)
-        fits = (src != -2) & (sizes > 0) & (sizes <= _BLOCK)
-        self.rows, self.fisher_rows = [], []
-        for p in pool:
-            rows = p.index.lookup(names)
-            fits &= same_signature(tensors, every, p.index, rows)
-            self.rows.append(rows)
-        for f in fishers or ():
-            rows = f.tensors.index.lookup(names)
-            rows[~same_signature(tensors, every, f.tensors.index, rows, dtype=False)] = -1
-            fits &= (src != -1) | (rows >= 0)
-            self.fisher_rows.append(rows)
+        fitted_rows = partial(_fitted_rows, tensors, shared, shared_names)
+        self.rows = [fitted_rows(p.index, i) for i, p in enumerate(pool)]
+        self.fisher_rows = [fitted_rows(f.tensors.index, i, src[shared] == -1)
+                            for i, f in enumerate(fishers or ())]
 
         spans, start, total = [], -1, 0
-        for k in np.flatnonzero(fits).tolist():
+        for k in np.flatnonzero((src != -2) & (sizes > 0) & (sizes <= _BLOCK)).tolist():
             n = int(sizes[k])
             if start >= 0 and k == end and dtypes[k] == dtypes[start] and total + n <= _BLOCK:
                 end, total = k + 1, total + n
@@ -627,29 +660,22 @@ def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=Non
             f"alignment covers {alignment.model_count} models, got {len(ckpts)}"
         )
     anchor = alignment.anchor
-    anchor_ckpt = ckpts[anchor]
     pool = [_model_reads(c, i) for i, c in enumerate(ckpts)]
     tensors = pool[anchor].index
-    names, shapes = tensors.names, tensors.shapes
+    names = tensors.names
     blocks = _Blocks(tensors, alignment, weights, pool, fishers)
 
     def merge_one(k):
-        name, shape, src = names[k], shapes[k], blocks.src[k]
+        name, src = names[k], blocks.src[k]
         if src == -2:  # not shared, or not blended
             return pool[anchor][name]
         if src == -1:
-            w = _fisher_weights(fishers, name, shape)
+            w = _fisher_weights(fishers, name)
             if not _blends(w, anchor):
                 return pool[anchor][name]
         else:
             w = _Scalars(blocks.table[src])
         arrays = [p[name] for p in pool]
-        for x in arrays:
-            if x.shape != shape:
-                raise MergeError(
-                    f"shape mismatch for shared tensor '{name}': "
-                    f"{x.shape} vs {shape} (alignment inconsistency)"
-                )
         data = _weighted_sum(w, arrays, arrays[anchor].dtype)
         # finite inputs can still sum, or cast, past the dtype's range
         if not np.isfinite(data).all():
@@ -678,8 +704,8 @@ def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=Non
         metadata["merge_anchor_only_count"] = str(len(alignment.anchor_only))
     if metadata_extra:
         metadata.update(metadata_extra)
-    if META_LAYER_ORDER in anchor_ckpt.metadata:
-        metadata[META_LAYER_ORDER] = anchor_ckpt.metadata[META_LAYER_ORDER]
+    if META_LAYER_ORDER in ckpts[anchor].metadata:
+        metadata[META_LAYER_ORDER] = ckpts[anchor].metadata[META_LAYER_ORDER]
     return Checkpoint(list(map(TensorRecord, names, merged)), metadata)
 
 
@@ -749,23 +775,10 @@ def scalar_weighted_merge(
     return _merge(ckpts, alignment, "scalar", weights, metadata_extra=extra)
 
 
-def _fisher_weights(fishers, name, shape):
+def _fisher_weights(fishers, name):
     """The per-element weights of one shared tensor, proportional to each
     model's Fisher values (see ``_FisherBlocks``)."""
-    arrays = []
-    for i, fisher in enumerate(fishers):
-        f = fisher.tensors.get(name)
-        if f is None:
-            raise FisherInputError(
-                f"model {i} has no Fisher tensor for shared tensor '{name}'"
-            )
-        if f.shape != shape:
-            raise FisherInputError(
-                f"Fisher tensor '{name}' of model {i} has shape {f.shape}, "
-                f"expected {shape}"
-            )
-        arrays.append(f)
-    return _FisherBlocks(arrays)
+    return _FisherBlocks([fisher.tensors[name] for fisher in fishers])
 
 
 def fisher_merge(

@@ -95,6 +95,9 @@ def write_pools(root: Path) -> None:
     negative = _fishers(np.random.default_rng(14), [bad], "mid.weight")[0]
     negative["stem.bias"][5] = -0.25
     _write(root, "negative", [negative])
+    missing = _fishers(np.random.default_rng(15), [bad], "mid.weight")[0]
+    del missing["body.bias"]  # a tensor Fisher merging weighs per element
+    _write(root, "missing", [missing])
     data = (root / "dense1.lm").read_bytes()
     (root / "truncated0.lm").write_bytes(data[:-100])
     # finite inputs whose weighted sum rounds past the float64 range
@@ -146,6 +149,9 @@ def runs() -> dict:
     argvs["error-negative-fisher"] = [
         "merge", *dense[:2], "--strategy", "fisher", "--fisher", "{tmp}/dense-fisher0.lm",
         "{tmp}/negative0.lm", "--out", "{tmp}/out-{name}.lm"]
+    argvs["error-fisher-missing"] = [
+        "merge", *dense[:2], "--strategy", "fisher", "--fisher", "{tmp}/dense-fisher0.lm",
+        "{tmp}/missing0.lm", "--out", "{tmp}/out-{name}.lm"]
     argvs["error-overflow"] = ["merge", *(f"{{tmp}}/overflow{i}.lm" for i in range(MODELS)),
                                "--strategy", "scalar", "--perf", *SCORES,
                                "--out", "{tmp}/out-{name}.lm"]

@@ -16,7 +16,7 @@ from layermerge.cli import main
 import layermerge.toy.experiment as experiment
 from layermerge.toy import ToyModel, estimate_fisher, make_domain_pair
 
-from conftest import clone_with_noise, make_checkpoint, patch_header
+from conftest import clone_with_noise, counting_reads, make_checkpoint, patch_header
 
 
 @pytest.fixture
@@ -293,6 +293,28 @@ class TestMerge:
         assert code == 0
         assert load(out).metadata["merge_strategy"] == "fisher"
 
+    def test_fisher_file_missing_a_tensor_fails_before_any_read(self, tmp_path, rng, capsys,
+                                                                monkeypatch):
+        # the merge checks its inputs against the alignment before it reads
+        # a tensor, so the tensors before the missing one are never merged
+        models, fishers = [], []
+        for i in range(3):
+            model = make_checkpoint([(4, 4), (4, 4), (4, 4)], rng)
+            fisher = {t.name: rng.random(t.shape) for t in model.tensors
+                      if (i, t.name) != (1, "layer2.weight")}
+            models.append(tmp_path / f"m{i}.st")
+            fishers.append(tmp_path / f"f{i}.st")
+            save(model, models[-1])
+            save(Checkpoint.from_arrays(fisher), fishers[-1])
+        out = tmp_path / "m.st"
+        reads = counting_reads(monkeypatch)
+        code, _, err = run(capsys, "merge", *models, "--strategy", "fisher",
+                           "--fisher", *fishers, "--out", out)
+        assert code == 2
+        assert "model 1 has no Fisher tensor for shared tensor 'layer2.weight'" in err
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+        assert reads == []
+
     def test_unknown_flag_rejected(self, pair, tmp_path, capsys):
         pa, pb = pair
         code, _, _ = run(capsys, "merge", pa, pb, "--strategy", "layerwise",
@@ -393,6 +415,20 @@ class TestProfile:
         assert code == 0 and len(err.splitlines()) == 1, err
         rows = {tuple(line.split(",")[1:4]) for line in out.read_text().splitlines()[1:]}
         assert rows == {("weight", str(weight_count), "4"), ("bias", "2", "2")}
+
+    @pytest.mark.parametrize("mode, ref, other, exceed", [
+        ("layer_norm", 1e200, -1e200, 4),  # the sum of squares overflows
+        ("layer_norm", 1e-170, 1.05e-170, 0),  # the sum of squares underflows
+        ("elementwise", 1e308, -1e308, 4),  # the difference overflows
+        ("layer_norm", 1e308, -1e308, 4),  # both do
+    ])
+    def test_finite_values_near_the_float_range(self, tmp_path, capsys, mode, ref, other, exceed):
+        pa, pb, out = tmp_path / "a.st", tmp_path / "b.st", tmp_path / "p.csv"
+        save(Checkpoint.from_arrays({"layer0.weight": np.full((2, 2), ref)}), pa)
+        save(Checkpoint.from_arrays({"layer0.weight": np.full((2, 2), other)}), pb)
+        code, _, err = run(capsys, "profile", pa, pb, "--tau", "5", "--mode", mode, "--out", out)
+        assert code == 0 and len(err.splitlines()) == 1, err  # no warning
+        assert out.read_text().splitlines()[1].split(",")[1:4] == ["weight", str(exceed), "4"]
 
     def test_csv_json_same_rows(self, pair, tmp_path, capsys):
         pa, pb = pair

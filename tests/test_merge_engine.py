@@ -543,6 +543,25 @@ class TestMisuseRejected:
                      r"\(2,\), expected \(3,\)", id="fisher-shape"),
         pytest.param(lambda pool, al, fishers, rng: fisher_merge(pool, fishers[:2], al),
                      MergeError, "2 Fisher inputs for 3 models", id="fisher-count"),
+        pytest.param(lambda pool, al, fishers, rng: isotropic_merge(pool, shared_parameters(
+                         [make_checkpoint([(2, 2), (3, 2)], rng, prefix="z")] * 3, 0)),
+                     MergeError, "the anchor has no shared tensor 'z0.weight'", id="alignment-name"),
+        pytest.param(lambda pool, al, fishers, rng: isotropic_merge(
+                         [pool[0], Checkpoint([t for t in pool[1].tensors
+                                               if t.name != "layer1.weight"]), pool[2]], al),
+                     MergeError, "model 1 has no shared tensor 'layer1.weight'",
+                     id="alignment-missing"),
+        pytest.param(lambda pool, al, fishers, rng: isotropic_merge(
+                         [pool[0], make_checkpoint([(2, 2), (3, 2)], rng, dtype=np.float32),
+                          pool[2]], al),
+                     MergeError, "dtype mismatch for shared tensor 'layer0.weight': F32 vs F64",
+                     id="alignment-dtype"),
+        # the last shared layer is the anchor's alone, so it is never blended
+        pytest.param(lambda pool, al, fishers, rng: layerwise_merge(
+                         [pool[0], pool[1], make_checkpoint([(2, 2), (5, 2)], rng)], 0,
+                         compute_schedule(3, 2, 0), al),
+                     MergeError, "shape mismatch for shared tensor 'layer1.weight': "
+                     r"\(5, 2\) vs \(3, 2\)", id="alignment-shape-unblended"),
     ])
     def test_rejected(self, rng, call, error, message):
         pool = [make_checkpoint([(2, 2), (3, 2)], rng) for _ in range(3)]  # two shared layers
@@ -808,7 +827,7 @@ class TestBlockedKernel:
         ]
 
     @staticmethod
-    def oracle_fisher_weights(fishers, name, shape):
+    def oracle_fisher_weights(fishers, name):
         # a weight source whose one block is the whole (M, *shape) weights
         return merge_module._Scalars(ref.ref_fisher_weights([f.tensors[name] for f in fishers]))
 
