@@ -151,7 +151,7 @@ class Checkpoint:
 def parse_layer_order(raw: str) -> list[str]:
     try:
         prefixes = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise CheckpointError(f"layer_order metadata is not a JSON list: {exc}") from exc
     if not isinstance(prefixes, list) or not all(isinstance(p, str) for p in prefixes):
         raise CheckpointError("layer_order metadata must be a JSON list of strings")
@@ -360,7 +360,9 @@ def _read_header(fh, path):
     raw = fh.read(header_len)
     try:
         header = json.loads(raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except RecursionError:  # a fixed text, as the decoder's own differs between Pythons
+        raise CheckpointFormatError(f"{path}: malformed header: nested too deeply") from None
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past Python's digit limit
         raise CheckpointFormatError(f"{path}: malformed header: {exc}") from exc
     if not isinstance(header, dict) or not isinstance(header.get("tensors"), dict):
         raise CheckpointFormatError(f"{path}: malformed header: missing 'tensors' object")

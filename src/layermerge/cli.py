@@ -230,7 +230,7 @@ def _cmd_fisher(args) -> int:
 def _cmd_toy(args) -> int:
     try:
         cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (TypeError, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"invalid experiment config: {exc}")
     target = _emit(render_report(run_experiment(cfg)), args.out)
     _summary(f"ran {cfg.mode} experiment (seed {cfg.seed}) -> {target}")

@@ -137,30 +137,33 @@ def _compare(batch, sides, tau, mode) -> list[ProfileRow]:
                 raise DiscrepancyError(f"non-finite values in group '{group.prefix}' kind '{kind}'")
     # finite values can overflow: an inf difference is flagged, a norm past
     # the float range is taken again scaled (``_norm_threshold``), and a tiny
-    # tau can take a threshold past the float range, where inf flags nothing
+    # tau can take a threshold past the float range, where inf flags nothing.
+    # The difference goes into ``other``'s copy, an elementwise threshold
+    # into ``ref``'s, and a per-slice one is repeated once ``ref`` is freed.
     with np.errstate(over="ignore"):
-        diff = np.abs(ref - other)
+        diff = np.abs(np.subtract(ref, other, out=other), out=other)
         if mode == "elementwise":
-            scale, divisor = np.abs(ref), tau
+            threshold = np.divide(np.abs(ref, out=ref), tau, out=ref)
         else:
             parts = [_norm_threshold(ref[lo:hi], tau) for lo, hi in zip(bounds, bounds[1:])]
-            scale, divisor = np.repeat(parts, np.diff(bounds), axis=0).T
-        threshold = scale / divisor
+            del ref
+            threshold = np.repeat(parts, np.diff(bounds))
     flagged = (diff >= threshold) & (diff > 0)
     return [ProfileRow(group.index, kind, int(np.count_nonzero(flagged[lo:hi])), int(n))
             for (group, kind, *_, n), lo, hi in zip(batch, bounds, bounds[1:])]
 
 
-def _norm_threshold(a, tau) -> tuple[float, float]:
-    """``(s, d)``, whose quotient is the ``layer_norm`` threshold of the
-    slice ``a`` of n values, ``||a||_2 / (tau * sqrt(n))``: the norm and
-    ``tau * sqrt(n)`` while the sum of squares is a normal float, else
-    ``max |a|`` and ``tau * sqrt(n)`` over the norm of ``a / max |a|``,
-    whose squares neither overflow nor underflow."""
+def _norm_threshold(a, tau) -> float:
+    """The ``layer_norm`` threshold of the slice ``a`` of n values,
+    ``||a||_2 / (tau * sqrt(n))``: the norm over ``tau * sqrt(n)`` while
+    the sum of squares is a normal float, else ``max |a|`` over
+    ``tau * sqrt(n)`` divided by the norm of ``a / max |a|``, whose squares
+    neither overflow nor underflow. An empty slice, whose divisor is 0,
+    gets 0."""
     norm, divisor = np.linalg.norm(a), tau * math.sqrt(a.size)
     if 2.0 ** -511 <= norm < math.inf or not a.any():  # 2**-511 squared is the least normal
-        return norm, divisor
-    return (peak := np.abs(a).max()), divisor / np.linalg.norm(a / peak)
+        return norm / divisor if a.size else 0.0
+    return (peak := np.abs(a).max()) / (divisor / np.linalg.norm(a / peak))
 
 
 CSV_HEADER = "layer_index,kind,exceed_count,total_count,fraction"
@@ -169,11 +172,8 @@ CSV_HEADER = "layer_index,kind,exceed_count,total_count,fraction"
 def emit_profile(profile: DiscrepancyProfile, format: str = "csv") -> bytes:
     """Render a profile as CSV or JSON bytes with a stable row order."""
     if format == "csv":
-        lines = [CSV_HEADER]
-        for r in profile.rows:
-            lines.append(
-                f"{r.layer_index},{r.kind},{r.exceed_count},{r.total_count},{r.fraction!r}"
-            )
+        lines = [CSV_HEADER, *(f"{r.layer_index},{r.kind},{r.exceed_count},{r.total_count},"
+                               f"{r.fraction!r}" for r in profile.rows)]
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "json":
         payload = {

@@ -81,6 +81,23 @@ def patch_header(path, mutate):
     return struct.pack("<Q", len(new_header)) + new_header + bytes(raw[8 + header_len :])
 
 
+# JSON past Python's limits: nested deeper than any Python's recursion
+# limit, and an integer longer than its 4,300-digit conversion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+LONG_INT_JSON = "9" * 5_000
+# checkpoint headers holding them: in a metadata value, and as an offset
+HEADERS_PAST_LIMITS = {
+    "deep": '{"tensors": {}, "metadata": {"x": %s}}' % DEEP_JSON,
+    "long-integer": '{"tensors": {"x": {"dtype": "F32", "shape": [1], "offsets": [0, %s]}}}'
+                    % LONG_INT_JSON,
+}
+
+
+def write_raw_header(path, header: str) -> None:
+    """Write a file of the length prefix and ``header``, with no data."""
+    path.write_bytes(struct.pack("<Q", len(header.encode())) + header.encode())
+
+
 def as_flat_dicts(pool):
     """Plain-Python view of a pool for the naive reference oracles."""
     return [

@@ -25,6 +25,8 @@ import numpy as np
 from layermerge import Checkpoint, save
 from layermerge.cli import main
 
+from conftest import HEADERS_PAST_LIMITS, write_raw_header
+
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 MODELS = 4
 
@@ -100,6 +102,8 @@ def write_pools(root: Path) -> None:
     _write(root, "missing", [missing])
     data = (root / "dense1.lm").read_bytes()
     (root / "truncated0.lm").write_bytes(data[:-100])
+    # a metadata value nested past every Python's recursion limit
+    write_raw_header(root / "deep0.lm", HEADERS_PAST_LIMITS["deep"])
     # finite inputs whose weighted sum rounds past the float64 range
     big = np.finfo(np.float64).max
     _write(root, "overflow", [{"layer0.weight": np.array([big, -big]),
@@ -144,6 +148,7 @@ def runs() -> dict:
     dense = [f"{{tmp}}/dense{i}.lm" for i in range(MODELS)]
     argvs["error-truncated"] = ["merge", "{tmp}/dense0.lm", "{tmp}/truncated0.lm",
                                 "--strategy", "isotropic", "--out", "{tmp}/out-{name}.lm"]
+    argvs["error-deep-header"] = ["inspect", "{tmp}/deep0.lm"]
     argvs["error-nan"] = ["merge", "{tmp}/dense0.lm", "{tmp}/nan0.lm", "--anchor", "0",
                           "--strategy", "layerwise", "--out", "{tmp}/out-{name}.lm"]
     argvs["error-negative-fisher"] = [

@@ -28,7 +28,8 @@ from layermerge.cli import main
 
 import _reference as ref
 from conftest import (
-    bytes_read_once, counting_reads, make_checkpoint, patch_header, preadv_recorder, write_layout,
+    DEEP_JSON, HEADERS_PAST_LIMITS, LONG_INT_JSON, bytes_read_once, counting_reads,
+    make_checkpoint, patch_header, preadv_recorder, write_layout, write_raw_header,
 )
 
 
@@ -206,6 +207,11 @@ class TestSaveErrors:
         with pytest.raises(CheckpointError, match="ghost"):
             save(ckpt, tmp_path / "l.st")
 
+    @pytest.mark.parametrize("raw", [DEEP_JSON, LONG_INT_JSON], ids=["deep", "long-integer"])
+    def test_layer_order_past_python_limits_rejected(self, raw):
+        with pytest.raises(CheckpointError, match="layer_order metadata is not a JSON list"):
+            ckpt_store.parse_layer_order(raw)
+
     @staticmethod
     @st.composite
     def names_and_prefixes(draw):
@@ -323,6 +329,18 @@ class TestLoadErrors:
                 reader(path)
         assert main(["inspect", str(path)]) == 2
         assert "invalid shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, reason", [
+        ("deep", "nested too deeply"),
+        ("long-integer", ""),  # in Python's own words
+    ])
+    def test_json_past_python_limits_rejected_naming_the_file(self, tmp_path, header, reason):
+        path = tmp_path / "h.st"
+        write_raw_header(path, HEADERS_PAST_LIMITS[header])
+        for reader in READERS:
+            with pytest.raises(CheckpointFormatError) as got:
+                reader(path)
+            assert str(got.value).startswith(f"{path}: malformed header: {reason}")
 
     @pytest.mark.parametrize("edit", [
         ('"layer0.bias":', '"layer0.weight":'),  # two tensors with one name

@@ -16,7 +16,10 @@ from layermerge.cli import main
 import layermerge.toy.experiment as experiment
 from layermerge.toy import ToyModel, estimate_fisher, make_domain_pair
 
-from conftest import clone_with_noise, counting_reads, make_checkpoint, patch_header
+from conftest import (
+    DEEP_JSON, HEADERS_PAST_LIMITS, LONG_INT_JSON, clone_with_noise, counting_reads,
+    make_checkpoint, patch_header, write_raw_header,
+)
 
 
 @pytest.fixture
@@ -539,6 +542,47 @@ class TestInspect:
             assert code == 2
             assert f"invalid {field}" in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestJsonPastPythonLimits:
+    """Headers, ``layer_order`` values and toy configs nested past every
+    Python's recursion limit or holding an integer past its digit limit
+    give one summary line and no output."""
+
+    @staticmethod
+    def assert_one_line_no_output(err, tmp_path, out):
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("header", HEADERS_PAST_LIMITS)
+    def test_header_exit_2_naming_the_file(self, pair, tmp_path, capsys, header):
+        pa, pb = pair
+        write_raw_header(pb, HEADERS_PAST_LIMITS[header])
+        out = tmp_path / "m.st"
+        for argv in (("inspect", pb), ("merge", pa, pb, "--strategy", "isotropic", "--out", out)):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert err.startswith(f"error: {pb}: ")
+            self.assert_one_line_no_output(err, tmp_path, out)
+
+    @pytest.mark.parametrize("raw", [DEEP_JSON, LONG_INT_JSON], ids=["deep", "long-integer"])
+    def test_layer_order_exit_2(self, pair, tmp_path, capsys, raw):
+        pa, pb = pair
+        pa.write_bytes(patch_header(pa, lambda h: h["metadata"].update(layer_order=raw)))
+        out = tmp_path / "m.st"
+        code, _, err = run(capsys, "merge", pa, pb, "--strategy", "isotropic", "--out", out)
+        assert code == 2
+        assert err.startswith("error: layer_order metadata is not a JSON list: ")
+        self.assert_one_line_no_output(err, tmp_path, out)
+
+    def test_deep_toy_config_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(DEEP_JSON)
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "toy", path, "--out", out)
+        assert code == 1
+        assert err.startswith("usage error: invalid experiment config: ")
+        self.assert_one_line_no_output(err, tmp_path, out)
 
 
 class TestFisherCommand:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,27 @@ class TestStreamedProfile:
             assert spans[0][0] == start and spans[-1][1] in (head, end)
             assert all(x[1] == y[0] for x, y in zip(spans, spans[1:]))
             assert len(spans) <= ref.ref_read_units(path, 4096)
+
+
+class TestProfileMemory:
+    @pytest.mark.parametrize("mode", ["elementwise", "layer_norm"])
+    def test_peak_is_at_most_three_float64_copies_of_the_slice(self, tmp_path, rng, mode):
+        # one F32 slice, larger than a batch: its read, the two float64
+        # copies and the boolean masks, and no float64 array besides
+        n = 1 << 18
+        paths = [tmp_path / "a.st", tmp_path / "b.st"]
+        for path in paths:
+            x = rng.standard_normal(n).astype(np.float32)
+            save(Checkpoint.from_arrays({"layer.weight": x}), path)
+        with ckpt_store.open_file(paths[0]) as a, ckpt_store.open_file(paths[1]) as b:
+            tracemalloc.start()
+            try:
+                profile = discrepancy_profile(a, b, 3.0, mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert profile.rows[0].total_count == n
+        assert peak <= 3 * 8 * n
 
 
 class TestEmitProfile:
