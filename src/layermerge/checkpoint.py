@@ -42,7 +42,6 @@ import numpy as np
 
 DTYPE_TO_NUMPY = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 NUMPY_TO_DTYPE = {np.dtype("float32"): "F32", np.dtype("float64"): "F64"}
-_DTYPE_NAMES = tuple(DTYPE_TO_NUMPY)  # compared by ==, so an unhashable value is just unknown
 _ITEMSIZE = {name: dtype.itemsize for name, dtype in DTYPE_TO_NUMPY.items()}
 
 _RUN_BYTES = 1 << 18  # adjacent tensors in one window of this size are read together
@@ -258,85 +257,74 @@ def _reject_duplicate_keys(pairs):
         seen = set()
         for k, _ in pairs:
             if k in seen:
-                raise CheckpointFormatError(f"duplicate key '{k}' in header")
+                raise ValueError(f"duplicate key '{k}'")  # ``_read_header`` names the file
             seen.add(k)
     return obj
 
 
-def _entry_error(name, info, data_size) -> str | None:
-    """The message of the first check that the header entry ``name: info``
-    fails, without the path, or None when it passes them all."""
-    if not name or not isinstance(info, dict):
-        return f"malformed tensor entry '{name}'"
-    dtype = info.get("dtype")
-    if dtype not in _DTYPE_NAMES:
-        return f"tensor '{name}' has unknown dtype {dtype!r}"
-    shape = info.get("shape")
-    # type() rather than isinstance(): JSON true/false decode to bool, an int subclass
-    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-        return f"tensor '{name}' has invalid shape {shape!r}"
-    offs = info.get("offsets")
-    if not (isinstance(offs, list) and len(offs) == 2 and all(type(o) is int for o in offs)):
-        return f"tensor '{name}' has invalid offsets {offs!r}"
-    start, end = offs
-    if not (0 <= start <= end <= data_size):
-        return (f"tensor '{name}' offsets [{start}, {end}) out of bounds "
-                f"for data section of {data_size} bytes")
-    expected = math.prod(shape) * DTYPE_TO_NUMPY[dtype].itemsize
-    if end - start != expected:
-        return (f"tensor '{name}' byte range {end - start} does not match "
-                f"shape {shape} ({expected} bytes expected)")
-    # A shape that fits the data section can only exceed numpy's limits by
-    # its dimension count (at least 32 in every numpy), or, when it holds no
-    # elements, by the product of its extents; only those are tried.
-    if expected == 0 or len(shape) > 32:
-        try:
-            np.broadcast_to(np.empty((), DTYPE_TO_NUMPY[dtype]), shape)
-        except ValueError as exc:
-            return f"tensor '{name}' has invalid shape {shape!r}: {exc}"
-    return None
+# the message of each header-entry check of ``_valid_entries``, by number
+_ENTRY_ERRORS = {
+    1: "malformed tensor entry '{name}'",
+    2: "tensor '{name}' has unknown dtype {dtype!r}",
+    3: "tensor '{name}' has invalid shape {shape!r}",
+    4: "tensor '{name}' has invalid offsets {offsets!r}",
+    5: "tensor '{name}' offsets [{offsets[0]}, {offsets[1]}) out of bounds for data section of {size} bytes",
+    6: "tensor '{name}' byte range {length} does not match shape {shape} ({expected} bytes expected)",
+    7: "tensor '{name}' has invalid shape {shape!r}: {error}",
+}
 
 
 def _valid_entries(entries, data_size):
-    """``(dtypes, shapes, starts, ends)`` of the header's tensor entries, in
-    header order, when every entry passes every check of ``_entry_error``;
-    else None. The type checks run as C-level passes over all entries, and
-    bounds and byte sizes as array operations."""
+    """``(0, (dtypes, shapes, starts, ends))``, the header's tensor entries
+    as columns in header order, when every entry passes the seven checks of
+    ``_ENTRY_ERRORS``; else ``(check, fields)``: the first check that some
+    entry fails and the fields its message takes, of the failing entry when
+    the header has only one.
+
+    Each check runs over all entries before the next, the type checks as
+    C-level passes and bounds and byte sizes as array operations, and a
+    header fails a check exactly when one of its entries does."""
     infos = list(entries.values())
     if "" in entries or set(map(type, infos)) - {dict}:
-        return None
-    try:
-        dtypes = [info["dtype"] for info in infos]
-        shapes = [info["shape"] for info in infos]
-        offsets = [info["offsets"] for info in infos]
+        return 1, {}
+    try:  # a field that an entry lacks is None there, and fails its own check
+        dtypes, shapes, offsets = ([e[k] for e in infos] for k in ("dtype", "shape", "offsets"))
     except KeyError:
-        return None
-    if (
-        set(map(type, dtypes)) - {str} or set(dtypes) - set(_DTYPE_NAMES)
-        or set(map(type, shapes)) - {list}
-        or set(map(type, offsets)) - {list} or set(map(len, offsets)) - {2}
-    ):
-        return None
-    dims, offs = list(chain.from_iterable(shapes)), list(chain.from_iterable(offsets))
-    if set(map(type, dims)) - {int} or min(dims, default=0) < 0 or set(map(type, offs)) - {int}:
-        return None
-    sizes = map(operator.mul, map(math.prod, shapes), map(_ITEMSIZE.get, dtypes))  # exact
-    try:
-        bounds = np.array(offs, np.int64).reshape(-1, 2)
-        expected = np.array(list(sizes), np.int64)
-    except OverflowError:  # a value no data section can hold
-        return None
-    starts, ends = bounds[:, 0], bounds[:, 1]
-    good = (0 <= starts) & (starts <= ends) & (ends <= data_size) & (ends - starts == expected)
-    if not good.all():
-        return None
-    ndims = np.fromiter(map(len, shapes), int, len(shapes))
-    for i in np.flatnonzero((expected == 0) | (ndims > 32)):
+        dtypes, shapes, offsets = ([e.get(k) for e in infos] for k in ("dtype", "shape", "offsets"))
+    if set(map(type, dtypes)) - {str} or set(dtypes) - _ITEMSIZE.keys():
+        return 2, {"dtype": dtypes[0]}
+    # type() rather than isinstance(): JSON true/false decode to bool, an int subclass
+    if (set(map(type, shapes)) - {list}
+            or set(map(type, dims := list(chain.from_iterable(shapes)))) - {int}
+            or min(dims, default=0) < 0):
+        return 3, {"shape": shapes[0]}
+    if (set(map(type, offsets)) - {list} or set(map(len, offsets)) - {2}
+            or set(map(type, offs := list(chain.from_iterable(offsets)))) - {int}):
+        return 4, {"offsets": offsets[0]}
+    try:  # a value past int64 is past every data section
+        starts, ends = np.array(offs, np.int64).reshape(-1, 2).T
+        fits = ((0 <= starts) & (starts <= ends) & (ends <= data_size)).all()
+    except OverflowError:
+        fits = False
+    if not fits:
+        return 5, {"offsets": offsets[0], "size": data_size}
+    sizes = list(map(operator.mul, map(math.prod, shapes), map(_ITEMSIZE.get, dtypes)))  # exact
+    try:  # a size past int64 is past every byte range that fits
+        expected = np.array(sizes, np.int64)
+        fits = (ends - starts == expected).all()
+    except OverflowError:
+        fits = False
+    if not fits:
+        return 6, {"length": offsets[0][1] - offsets[0][0], "shape": shapes[0], "expected": sizes[0]}
+    # A shape that fits the data section can only exceed numpy's limits by
+    # its dimension count (at least 32 in every numpy), or, when it holds no
+    # elements, by the product of its extents; only those are tried.
+    for i in np.flatnonzero((expected == 0) | (np.fromiter(map(len, shapes), int, len(shapes)) > 32)):
         try:
             np.broadcast_to(np.empty((), DTYPE_TO_NUMPY[dtypes[i]]), shapes[i])
-        except ValueError:
-            return None
-    return dtypes, shapes, starts, ends
+        except ValueError as exc:
+            return 7, {"shape": shapes[i], "error": exc}
+    return 0, (dtypes, shapes, starts, ends)
 
 
 def _read_header(fh, path):
@@ -362,7 +350,7 @@ def _read_header(fh, path):
         header = json.loads(raw.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys)
     except RecursionError:  # a fixed text, as the decoder's own differs between Pythons
         raise CheckpointFormatError(f"{path}: malformed header: nested too deeply") from None
-    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past Python's digit limit
+    except ValueError as exc:  # bad UTF-8 or JSON, a key given twice, or an integer too long
         raise CheckpointFormatError(f"{path}: malformed header: {exc}") from exc
     if not isinstance(header, dict) or not isinstance(header.get("tensors"), dict):
         raise CheckpointFormatError(f"{path}: malformed header: missing 'tensors' object")
@@ -374,13 +362,16 @@ def _read_header(fh, path):
 
     entries = header["tensors"]
     data_size = size - 8 - header_len
-    valid = _valid_entries(entries, data_size)
-    if valid is None:
-        for name, info in entries.items():
-            message = _entry_error(name, info, data_size)
-            if message:
-                raise CheckpointFormatError(f"{path}: {message}")
-    dtypes, shapes, starts, ends = valid
+    check, found = _valid_entries(entries, data_size)
+    if check:  # the first failing entry: halve ``items``, keeping the half that holds it
+        items = list(entries.items())
+        while len(items) > 1:
+            half = dict(items[:len(items) // 2])
+            items = list(half.items()) if _valid_entries(half, data_size)[0] else items[len(half):]
+        check, fields = _valid_entries(dict(items), data_size)
+        message = _ENTRY_ERRORS[check].format(name=items[0][0], **fields)
+        raise CheckpointFormatError(f"{path}: {message}")
+    dtypes, shapes, starts, ends = found
 
     # non-empty tensors by start; stable, so ties keep header order
     spans = np.flatnonzero(ends > starts)

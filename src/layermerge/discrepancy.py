@@ -15,8 +15,10 @@ to the first checkpoint. Two threshold modes are provided:
   is taken of the slice divided by its largest ``|a_k|``, so finite values
   of any size get the threshold they define.
 
-Finite values whose difference overflows differ by more than any finite
-threshold, and are flagged.
+A difference past the float range exceeds any finite threshold, and is
+flagged. Where the threshold is past the float range too, the element is
+decided again from halved values: ``|a_k/2 - b_k/2|`` against the threshold
+of ``a/2``.
 
 Identical elements are never flagged, so the self-profile is zero in both
 modes. Larger tau lowers the thresholds, so counts are non-decreasing in
@@ -69,6 +71,7 @@ class DiscrepancyProfile:
 # elements of (group, kind) slices compared with one set of array operations:
 # few enough that a batch's float64 working arrays take about 0.5 MB each
 _BATCH = 1 << 16
+_HALF_MAX = np.finfo(np.float64).max / 2
 
 
 def discrepancy_profile(
@@ -138,17 +141,29 @@ def _compare(batch, sides, tau, mode) -> list[ProfileRow]:
     # finite values can overflow: an inf difference is flagged, a norm past
     # the float range is taken again scaled (``_norm_threshold``), and a tiny
     # tau can take a threshold past the float range, where inf flags nothing.
-    # The difference goes into ``other``'s copy, an elementwise threshold
-    # into ``ref``'s, and a per-slice one is repeated once ``ref`` is freed.
+    # Where both overflow, halved values decide; only values past half the
+    # float range make a difference overflow, so those are kept. The
+    # difference goes into ``other``'s copy, an elementwise threshold into
+    # ``ref``'s, and a per-slice one is repeated once ``ref`` is freed.
+    big = np.flatnonzero((ref > _HALF_MAX) | (ref < -_HALF_MAX)
+                         | (other > _HALF_MAX) | (other < -_HALF_MAX))
+    halves = ref[big] / 2, other[big] / 2
     with np.errstate(over="ignore"):
         diff = np.abs(np.subtract(ref, other, out=other), out=other)
         if mode == "elementwise":
             threshold = np.divide(np.abs(ref, out=ref), tau, out=ref)
+            halved = np.abs(halves[0]) / tau
         else:
             parts = [_norm_threshold(ref[lo:hi], tau) for lo, hi in zip(bounds, bounds[1:])]
+            owners = (np.searchsorted(bounds, big, "right") - 1).tolist()  # each one's slice
+            past = {s: _norm_threshold(ref[bounds[s]:bounds[s + 1]] / 2, tau)
+                    for s in set(owners) if math.isinf(parts[s])}
+            halved = np.array([past.get(s, 0.0) for s in owners])  # read only where inf
             del ref
             threshold = np.repeat(parts, np.diff(bounds))
     flagged = (diff >= threshold) & (diff > 0)
+    redo = np.isinf(diff[big]) & np.isinf(threshold[big])
+    flagged[big[redo]] = (np.abs(halves[0] - halves[1]) >= halved)[redo]
     return [ProfileRow(group.index, kind, int(np.count_nonzero(flagged[lo:hi])), int(n))
             for (group, kind, *_, n), lo, hi in zip(batch, bounds, bounds[1:])]
 

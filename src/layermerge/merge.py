@@ -103,12 +103,6 @@ class MergeSchedule:
         if not np.all(np.abs(col_sums - 1.0) <= 1e-12):
             raise ScheduleError("merge weights must sum to 1 at every layer")
 
-    @classmethod
-    def constant(cls, model_count: int, layer_count: int, anchor: int = 0) -> "MergeSchedule":
-        """Uniform 1/M weights at every layer (isotropic as a schedule)."""
-        w = np.full((model_count, layer_count), 1.0 / model_count)
-        return cls(model_count, layer_count, anchor, layer_count, 1.0 / model_count, w)
-
     def non_anchor_row(self) -> np.ndarray:
         rows = [i for i in range(self.model_count) if i != self.anchor]
         return self.weights[rows[0]] if rows else np.zeros(self.layer_count)

@@ -104,6 +104,11 @@ def write_pools(root: Path) -> None:
     (root / "truncated0.lm").write_bytes(data[:-100])
     # a metadata value nested past every Python's recursion limit
     write_raw_header(root / "deep0.lm", HEADERS_PAST_LIMITS["deep"])
+    # with no data section, "a" fails its bounds and the later "b" its dtype,
+    # an earlier check: the file is named by "a", its first failing entry
+    write_raw_header(root / "twofaults0.lm", json.dumps({"tensors": {
+        "a": {"dtype": "F32", "shape": [2], "offsets": [0, 8]},
+        "b": {"dtype": "F16", "shape": [], "offsets": [0, 0]}}}))
     # finite inputs whose weighted sum rounds past the float64 range
     big = np.finfo(np.float64).max
     _write(root, "overflow", [{"layer0.weight": np.array([big, -big]),
@@ -149,6 +154,7 @@ def runs() -> dict:
     argvs["error-truncated"] = ["merge", "{tmp}/dense0.lm", "{tmp}/truncated0.lm",
                                 "--strategy", "isotropic", "--out", "{tmp}/out-{name}.lm"]
     argvs["error-deep-header"] = ["inspect", "{tmp}/deep0.lm"]
+    argvs["error-first-failing-entry"] = ["inspect", "{tmp}/twofaults0.lm"]
     argvs["error-nan"] = ["merge", "{tmp}/dense0.lm", "{tmp}/nan0.lm", "--anchor", "0",
                           "--strategy", "layerwise", "--out", "{tmp}/out-{name}.lm"]
     argvs["error-negative-fisher"] = [

@@ -163,8 +163,9 @@ def test_c05_strategy_degeneracies():
         FisherWeights({t.name: np.full(t.shape, 2.5) for t in c.tensors}) for c in pool
     ]
     fm = fisher_merge(pool, constant_fisher, alignment)
+    layers = alignment.n_shared_layers
     lw = layerwise_merge(
-        pool, 0, MergeSchedule.constant(3, alignment.n_shared_layers, 0), alignment
+        pool, 0, MergeSchedule(3, layers, 0, layers, 1 / 3, np.full((3, layers), 1 / 3)), alignment
     )
     sw = scalar_weighted_merge(pool, [46.9, 46.9, 46.9], alignment)
     for t in iso.tensors:

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import stat
 import struct
@@ -787,6 +788,145 @@ class TestHeaderChecks:
         spans = {"c": [16, 24], "a": [0, 8], "d": [20, 28], "b": [4, 12]}
         entries = {n: {"dtype": "F32", "shape": [2], "offsets": o} for n, o in spans.items()}
         self.same_message(tmp_path / "c.st", entries, 28)
+
+
+# JSON's four whitespace characters; and others, which JSON does not allow
+SPACES = ["", "", " ", "\n", "\t\r\n "]
+ODD_SPACES = ["\x0b", "\u00a0", "\ufeff"]
+# quotes, backslashes, controls, non-ASCII, a character past the BMP and a lone surrogate
+NAME_CHARS = 'ab.é名\U0001F600"\\\n\x00\ud800 '
+# every JSON type; integers past int64 and past Python's 4,300 digits; floats,
+# one past the float range; nesting shallow and 10^5 deep
+LEAVES = st.sampled_from([
+    "null", "true", "false", "0", "-0", "3", "-1", "1.5", "8.0", "4e0", "1e400",
+    str(2**63), str(2**64), str(-(2**63) - 1), "9" * 5_000,
+    "[[]]", "[" * 100 + "]" * 100, "[" * 100_000 + "]" * 100_000,
+    '{"a":' * 100_000 + "0" + "}" * 100_000,
+]).map(lambda text: ("raw", text)) | st.text(NAME_CHARS, max_size=4).map(lambda s: ("str", s))
+# a JSON value as a tree: ("raw", text), ("str", s), ("arr", [node]) or
+# ("obj", [(key, node)]), whose keys may repeat
+NODES = st.recursive(LEAVES, lambda kids: (
+    st.lists(kids, max_size=3).map(lambda items: ("arr", items))
+    | st.lists(st.tuples(st.text("ab", max_size=1), kids), max_size=3).map(lambda m: ("obj", m))
+), max_leaves=6)
+
+
+def render(draw, node, spaces) -> str:
+    """The JSON text of ``node``, with whitespace drawn from ``spaces``
+    around every token and each character of a string written raw where
+    JSON allows it, else escaped, in one of its forms."""
+    kind, body = node
+    if kind == "raw":
+        return body
+    if kind == "str":
+        chars = []
+        for c in body:
+            forms = [json.dumps(c)[1:-1]] + [f"\\u{ord(c):04X}"] * (ord(c) <= 0xFFFF)
+            if not (c in '"\\' or c < " " or "\ud800" <= c <= "\udfff"):
+                forms.append(c)
+            chars.append(draw(st.sampled_from(forms)))
+        return '"' + "".join(chars) + '"'
+    space = st.sampled_from(spaces)
+    if kind == "arr":
+        items = [render(draw, item, spaces) for item in body]
+    else:
+        items = [render(draw, ("str", key), spaces) + draw(space) + ":" + draw(space)
+                 + render(draw, value, spaces) for key, value in body]
+    text = ",".join(draw(space) + item + draw(space) for item in items) or draw(space)
+    first, last = "{}" if kind == "obj" else "[]"
+    return first + text + last
+
+
+@st.composite
+def header_texts(draw):
+    """A checkpoint header as JSON text, and its data section's size: near a
+    valid header, and now and then with any JSON value in any position,
+    keys repeated at any level, floats and long integers where integers
+    belong, escaped and non-ASCII names or whitespace JSON does not allow."""
+    def rarely(odds=8) -> bool:
+        return draw(st.integers(1, odds)) == odds
+
+    def maybe(node):  # mostly the node, else any value
+        return draw(NODES) if rarely(12) else node
+
+    def number(value):
+        forms = [f"{value}.0", f"{value}e0", "9" * 5_000, str(value + 4), str(-value - 1)]
+        return ("raw", draw(st.sampled_from(forms)) if rarely(25) else str(value))
+
+    def repeat_one(pairs):  # now and then a key again, with its value or another
+        if pairs and rarely(12):
+            key, value = draw(st.sampled_from(pairs))
+            pairs.insert(draw(st.integers(0, len(pairs))), (key, maybe(value)))
+        return pairs
+
+    entries, offset = [], 0
+    for i in range(draw(st.integers(0, 4))):
+        dtype = draw(st.sampled_from(["F32", "F64"]))
+        shape = draw(st.lists(st.integers(0, 3), max_size=3))
+        end = offset + math.prod(shape) * (4 if dtype == "F32" else 8)
+        fields = [("dtype", maybe(("str", dtype))), ("shape", maybe(("arr", list(map(number, shape))))),
+                  ("offsets", maybe(("arr", [number(offset), number(end)])))]
+        fields = draw(st.permutations(fields))[:3 - rarely(20)]
+        name = draw(st.text(NAME_CHARS, max_size=3)) if rarely() else f"t{i}"
+        entries.append((name, ("obj", repeat_one(fields))))
+        offset = end
+    metadata = ("obj", repeat_one(draw(st.lists(st.tuples(
+        st.text(NAME_CHARS, max_size=2), st.text(NAME_CHARS, max_size=2).map(lambda s: ("str", s))
+    ), max_size=2, unique_by=lambda pair: pair[0]))))
+    members = [("tensors", maybe(("obj", repeat_one(entries)))), ("metadata", maybe(metadata))]
+    members = repeat_one(members[:2 - rarely()] + [("x", draw(NODES))] * rarely())
+    spaces = SPACES + ODD_SPACES * rarely(20)
+    text = render(draw, maybe(("obj", draw(st.permutations(members)))), spaces)
+    return draw(st.sampled_from(spaces)) + text + draw(st.sampled_from(spaces)), \
+        offset + draw(st.sampled_from([0, 0, 4]))
+
+
+def decoded(text):
+    """The value of the JSON ``text``, or None where the reader rejects the
+    JSON itself: bad syntax, nesting past the decoder's depth, an integer
+    past Python's digit limit or a key given twice in one object."""
+    repeated = []
+
+    def pairs(items):
+        repeated.append(len({key for key, _ in items}) < len(items))
+        return dict(items)
+    try:
+        value = json.loads(text, object_pairs_hook=pairs)
+    except (ValueError, RecursionError):
+        return None
+    return None if any(repeated) else value
+
+
+class TestHeaderStructure:
+    """Headers written as JSON text, so that their structure varies too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(header_texts())
+    def test_one_verdict_and_the_entry_by_entry_message(self, tmp_path_factory, case):
+        text, data_size = case
+        path = tmp_path_factory.mktemp("hdr") / "h.st"
+        blob = text.encode()
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + b"\0" * data_size)
+        verdicts = set()
+        for reader in READERS:
+            try:
+                reader(path)
+                verdicts.add(None)
+            except CheckpointFormatError as exc:
+                verdicts.add(str(exc))
+        assert len(verdicts) == 1, verdicts
+        verdict = verdicts.pop()
+        header = decoded(text)
+        metadata = header.get("metadata", {}) if isinstance(header, dict) else None
+        if (isinstance(header, dict) and isinstance(header.get("tensors"), dict)
+                and isinstance(metadata, dict) and all(isinstance(v, str) for v in metadata.values())):
+            expected = ref.ref_entries_error(header["tensors"], data_size)
+            assert verdict == (expected and f"{path}: {expected}")
+            if expected is None:
+                assert inspect(path).tensors == [(name, info["dtype"], tuple(info["shape"]))
+                                                 for name, info in header["tensors"].items()]
+        else:
+            assert verdict is not None and verdict.startswith(f"{path}: ")
 
 
 class TestInspect:

@@ -82,6 +82,26 @@ class TestProfile:
         profile = discrepancy_profile(a, b, tau, mode="layer_norm")
         assert profile.rows[0].exceed_count == 1  # diff 0.5 >= 0.5
 
+    @pytest.mark.parametrize("mode, x, y, tau, exceed", [
+        ("elementwise", np.full((2, 2), 1e308), np.full((2, 2), -1e308), 1e-300, 0),
+        ("layer_norm", np.full((2, 2), 1e308), np.full((2, 2), -1e308), 1e-300, 0),
+        ("elementwise", np.array([1e308]), np.array([-1.7e308]), 0.3, 0),  # 2.7e308 < 3.33e308
+        ("elementwise", np.array([1e308]), np.array([-1.7e308]), 0.5, 1),  # 2.7e308 >= 2e308
+        ("layer_norm", np.array([1e308]), np.array([-1.7e308]), 0.3, 0),
+        ("layer_norm", np.array([1e308]), np.array([-1.7e308]), 0.5, 1),
+    ])
+    def test_difference_and_threshold_both_past_the_float_range(self, mode, x, y, tau, exceed):
+        # both overflow to inf, so the element is decided by halves; a slice
+        # of ordinary values in the same batch keeps its count
+        small = {"g0.weight": np.array([1.0, -2.0, 3.0])}
+        a = Checkpoint.from_arrays({**small, "g1.weight": x})
+        b = Checkpoint.from_arrays({"g0.weight": small["g0.weight"] * 1.5, "g1.weight": y})
+        rows = rows_as_tuples(discrepancy_profile(a, b, tau, mode))
+        alone = discrepancy_profile(Checkpoint.from_arrays(small),
+                                    Checkpoint.from_arrays({"g0.weight": small["g0.weight"] * 1.5}),
+                                    tau, mode)
+        assert rows == [*rows_as_tuples(alone), (2, "weight", exceed, x.size)]
+
     def test_tau_validation(self, rng):
         ckpt = make_checkpoint([(2, 2)], rng)
         for bad in (0.0, -1.0, float("nan")):

@@ -320,7 +320,8 @@ class TestIsotropicMerge:
         pool = [make_checkpoint([(3, 3), (4, 3)], rng) for _ in range(3)]
         alignment = shared_parameters(pool, 0)
         iso = isotropic_merge(pool, alignment)
-        constant = MergeSchedule.constant(3, alignment.n_shared_layers, 0)
+        layers = alignment.n_shared_layers
+        constant = MergeSchedule(3, layers, 0, layers, 1 / 3, np.full((3, layers), 1 / 3))
         lw = layerwise_merge(pool, 0, constant, alignment)
         for t in iso.tensors:
             np.testing.assert_allclose(
