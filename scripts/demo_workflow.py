@@ -44,14 +44,13 @@ def main() -> int:
     source, target = make_domain_pair(args.seed, 400, 3, shift)
     source_eval, target_eval = make_domain_pair(args.seed + 5000, 1500, 3, shift)
 
+    # the anchor on the source domain and two donors on the target domain,
+    # from one initialization, trained together in one call
     init = ToyModel.init([2, 16, 16, 3], seed=args.seed)
-    anchor = train(init, source, TrainConfig(epochs=args.epochs, seed=args.seed)).model
-    donors = [
-        train(init, target, TrainConfig(epochs=args.epochs, seed=args.seed + k)).model
-        for k in (1001, 2002)
-    ]
-
-    models = [anchor, *donors]
+    seeds = [args.seed, args.seed + 1001, args.seed + 2002]
+    results = train([init] * 3, [source, target, target],
+                    [TrainConfig(epochs=args.epochs, seed=s) for s in seeds])
+    models = [r.model for r in results]
     scores = [evaluate(m, source_eval) for m in models]
     ckpts = []
     for i, (model, score) in enumerate(zip(models, scores)):

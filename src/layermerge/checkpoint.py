@@ -193,6 +193,9 @@ def match_layer_order(names, prefixes) -> dict[str, str]:
     return assignment
 
 
+_json_string = json.encoder.encode_basestring  # json.dumps's string encoder when ensure_ascii=False
+
+
 def _encode(ckpt: Checkpoint) -> list:
     """The file as a list of buffers: length prefix, header, then each
     tensor's contiguous little-endian array (not copied when the tensor
@@ -201,13 +204,16 @@ def _encode(ckpt: Checkpoint) -> list:
     dtypes = [NUMPY_TO_DTYPE[x.dtype] for x in data]
     buffers = list(map(np.ascontiguousarray, data, map(DTYPE_TO_NUMPY.get, dtypes)))
     ends = list(accumulate(map(operator.attrgetter("nbytes"), buffers)))
-    header = {
-        # the shape of the data, not of its buffer: a 0-d array's buffer is 1-d
-        "tensors": {t.name: {"dtype": dtype, "shape": list(x.shape), "offsets": [start, end]}
-                    for t, x, dtype, start, end in zip(ckpt.tensors, data, dtypes, [0, *ends], ends)},
-        "metadata": {k: ckpt.metadata[k] for k in sorted(ckpt.metadata)},
-    }
-    header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    # Each entry is the text json.dumps(..., ensure_ascii=False) gives it: the
+    # name through the same string encoder, the shape of the data (not of its
+    # buffer: a 0-d array's buffer is 1-d), the rest integers and dtype names.
+    entries = ",".join(
+        f'{_json_string(t.name)}:{{"dtype":"{dtype}","shape":[{",".join(map(str, x.shape))}],'
+        f'"offsets":[{start},{end}]}}'
+        for t, x, dtype, start, end in zip(ckpt.tensors, data, dtypes, [0, *ends], ends))
+    metadata = json.dumps({k: ckpt.metadata[k] for k in sorted(ckpt.metadata)},
+                          separators=(",", ":"), ensure_ascii=False)
+    header_bytes = f'{{"tensors":{{{entries}}},"metadata":{metadata}}}'.encode("utf-8")
     return [struct.pack("<Q", len(header_bytes)), header_bytes, *buffers]
 
 

@@ -152,11 +152,12 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text))
 
 
-def _train_one(cfg: ExperimentConfig, seed: int, data: ToyDataset, snapshot_count=0):
+def _train_pool(cfg: ExperimentConfig, seeds, datasets: list[ToyDataset], snapshot_count=0):
+    """Train one model per seed on the matching dataset, all in one ``train`` call."""
     sizes = [2, *cfg.hidden, cfg.classes]
-    init_seed = cfg.seed if cfg.shared_init else seed
-    model = ToyModel.init(sizes, seed=init_seed)
-    return train(model, data, cfg._train_config(seed), snapshot_count=snapshot_count)
+    inits = [ToyModel.init(sizes, seed=cfg.seed if cfg.shared_init else s) for s in seeds]
+    return train(inits, datasets, [cfg._train_config(s) for s in seeds],
+                 snapshot_count=snapshot_count)
 
 
 def _accuracies(models, evals, ensemble=False) -> dict:
@@ -204,15 +205,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     donors = cfg.mode == "donors"
     if donors:  # the anchor on the source domain, then one donor per seed
         donor_data = source_train if cfg.donor_domain == "source" else target_train
-        results = [_train_one(cfg, cfg.seed, source_train)]
-        results += [_train_one(cfg, s, donor_data) for s in cfg.donor_seeds]
+        train_sets = [source_train] + [donor_data] * len(cfg.donor_seeds)
+        results = _train_pool(cfg, [cfg.seed, *cfg.donor_seeds], train_sets)
         models = [r.model for r in results]
         ids = ["anchor"] + [f"donor{i}" for i in range(1, len(models))]
-        train_sets = [source_train] + [donor_data] * len(cfg.donor_seeds)
         fields = [{"final_loss": r.final_loss} for r in results]
         pool_sizes = [len(models)]
     else:  # snapshots of one source-domain run, newest (the anchor) first
-        run = _train_one(cfg, cfg.seed, source_train, cfg.checkpoint_count)
+        [run] = _train_pool(cfg, [cfg.seed], [source_train], cfg.checkpoint_count)
         epochs, models = zip(*run.snapshots[::-1])
         ids = [f"epoch{e}" for e in epochs]
         train_sets = [source_train] * len(models)

@@ -3,6 +3,13 @@
 Layers are named ``l0``, ``l1``, ... with ``weight`` of shape [out, in]
 and ``bias`` of shape [out]. Hidden layers use max(x, 0); the final layer
 is linear and trained with softmax cross-entropy.
+
+A stack of same-shaped models is one ``ToyModel`` whose weights and biases
+have a leading model axis, [K, out, in] and [K, out]; the forward pass,
+loss and backprop run unchanged on it, one stacked matmul serving all K.
+Each slice of a stacked matmul is the same BLAS call as the 2-D product,
+and the reductions add the same elements in the same order, so every
+model in a stack gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -16,15 +23,26 @@ from ..checkpoint import Checkpoint
 _LAYER_NAME = re.compile(r"^l(\d+)\.(weight|bias)$")
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
+def _shifted_exp(logits: np.ndarray):
+    """The logits less each row's maximum, their exp, and its row sums."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return shifted, e, e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def softmax(logits: np.ndarray) -> np.ndarray:
+    _, e, total = _shifted_exp(logits)
+    return e / total
+
+
+def _cross_entropy(logits: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy of the labels ``y`` (..., n) under ``logits``
+    (..., n, classes), one per stacked model; the softmax of the logits; and
+    the index of each label's entry in it."""
+    shifted, e, total = _shifted_exp(logits)
+    labelled = (*np.indices(y.shape, sparse=True), y)
+    loss = -(shifted[labelled] - np.log(total[..., 0])).mean(axis=-1)
+    return loss, e / total, labelled
 
 
 class ToyModel:
@@ -32,13 +50,13 @@ class ToyModel:
         if len(weights) != len(biases):
             raise ValueError("weights and biases must pair up")
         for i in range(1, len(weights)):
-            if weights[i].shape[1] != weights[i - 1].shape[0]:
+            if weights[i].shape[-1] != weights[i - 1].shape[-2]:
                 raise ValueError(
-                    f"layer {i} expects {weights[i].shape[1]} inputs but layer "
-                    f"{i - 1} produces {weights[i - 1].shape[0]}"
+                    f"layer {i} expects {weights[i].shape[-1]} inputs but layer "
+                    f"{i - 1} produces {weights[i - 1].shape[-2]}"
                 )
         for w, b in zip(weights, biases):
-            if b.shape != (w.shape[0],):
+            if b.shape != w.shape[:-1]:
                 raise ValueError("bias shape must match layer output size")
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
@@ -59,13 +77,24 @@ class ToyModel:
     def copy(self) -> "ToyModel":
         return ToyModel([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
+    @classmethod
+    def stack(cls, models: list["ToyModel"]) -> "ToyModel":
+        """One stacked model holding a copy of each of ``models`` (which
+        share their layer sizes), in order."""
+        return cls([np.stack(ws) for ws in zip(*(m.weights for m in models))],
+                   [np.stack(bs) for bs in zip(*(m.biases for m in models))])
+
+    def member(self, k: int) -> "ToyModel":
+        """The ``k``-th model of a stack, as views of the stack's arrays."""
+        return ToyModel([w[k] for w in self.weights], [b[k] for b in self.biases])
+
     @property
     def depth(self) -> int:
         return len(self.weights)
 
     @property
     def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+        return [self.weights[0].shape[-1]] + [w.shape[-2] for w in self.weights]
 
     def check_fits(self, data) -> None:
         """Raise ``ValueError`` unless ``data`` (a ``ToyDataset``) has this
@@ -102,6 +131,9 @@ class ToyModel:
         for i in range(len(found)):
             if set(found[i]) != {"weight", "bias"}:
                 raise ValueError(f"layer l{i} needs both weight and bias")
+            if found[i]["weight"].ndim != 2:  # a stack is built, never loaded
+                raise ValueError(f"layer l{i} weight must be 2-D, got shape "
+                                 f"{list(found[i]['weight'].shape)}")
             weights.append(found[i]["weight"])
             biases.append(found[i]["bias"])
         return cls(weights, biases)
@@ -109,12 +141,13 @@ class ToyModel:
     # -- inference --------------------------------------------------------
 
     def forward_trace(self, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Return (activations, pre-activations) per layer; activations[0] is x."""
+        """Return (activations, pre-activations) per layer; activations[0] is
+        x, of shape (n, in), or (K, n, in) for a stack of K models."""
         activations = [np.asarray(x, dtype=np.float64)]
         preacts = []
         h = activations[0]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
+            z = h @ w.swapaxes(-1, -2) + b[..., None, :]
             preacts.append(z)
             h = np.maximum(z, 0.0) if i < self.depth - 1 else z
             activations.append(h)
@@ -126,21 +159,22 @@ class ToyModel:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return softmax(self.logits(x))
 
+    def losses(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Mean cross-entropy of the labels ``y``, one per stacked model."""
+        return _cross_entropy(self.logits(x), y)[0]
+
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
-        logp = log_softmax(self.logits(x))
-        return float(-np.mean(logp[np.arange(len(y)), y]))
+        return float(self.losses(x, y))
 
     def loss_and_grads(self, x, y):
-        """Mean cross-entropy and its gradients w.r.t. every weight and bias."""
+        """Mean cross-entropy and its gradients w.r.t. every weight and bias,
+        each with the stack axis of the weights."""
         activations, preacts = self.forward_trace(x)
-        n = len(y)
-        logp = log_softmax(activations[-1])
-        loss = float(-np.mean(logp[np.arange(n), y]))
-        delta = softmax(activations[-1])
-        delta[np.arange(n), y] -= 1.0
-        deltas = self._backprop(delta / n, preacts)
-        grads_w = [d.T @ a for d, a in zip(deltas, activations)]
-        return loss, grads_w, [d.sum(axis=0) for d in deltas]
+        loss, delta, labelled = _cross_entropy(activations[-1], y)
+        delta[labelled] -= 1.0
+        deltas = self._backprop(delta / y.shape[-1], preacts)
+        grads_w = [d.swapaxes(-1, -2) @ a for d, a in zip(deltas, activations)]
+        return loss, grads_w, [d.sum(axis=-2) for d in deltas]
 
     def _backprop(self, delta: np.ndarray, preacts: list[np.ndarray]) -> list[np.ndarray]:
         """Every layer's delta, layer 0 first, from the head's delta (the

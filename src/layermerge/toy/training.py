@@ -1,8 +1,9 @@
-"""Plain SGD training loop with evenly spaced model snapshots."""
+"""Plain SGD training of a pool of models in lockstep, with evenly spaced
+model snapshots."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,46 +50,83 @@ def snapshot_epochs(epochs: int, count: int) -> list[int]:
 
 
 def train(
-    model: ToyModel,
-    data: ToyDataset,
-    cfg: TrainConfig,
+    models: list[ToyModel],
+    datasets: list[ToyDataset],
+    configs: list[TrainConfig],
     snapshot_count: int = 0,
-) -> TrainResult:
-    """SGD on softmax cross-entropy; the input model is left untouched.
+) -> list[TrainResult]:
+    """SGD on softmax cross-entropy for a pool of models, one result per
+    model in order; the input models are left untouched.
 
-    With ``snapshot_count`` > 0 a copy of the model is kept at each of that
-    many evenly spaced epochs, the last one at the final epoch.
+    Model k trains on ``datasets[k]`` under ``configs[k]``. The models must
+    share their layer sizes, the datasets their size and the configs every
+    field but the seed: the pool trains in lockstep, as one stacked model,
+    and each member ends with the bits it would get if trained alone. With
+    ``snapshot_count`` > 0 a copy of each model is kept at each of that many
+    evenly spaced epochs, the last one at the final epoch.
+
+    A member whose loss becomes non-finite raises ``TrainingDivergedError``
+    with its epoch and loss; of several, the first in pool order.
     """
-    model = model.copy()
-    model.check_fits(data)
+    if not models or not len(models) == len(datasets) == len(configs):
+        raise ValueError("need one dataset and one config per model, and at least one model")
+    for model, data in zip(models, datasets):
+        model.check_fits(data)
+    cfg = configs[0]
+    if len({tuple(m.layer_sizes) for m in models}) > 1:
+        raise ValueError("models trained together must share their layer sizes")
+    if len({d.size for d in datasets}) > 1:
+        raise ValueError("models trained together need datasets of one size")
+    if any(replace(c, seed=cfg.seed) != cfg for c in configs):
+        raise ValueError("models trained together must share every training setting but the seed")
     if snapshot_count and cfg.epochs < 1:
         raise ValueError("snapshots need at least one epoch")
 
     marks = set(snapshot_epochs(cfg.epochs, snapshot_count)) if snapshot_count else set()
-    rng = np.random.default_rng(cfg.seed)
-    head = model.depth - 1
-    snapshots = []
+    stack = ToyModel.stack(models)
+    rates = [cfg.learning_rate * (cfg.head_lr_multiplier if i == stack.depth - 1 else 1.0)
+             for i in range(stack.depth)]
+    inputs = np.stack([d.inputs for d in datasets])
+    labels = np.stack([d.labels for d in datasets])
+    n = datasets[0].size
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    rows = np.arange(len(models))[:, None]
+    batches = range(0, n, cfg.batch_size)
+    step_losses = np.empty((len(batches), len(models)))
+    snapshots = [[] for _ in models]
+    diverged = {}  # member -> (epoch, loss) of its first non-finite loss
 
     # Diverged runs overflow before the loss check can trip; keep the noise
     # out of the warning stream and report the epoch instead.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(data.size)
-            for start in range(0, data.size, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                loss, grads_w, grads_b = model.loss_and_grads(
-                    data.inputs[batch], data.labels[batch]
-                )
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(epoch, loss)
-                for i in range(model.depth):
-                    lr = cfg.learning_rate * (cfg.head_lr_multiplier if i == head else 1.0)
-                    model.weights[i] -= lr * grads_w[i]
-                    model.biases[i] -= lr * grads_b[i]
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            x, y = inputs[rows, order], labels[rows, order]
+            for step, start in enumerate(batches):
+                batch = slice(start, start + cfg.batch_size)
+                step_losses[step], grads_w, grads_b = stack.loss_and_grads(x[:, batch], y[:, batch])
+                for w, b, gw, gb, lr in zip(stack.weights, stack.biases, grads_w, grads_b, rates):
+                    w -= lr * gw
+                    b -= lr * gb
+            _record_divergence(diverged, epoch, step_losses)
+            if 0 in diverged:
+                break
             if epoch in marks:
-                snapshots.append((epoch, model.copy()))
+                for k, member_snapshots in enumerate(snapshots):
+                    member_snapshots.append((epoch, stack.member(k).copy()))
 
-        final_loss = model.loss(data.inputs, data.labels)
-    if not np.isfinite(final_loss):
-        raise TrainingDivergedError(cfg.epochs, final_loss)
-    return TrainResult(model=model, final_loss=final_loss, snapshots=snapshots)
+        final_losses = stack.losses(inputs, labels)
+    _record_divergence(diverged, cfg.epochs, final_losses[None])
+    if diverged:
+        raise TrainingDivergedError(*diverged[min(diverged)])
+    return [TrainResult(model=stack.member(k), final_loss=float(loss), snapshots=member_snapshots)
+            for k, (loss, member_snapshots) in enumerate(zip(final_losses, snapshots))]
+
+
+def _record_divergence(diverged: dict, epoch: int, losses: np.ndarray) -> None:
+    """Add each member's first non-finite entry of ``losses`` (one row per
+    step, one column per member) to ``diverged``, unless it diverged before."""
+    bad = ~np.isfinite(losses)
+    for k in np.flatnonzero(bad.any(axis=0)).tolist():
+        if k not in diverged:
+            diverged[k] = (epoch, float(losses[bad[:, k].argmax(), k]))

@@ -8,9 +8,11 @@ engine's earlier whole-array kernel, kept as the oracle for the blocked one,
 package's alignment), kept as the oracle for the batched one,
 ``ref_entries_error`` is the reader's earlier entry-by-entry header check,
 ``ref_shared_parameters`` is the earlier name-by-name alignment,
-``ref_encode`` is the earlier tensor-by-tensor save encoder, and
-``ref_compute_schedule`` is the earlier schedule with one ``Fraction`` per
-layer and model.
+``ref_encode`` is the earlier save encoder, which builds the header as a
+dict and passes it through ``json.dumps``, ``ref_compute_schedule`` is the
+earlier schedule with one ``Fraction`` per layer and model, and
+``ref_train`` is the earlier one-model-at-a-time SGD loop with its own
+2-D forward pass and backprop.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from layermerge.alignment import (
 from layermerge.checkpoint import DTYPE_TO_NUMPY, CheckpointError, match_layer_order
 from layermerge.discrepancy import DiscrepancyError, ProfileRow
 from layermerge.merge import MergeSchedule, ScheduleError
+from layermerge.toy import ToyModel, TrainResult, TrainingDivergedError
+from layermerge.toy.training import snapshot_epochs
 
 
 def ref_layerwise(pools, anchor, weights_per_layer, groups, anchor_names):
@@ -368,7 +372,8 @@ def ref_shared_parameters(ckpts, anchor):
 
 def ref_encode(ckpt):
     """The buffers of a saved checkpoint file (length prefix, header, each
-    tensor's contiguous array), built tensor by tensor."""
+    tensor's contiguous array), built tensor by tensor, the header as one
+    dict passed through ``json.dumps``."""
     header_tensors = {}
     buffers = []
     offset = 0
@@ -448,3 +453,68 @@ def ref_compute_schedule(model_count, layer_count, anchor, start_layer=1, first_
         weights=weights,
         exact_weights=exact,
     )
+
+
+def _ref_forward(weights, biases, x):
+    """Activations (the input first) and pre-activations of one 2-D model."""
+    activations, preacts = [np.asarray(x, dtype=np.float64)], []
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = activations[-1] @ w.T + b
+        preacts.append(z)
+        activations.append(np.maximum(z, 0.0) if i < len(weights) - 1 else z)
+    return activations, preacts
+
+
+def _ref_loss(logits, y):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return float(-np.mean(logp[np.arange(len(y)), y]))
+
+
+def _ref_loss_and_grads(weights, biases, x, y):
+    """Mean cross-entropy of one 2-D model and its weight and bias gradients."""
+    activations, preacts = _ref_forward(weights, biases, x)
+    n = len(y)
+    shifted = activations[-1] - activations[-1].max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    delta = e / e.sum(axis=-1, keepdims=True)
+    delta[np.arange(n), y] -= 1.0
+    deltas = [delta / n]
+    for i in range(len(weights) - 1, 0, -1):
+        deltas.insert(0, (deltas[0] @ weights[i]) * (preacts[i - 1] > 0))
+    grads_w = [d.T @ a for d, a in zip(deltas, activations)]
+    return _ref_loss(activations[-1], y), grads_w, [d.sum(axis=0) for d in deltas]
+
+
+def ref_train(model, data, cfg, snapshot_count=0):
+    """SGD on softmax cross-entropy for one model, step by step."""
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    model.check_fits(data)
+    if snapshot_count and cfg.epochs < 1:
+        raise ValueError("snapshots need at least one epoch")
+    marks = set(snapshot_epochs(cfg.epochs, snapshot_count)) if snapshot_count else set()
+    rng = np.random.default_rng(cfg.seed)
+    head = len(weights) - 1
+    snapshots = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(data.size)
+            for start in range(0, data.size, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                loss, grads_w, grads_b = _ref_loss_and_grads(
+                    weights, biases, data.inputs[batch], data.labels[batch]
+                )
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(epoch, loss)
+                for i in range(len(weights)):
+                    lr = cfg.learning_rate * (cfg.head_lr_multiplier if i == head else 1.0)
+                    weights[i] -= lr * grads_w[i]
+                    biases[i] -= lr * grads_b[i]
+            if epoch in marks:
+                snapshots.append((epoch, ToyModel([w.copy() for w in weights],
+                                                  [b.copy() for b in biases])))
+        final_loss = _ref_loss(_ref_forward(weights, biases, data.inputs)[0][-1], data.labels)
+    if not np.isfinite(final_loss):
+        raise TrainingDivergedError(cfg.epochs, final_loss)
+    return TrainResult(model=ToyModel(weights, biases), final_loss=final_loss, snapshots=snapshots)

@@ -260,11 +260,8 @@ def test_c09_inference_cost_contract():
     n, m = 10_000, 5
     src, _ = make_domain_pair(9, 300, 3)
     eval_set, _ = make_domain_pair(1009, n, 3)
-    results = [
-        train(ToyModel.init([2, 16, 16, 3], seed=9), src,
-              TrainConfig(epochs=10, seed=9 + i))
-        for i in range(m)
-    ]
+    results = train([ToyModel.init([2, 16, 16, 3], seed=9)] * m, [src] * m,
+                    [TrainConfig(epochs=10, seed=9 + i) for i in range(m)])
     models = [r.model for r in results]
     pool = [mm.to_checkpoint({"model_id": str(i)}) for i, mm in enumerate(models)]
     alignment = shared_parameters(pool, 0)

@@ -181,6 +181,18 @@ class TestEncode:
 
         assert as_bytes(ckpt_store._encode(ckpt)) == as_bytes(ref.ref_encode(ckpt))
 
+    @pytest.mark.parametrize("name", [
+        'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "ünïcødé 名前 🙂",
+        "\u2028\u2029 separators", "/slash/", 'mixed \\"\\u0041',
+    ])
+    @pytest.mark.parametrize("shape", [(), (0,), (0, 3), (2, 3)])
+    def test_header_bytes_match_dict_encoder(self, name, shape):
+        ckpt = Checkpoint.from_arrays(
+            {name: np.zeros(shape, np.float32), "next": np.ones(2)},
+            {"model_id": name, "\\key": 'v"\n'},
+        )
+        assert ckpt_store._encode(ckpt)[:2] == ref.ref_encode(ckpt)[:2]
+
 
 class TestSaveErrors:
     def test_duplicate_name_rejected_no_file(self, tmp_path):

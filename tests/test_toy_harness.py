@@ -1,7 +1,10 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import _reference as ref
 
 import layermerge.toy.experiment as experiment
 from layermerge import isotropic_merge
@@ -71,6 +74,10 @@ class TestToyModel:
         bad = Checkpoint.from_arrays({"l0.weight": np.zeros((3, 2))})
         with pytest.raises(ValueError, match="weight and bias"):
             ToyModel.from_checkpoint(bad)
+        stacked = Checkpoint.from_arrays({"l0.weight": np.zeros((2, 3, 2)),
+                                          "l0.bias": np.zeros((2, 3))})
+        with pytest.raises(ValueError, match="must be 2-D"):
+            ToyModel.from_checkpoint(stacked)
 
     def test_softmax_rows_normalized(self):
         model = ToyModel.init([2, 16, 16, 3], seed=2)
@@ -105,7 +112,8 @@ class TestToyModel:
 class TestEvaluate:
     def test_ensemble_of_identical_models_matches_single(self):
         src, _ = make_domain_pair(7, 300, 3)
-        model = train(ToyModel.init([2, 8, 3], seed=7), src, TrainConfig(epochs=30, seed=7)).model
+        [result] = train([ToyModel.init([2, 8, 3], seed=7)], [src], [TrainConfig(epochs=30, seed=7)])
+        model = result.model
         single = evaluate(model, src)
         assert evaluate([model] * 4, src, ensemble=True) == single
 
@@ -133,15 +141,15 @@ class TestTrain:
     def test_zero_epochs_identity(self):
         src, _ = make_domain_pair(7, 60, 3)
         model = ToyModel.init([2, 4, 3], seed=0)
-        result = train(model, src, TrainConfig(epochs=0, seed=0))
+        [result] = train([model], [src], [TrainConfig(epochs=0, seed=0)])
         for w1, w2 in zip(model.weights, result.model.weights):
             assert np.array_equal(w1, w2)
 
     def test_deterministic(self):
         src, _ = make_domain_pair(7, 120, 3)
         cfg = TrainConfig(epochs=15, seed=5)
-        a = train(ToyModel.init([2, 8, 3], seed=5), src, cfg)
-        b = train(ToyModel.init([2, 8, 3], seed=5), src, cfg)
+        [a] = train([ToyModel.init([2, 8, 3], seed=5)], [src], [cfg])
+        [b] = train([ToyModel.init([2, 8, 3], seed=5)], [src], [cfg])
         assert a.final_loss == b.final_loss
         for w1, w2 in zip(a.model.weights, b.model.weights):
             assert np.array_equal(w1, w2)
@@ -150,7 +158,7 @@ class TestTrain:
         src, _ = make_domain_pair(7, 60, 3)
         model = ToyModel.init([2, 4, 3], seed=0)
         before = [w.copy() for w in model.weights]
-        train(model, src, TrainConfig(epochs=3, seed=0))
+        train([model], [src], [TrainConfig(epochs=3, seed=0)])
         for w1, w2 in zip(before, model.weights):
             assert np.array_equal(w1, w2)
 
@@ -159,14 +167,14 @@ class TestTrain:
         src, _ = make_domain_pair(7, 600, 3)
         model = ToyModel.init([2, 16, 16, 3], seed=7)
         initial = model.loss(src.inputs, src.labels)
-        result = train(model, src, TrainConfig(learning_rate=0.05, epochs=200, seed=7))
+        [result] = train([model], [src], [TrainConfig(learning_rate=0.05, epochs=200, seed=7)])
         assert result.final_loss < initial
         assert evaluate(result.model, src) >= 0.9
 
     def test_snapshots_evenly_spaced_final_is_anchor(self):
         src, _ = make_domain_pair(7, 120, 3)
-        result = train(ToyModel.init([2, 4, 3], seed=1), src,
-                       TrainConfig(epochs=20, seed=1), snapshot_count=4)
+        [result] = train([ToyModel.init([2, 4, 3], seed=1)], [src],
+                         [TrainConfig(epochs=20, seed=1)], snapshot_count=4)
         epochs = [epoch for epoch, _ in result.snapshots]
         assert epochs == [5, 10, 15, 20]
         final = result.snapshots[-1][1]
@@ -176,10 +184,11 @@ class TestTrain:
     def test_each_snapshot_equals_a_run_stopped_at_its_epoch(self):
         src, _ = make_domain_pair(7, 120, 3)
         init = ToyModel.init([2, 4, 3], seed=1)
-        result = train(init, src, TrainConfig(epochs=20, seed=1), snapshot_count=4)
+        [result] = train([init], [src], [TrainConfig(epochs=20, seed=1)], snapshot_count=4)
         for epoch, snapshot in result.snapshots:
-            stopped = train(init, src, TrainConfig(epochs=epoch, seed=1)).model
-            for a, b in zip(snapshot.weights + snapshot.biases, stopped.weights + stopped.biases):
+            [stopped] = train([init], [src], [TrainConfig(epochs=epoch, seed=1)])
+            for a, b in zip(snapshot.weights + snapshot.biases,
+                            stopped.model.weights + stopped.model.biases):
                 assert np.array_equal(a, b), epoch
 
     def test_snapshot_epochs_rounding(self):
@@ -191,7 +200,7 @@ class TestTrain:
         src, _ = make_domain_pair(7, 120, 3)
         cfg = TrainConfig(learning_rate=1e4, epochs=50, seed=1)
         with pytest.raises(TrainingDivergedError, match="epoch"):
-            train(ToyModel.init([2, 8, 3], seed=1), src, cfg)
+            train([ToyModel.init([2, 8, 3], seed=1)], [src], [cfg])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -200,6 +209,165 @@ class TestTrain:
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _sweep_config(seed):
+    payload = json.loads((REPO / "tests" / "data" / "preregistered_sweep.json").read_text())
+    return ExperimentConfig.from_dict(payload["results"][str(seed)]["config"])
+
+
+def _shifted_donors(seed):
+    payload = json.loads((REPO / "configs" / "shifted_donors.json").read_text())
+    return ExperimentConfig.from_dict({**payload, "seed": seed})
+
+
+def _donor_pool(cfg):
+    """The models, datasets and configs a donors-mode experiment trains."""
+    source, target = make_domain_pair(cfg.seed, cfg.train_samples, cfg.classes, cfg.shift)
+    donor_data = source if cfg.donor_domain == "source" else target
+    seeds = [cfg.seed, *cfg.donor_seeds]
+    sizes = [2, *cfg.hidden, cfg.classes]
+    models = [ToyModel.init(sizes, seed=cfg.seed if cfg.shared_init else s) for s in seeds]
+    datasets = [source] + [donor_data] * len(cfg.donor_seeds)
+    return models, datasets, [cfg._train_config(s) for s in seeds]
+
+
+def _assert_same_bytes(got, want):
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+POOLS = {
+    **{f"sweep-{seed}": (lambda seed=seed: _sweep_config(seed), 0) for seed in range(10)},
+    **{f"shifted-donors-{seed}": (lambda seed=seed: _shifted_donors(seed), 0)
+       for seed in (7, 11, 301)},
+    "hidden-8-5-7-batch-7": (lambda: ExperimentConfig(
+        seed=5, train_samples=101, classes=4, hidden=(8, 5, 7), batch_size=7, epochs=40,
+        donor_seeds=(17, 29, 43), shift_rotation=0.5), 0),
+    "hidden-32-own-init": (lambda: ExperimentConfig(
+        seed=9, train_samples=150, hidden=(32,), epochs=40, shared_init=False,
+        shift_translation=(1.0, 0.5)), 0),
+    "zero-epochs": (lambda: ExperimentConfig(seed=3, train_samples=60, epochs=0), 0),
+    "four-snapshots": (lambda: ExperimentConfig(seed=4, train_samples=90, epochs=22), 4),
+}
+
+
+class TestLockstepTraining:
+    """A pool trained in lockstep equals its members trained one at a time."""
+
+    @pytest.mark.parametrize("make_config, snapshot_count", POOLS.values(), ids=POOLS.keys())
+    def test_each_member_equals_training_it_alone(self, make_config, snapshot_count):
+        models, datasets, configs = _donor_pool(make_config())
+        results = train(models, datasets, configs, snapshot_count=snapshot_count)
+        assert len(results) == len(models)
+        for model, data, cfg, got in zip(models, datasets, configs, results):
+            want = ref.ref_train(model, data, cfg, snapshot_count=snapshot_count)
+            _assert_same_bytes(got.model, want.model)
+            assert got.final_loss == want.final_loss
+            assert [e for e, _ in got.snapshots] == [e for e, _ in want.snapshots]
+            for (_, a), (_, b) in zip(got.snapshots, want.snapshots):
+                _assert_same_bytes(a, b)
+
+    @staticmethod
+    def _scaled(data, factor):
+        return ToyDataset(data.inputs * factor, data.labels, data.classes, data.seed, data.shift)
+
+    def _divergence(self, models, datasets, configs):
+        with pytest.raises(TrainingDivergedError) as caught:
+            train(models, datasets, configs)
+        return caught.value
+
+    def test_only_a_donor_diverges(self):
+        # inputs 30x larger make the first donor diverge, 25 epochs in at seed 1
+        src, _ = make_domain_pair(7, 120, 3)
+        init = ToyModel.init([2, 8, 3], seed=1)
+        datasets = [src, self._scaled(src, 30.0), src]
+        configs = [TrainConfig(learning_rate=1.0, epochs=50, seed=s) for s in (1, 1, 2)]
+        for k in (0, 2):  # the anchor and the second donor stay finite alone
+            ref.ref_train(init, datasets[k], configs[k])
+        with pytest.raises(TrainingDivergedError) as alone:
+            ref.ref_train(init, datasets[1], configs[1])
+        error = self._divergence([init] * 3, datasets, configs)
+        assert (error.epoch, str(error)) == (alone.value.epoch, str(alone.value))
+        assert error.epoch > 1
+
+    def test_anchor_error_wins_over_an_earlier_donor_error(self):
+        src, _ = make_domain_pair(7, 120, 3)
+        init = ToyModel.init([2, 8, 3], seed=1)
+        datasets = [self._scaled(src, 3.0), self._scaled(src, 100.0)]
+        configs = [TrainConfig(learning_rate=5.0, epochs=50, seed=1)] * 2
+        errors = []
+        for data, cfg in zip(datasets, configs):
+            with pytest.raises(TrainingDivergedError) as alone:
+                ref.ref_train(init, data, cfg)
+            errors.append(alone.value)
+        assert errors[1].epoch < errors[0].epoch  # the donor diverges first in time
+        error = self._divergence([init] * 2, datasets, configs)
+        assert (error.epoch, str(error)) == (errors[0].epoch, str(errors[0]))
+
+    @pytest.mark.parametrize("change, message", [
+        ("layers", "layer sizes"), ("data", "datasets of one size"), ("rate", "but the seed"),
+    ])
+    def test_members_that_differ_are_rejected(self, change, message):
+        src, _ = make_domain_pair(7, 120, 3)
+        models = [ToyModel.init([2, 8, 3], seed=1)] * 2
+        datasets = [src, src]
+        configs = [TrainConfig(epochs=2, seed=1), TrainConfig(epochs=2, seed=2)]
+        if change == "layers":
+            models[1] = ToyModel.init([2, 4, 3], seed=1)
+        elif change == "data":
+            datasets[1] = make_domain_pair(7, 60, 3)[0]
+        else:
+            configs[1] = TrainConfig(learning_rate=0.1, epochs=2, seed=2)
+        with pytest.raises(ValueError, match=message):
+            train(models, datasets, configs)
+
+    def test_one_dataset_and_config_per_model(self):
+        src, _ = make_domain_pair(7, 60, 3)
+        model = ToyModel.init([2, 4, 3], seed=0)
+        with pytest.raises(ValueError, match="one dataset and one config per model"):
+            train([model, model], [src], [TrainConfig(epochs=1)] * 2)
+        with pytest.raises(ValueError, match="at least one model"):
+            train([], [], [])
+
+
+class TestStackingPremise:
+    """Lockstep training is bit-identical to one model at a time because a
+    stacked matmul makes each slice's 2-D product, and the stacked sums add
+    each slice's elements in the 2-D order. A numpy that breaks this fails
+    here by name."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 24, 32, 400])
+    @pytest.mark.parametrize("fan_in, fan_out", [(2, 16), (16, 16), (16, 3), (2, 1), (32, 4)])
+    def test_stacked_products_and_sums_equal_each_slice(self, batch, fan_in, fan_out):
+        rng = np.random.default_rng(batch * 1000 + fan_in * 10 + fan_out)
+        models = 3
+        gathered = rng.standard_normal((models, batch + 5, fan_in))
+        h = gathered[:, 2 : 2 + batch]  # a batch view into each member's gathered inputs
+        w = rng.standard_normal((models, fan_out, fan_in))
+        d = rng.standard_normal((models, batch, fan_out))
+        stacked = {
+            "forward": h @ w.swapaxes(-1, -2),
+            "backprop": d @ w,
+            "gradient": d.swapaxes(-1, -2) @ h,
+            "bias gradient": d.sum(axis=-2),
+            "row sums": d.sum(axis=-1),
+            "row means": d.mean(axis=-1),
+        }
+        for k in range(models):
+            alone = {
+                "forward": h[k].copy() @ w[k].copy().T,
+                "backprop": d[k].copy() @ w[k].copy(),
+                "gradient": d[k].copy().T @ h[k].copy(),
+                "bias gradient": d[k].copy().sum(axis=0),
+                "row sums": d[k].copy().sum(axis=-1),
+                "row means": np.array([np.mean(row) for row in d[k].copy()]),
+            }
+            for name, value in stacked.items():
+                assert value[k].tobytes() == alone[name].tobytes(), (name, k)
 
 
 class TestEstimateFisher:
