@@ -63,6 +63,19 @@ def _many(rng, i):
     return arrays
 
 
+def _large(rng, i):
+    """F32 tensors past the 256 KiB read window, so that each is read
+    alone, in more than one chunk of the merge's stream, and a small head
+    in one run."""
+    return {
+        "stem.weight": rng.standard_normal((384, 384)).astype(np.float32),
+        "stem.bias": rng.standard_normal(384).astype(np.float32),
+        "body.weight": rng.standard_normal((400, 360)).astype(np.float32),
+        "head.weight": rng.standard_normal((10, 40)).astype(np.float32),
+        "head.bias": rng.standard_normal(10).astype(np.float32),
+    }
+
+
 def _fishers(rng, models, no_mass):
     """F64 Fisher values of every model: about a tenth of the elements
     have no mass, and ``no_mass`` has none in any model."""
@@ -90,6 +103,15 @@ def write_pools(root: Path) -> None:
         _write(root, f"{name}-fisher", fishers)  # with the batch-norm twins
         _write(root, f"{name}-fisher-nobn", [
             {n: f for n, f in fisher.items() if ".running_" not in n} for fisher in fishers])
+
+    rng = np.random.default_rng(16)
+    large = [_large(rng, i) for i in range(MODELS)]
+    _write(root, "large", large)
+    _write(root, "large-fisher", _fishers(rng, large, "head.weight"))  # F64
+    large[1]["body.weight"][-1, -1] = np.nan  # in the last chunk
+    _write(root, "largenan", [large[1]])
+    data = (root / "large1.lm").read_bytes()
+    (root / "largetruncated0.lm").write_bytes(data[:len(data) // 2])  # inside stem.weight
 
     bad = _dense(np.random.default_rng(13), 1)
     bad["body.weight"][3, 4] = np.nan
@@ -140,7 +162,9 @@ def _merges(pool):
 def runs() -> dict:
     """Run name -> argv, ``{tmp}`` standing for the pools' directory and
     ``{name}`` for the run's name."""
-    argvs = {**_merges("dense"), **_merges("many")}
+    argvs = {**_merges("dense"), **_merges("many"),
+             **{name: argv for name, argv in _merges("large").items()
+                if "-scalar-" not in name and "-nobn-" not in name}}
     for pool in ("dense", "many"):
         for mode in ("elementwise", "layer_norm"):
             for fmt in ("csv", "json"):
@@ -153,6 +177,10 @@ def runs() -> dict:
     dense = [f"{{tmp}}/dense{i}.lm" for i in range(MODELS)]
     argvs["error-truncated"] = ["merge", "{tmp}/dense0.lm", "{tmp}/truncated0.lm",
                                 "--strategy", "isotropic", "--out", "{tmp}/out-{name}.lm"]
+    argvs["error-nan-last-chunk"] = ["merge", "{tmp}/large0.lm", "{tmp}/largenan0.lm", "--anchor", "0",
+                                     "--strategy", "layerwise", "--out", "{tmp}/out-{name}.lm"]
+    argvs["error-truncated-mid-tensor"] = ["merge", "{tmp}/large0.lm", "{tmp}/largetruncated0.lm",
+                                           "--strategy", "isotropic", "--out", "{tmp}/out-{name}.lm"]
     argvs["error-deep-header"] = ["inspect", "{tmp}/deep0.lm"]
     argvs["error-first-failing-entry"] = ["inspect", "{tmp}/twofaults0.lm"]
     argvs["error-nan"] = ["merge", "{tmp}/dense0.lm", "{tmp}/nan0.lm", "--anchor", "0",
