@@ -15,7 +15,10 @@ element's float64 terms are added in the content order of its tensor's
 so every strategy is exactly invariant to permutations of the non-anchor
 models. Two kernels, chosen by tensor size, compute the sum with the same
 operations for every element: ``_weighted_sum`` for a tensor larger than a
-block, ``_Blocks.merge`` for several small ones. Before any tensor is
+block, ``_Blocks.merge`` for several small ones. A large tensor whose
+inputs are each read alone from an open file is read by one worker thread
+a chunk at a time while the kernel sums the chunks already in
+(``_Stream``); the merge loop reads nothing meanwhile. Before any tensor is
 read, the merge checks once that the models and Fisher inputs fit the
 alignment (``_fitted_rows``). Every tensor of every input, blended or not,
 is checked (finite, and Fisher values non-negative), and a merged tensor
@@ -27,6 +30,7 @@ exactly on the rational side and to within one rounding on the float side.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -37,6 +41,7 @@ import numpy as np
 
 from .alignment import NON_GRADIENT_KINDS, SharedAlignment
 from .checkpoint import (
+    DTYPE_TO_NUMPY,
     META_LAYER_ORDER,
     Checkpoint,
     CheckpointError,
@@ -197,8 +202,9 @@ class _Reads(Mapping):
     is kept: a tensor of a run that passed counts as checked, and only a
     tensor of a run that failed, or of none, is tried on its own, so every
     error is still raised when its tensor is looked up. ``block`` reads
-    several tensors at once for the block kernel. ``check_rest`` reads and
-    checks the tensors not checked yet, so that none goes unchecked."""
+    several tensors at once for the block kernel, and ``fill`` a piece of a
+    tensor read alone for a ``_Stream``. ``check_rest`` reads and checks
+    the tensors not checked yet, so that none goes unchecked."""
 
     def __init__(self, ckpt, ok, reject):
         self.index = index(ckpt)
@@ -263,6 +269,24 @@ class _Reads(Mapping):
         for row in np.flatnonzero(~self._checked & ~np.isin(runs, passed)).tolist():
             if not run_passed.get(int(runs[row])):  # its run may have passed since
                 self._get(row)
+
+    def alone(self, row) -> bool:
+        """Whether the tensor ``row`` is read alone (it is in no run) from
+        an open file, so that ``fill`` can read it a piece at a time."""
+        fh = getattr(self.index, "fh", None)
+        return fh is not None and not fh.closed and self.index.runs[row] < 0
+
+    def fill(self, row, piece, lo) -> bool:
+        """Read the elements of the tensor ``row`` (``alone``) from element
+        ``lo`` into the flat array ``piece`` and check them: whether they
+        passed; False, too, when the file ends first. The tensor counts as
+        checked once ``checked`` says so, after every piece passed."""
+        section = self.index
+        start = int(section.starts[row]) + lo * piece.itemsize
+        return section._fill(section.fh, piece, start) and self._ok(piece)
+
+    def checked(self, row) -> None:
+        self._checked[row] = True
 
 
 def _fisher_ok(x) -> bool:
@@ -330,6 +354,7 @@ def _reject_shape_conflicts(alignment: SharedAlignment, strategy: str) -> None:
 
 
 _BLOCK = 8192  # elements the kernel sums, and a comparison reads, at a time
+_CHUNK = 16  # blocks of each input that a ``_Stream`` reads at a time
 
 
 class _Scalars:
@@ -359,12 +384,21 @@ def _compare_rows(blocks, size, i, j) -> int:
     return 0
 
 
-def _content_order(weights, xs) -> list[int]:
+def _present(hi) -> None:
+    """``arrived`` of arrays read whole: every element is in."""
+
+
+def _content_order(weights, xs, arrived=_present) -> list[int]:
     """Indices of the (weight, array) pairs of a weight source and flat
     arrays in content order: by the array's bytes, then the weight row's;
-    ties keep their index order."""
+    ties keep their index order. ``arrived(hi)`` returns once the first
+    ``hi`` elements of the arrays are in (see ``_Stream``)."""
+    def blocks(lo):
+        arrived(lo + _BLOCK)
+        return [x[lo:lo + _BLOCK] for x in xs]
+
     def compare(i, j):
-        return (_compare_rows(lambda lo: [x[lo:lo + _BLOCK] for x in xs], xs[0].size, i, j)
+        return (_compare_rows(blocks, xs[0].size, i, j)
                 or _compare_rows(weights.block, weights.size, i, j))
     return sorted(range(len(xs)), key=cmp_to_key(compare))
 
@@ -388,12 +422,15 @@ class _FisherBlocks:
     every model where all are zero), and then by the sum of these quotients,
     added in the content order of the whole quotient rows (``_shares``, as
     for the blocks of ``_Blocks``). The last block computed is kept, so the
-    content order, ``_blends`` and the kernel share it.
+    content order, ``_blends`` and the kernel share it. A block is taken in
+    float64 when it is computed, once ``arrived`` (see ``_content_order``)
+    says that it is in.
     """
 
-    def __init__(self, fishers):
-        self._fishers = [np.asarray(f, np.float64).reshape(-1) for f in fishers]
+    def __init__(self, fishers, arrived=_present):
+        self._fishers = [np.asarray(f).reshape(-1) for f in fishers]
         self.size = self._fishers[0].size
+        self._arrived = arrived
         self._lo = self._mass = self._weights = None
         compare = partial(_compare_rows, self.mass, self.size)
         self._order = sorted(range(len(self._fishers)), key=cmp_to_key(compare))
@@ -401,8 +438,9 @@ class _FisherBlocks:
     def mass(self, lo) -> np.ndarray:
         """The (M, n) normalised Fisher mass of the block starting at ``lo``."""
         if lo != self._lo:
-            mass = _normalised(np.stack([f[lo:lo + _BLOCK] for f in self._fishers]))
-            self._lo, self._mass, self._weights = lo, mass, None
+            self._arrived(lo + _BLOCK)
+            block = np.stack([f[lo:lo + _BLOCK] for f in self._fishers], dtype=np.float64)
+            self._lo, self._mass, self._weights = lo, _normalised(block), None
         return self._mass
 
     def block(self, lo) -> np.ndarray:
@@ -433,12 +471,13 @@ def _blends(weights, anchor) -> bool:
     return any(_blended(weights.block(lo), anchor).any() for lo in range(0, weights.size, _BLOCK))
 
 
-def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
+def _weighted_sum(weights, arrays, dtype=np.float64, arrived=_present) -> np.ndarray:
     """``sum_i w_i * x_i`` in float64, cast to ``dtype``, for a weight
     source ``weights``: ``weights.block(lo)`` gives the M weights of the
     block of elements starting at ``lo``, rows of ``weights.size`` elements
     (``_Scalars`` for one weight per model, ``_FisherBlocks`` for one per
-    element).
+    element). A block is summed once ``arrived`` (see ``_content_order``)
+    says that it is in.
 
     The (weight, array) pairs are added in the order of their content (the
     array's bytes, then the weight row's, compared up to the first
@@ -450,12 +489,13 @@ def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
     is cast into the output as soon as it is summed.
     """
     xs = [x.reshape(-1) for x in arrays]
-    first, *rest = _content_order(weights, xs)
+    first, *rest = _content_order(weights, xs, arrived)
     size = xs[0].size
     out = np.empty(size, dtype)
     acc, term = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK))
     for lo in range(0, size, _BLOCK):
         hi = min(lo + _BLOCK, size)
+        arrived(hi)
         w, a, t = weights.block(lo), acc[:hi - lo], term[:hi - lo]
         np.multiply(w[first], xs[first][lo:hi], out=a, dtype=np.float64)
         for i in rest:
@@ -463,6 +503,78 @@ def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
             a += t
         out[lo:hi] = a
     return out.reshape(np.shape(arrays[0]))
+
+
+class _Unread(Exception):
+    """A part of a ``_Stream`` that its worker stopped before reading."""
+
+
+class _Stream:
+    """The arrays of one tensor of several inputs, each read alone from an
+    open file (``_Reads.alone``), filled by one worker thread in chunks of
+    whole blocks: chunk c of every input, each read and checked
+    (``_Reads.fill``), before chunk c + 1. The worker stops at the first
+    chunk that fails, or when told to. ``arrived(hi)`` returns once the
+    first ``hi`` elements of every array are in, and raises ``_Unread``
+    when the worker stopped before them. As a context manager the stream
+    starts its worker on entry, and joins it on exit, telling it to stop
+    first when the exit is by an exception. ``complete`` then says whether
+    every chunk passed, and every tensor counts as checked if so."""
+
+    def __init__(self, inputs):
+        self._inputs = inputs  # (reads, row) of each
+        self.arrays = [np.empty(reads.index.shapes[row], DTYPE_TO_NUMPY[reads.index.dtypes[row]])
+                       for reads, row in inputs]
+        self.size = self.arrays[0].size
+        self._done, self._stop = 0, False  # elements in, and whether the worker stops
+        self._change = threading.Condition()
+        self._worker = threading.Thread(target=self._read, daemon=True)
+
+    def __enter__(self):
+        self._worker.start()
+        return self
+
+    def __exit__(self, error, *_):
+        if error is not None:
+            self._stop = True
+        self._worker.join()
+        if self.complete:
+            for (reads, row), x in zip(self._inputs, self.arrays):
+                reads.checked(row)
+                x.setflags(write=False)
+
+    @property
+    def complete(self) -> bool:
+        return self._done == self.size
+
+    def _read(self):
+        pieces = [(reads, row, x.reshape(-1)) for (reads, row), x in zip(self._inputs, self.arrays)]
+        chunk = _CHUNK * _BLOCK
+        try:
+            for lo in range(0, self.size, chunk):
+                hi = min(lo + chunk, self.size)
+                for reads, row, x in pieces:
+                    if self._stop or not reads.fill(row, x[lo:hi], lo):
+                        return
+                with self._change:
+                    self._done = hi
+                    self._change.notify()
+        except BaseException:  # noqa: BLE001 - the tensor is read again, which raises it
+            pass
+        finally:
+            with self._change:
+                self._stop = True
+                self._change.notify()
+
+    def arrived(self, hi) -> None:
+        hi = min(hi, self.size)
+        if self._done >= hi:
+            return
+        with self._change:
+            while self._done < hi and not self._stop:
+                self._change.wait()
+            if self._done < hi:
+                raise _Unread
 
 
 def _orders(sizes, *parts) -> np.ndarray:
@@ -615,6 +727,39 @@ class _Blocks:
         return [out[lo:lo + size].reshape(shape) for lo, size, shape
                 in zip(offsets.tolist(), sizes.tolist(), self.shapes[a:b])]
 
+    def stream(self, k):
+        """The merged array of the blended tensor ``k``, larger than a
+        block, when every input it reads (its Fisher inputs first where it
+        is weighed per element, then the models) is read alone from an open
+        file: a ``_Stream`` reads them while the kernel sums the chunks
+        already in. None when one is not, or when anything fails (a chunk,
+        or an output not finite), so that the tensor is merged again as it
+        is read whole and the first failure raises."""
+        fisher = self.src[k] == -1
+        inputs = [(p, rows[k]) for p, rows in zip(self.pool, self.rows)]
+        if fisher:
+            inputs = [*((f.tensors, rows[k]) for f, rows in zip(self.fishers, self.fisher_rows)),
+                      *inputs]
+        if self.sizes[k] <= _BLOCK or not all(reads.alone(row) for reads, row in inputs):
+            return None
+        with _Stream(inputs) as stream:
+            xs = stream.arrays[-len(self.pool):]
+            try:
+                if not fisher:
+                    w = _Scalars(self.table[self.src[k]])
+                else:  # an unblended tensor keeps the anchor's array, once every chunk is in
+                    w = _FisherBlocks(stream.arrays[:len(self.pool)], stream.arrived)
+                    if not _blends(w, self.anchor):
+                        w = None
+                out = None if w is None else _weighted_sum(w, xs, xs[self.anchor].dtype, stream.arrived)
+            except _Unread:
+                return None
+        if not stream.complete:
+            return None
+        if w is None:
+            return xs[self.anchor]
+        return out if np.isfinite(out).all() else None
+
     def _fisher_weights(self, a, b, sizes, offsets, fisher):
         """The (M, n) per-element Fisher weights of the block of tensors
         ``a`` to ``b`` (only its Fisher-weighted tensors' elements are
@@ -644,9 +789,11 @@ def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=Non
     sums cast to the anchor's dtype; anchor-only tensors, and shared tensors
     whose non-anchor weights are all zero, keep the anchor's array. The
     output follows the anchor's tensor order. Tensors larger than a block
-    go through ``_weighted_sum``, smaller ones through the block kernel
-    (see ``_Blocks``); the tensors of a block that fails are merged again
-    one at a time, which raises the error the first failing tensor gives.
+    go through ``_weighted_sum``, streamed where they can be (see
+    ``_Blocks.stream``), smaller ones through the block kernel (see
+    ``_Blocks``); the tensors of a block or a stream that fails are merged
+    again one at a time, as they are read whole, which raises the error
+    the first failing tensor gives.
     Every tensor of every input and Fisher input is checked.
     """
     if alignment.model_count != len(ckpts):
@@ -663,6 +810,9 @@ def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=Non
         name, src = names[k], blocks.src[k]
         if src == -2:  # not shared, or not blended
             return pool[anchor][name]
+        data = blocks.stream(k)
+        if data is not None:
+            return data
         if src == -1:
             w = _fisher_weights(fishers, name)
             if not _blends(w, anchor):

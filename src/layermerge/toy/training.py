@@ -27,14 +27,16 @@ class TrainConfig:
     head_lr_multiplier: float = 10.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        # written so that nan fails too: every comparison with nan is false
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.head_lr_multiplier <= 0:
-            raise ValueError("head learning-rate multiplier must be positive")
+        if not 0 < self.head_lr_multiplier < np.inf:
+            raise ValueError("head learning-rate multiplier must be positive and finite, "
+                             f"got {self.head_lr_multiplier!r}")
 
 
 @dataclass

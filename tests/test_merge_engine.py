@@ -1,6 +1,8 @@
 import contextlib
 import math
 import tempfile
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -1217,3 +1219,187 @@ class TestFileBackedMerge:
             opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
             with pytest.raises(FisherInputError, match=name):
                 self.merge("fisher", opened[:2], opened[2:])
+
+
+class TestStreamedReads:
+    """A blended tensor larger than a block whose inputs are each read alone
+    (in no run) from an open file is read by one worker thread, a chunk of
+    every input at a time, while the kernel sums the chunks already in.
+    Chunks of 2 blocks here, so the pool's large tensors span 5 chunks."""
+
+    SHAPES = [(300, 256), (300, 256), (10, 256)]  # 300 KiB in F32: past the run window
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(merge_module, "_CHUNK", 2)
+
+    def pool(self, tmp_path, rng, fisher_dtype=np.float64):
+        models = [make_checkpoint(self.SHAPES, rng, np.float32) for _ in range(4)]
+        fishers = [Checkpoint.from_arrays({t.name: rng.random(t.shape).astype(fisher_dtype)
+                                           for t in m.tensors}) for m in models]
+        return models, fishers
+
+    @staticmethod
+    def merge_files(tmp_path, strategy, models, fishers):
+        paths = TestFileBackedMerge.saved(tmp_path, models)
+        fisher_paths = TestFileBackedMerge.saved(tmp_path, fishers, "f")
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
+            return TestFileBackedMerge.merge(strategy, opened[:4], opened[4:])
+
+    @staticmethod
+    def reading_threads(monkeypatch, pause=0.0):
+        """The ident of the thread of every ``_fill``, in order; each also
+        asserts that no other thread is reading at the time."""
+        fill, reading, idents = ckpt_store._DataSection._fill, [], []
+
+        def recorded(section, fh, arr, start):
+            reading.append(threading.get_ident())
+            try:
+                assert len(reading) == 1, "two threads read at once"
+                idents.append(reading[0])
+                time.sleep(pause)
+                return fill(section, fh, arr, start)
+            finally:
+                reading.pop()
+
+        monkeypatch.setattr(ckpt_store._DataSection, "_fill", recorded)
+        return idents
+
+    @pytest.mark.parametrize("strategy", ["layerwise", "isotropic", "scalar", "fisher"])
+    def test_equals_merge_of_loaded_checkpoints(self, tmp_path, rng, strategy, monkeypatch):
+        models, fishers = self.pool(tmp_path, rng)
+        expected = TestFileBackedMerge.merge(strategy, models, fishers)
+        idents = self.reading_threads(monkeypatch, pause=0.001)
+        reads = counting_reads(monkeypatch)
+        merged = self.merge_files(tmp_path, strategy, models, fishers)
+        for t in merged.tensors:
+            e = expected.get(t.name).data
+            assert t.data.dtype == e.dtype and t.data.tobytes() == e.tobytes(), t.name
+        # every byte once: the two weights of each input in 5 chunks, read by
+        # the worker; the rest in a few reads by the merge loop
+        inputs = sorted(tmp_path.glob("m*.st") if strategy != "fisher" else tmp_path.glob("*.st"))
+        assert all(bytes_read_once(reads, p) for p in inputs)
+        workers = [i for i in idents if i != threading.main_thread().ident]
+        assert len(workers) == 2 * 5 * len(inputs) < len(reads)
+
+    @pytest.mark.parametrize("where", ["block", "streamed", "streamed, not blended"])
+    def test_nan_where_a_donor_has_zero_fisher_weight_named(self, tmp_path, rng, where):
+        # 0 * NaN is NaN, so a zero weight does not hide a NaN of its input
+        models, fishers = self.pool(tmp_path, rng)
+        name = "layer1.bias" if where == "block" else "layer1.weight"
+        models[2].get(name).data.flat[7] = np.nan
+        fishers[2].get(name).data.flat[7] = 0.0
+        if where == "streamed, not blended":  # only the anchor has Fisher mass
+            for f in fishers[1:]:
+                f.get(name).data[...] = 0.0
+        with pytest.raises(NonFiniteTensorError, match=rf"^non-finite values in tensor '{name}' of model 2$") \
+                as raised:
+            self.merge_files(tmp_path, "fisher", models, fishers)
+        # the kept anchor's array does not read the donor: the check of the
+        # tensors no merged value depends on does
+        from_check_rest = any(entry.name == "check_rest" for entry in raised.traceback)
+        assert from_check_rest == (where == "streamed, not blended")
+
+    def test_f32_fisher_converted_after_its_chunk_arrives(self, tmp_path, rng, monkeypatch):
+        # the worker holds each chunk back until the kernel waits for it, and
+        # the arrays it fills hold ones before, so a Fisher block taken in
+        # float64 before it arrived would weigh every model alike
+        models, fishers = self.pool(tmp_path, rng, np.float32)
+        expected = TestFileBackedMerge.merge("fisher", models, fishers)
+        asked, change = [0], threading.Condition()
+        enter, arrived, fill = merge_module._Stream.__enter__, merge_module._Stream.arrived, merge_module._Reads.fill
+
+        def entered(stream):
+            asked[0] = 0
+            for x in stream.arrays:
+                x.fill(1.0)
+            return enter(stream)
+
+        def waited(stream, hi):
+            with change:
+                asked[0] = max(asked[0], hi)
+                change.notify_all()
+            return arrived(stream, hi)
+
+        def held(reads, row, piece, lo):
+            with change:
+                assert change.wait_for(lambda: asked[0] > lo, timeout=30)
+            return fill(reads, row, piece, lo)
+
+        monkeypatch.setattr(merge_module._Stream, "__enter__", entered)
+        monkeypatch.setattr(merge_module._Stream, "arrived", waited)
+        monkeypatch.setattr(merge_module._Reads, "fill", held)
+        reads = counting_reads(monkeypatch)
+        merged = self.merge_files(tmp_path, "fisher", models, fishers)
+        assert asked[0] > 0
+        for t in merged.tensors:
+            assert t.data.tobytes() == expected.get(t.name).data.tobytes(), t.name
+        assert all(bytes_read_once(reads, p) for p in tmp_path.glob("*.st"))  # none merged again
+
+
+class TestReadWorkerJoined:
+    """No read worker outlives a merge, however the merge ends."""
+
+    @pytest.fixture(autouse=True)
+    def threads_before(self, monkeypatch):
+        monkeypatch.setattr(merge_module, "_CHUNK", 2)
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @staticmethod
+    def paths(tmp_path, rng, nan=False):
+        models, fishers = TestStreamedReads().pool(tmp_path, rng)
+        if nan:  # in the last chunk
+            models[1].get("layer0.weight").data[-1, -1] = np.nan
+        return (TestFileBackedMerge.saved(tmp_path, models),
+                TestFileBackedMerge.saved(tmp_path, fishers, "f"))
+
+    @pytest.mark.parametrize("ending", ["success", "shrunk file", "non-finite chunk"])
+    def test_after_a_merge(self, tmp_path, rng, ending):
+        paths, fisher_paths = self.paths(tmp_path, rng, nan=ending == "non-finite chunk")
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
+            if ending == "shrunk file":  # inside the second chunk of its first tensor
+                start, _ = data_section(paths[1])
+                paths[1].write_bytes(paths[1].read_bytes()[:start + 3 * merge_module._BLOCK * 4])
+            error = {"success": None, "shrunk file": (CheckpointFormatError, "shrank"),
+                     "non-finite chunk": (NonFiniteTensorError, "'layer0.weight' of model 1$")}[ending]
+            with contextlib.nullcontext() if error is None else pytest.raises(error[0], match=error[1]):
+                TestFileBackedMerge.merge("fisher", opened[:4], opened[4:])
+
+    @pytest.mark.parametrize("where", ["worker read", "kernel"])
+    def test_after_an_interrupt(self, tmp_path, rng, capsys, monkeypatch, where):
+        from layermerge.cli import main
+
+        paths, fisher_paths = self.paths(tmp_path, rng)
+        before = threading.active_count()
+        readers, pieces = [], []
+        if where == "worker read":  # every read: the worker's first, then the merge loop's again
+            def interrupt(section, fh, arr, start):
+                readers.append(threading.current_thread() is threading.main_thread())
+                raise KeyboardInterrupt
+            monkeypatch.setattr(ckpt_store._DataSection, "_fill", interrupt)
+        else:  # once the first chunk is in, while the worker reads the next ones slowly
+            fill = merge_module._Reads.fill
+
+            def slow(reads, row, piece, lo):
+                pieces.append(lo)
+                time.sleep(0.2 if lo else 0.0)
+                return fill(reads, row, piece, lo)
+
+            def interrupt(*args):
+                readers.append(True)
+                raise KeyboardInterrupt
+            monkeypatch.setattr(merge_module._Reads, "fill", slow)
+            monkeypatch.setattr(merge_module, "_content_order", interrupt)
+        out = tmp_path / "out.st"
+        code = main(["merge", *map(str, paths), "--strategy", "fisher",
+                     "--fisher", *map(str, fisher_paths), "--out", str(out)])
+        assert threading.active_count() == before  # joined, not just ending
+        assert code == 130 and capsys.readouterr().err == "interrupted\n"
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+        assert readers == ([False, True] if where == "worker read" else [True])
+        # told to stop, the worker reads no more than the piece it was reading
+        assert pieces.count(0) <= 8 and len(pieces) <= pieces.count(0) + 1

@@ -210,6 +210,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name, message", [
+        ("learning_rate", "learning rate must be positive and finite"),
+        ("head_lr_multiplier", "head learning-rate multiplier must be positive and finite"),
+    ])
+    def test_non_finite_rates_rejected(self, name, message, value):
+        with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
+            TrainConfig(**{name: value})
+
 
 REPO = Path(__file__).resolve().parents[1]
 
