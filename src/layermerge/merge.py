@@ -279,14 +279,11 @@ class _Reads(Mapping):
     def fill(self, row, piece, lo) -> bool:
         """Read the elements of the tensor ``row`` (``alone``) from element
         ``lo`` into the flat array ``piece`` and check them: whether they
-        passed; False, too, when the file ends first. The tensor counts as
-        checked once ``checked`` says so, after every piece passed."""
+        passed; False, too, when the file ends first. The tensor does not
+        count as checked: its reader marks it once every piece passed."""
         section = self.index
         start = int(section.starts[row]) + lo * piece.itemsize
         return section._fill(section.fh, piece, start) and self._ok(piece)
-
-    def checked(self, row) -> None:
-        self._checked[row] = True
 
 
 def _fisher_ok(x) -> bool:
@@ -518,8 +515,9 @@ class _Stream:
     first ``hi`` elements of every array are in, and raises ``_Unread``
     when the worker stopped before them. As a context manager the stream
     starts its worker on entry, and joins it on exit, telling it to stop
-    first when the exit is by an exception. ``complete`` then says whether
-    every chunk passed, and every tensor counts as checked if so."""
+    first when the exit is by an exception; an interrupt or exit that ended
+    the worker is raised then. ``complete`` then says whether every chunk
+    passed, and every tensor counts as checked if so."""
 
     def __init__(self, inputs):
         self._inputs = inputs  # (reads, row) of each
@@ -527,6 +525,7 @@ class _Stream:
                        for reads, row in inputs]
         self.size = self.arrays[0].size
         self._done, self._stop = 0, False  # elements in, and whether the worker stops
+        self._interrupt = None
         self._change = threading.Condition()
         self._worker = threading.Thread(target=self._read, daemon=True)
 
@@ -538,9 +537,11 @@ class _Stream:
         if error is not None:
             self._stop = True
         self._worker.join()
+        if self._interrupt is not None:
+            raise self._interrupt
         if self.complete:
             for (reads, row), x in zip(self._inputs, self.arrays):
-                reads.checked(row)
+                reads._checked[row] = True
                 x.setflags(write=False)
 
     @property
@@ -559,8 +560,10 @@ class _Stream:
                 with self._change:
                     self._done = hi
                     self._change.notify()
-        except BaseException:  # noqa: BLE001 - the tensor is read again, which raises it
+        except Exception:  # the tensor is read again whole, which raises it in order
             pass
+        except BaseException as interrupt:  # an interrupt or exit: raised by the joining thread
+            self._interrupt = interrupt
         finally:
             with self._change:
                 self._stop = True
