@@ -279,8 +279,8 @@ class _Reads(Mapping):
     def fill(self, row, piece, lo) -> bool:
         """Read the elements of the tensor ``row`` (``alone``) from element
         ``lo`` into the flat array ``piece`` and check them: whether they
-        passed; False, too, when the file ends first. The tensor does not
-        count as checked: its reader marks it once every piece passed."""
+        passed; False, too, when the file ends first. The tensor counts as
+        checked only once the ``_Stream`` reading it has every piece in."""
         section = self.index
         start = int(section.starts[row]) + lo * piece.itemsize
         return section._fill(section.fh, piece, start) and self._ok(piece)
