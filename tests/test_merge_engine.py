@@ -1234,8 +1234,9 @@ class TestStreamedReads:
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(merge_module, "_CHUNK", 2)
 
-    def pool(self, tmp_path, rng, fisher_dtype=np.float64):
-        models = [make_checkpoint(self.SHAPES, rng, np.float32) for _ in range(4)]
+    @classmethod
+    def pool(cls, rng, fisher_dtype=np.float64):
+        models = [make_checkpoint(cls.SHAPES, rng, np.float32) for _ in range(4)]
         fishers = [Checkpoint.from_arrays({t.name: rng.random(t.shape).astype(fisher_dtype)
                                            for t in m.tensors}) for m in models]
         return models, fishers
@@ -1269,7 +1270,7 @@ class TestStreamedReads:
 
     @pytest.mark.parametrize("strategy", ["layerwise", "isotropic", "scalar", "fisher"])
     def test_equals_merge_of_loaded_checkpoints(self, tmp_path, rng, strategy, monkeypatch):
-        models, fishers = self.pool(tmp_path, rng)
+        models, fishers = self.pool(rng)
         expected = TestFileBackedMerge.merge(strategy, models, fishers)
         idents = self.reading_threads(monkeypatch, pause=0.001)
         reads = counting_reads(monkeypatch)
@@ -1287,7 +1288,7 @@ class TestStreamedReads:
     @pytest.mark.parametrize("where", ["block", "streamed", "streamed, not blended"])
     def test_nan_where_a_donor_has_zero_fisher_weight_named(self, tmp_path, rng, where):
         # 0 * NaN is NaN, so a zero weight does not hide a NaN of its input
-        models, fishers = self.pool(tmp_path, rng)
+        models, fishers = self.pool(rng)
         name = "layer1.bias" if where == "block" else "layer1.weight"
         models[2].get(name).data.flat[7] = np.nan
         fishers[2].get(name).data.flat[7] = 0.0
@@ -1306,7 +1307,7 @@ class TestStreamedReads:
         # the worker holds each chunk back until the kernel waits for it, and
         # the arrays it fills hold ones before, so a Fisher block taken in
         # float64 before it arrived would weigh every model alike
-        models, fishers = self.pool(tmp_path, rng, np.float32)
+        models, fishers = self.pool(rng, np.float32)
         expected = TestFileBackedMerge.merge("fisher", models, fishers)
         asked, change = [0], threading.Condition()
         enter, arrived, fill = merge_module._Stream.__enter__, merge_module._Stream.arrived, merge_module._Reads.fill
@@ -1344,7 +1345,7 @@ class TestStreamedReads:
         # switching every 10 us, a chunk per block: a lost update of what has
         # arrived would hang a merge or sum memory not read yet
         monkeypatch.setattr(merge_module, "_CHUNK", 1)
-        models, fishers = self.pool(tmp_path, rng)
+        models, fishers = self.pool(rng)
         expected = TestFileBackedMerge.merge("fisher", models, fishers)
         paths = [*TestFileBackedMerge.saved(tmp_path, models), *TestFileBackedMerge.saved(tmp_path, fishers, "f")]
         results = [None] * 3
@@ -1382,7 +1383,7 @@ class TestReadWorkerJoined:
 
     @staticmethod
     def paths(tmp_path, rng, nan=False):
-        models, fishers = TestStreamedReads().pool(tmp_path, rng)
+        models, fishers = TestStreamedReads.pool(rng)
         if nan:  # in the last chunk
             models[1].get("layer0.weight").data[-1, -1] = np.nan
         return (TestFileBackedMerge.saved(tmp_path, models),
