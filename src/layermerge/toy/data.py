@@ -38,8 +38,12 @@ class ToyDataset:
     def __post_init__(self):
         if len(self.inputs) == 0:
             raise ValueError("dataset must be non-empty")
-        present = np.unique(self.labels)
-        if len(present) != self.classes:
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu" or labels.shape != (len(self.inputs),):
+            raise ValueError("labels must be integers, one per input row")
+        if labels.min() < 0 or labels.max() >= self.classes:
+            raise ValueError(f"labels must lie in [0, {self.classes})")
+        if not np.bincount(labels.astype(np.intp), minlength=self.classes).all():
             raise ValueError("every class must appear at least once")
 
     @property

@@ -10,10 +10,16 @@ loss and backprop run unchanged on it, one stacked matmul serving all K.
 Each slice of a stacked matmul is the same BLAS call as the 2-D product,
 and the reductions add the same elements in the same order, so every
 model in a stack gets the bits it would get alone.
+
+Every model keeps its weights and biases as views of one flat float64
+array, ``params``, and ``loss_and_grads`` writes the gradients into the
+same views of a second one, ``grads``, so that an SGD step is one update
+of the flat array.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -25,9 +31,17 @@ _LAYER_NAME = re.compile(r"^l(\d+)\.(weight|bias)$")
 
 def _shifted_exp(logits: np.ndarray):
     """The logits less each row's maximum, their exp, and its row sums."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # pairwise: a max over the few classes costs more
+    top = functools.reduce(np.maximum, (logits[..., c:c + 1] for c in range(logits.shape[-1])))
+    shifted = logits - top
     e = np.exp(shifted)
-    return shifted, e, e.sum(axis=-1, keepdims=True)
+    return shifted, e, np.add.reduce(e, axis=-1, keepdims=True)
+
+
+@functools.lru_cache
+def _grid(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The sparse index of every entry of an array of ``shape``."""
+    return np.indices(shape, sparse=True)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -37,12 +51,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray):
     """Mean cross-entropy of the labels ``y`` (..., n) under ``logits``
-    (..., n, classes), one per stacked model; the softmax of the logits; and
-    the index of each label's entry in it."""
+    (..., n, classes), one per stacked model, and the softmax of the logits."""
     shifted, e, total = _shifted_exp(logits)
-    labelled = (*np.indices(y.shape, sparse=True), y)
-    loss = -(shifted[labelled] - np.log(total[..., 0])).mean(axis=-1)
-    return loss, e / total, labelled
+    picked = shifted[(*_grid(y.shape), y)] - np.log(total[..., 0])
+    return -(np.add.reduce(picked, axis=-1) / y.shape[-1]), e / total  # the mean, as numpy takes it
 
 
 class ToyModel:
@@ -58,8 +70,15 @@ class ToyModel:
         for w, b in zip(weights, biases):
             if b.shape != w.shape[:-1]:
                 raise ValueError("bias shape must match layer output size")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        arrays = [a for pair in zip(weights, biases) for a in pair]  # w0, b0, w1, ...
+        self.params = np.concatenate([np.ravel(a) for a in arrays] or [[]], dtype=np.float64)
+        self.grads = np.empty_like(self.params)
+        ends = np.cumsum([a.size for a in arrays])[:-1]
+        p, g = ([v.reshape(a.shape) for v, a in zip(np.split(flat, ends), arrays)]
+                for flat in (self.params, self.grads))
+        self.weights, self.biases, self.grads_w, self.grads_b = p[::2], p[1::2], g[::2], g[1::2]
+        self._layers = [(w.swapaxes(-1, -2), b[..., None, :])
+                        for w, b in zip(self.weights, self.biases)]
 
     # -- construction ----------------------------------------------------
 
@@ -74,9 +93,6 @@ class ToyModel:
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
 
-    def copy(self) -> "ToyModel":
-        return ToyModel([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
     @classmethod
     def stack(cls, models: list["ToyModel"]) -> "ToyModel":
         """One stacked model holding a copy of each of ``models`` (which
@@ -85,7 +101,7 @@ class ToyModel:
                    [np.stack(bs) for bs in zip(*(m.biases for m in models))])
 
     def member(self, k: int) -> "ToyModel":
-        """The ``k``-th model of a stack, as views of the stack's arrays."""
+        """A copy of the ``k``-th model of a stack."""
         return ToyModel([w[k] for w in self.weights], [b[k] for b in self.biases])
 
     @property
@@ -145,11 +161,12 @@ class ToyModel:
         x, of shape (n, in), or (K, n, in) for a stack of K models."""
         activations = [np.asarray(x, dtype=np.float64)]
         preacts = []
-        h = activations[0]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.swapaxes(-1, -2) + b[..., None, :]
+        h, last = activations[0], self.depth - 1
+        for i, (w_t, b) in enumerate(self._layers):
+            z = h @ w_t
+            z += b
             preacts.append(z)
-            h = np.maximum(z, 0.0) if i < self.depth - 1 else z
+            h = np.maximum(z, 0.0) if i < last else z
             activations.append(h)
         return activations, preacts
 
@@ -166,22 +183,29 @@ class ToyModel:
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(self.losses(x, y))
 
-    def loss_and_grads(self, x, y):
+    def loss_and_grads(self, x, y, onehot=None):
         """Mean cross-entropy and its gradients w.r.t. every weight and bias,
-        each with the stack axis of the weights."""
+        each with the stack axis of the weights: ``grads_w`` and ``grads_b``,
+        views of ``grads`` that the next call overwrites. ``onehot`` holds
+        the labels one-hot over the classes (in float64, it is subtracted
+        without a cast), and is built from ``y`` if not given; subtracting
+        its zeros leaves every entry but the label's as it is."""
         activations, preacts = self.forward_trace(x)
-        loss, delta, labelled = _cross_entropy(activations[-1], y)
-        delta[labelled] -= 1.0
-        deltas = self._backprop(delta / y.shape[-1], preacts)
-        grads_w = [d.swapaxes(-1, -2) @ a for d, a in zip(deltas, activations)]
-        return loss, grads_w, [d.sum(axis=-2) for d in deltas]
+        loss, delta = _cross_entropy(activations[-1], y)
+        delta -= (y[..., None] == np.arange(delta.shape[-1])) if onehot is None else onehot
+        for d, a, g_w, g_b in zip(self._backprop(delta / y.shape[-1], preacts), activations,
+                                  self.grads_w, self.grads_b):
+            np.matmul(d.swapaxes(-1, -2), a, out=g_w)
+            np.add.reduce(d, axis=-2, out=g_b)
+        return loss, self.grads_w, self.grads_b
 
     def _backprop(self, delta: np.ndarray, preacts: list[np.ndarray]) -> list[np.ndarray]:
         """Every layer's delta, layer 0 first, from the head's delta (the
         loss gradient w.r.t. the logits) and the pre-activations."""
         deltas = [delta]
         for i in range(self.depth - 1, 0, -1):
-            deltas.insert(0, (deltas[0] @ self.weights[i]) * (preacts[i - 1] > 0))
+            d = deltas[0] @ self.weights[i]
+            deltas.insert(0, np.multiply(d, preacts[i - 1] > 0, out=d))
         return deltas
 
 

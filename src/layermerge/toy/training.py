@@ -86,8 +86,8 @@ def train(
 
     marks = set(snapshot_epochs(cfg.epochs, snapshot_count)) if snapshot_count else set()
     stack = ToyModel.stack(models)
-    rates = [cfg.learning_rate * (cfg.head_lr_multiplier if i == stack.depth - 1 else 1.0)
-             for i in range(stack.depth)]
+    rates = np.full(stack.params.size, cfg.learning_rate)  # one per parameter, the head's last
+    rates[-(stack.weights[-1].size + stack.biases[-1].size):] *= cfg.head_lr_multiplier
     inputs = np.stack([d.inputs for d in datasets])
     labels = np.stack([d.labels for d in datasets])
     n = datasets[0].size
@@ -104,18 +104,17 @@ def train(
         for epoch in range(1, cfg.epochs + 1):
             order = np.stack([rng.permutation(n) for rng in rngs])
             x, y = inputs[rows, order], labels[rows, order]
+            onehot = (y[..., None] == np.arange(datasets[0].classes)).astype(np.float64)
             for step, start in enumerate(batches):
                 batch = slice(start, start + cfg.batch_size)
-                step_losses[step], grads_w, grads_b = stack.loss_and_grads(x[:, batch], y[:, batch])
-                for w, b, gw, gb, lr in zip(stack.weights, stack.biases, grads_w, grads_b, rates):
-                    w -= lr * gw
-                    b -= lr * gb
+                step_losses[step] = stack.loss_and_grads(x[:, batch], y[:, batch], onehot[:, batch])[0]
+                stack.params -= np.multiply(rates, stack.grads, out=stack.grads)
             _record_divergence(diverged, epoch, step_losses)
             if 0 in diverged:
                 break
             if epoch in marks:
                 for k, member_snapshots in enumerate(snapshots):
-                    member_snapshots.append((epoch, stack.member(k).copy()))
+                    member_snapshots.append((epoch, stack.member(k)))
 
         final_losses = stack.losses(inputs, labels)
     _record_divergence(diverged, cfg.epochs, final_losses[None])

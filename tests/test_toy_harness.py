@@ -21,6 +21,7 @@ from layermerge.toy import (
     train,
 )
 from layermerge.toy.data import ToyDataset
+from layermerge.toy.model import _cross_entropy
 from layermerge.toy.training import TrainingDivergedError, snapshot_epochs
 
 
@@ -51,6 +52,25 @@ class TestDomainPair:
     def test_shift_moves_the_cloud(self):
         _, tgt = make_domain_pair(5, 300, 3, DomainShift(0.0, (10.0, 0.0)))
         assert tgt.inputs[:, 0].mean() > 5.0
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1, 7], r"labels must lie in \[0, 3\)"),  # trained into an IndexError
+        ([0, 1, -1], r"labels must lie in \[0, 3\)"),  # trained as the last class
+        ([0.0, 1.0, 2.0], "labels must be integers, one per input row"),
+        ([True, False, True], "labels must be integers, one per input row"),
+        ([0, 1], "labels must be integers, one per input row"),
+        ([[0, 1, 2]], "labels must be integers, one per input row"),
+        ([0, 1, 1], "every class must appear at least once"),
+    ])
+    def test_bad_labels_rejected(self, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ToyDataset(np.zeros((3, 2)), np.array(labels), 3, 0, DomainShift())
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+    def test_integer_labels_of_any_width_accepted(self, dtype):
+        data = ToyDataset(np.zeros((4, 2)), np.array([2, 0, 1, 2], dtype=dtype), 3, 0,
+                          DomainShift())
+        assert data.size == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -377,6 +397,92 @@ class TestStackingPremise:
             }
             for name, value in stacked.items():
                 assert value[k].tobytes() == alone[name].tobytes(), (name, k)
+
+    # The primitives of the lean training step, each against the operation
+    # it stands in for.
+
+    @pytest.mark.parametrize("batch", [1, 7, 32, 400])
+    @pytest.mark.parametrize("fan_in, fan_out", [(2, 16), (16, 16), (16, 3), (32, 4)])
+    def test_matmul_into_a_view_of_a_flat_buffer(self, batch, fan_in, fan_out):
+        rng = np.random.default_rng(batch * 1000 + fan_in * 10 + fan_out)
+        gathered = rng.standard_normal((3, batch + 5, fan_in))
+        h = gathered[:, 2 : 2 + batch]
+        d = rng.standard_normal((3, batch, fan_out))
+        flat = np.full(7 + 3 * fan_out * fan_in, np.nan)
+        out = flat[7:].reshape(3, fan_out, fan_in)
+        np.matmul(d.swapaxes(-1, -2), h, out=out)
+        assert out.tobytes() == (d.swapaxes(-1, -2) @ h).tobytes()
+        for k in range(3):
+            assert out[k].tobytes() == (d[k].copy().T @ h[k].copy()).tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 7, 24, 32, 400])
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    def test_add_reduce_over_the_batch_into_a_view(self, batch, width):
+        d = np.random.default_rng(batch * 100 + width).standard_normal((3, batch, width))
+        flat = np.full(5 + 3 * width, np.nan)
+        out = flat[5:].reshape(3, width)
+        np.add.reduce(d, axis=-2, out=out)
+        assert out.tobytes() == d.sum(axis=-2).tobytes()
+        for k in range(3):
+            assert out[k].tobytes() == d[k].copy().sum(axis=0).tobytes()
+
+    def test_one_hot_subtraction_equals_fancy_index_subtraction(self):
+        rng = np.random.default_rng(5)
+        delta = rng.standard_normal((3, 40, 4))
+        special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1.0]
+        delta.reshape(-1)[rng.choice(delta.size, 60, replace=False)] = rng.choice(special, 60)
+        y = rng.integers(0, 4, size=(3, 40))
+        fancy = delta.copy()
+        fancy[(*np.indices(y.shape, sparse=True), y)] -= 1.0
+        onehot = (y[..., None] == np.arange(4)).astype(np.float64)
+        assert (delta - onehot).tobytes() == fancy.tobytes()
+
+    def test_flat_update_with_per_element_rates_equals_per_layer_updates(self):
+        rng = np.random.default_rng(6)
+        model = ToyModel.stack([ToyModel.init([2, 16, 16, 3], seed=s) for s in (1, 2, 3)])
+        model.grads[:] = rng.standard_normal(model.grads.size)
+        lr, head = 0.05, 10.0
+        want = [w.copy() for w in model.weights], [b.copy() for b in model.biases]
+        for i, (w, b, g_w, g_b) in enumerate(zip(*want, model.grads_w, model.grads_b)):
+            rate = lr * (head if i == model.depth - 1 else 1.0)
+            w -= rate * g_w
+            b -= rate * g_b
+        rates = np.full(model.params.size, lr)
+        rates[model.params.size - model.weights[-1].size - model.biases[-1].size:] *= head
+        model.params -= rates * model.grads
+        for got, expected in zip(model.weights + model.biases, want[0] + want[1]):
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 24, 32, 600])
+    def test_add_reduce_over_n_equals_mean(self, n):
+        picked = np.random.default_rng(n).standard_normal((3, n)) * 10.0 ** np.arange(-3, 0)[:, None]
+        assert (np.add.reduce(picked, axis=-1) / n).tobytes() == picked.mean(axis=-1).tobytes()
+        assert (np.add.reduce(picked[0]) / n).tobytes() == np.mean(picked[0]).tobytes()
+
+    @pytest.mark.parametrize("classes", [2, 3, 4, 9])
+    def test_pairwise_maximum_equals_max_over_classes(self, classes):
+        rng = np.random.default_rng(classes)
+        logits = rng.choice([-0.0, 0.0, -1.0, 2.5, np.inf, -np.inf], size=(3, 50, classes))
+        logits[0, 0, 0] = np.nan
+        logits[1] = rng.standard_normal((50, classes))
+        top = logits[..., :1]
+        for c in range(1, classes):
+            top = np.maximum(top, logits[..., c:c + 1])
+        want = logits.max(axis=-1, keepdims=True)
+        # equal, but a row whose maximum is a tie of -0.0 and 0.0 may get
+        # either zero (at 9 classes numpy 2.4 differs) ...
+        assert np.array_equal(top, want, equal_nan=True)
+        assert top[1].tobytes() == want[1].tobytes()
+        # ... which changes no result: both zeros give exp 1, a row sum of at least 2
+        y = rng.integers(0, classes, size=(3, 50))
+        with np.errstate(invalid="ignore"):
+            loss, probs = _cross_entropy(logits, y)
+            shifted = logits - want
+            e = np.exp(shifted)
+            logp = shifted - np.log(e.sum(axis=-1, keepdims=True))
+            picked = np.take_along_axis(logp, y[..., None], axis=-1)[..., 0]
+            assert loss.tobytes() == (-picked.mean(axis=-1)).tobytes()
+            assert probs.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
 
 class TestEstimateFisher:
