@@ -4,9 +4,11 @@ Exit codes: 0 on success, 1 for usage errors (bad flags, flag values or
 experiment config), 2 for data errors (malformed files, incompatible pools,
 non-finite merged values, diverged training).
 Every run prints a one-line summary to standard error; nonzero exits leave
-no partial output files behind. An interrupt (Ctrl-C) prints the summary
-``interrupted`` and exits 130, the shell's code for SIGINT, after removing
-any output file it was writing.
+no partial output files behind. A signal that stops a run exits with the
+shell's code for it, 128 plus the signal number, after removing any output
+file it was writing: an interrupt (Ctrl-C) prints the summary
+``interrupted`` and exits 130, and SIGTERM prints ``terminated`` and exits
+143.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import signal
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -51,6 +55,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERRUPTED = 130
+EXIT_TERMINATED = 128 + signal.SIGTERM
 
 # Allocations between generation-0 collections while a command runs (the
 # interpreter's default is 700). A command's many small objects live until
@@ -61,6 +66,14 @@ _GC_THRESHOLD = 100_000
 
 class UsageError(Exception):
     pass
+
+
+class _Terminated(BaseException):
+    """Raised by SIGTERM, past every ``except Exception``, like an interrupt."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 class _Parser(argparse.ArgumentParser):
@@ -287,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     thresholds = gc.get_threshold()  # the caller's, restored on the way out
+    # only the main thread may set a signal handler; the caller's comes back too
+    on_main = threading.current_thread() is threading.main_thread()
+    handler = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     # warnings reach the user as one summary line each, not as source excerpts
     with warnings.catch_warnings(record=True) as caught:
         try:
@@ -303,7 +319,12 @@ def main(argv=None) -> int:
         except KeyboardInterrupt:
             _summary("interrupted")
             return EXIT_INTERRUPTED
+        except _Terminated:
+            _summary("terminated")
+            return EXIT_TERMINATED
         finally:
+            if handler is not None:  # None: set outside Python, and not restorable
+                signal.signal(signal.SIGTERM, handler)
             gc.set_threshold(*thresholds)
             for w in caught:
                 _summary(f"warning: {w.message}")

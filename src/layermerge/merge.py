@@ -587,7 +587,7 @@ def _orders(sizes, *parts) -> np.ndarray:
     back, ``sizes`` elements each; one stable sort per tensor size."""
     offsets = np.cumsum(sizes) - sizes
     orders = np.empty((len(sizes), len(parts[0])), np.intp)
-    for size in np.unique(sizes).tolist():
+    for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
         members = np.flatnonzero(sizes == size)
         idx = offsets[members, None] + np.arange(size)
         key = np.concatenate([p.take(idx, axis=1).view(np.uint8) for p in parts], axis=2)

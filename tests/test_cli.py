@@ -1,8 +1,10 @@
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,16 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_child(script, *argv, cwd):
+    """Run the Python source ``script`` with ``argv`` in a fresh interpreter
+    that imports this checkout's package."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestMerge:
@@ -511,6 +523,87 @@ class TestCollector:
         assert run(capsys, *argv)[0] == code
         assert gc.get_threshold() == caller and gc.isenabled()
         assert seen == ([] if ending == "usage" else [(cli_module._GC_THRESHOLD, 7, 9)])
+
+
+class TestSignals:
+    # os.fsync sends SIGTERM: the temporary file is written and about to be synced
+    TERM_IN_SAVE = """
+import os, signal, sys
+os.fsync = lambda fd: os.kill(os.getpid(), signal.SIGTERM)
+from layermerge.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+    def test_sigterm_during_save_exit_143_without_output(self, pair, tmp_path):
+        out = tmp_path / "out.lm"
+        proc = run_child(self.TERM_IN_SAVE, "merge", *pair, "--anchor", "0",
+                         "--strategy", "layerwise", "--out", out, cwd=tmp_path)
+        assert proc.returncode == 128 + signal.SIGTERM == cli_module.EXIT_TERMINATED
+        assert proc.stderr == "terminated\n" and proc.stdout == ""
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("ending", ["success", "terminated"])
+    def test_caller_handler_restored(self, pair, capsys, monkeypatch, ending):
+        def command(path):
+            if ending == "terminated":
+                signal.raise_signal(signal.SIGTERM)
+            return inspect(path)
+
+        inspect = ckpt_store.inspect
+        monkeypatch.setattr(ckpt_store, "inspect", command)
+        seen = []
+        caller = lambda *args: seen.append(args)  # noqa: E731
+        previous = signal.signal(signal.SIGTERM, caller)
+        try:
+            code = run(capsys, "inspect", pair[0])[0]
+            assert signal.getsignal(signal.SIGTERM) is caller
+            signal.raise_signal(signal.SIGTERM)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert code == (cli_module.EXIT_TERMINATED if ending == "terminated" else 0)
+        assert len(seen) == 1  # only the signal sent after main returned
+
+    def test_off_the_main_thread_no_handler_is_set(self, pair, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("signal.signal called off the main thread")
+
+        monkeypatch.setattr(signal, "signal", refuse)
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(["inspect", str(pair[0])])))
+        worker.start()
+        worker.join()
+        assert codes == [0]
+
+
+class TestNumpyModules:
+    """A command loads no numpy module that ``import layermerge.cli`` has
+    not: numpy 2 loads some lazily, and ``numpy.ma``, which ``np.unique``
+    pulls in, costs 10-15 ms in a cold process."""
+
+    CHILD = """
+import json, sys
+from layermerge.cli import main
+before = set(sys.modules)
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in set(sys.modules) - before
+                               if m.split(".")[0] == "numpy")]))
+"""
+
+    @pytest.mark.parametrize("command", ["merge", "profile", "toy"])
+    def test_command_loads_no_new_numpy_module(self, pair, tmp_path, command):
+        config = tmp_path / "toy.json"
+        config.write_text(json.dumps({"seed": 3, "train_samples": 30, "eval_samples": 30,
+                                      "epochs": 2, "strategies": ["layerwise", "fisher"]}))
+        argv = {"merge": ["merge", *pair, "--anchor", "0", "--strategy", "layerwise",
+                          "--out", tmp_path / "m.st"],
+                "profile": ["profile", *pair, "--tau", "10"],
+                "toy": ["toy", config, "--out", tmp_path / "r.json"]}[command]
+        proc = run_child(self.CHILD, *argv, cwd=tmp_path)
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        if command == "toy":  # the generators of the data and of the init
+            loaded = [m for m in loaded if m.split(".")[:2] != ["numpy", "random"]]
+        assert loaded == []
 
 
 class TestInspect:
