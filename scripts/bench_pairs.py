@@ -81,7 +81,9 @@ def bench(tree: Path, cache: Path, workload: str, seed: int, seconds: float,
                          f"{proc.stderr}")
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
-    result["machine"] = json.loads(next(ln for ln in lines if ln.startswith("machine: "))[9:])
+    machine = json.loads(next(ln for ln in lines if ln.startswith("machine: "))[9:])
+    machine.pop("git_commit", None)  # an export is no checkout; the record names the commits
+    result["machine"] = machine
     cache.write_text(json.dumps(result) + "\n")
     return result
 
@@ -101,10 +103,10 @@ def run_pairs(work: Path, workload: str, seeds: list[int], seconds: float, trace
                           {**{name: values[name] for name in metrics},
                            **{k: result[k] for k in ("correct", "attempted", "failed")}})
         pairs.append(pair)
-        shown = metrics if not trace else []
-        print(f"{workload} seed {seed}: " + ", ".join(
-            f"{name} {pair['parent'][name]:.4f} -> {pair['change'][name]:.4f}" for name in shown),
-            flush=True)
+        if not trace:
+            print(f"{workload} seed {seed}: " + ", ".join(
+                f"{name} {pair['parent'][name]:.4f} -> {pair['change'][name]:.4f}"
+                for name in metrics), flush=True)
     return pairs, machine
 
 

@@ -571,8 +571,8 @@ sys.exit(main(sys.argv[1:]))
         codes = []
         worker = threading.Thread(target=lambda: codes.append(main(["inspect", str(pair[0])])))
         worker.start()
-        worker.join()
-        assert codes == [0]
+        worker.join(timeout=60)
+        assert not worker.is_alive() and codes == [0]
 
 
 class TestNumpyModules:
