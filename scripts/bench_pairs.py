@@ -93,15 +93,19 @@ def run_pairs(work: Path, workload: str, seeds: list[int], seconds: float, trace
     pairs, machine = [], {}
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {"seed": seed, "first": order[0]}
+        caches = {side: work / "runs" / f"{workload}-seed{seed}-trace{trace}-{side}.json"
+                  for side in SIDES}
+        pair = {"seed": seed}
         for side in order:
-            cache = work / "runs" / f"{workload}-seed{seed}-trace{trace}-{side}.json"
-            result = bench(work / side, cache, workload, seed, seconds, trace)
+            result = bench(work / side, caches[side], workload, seed, seconds, trace)
             machine = result["machine"]
             values = {name: m["value"] for name, m in result["metrics"].items()}
             pair[side] = (values if trace else
                           {**{name: values[name] for name in metrics},
                            **{k: result[k] for k in ("correct", "attempted", "failed")}})
+        # the side that ran first, also when the runs come from an earlier series
+        pair = {"seed": seed, "first": min(SIDES, key=lambda side: caches[side].stat().st_mtime),
+                **{side: pair[side] for side in SIDES}}
         pairs.append(pair)
         if not trace:
             print(f"{workload} seed {seed}: " + ", ".join(
