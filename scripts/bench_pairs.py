@@ -178,8 +178,8 @@ def main(argv=None) -> int:
     summary = summarise(pairs, better)
     show(args.workload, summary)
     traces = []
-    for seed in args.trace_seeds:
-        [pair], _ = run_pairs(work, args.workload, [seed], args.seconds, 1, [])
+    for pair in run_pairs(work, args.workload, args.trace_seeds, args.seconds, 1, [])[0]:
+        seed = pair["seed"]
         traces.append({"command": command(args.workload, args.seconds, 1, seed), **pair})
         for name in sorted(pair["parent"]):
             if pair["parent"][name] or pair["change"][name]:
