@@ -5,13 +5,13 @@
         --trace-seeds 721 --guard dense-layerwise=731-733 --record BENCH_toy-donors.json
 
 PARENT and CHANGE are git revisions of this repository. Each is exported with
-``git archive`` into the work directory (``--work``, default
-``.bench_pairs/``) and compiled there with ``compileall``, so both sides read
-cached bytecode, and every child runs with ``PYTHONDONTWRITEBYTECODE=1``, so
-neither side's bytecode changes during the runs. A pair runs
-``benchmark/run.py`` once on each side with the same seed, parent first on
-even pairs and change first on odd ones. Each run's result is kept in the
-work directory and reused when the script is run again, so an interrupted
+``git archive`` into ``.bench_pairs/`` and compiled there with
+``compileall``, so both sides read cached bytecode, and every child runs
+with ``PYTHONDONTWRITEBYTECODE=1``, so neither side's bytecode changes during
+the runs. A pair runs ``benchmark/run.py`` once on each side with the same
+seed, for the ``run_seconds`` that ``BENCHMARK.json`` sets, parent first on
+even pairs and change first on odd ones. Each run's result is kept in
+``.bench_pairs/`` and reused when the script is run again, so an interrupted
 series resumes where it stopped.
 
 The script prints each side's median and quartiles of every end-to-end
@@ -32,7 +32,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORK = ROOT / ".bench_pairs"
 SIDES = ("parent", "change")
+EXPORTED = ".exported"  # written once the export is unpacked and compiled
 
 
 def seed_range(text: str) -> list[int]:
@@ -55,7 +57,7 @@ def git(*args: str) -> str:
 
 def export(commit: str, dest: Path) -> None:
     """A clean tree of ``commit`` at ``dest``, its sources compiled."""
-    if (dest / "benchmark" / "run.py").is_file():
+    if (dest / EXPORTED).is_file():
         return
     dest.mkdir(parents=True, exist_ok=True)
     archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
@@ -63,6 +65,7 @@ def export(commit: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "benchmark"],
                    cwd=dest, check=True)
+    (dest / EXPORTED).write_text(commit + "\n")
 
 
 def bench(tree: Path, cache: Path, workload: str, seed: int, seconds: float,
@@ -155,40 +158,38 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="git revision of the change side")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="e.g. 701-710")
-    parser.add_argument("--seconds", type=float, default=20.0, help="measured time per run")
     parser.add_argument("--trace-seeds", type=seed_range, default=[],
                         help="seeds of traced pairs (--trace 1) on the same workload")
     parser.add_argument("--guard", type=guard, action="append", default=[],
                         help="WORKLOAD=SEEDS: pairs run on another workload")
-    parser.add_argument("--work", type=Path, default=ROOT / ".bench_pairs")
     parser.add_argument("--record", type=Path, help="BENCH_*.json file to append a record to")
-    parser.add_argument("--method", default="", help="text added to the record's method")
     args = parser.parse_args(argv)
 
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    better = {m["name"]: m["better"] for m in declared}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     commits = {side: git("rev-parse", f"{ref}^{{commit}}")
                for side, ref in zip(SIDES, (args.parent, args.change))}
-    work = args.work / f"{commits['parent'][:12]}-{commits['change'][:12]}"
+    work = WORK / f"{commits['parent'][:12]}-{commits['change'][:12]}"
     (work / "runs").mkdir(parents=True, exist_ok=True)
     for side in SIDES:
         export(commits[side], work / side)
 
-    pairs, machine = run_pairs(work, args.workload, args.seeds, args.seconds, 0, list(better))
+    pairs, machine = run_pairs(work, args.workload, args.seeds, seconds, 0, list(better))
     summary = summarise(pairs, better)
     show(args.workload, summary)
     traces = []
-    for pair in run_pairs(work, args.workload, args.trace_seeds, args.seconds, 1, [])[0]:
+    for pair in run_pairs(work, args.workload, args.trace_seeds, seconds, 1, [])[0]:
         seed = pair["seed"]
-        traces.append({"command": command(args.workload, args.seconds, 1, seed), **pair})
+        traces.append({"command": command(args.workload, seconds, 1, seed), **pair})
         for name in sorted(pair["parent"]):
             if pair["parent"][name] or pair["change"][name]:
                 print(f"  trace seed {seed} {name}: {pair['parent'][name]:.6f} -> "
                       f"{pair['change'][name]:.6f}")
     guards = {}
     for workload, seeds in args.guard:
-        guard_pairs, _ = run_pairs(work, workload, seeds, args.seconds, 0, list(better))
-        guards[workload] = {"command": command(workload, args.seconds, 0),
+        guard_pairs, _ = run_pairs(work, workload, seeds, seconds, 0, list(better))
+        guards[workload] = {"command": command(workload, seconds, 0),
                             "pairs": guard_pairs, "summary": summarise(guard_pairs, better)}
         show(workload, guards[workload]["summary"])
 
@@ -201,8 +202,8 @@ def main(argv=None) -> int:
                   "holds the traced pairs; 'guards' holds the pairs run on other workloads")
         record = {
             "workload": args.workload,
-            "command": command(args.workload, args.seconds, 0),
-            "method": method + (f". {args.method}" if args.method else ""),
+            "command": command(args.workload, seconds, 0),
+            "method": method,
             "parent_commit": commits["parent"],
             "change_commit": commits["change"],
             "machine": machine,

@@ -300,12 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     thresholds = gc.get_threshold()  # the caller's, restored on the way out
-    # only the main thread may set a signal handler; the caller's comes back too
+    # only the main thread may set a signal handler, and main sets one only
+    # where it can put the caller's back (None: set outside Python)
     on_main = threading.current_thread() is threading.main_thread()
-    handler = signal.signal(signal.SIGTERM, _terminate) if on_main else None
+    handler = signal.getsignal(signal.SIGTERM) if on_main else None
     # warnings reach the user as one summary line each, not as source excerpts
     with warnings.catch_warnings(record=True) as caught:
         try:
+            if handler is not None:
+                signal.signal(signal.SIGTERM, _terminate)
             gc.set_threshold(_GC_THRESHOLD, *thresholds[1:])
             args = parser.parse_args(argv)
             return args.func(args)
@@ -323,7 +326,7 @@ def main(argv=None) -> int:
             _summary("terminated")
             return EXIT_TERMINATED
         finally:
-            if handler is not None:  # None: set outside Python, and not restorable
+            if handler is not None:
                 signal.signal(signal.SIGTERM, handler)
             gc.set_threshold(*thresholds)
             for w in caught:

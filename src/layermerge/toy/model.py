@@ -183,16 +183,14 @@ class ToyModel:
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(self.losses(x, y))
 
-    def loss_and_grads(self, x, y, onehot=None):
+    def loss_and_grads(self, x, y):
         """Mean cross-entropy and its gradients w.r.t. every weight and bias,
         each with the stack axis of the weights: ``grads_w`` and ``grads_b``,
-        views of ``grads`` that the next call overwrites. ``onehot`` holds
-        the labels one-hot over the classes (in float64, it is subtracted
-        without a cast), and is built from ``y`` if not given; subtracting
-        its zeros leaves every entry but the label's as it is."""
+        views of ``grads`` that the next call overwrites."""
         activations, preacts = self.forward_trace(x)
         loss, delta = _cross_entropy(activations[-1], y)
-        delta -= (y[..., None] == np.arange(delta.shape[-1])) if onehot is None else onehot
+        # the labels one-hot over the class index: x - 0.0 leaves every other entry as it is
+        delta -= y[..., None] == _grid(delta.shape)[-1]
         for d, a, g_w, g_b in zip(self._backprop(delta / y.shape[-1], preacts), activations,
                                   self.grads_w, self.grads_b):
             np.matmul(d.swapaxes(-1, -2), a, out=g_w)

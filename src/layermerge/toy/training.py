@@ -104,10 +104,9 @@ def train(
         for epoch in range(1, cfg.epochs + 1):
             order = np.stack([rng.permutation(n) for rng in rngs])
             x, y = inputs[rows, order], labels[rows, order]
-            onehot = (y[..., None] == np.arange(datasets[0].classes)).astype(np.float64)
             for step, start in enumerate(batches):
                 batch = slice(start, start + cfg.batch_size)
-                step_losses[step] = stack.loss_and_grads(x[:, batch], y[:, batch], onehot[:, batch])[0]
+                step_losses[step] = stack.loss_and_grads(x[:, batch], y[:, batch])[0]
                 stack.params -= np.multiply(rates, stack.grads, out=stack.grads)
             _record_divergence(diverged, epoch, step_losses)
             if 0 in diverged:

@@ -563,6 +563,14 @@ sys.exit(main(sys.argv[1:]))
         assert code == (cli_module.EXIT_TERMINATED if ending == "terminated" else 0)
         assert len(seen) == 1  # only the signal sent after main returned
 
+    def test_no_handler_over_one_set_outside_python(self, pair, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("signal.signal called over a handler it cannot restore")
+
+        monkeypatch.setattr(signal, "getsignal", lambda signum: None)
+        monkeypatch.setattr(signal, "signal", refuse)
+        assert run(capsys, "inspect", pair[0])[0] == 0
+
     def test_off_the_main_thread_no_handler_is_set(self, pair, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("signal.signal called off the main thread")

@@ -434,8 +434,8 @@ class TestStackingPremise:
         y = rng.integers(0, 4, size=(3, 40))
         fancy = delta.copy()
         fancy[(*np.indices(y.shape, sparse=True), y)] -= 1.0
-        onehot = (y[..., None] == np.arange(4)).astype(np.float64)
-        assert (delta - onehot).tobytes() == fancy.tobytes()
+        delta -= y[..., None] == np.indices(delta.shape, sparse=True)[-1]  # bool, as in the step
+        assert delta.tobytes() == fancy.tobytes()
 
     def test_flat_update_with_per_element_rates_equals_per_layer_updates(self):
         rng = np.random.default_rng(6)
