@@ -436,6 +436,10 @@ class TensorIndex:
         """The array of the tensor ``row``."""
         return self.records[row].data
 
+    def read_alone(self, row):
+        """None: only a file's tensors are read a chunk at a time."""
+        return None
+
 
 def index(ckpt: Checkpoint) -> TensorIndex:
     """The index of the tensors of ``ckpt``: its file's when they are the
@@ -523,13 +527,13 @@ class _DataSection(TensorIndex):
     access while the file is open: a tensor of the run kept gets a new
     read-only view of that run; a tensor of a run not read yet reads that
     whole run with one ``preadv`` and keeps it; any other tensor is read
-    alone. Only the run read last is kept, so a section holds at most
-    ``_RUN_BYTES`` beyond the arrays it has returned (which keep their
-    run's buffer alive), and a run is read at most once. A run that the
-    file no longer holds in full is dropped too, so a file that shrank
-    fails at the first tensor it lost. A section refers to no tensor
-    record, so reference counting frees a checkpoint's records as soon as
-    it is dropped.
+    alone, whole or a chunk at a time (``read_alone``). Only the run read
+    last is kept, so a section holds at most ``_RUN_BYTES`` beyond the
+    arrays it has returned (which keep their run's buffer alive), and a
+    run is read at most once. A run that the file no longer holds in full
+    is dropped too, so a file that shrank fails at the first tensor it
+    lost. A section refers to no tensor record, so reference counting
+    frees a checkpoint's records as soon as it is dropped.
 
     Once the file is closed, the run kept is dropped and every tensor is
     read alone: a read reopens its path and refuses any file but the one
@@ -585,6 +589,17 @@ class _DataSection(TensorIndex):
             return None
         first = (int(self.starts[row]) - self.spans[run][0]) // values.itemsize
         return values[first:first + count], values
+
+    def read_alone(self, row):
+        """``(arr, fill)`` for the tensor ``row`` in no run of the open
+        file: a new array of its dtype and shape, and ``fill(lo, hi)``, which
+        reads its flat elements ``lo`` to ``hi`` into it and says whether the
+        file held them. None for a tensor of a run, or once the file closed."""
+        if self.runs[row] >= 0 or self.fh.closed:
+            return None
+        arr = np.empty(self.shapes[row], DTYPE_TO_NUMPY[self.dtypes[row]])
+        flat, start = arr.reshape(-1), int(self.starts[row])
+        return arr, lambda lo, hi: self._fill(self.fh, flat[lo:hi], start + lo * arr.itemsize)
 
     @contextlib.contextmanager
     def _file(self):

@@ -15,17 +15,20 @@ element's float64 terms are added in the content order of its tensor's
 so every strategy is exactly invariant to permutations of the non-anchor
 models. Two kernels, chosen by tensor size, compute the sum with the same
 operations for every element: ``_weighted_sum`` for a tensor larger than a
-block, ``_Blocks.merge`` for several small ones. A large tensor whose
-inputs are each read alone from an open file is read by one worker thread
-a chunk at a time while the kernel sums the chunks already in
-(``_Stream``); the merge loop reads nothing meanwhile. Before any tensor is
-read, the merge checks once that the models and Fisher inputs fit the
-alignment (``_fitted_rows``). Every tensor of every input, blended or not,
-is checked (finite, and Fisher values non-negative), and a merged tensor
-that is not finite, which finite inputs reach by overflow, raises
-``NonFiniteTensorError``. Schedule weights are
-exact rationals rounded to float64 once, so schedule identities hold
-exactly on the rational side and to within one rounding on the float side.
+block, ``_Blocks.merge`` for several small ones. The plan of a merge
+(``_Blocks``) takes each tensor down one path, and one routine weighs and
+sums a large tensor whether it is streamed or read whole
+(``_Blocks._sum``). A large tensor whose inputs are each read alone from an
+open file is streamed: one worker thread has the checkpoint reader fill
+it a chunk at a time (``read_alone``) while the kernel sums the chunks
+already in (``_Stream``); the merge loop reads nothing meanwhile. Before
+any tensor is read, the merge checks once that the models and Fisher
+inputs fit the alignment (``_fitted_rows``). Every tensor of every input,
+blended or not, is checked (finite, and Fisher values non-negative), and a
+merged tensor that is not finite, which finite inputs reach by overflow,
+raises ``NonFiniteTensorError``. Schedule weights are exact rationals
+rounded to float64 once, so schedule identities hold exactly on the
+rational side and to within one rounding on the float side.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import numpy as np
 
 from .alignment import NON_GRADIENT_KINDS, SharedAlignment
 from .checkpoint import (
-    DTYPE_TO_NUMPY,
     META_LAYER_ORDER,
     Checkpoint,
     CheckpointError,
@@ -202,9 +204,8 @@ class _Reads(Mapping):
     is kept: a tensor of a run that passed counts as checked, and only a
     tensor of a run that failed, or of none, is tried on its own, so every
     error is still raised when its tensor is looked up. ``block`` reads
-    several tensors at once for the block kernel, and ``fill`` a piece of a
-    tensor read alone for a ``_Stream``. ``check_rest`` reads and checks
-    the tensors not checked yet, so that none goes unchecked."""
+    several tensors at once for the block kernel. ``check_rest`` reads and
+    checks the tensors not checked yet, so that none goes unchecked."""
 
     def __init__(self, ckpt, ok, reject):
         self.index = index(ckpt)
@@ -269,21 +270,6 @@ class _Reads(Mapping):
         for row in np.flatnonzero(~self._checked & ~np.isin(runs, passed)).tolist():
             if not run_passed.get(int(runs[row])):  # its run may have passed since
                 self._get(row)
-
-    def alone(self, row) -> bool:
-        """Whether the tensor ``row`` is read alone (it is in no run) from
-        an open file, so that ``fill`` can read it a piece at a time."""
-        fh = getattr(self.index, "fh", None)
-        return fh is not None and not fh.closed and self.index.runs[row] < 0
-
-    def fill(self, row, piece, lo) -> bool:
-        """Read the elements of the tensor ``row`` (``alone``) from element
-        ``lo`` into the flat array ``piece`` and check them: whether they
-        passed; False, too, when the file ends first. The tensor counts as
-        checked only once the ``_Stream`` reading it has every piece in."""
-        section = self.index
-        start = int(section.starts[row]) + lo * piece.itemsize
-        return section._fill(section.fh, piece, start) and self._ok(piece)
 
 
 def _fisher_ok(x) -> bool:
@@ -508,21 +494,20 @@ class _Unread(Exception):
 
 class _Stream:
     """The arrays of one tensor of several inputs, each read alone from an
-    open file (``_Reads.alone``), filled by one worker thread in chunks of
-    whole blocks: chunk c of every input, each read and checked
-    (``_Reads.fill``), before chunk c + 1. The worker stops at the first
-    chunk that fails, or when told to. ``arrived(hi)`` returns once the
-    first ``hi`` elements of every array are in, and raises ``_Unread``
-    when the worker stopped before them. As a context manager the stream
-    starts its worker on entry, and joins it on exit, telling it to stop
-    first when the exit is by an exception; an interrupt or exit that ended
-    the worker is raised then. ``complete`` then says whether every chunk
-    passed, and every tensor counts as checked if so."""
+    open file, filled by one worker thread in chunks of whole blocks: chunk
+    c of every input, each read by the ``fill`` of its index's
+    ``read_alone`` and checked by its ``_Reads``' ``ok``, before chunk
+    c + 1. The worker stops at the first chunk that fails, or when told
+    to. ``arrived(hi)`` returns once the first ``hi`` elements of every
+    array are in, and raises ``_Unread`` when the worker stopped before
+    them. As a context manager the stream starts its worker on entry, and
+    joins it on exit, telling it to stop first when the exit is by an
+    exception; an interrupt or exit that ended the worker is raised then.
+    When every chunk passed, every tensor then counts as checked."""
 
-    def __init__(self, inputs):
+    def __init__(self, inputs, alone):
         self._inputs = inputs  # (reads, row) of each
-        self.arrays = [np.empty(reads.index.shapes[row], DTYPE_TO_NUMPY[reads.index.dtypes[row]])
-                       for reads, row in inputs]
+        self.arrays, self._fills = zip(*alone)  # the (array, fill) of each, from read_alone
         self.size = self.arrays[0].size
         self._done, self._stop = 0, False  # elements in, and whether the worker stops
         self._interrupt = None
@@ -539,23 +524,20 @@ class _Stream:
         self._worker.join()
         if self._interrupt is not None:
             raise self._interrupt
-        if self.complete:
+        if self._done == self.size:
             for (reads, row), x in zip(self._inputs, self.arrays):
                 reads._checked[row] = True
                 x.setflags(write=False)
 
-    @property
-    def complete(self) -> bool:
-        return self._done == self.size
-
     def _read(self):
-        pieces = [(reads, row, x.reshape(-1)) for (reads, row), x in zip(self._inputs, self.arrays)]
+        pieces = [(reads._ok, x.reshape(-1), fill)
+                  for (reads, _), x, fill in zip(self._inputs, self.arrays, self._fills)]
         chunk = _CHUNK * _BLOCK
         try:
             for lo in range(0, self.size, chunk):
                 hi = min(lo + chunk, self.size)
-                for reads, row, x in pieces:
-                    if self._stop or not reads.fill(row, x[lo:hi], lo):
+                for ok, x, fill in pieces:
+                    if self._stop or not (fill(lo, hi) and ok(x[lo:hi])):
                         return
                 with self._change:
                     self._done = hi
@@ -655,10 +637,11 @@ class _Blocks:
     tensors of one dtype and at most ``_BLOCK`` elements. Any other tensor
     ends a block. A block's tensors are read from each source in one
     ``_Reads.block``, and each element is weighed from one (M, n) weight
-    array."""
+    array (``merge``); every other tensor is merged by ``tensor``."""
 
     def __init__(self, tensors, alignment, weights, pool, fishers):
-        names, dtypes, self.shapes = tensors.names, tensors.dtypes, tensors.shapes
+        self.names = names = tensors.names
+        dtypes, self.shapes = tensors.dtypes, tensors.shapes
         self.sizes = sizes = tensors.sizes
         self.anchor = anchor = alignment.anchor
         self.pool, self.fishers = pool, fishers
@@ -730,38 +713,59 @@ class _Blocks:
         return [out[lo:lo + size].reshape(shape) for lo, size, shape
                 in zip(offsets.tolist(), sizes.tolist(), self.shapes[a:b])]
 
-    def stream(self, k):
-        """The merged array of the blended tensor ``k``, larger than a
-        block, when every input it reads (its Fisher inputs first where it
-        is weighed per element, then the models) is read alone from an open
-        file: a ``_Stream`` reads them while the kernel sums the chunks
-        already in. None when one is not, or when anything fails (a chunk,
-        or an output not finite), so that the tensor is merged again as it
-        is read whole and the first failure raises."""
-        fisher = self.src[k] == -1
+    def tensor(self, k):
+        """The merged array of the tensor ``k`` outside a block (or of a
+        block that failed): the anchor's array where ``src`` is -2, else
+        the ``_sum`` of its inputs (its Fisher inputs, then the models),
+        streamed where it can be (``_stream``) and else read whole, which
+        raises the first failure of an input or of the output."""
+        if self.src[k] == -2:  # not shared, or not blended
+            return self.pool[self.anchor]._get(k)
         inputs = [(p, rows[k]) for p, rows in zip(self.pool, self.rows)]
-        if fisher:
-            inputs = [*((f.tensors, rows[k]) for f, rows in zip(self.fishers, self.fisher_rows)),
-                      *inputs]
-        if self.sizes[k] <= _BLOCK or not all(reads.alone(row) for reads, row in inputs):
-            return None
-        with _Stream(inputs) as stream:
-            xs = stream.arrays[-len(self.pool):]
+        if self.src[k] == -1:  # its Fisher inputs first
+            inputs[:0] = [(f.tensors, rows[k]) for f, rows in zip(self.fishers, self.fisher_rows)]
+        out = self._stream(k, inputs) if self.sizes[k] > _BLOCK else None
+        if out is None:
+            out = self._sum(k, lambda j: inputs[j][0]._get(inputs[j][1]))
+        if out is None:
+            raise NonFiniteTensorError(f"merged tensor '{self.names[k]}' is not finite")
+        return out
+
+    def _sum(self, k, read, arrived=_present):
+        """The merged array of the blended tensor ``k``, whose inputs (see
+        ``tensor``) are ``read(j)``, each read once it is needed: the
+        weighted sum of the models under the tensor's per-element Fisher
+        weights (the anchor's array, read alone, when those do not blend),
+        or under its row of ``table``; None when the sum is not finite."""
+        f = 0
+        if self.src[k] == -1:
+            f = len(self.fishers)
+            w = _FisherBlocks([read(j) for j in range(f)], arrived)
+            if not _blends(w, self.anchor):
+                return read(f + self.anchor)
+        else:
+            w = _Scalars(self.table[self.src[k]])
+        xs = [read(f + i) for i in range(len(self.pool))]
+        out = _weighted_sum(w, xs, xs[self.anchor].dtype, arrived)
+        # finite inputs can still sum, or cast, past the dtype's range
+        return out if np.isfinite(out).all() else None
+
+    def _stream(self, k, inputs):
+        """The ``_sum`` of the tensor ``k`` when each of its ``inputs`` is
+        read alone from an open file (``read_alone``): a ``_Stream`` reads
+        them while the kernel sums the chunks already in. None when one is
+        not, or when anything fails (a chunk, or an output not finite), so
+        that the tensor is merged again as it is read whole."""
+        alone = []
+        for reads, row in inputs:
+            alone.append(reads.index.read_alone(row))
+            if alone[-1] is None:
+                return None
+        with _Stream(inputs, alone) as stream:
             try:
-                if not fisher:
-                    w = _Scalars(self.table[self.src[k]])
-                else:  # an unblended tensor keeps the anchor's array, once every chunk is in
-                    w = _FisherBlocks(stream.arrays[:len(self.pool)], stream.arrived)
-                    if not _blends(w, self.anchor):
-                        w = None
-                out = None if w is None else _weighted_sum(w, xs, xs[self.anchor].dtype, stream.arrived)
+                return self._sum(k, stream.arrays.__getitem__, stream.arrived)
             except _Unread:
                 return None
-        if not stream.complete:
-            return None
-        if w is None:
-            return xs[self.anchor]
-        return out if np.isfinite(out).all() else None
 
     def _fisher_weights(self, a, b, sizes, offsets, fisher):
         """The (M, n) per-element Fisher weights of the block of tensors
@@ -793,7 +797,7 @@ def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=Non
     whose non-anchor weights are all zero, keep the anchor's array. The
     output follows the anchor's tensor order. Tensors larger than a block
     go through ``_weighted_sum``, streamed where they can be (see
-    ``_Blocks.stream``), smaller ones through the block kernel (see
+    ``_Blocks.tensor``), smaller ones through the block kernel (see
     ``_Blocks``); the tensors of a block or a stream that fails are merged
     again one at a time, as they are read whole, which raises the error
     the first failing tensor gives.
@@ -808,34 +812,13 @@ def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=Non
     tensors = pool[anchor].index
     names = tensors.names
     blocks = _Blocks(tensors, alignment, weights, pool, fishers)
-
-    def merge_one(k):
-        name, src = names[k], blocks.src[k]
-        if src == -2:  # not shared, or not blended
-            return pool[anchor][name]
-        data = blocks.stream(k)
-        if data is not None:
-            return data
-        if src == -1:
-            w = _fisher_weights(fishers, name)
-            if not _blends(w, anchor):
-                return pool[anchor][name]
-        else:
-            w = _Scalars(blocks.table[src])
-        arrays = [p[name] for p in pool]
-        data = _weighted_sum(w, arrays, arrays[anchor].dtype)
-        # finite inputs can still sum, or cast, past the dtype's range
-        if not np.isfinite(data).all():
-            raise NonFiniteTensorError(f"merged tensor '{name}' is not finite")
-        return data
-
     merged, done = [], 0
     for j, (a, b) in enumerate(blocks.spans):
-        merged.extend(map(merge_one, range(done, a)))
+        merged.extend(map(blocks.tensor, range(done, a)))
         data = blocks.merge(j)
-        merged.extend(data if data is not None else map(merge_one, range(a, b)))
+        merged.extend(data if data is not None else map(blocks.tensor, range(a, b)))
         done = b
-    merged.extend(map(merge_one, range(done, len(names))))
+    merged.extend(map(blocks.tensor, range(done, len(names))))
     # tensors no merged value depends on are checked all the same
     for reads in (*pool, *(f.tensors for f in fishers or ())):
         reads.check_rest()
@@ -920,12 +903,6 @@ def scalar_weighted_merge(
     weights = np.repeat([[w] for w in score_weights(scores)], alignment.n_shared_layers, axis=1)
     extra = {"merge_scores": ",".join(repr(float(s)) for s in scores)}
     return _merge(ckpts, alignment, "scalar", weights, metadata_extra=extra)
-
-
-def _fisher_weights(fishers, name):
-    """The per-element weights of one shared tensor, proportional to each
-    model's Fisher values (see ``_FisherBlocks``)."""
-    return _FisherBlocks([fisher.tensors[name] for fisher in fishers])
 
 
 def fisher_merge(

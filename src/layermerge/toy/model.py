@@ -141,6 +141,8 @@ class ToyModel:
             if not m:
                 raise ValueError(f"unexpected tensor '{t.name}' in toy-model checkpoint")
             found.setdefault(int(m.group(1)), {})[m.group(2)] = np.asarray(t.data)
+        if not found:
+            raise ValueError("a toy-model checkpoint needs at least one layer")
         if sorted(found) != list(range(len(found))):
             raise ValueError("layer indices must be consecutive from 0")
         weights, biases = [], []

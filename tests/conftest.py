@@ -126,6 +126,25 @@ def preadv_recorder():
     return reads, counted
 
 
+def short_reads(monkeypatch, cap=4096, end=None):
+    """Make ``os.preadv`` read at most ``cap`` bytes a call, as a read may,
+    and, given ``end`` (a path and a file offset), read nothing from that
+    offset of that file on, as if the file ended there. Returns the offset
+    of every call, in order."""
+    preadv, calls = os.preadv, []
+    ino = end[0].stat().st_ino if end else None
+
+    def short(fd, buffers, offset):
+        calls.append(offset)
+        if end and offset >= end[1] and os.fstat(fd).st_ino == ino:
+            return 0
+        (buffer,) = buffers
+        return preadv(fd, [buffer.reshape(-1).view(np.uint8)[:cap]], offset)
+
+    monkeypatch.setattr(os, "preadv", short)
+    return calls
+
+
 def counting_reads(monkeypatch):
     reads, counted = preadv_recorder()
     monkeypatch.setattr(os, "preadv", counted)

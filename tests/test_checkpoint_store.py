@@ -30,7 +30,8 @@ from layermerge.cli import main
 import _reference as ref
 from conftest import (
     DEEP_JSON, HEADERS_PAST_LIMITS, LONG_INT_JSON, bytes_read_once, counting_reads,
-    make_checkpoint, patch_header, preadv_recorder, write_layout, write_raw_header,
+    data_section, make_checkpoint, patch_header, preadv_recorder, short_reads, write_layout,
+    write_raw_header,
 )
 
 
@@ -501,6 +502,38 @@ class TestRunReads:
                     by_name[name].data
         assert bytes_read_once(reads, path)
         assert len(reads) == ref.ref_read_units(path, window)
+
+
+class TestShortReads:
+    """A positioned read may return fewer bytes than it was asked for; the
+    reader asks again for the rest, and a read that returns nothing before
+    the tensor ends means that the file shrank."""
+
+    @staticmethod
+    def saved(tmp_path, rng):
+        # a tensor past the run window, read alone, and small ones read in a run
+        path = tmp_path / "c.st"
+        save(make_checkpoint([(300, 256), (3, 4)], rng, np.float32), path)
+        return path
+
+    def test_load_gives_the_bytes_of_whole_reads(self, tmp_path, rng, monkeypatch):
+        path = self.saved(tmp_path, rng)
+        expected = load(path)
+        calls = short_reads(monkeypatch)
+        loaded = load(path)
+        start, end = data_section(path)
+        assert len(calls) == -(-(end - start) // 4096)  # 4 KiB at a time, tensors back to back
+        assert loaded.names() == expected.names()
+        for t in loaded.tensors:
+            e = expected.get(t.name).data
+            assert t.data.dtype == e.dtype and t.data.tobytes() == e.tobytes(), t.name
+
+    def test_read_of_nothing_inside_a_tensor_is_a_shrunk_file(self, tmp_path, rng, monkeypatch):
+        path = self.saved(tmp_path, rng)
+        start, _ = data_section(path)
+        short_reads(monkeypatch, end=(path, start + 3 * 4096))  # inside the first tensor
+        with pytest.raises(CheckpointFormatError, match="file shrank while it was read"):
+            load(path)
 
 
 class TestOpenFile:

@@ -749,6 +749,15 @@ class TestFisherCommand:
         code, _, _ = run(capsys, "fisher", pa, "--out", tmp_path / "f.st")
         assert code == 2
 
+    def test_checkpoint_with_no_tensors_exit_2(self, tmp_path, capsys):
+        pm = tmp_path / "empty.st"
+        save(Checkpoint([]), pm)
+        out = tmp_path / "f.st"
+        code, stdout, err = run(capsys, "fisher", pm, "--out", out)
+        assert code == 2 and stdout == ""
+        assert err == "error: a toy-model checkpoint needs at least one layer\n"
+        assert not out.exists()
+
 
 class TestToyCommand:
     def config_file(self, tmp_path, **overrides):

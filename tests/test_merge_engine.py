@@ -1,5 +1,7 @@
 import contextlib
+import errno
 import math
+import os
 import sys
 import tempfile
 import threading
@@ -43,11 +45,31 @@ from layermerge.merge import FisherInputError
 import _reference as ref
 from conftest import (
     as_flat_dicts, bytes_read_once, counting_reads, data_section, make_checkpoint, random_pool,
+    short_reads,
 )
 
 
 def merged_arrays(ckpt):
     return {t.name: np.asarray(t.data, dtype=np.float64) for t in ckpt.tensors}
+
+
+def before_each_fill(monkeypatch, before):
+    """Call ``before(lo)`` ahead of every chunk a streamed read fills from
+    element ``lo`` (the ``fill`` of ``_DataSection.read_alone``)."""
+    read_alone = ckpt_store._DataSection.read_alone
+
+    def wrapped(section, row):
+        got = read_alone(section, row)
+        if got is None:
+            return None
+        arr, fill = got
+
+        def held(lo, hi):
+            before(lo)
+            return fill(lo, hi)
+        return arr, held
+
+    monkeypatch.setattr(ckpt_store._DataSection, "read_alone", wrapped)
 
 
 class TestComputeSchedule:
@@ -831,17 +853,17 @@ class TestBlockedKernel:
         ]
 
     @staticmethod
-    def oracle_fisher_weights(fishers, name):
+    def oracle_fisher_weights(fishers, arrived):
         # a weight source whose one block is the whole (M, *shape) weights
-        return merge_module._Scalars(ref.ref_fisher_weights([f.tensors[name] for f in fishers]))
+        return merge_module._Scalars(ref.ref_fisher_weights(fishers))
 
     @staticmethod
     def whole(pool, fishers, anchor, scores):
         """The merges with every tensor summed by the whole-array kernel:
         the block kernel hands every block back, one tensor at a time."""
-        with mock.patch.object(merge_module, "_fisher_weights", TestBlockedKernel.oracle_fisher_weights), \
+        with mock.patch.object(merge_module, "_FisherBlocks", TestBlockedKernel.oracle_fisher_weights), \
                 mock.patch.object(merge_module, "_weighted_sum",
-                                  lambda w, xs, dtype: ref.ref_weighted_sum(w.block(0), xs).astype(dtype)), \
+                                  lambda w, xs, dtype, arrived: ref.ref_weighted_sum(w.block(0), xs).astype(dtype)), \
                 mock.patch.object(merge_module._Blocks, "merge", lambda self, j: None):
             return TestBlockedKernel.merges(pool, fishers, anchor, scores)
 
@@ -1285,6 +1307,55 @@ class TestStreamedReads:
         workers = [i for i in idents if i != threading.main_thread().ident]
         assert len(workers) == 2 * 5 * len(inputs) < len(reads)
 
+    @pytest.mark.parametrize("strategy", ["layerwise", "fisher"])
+    def test_short_reads_give_the_bytes_of_whole_reads(self, tmp_path, rng, strategy, monkeypatch):
+        models, fishers = self.pool(rng)
+        expected = TestFileBackedMerge.merge(strategy, models, fishers)
+        idents = self.reading_threads(monkeypatch)
+        calls = short_reads(monkeypatch)
+        merged = self.merge_files(tmp_path, strategy, models, fishers)
+        for t in merged.tensors:
+            e = expected.get(t.name).data
+            assert t.data.dtype == e.dtype and t.data.tobytes() == e.tobytes(), t.name
+        # the 5 chunks the worker fills of a 300 KiB tensor take 75 reads
+        workers = [i for i in idents if i != threading.main_thread().ident]
+        assert workers and len(calls) > 15 * len(workers)
+
+    def test_read_of_nothing_inside_a_streamed_tensor_is_a_shrunk_file(self, tmp_path, rng, monkeypatch):
+        models, fishers = self.pool(rng)
+        paths = TestFileBackedMerge.saved(tmp_path, models)
+        start, _ = data_section(paths[1])
+        # inside the second chunk of model 1's first tensor, read by the worker
+        calls = short_reads(monkeypatch, end=(paths[1], start + 3 * merge_module._BLOCK * 4))
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            with pytest.raises(CheckpointFormatError, match="file shrank while it was read"):
+                TestFileBackedMerge.merge("isotropic", opened)
+        # models 0 and 1 read there by the worker, then again by the merge loop
+        assert calls.count(start + 3 * merge_module._BLOCK * 4) == 4
+
+    def test_worker_read_error_merged_again_on_the_main_thread(self, tmp_path, rng, monkeypatch):
+        # a read that raises on the worker stops the stream, and the tensor is
+        # merged again as it is read whole, where an error would be raised in
+        # order; the worker itself ends quietly
+        models, fishers = self.pool(rng)
+        expected = TestFileBackedMerge.merge("fisher", models, fishers)
+        fill, failed, escaped = ckpt_store._DataSection._fill, [], []
+
+        def eio(section, fh, arr, start):
+            if threading.current_thread() is not threading.main_thread():
+                failed.append(start)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return fill(section, fh, arr, start)
+
+        monkeypatch.setattr(ckpt_store._DataSection, "_fill", eio)
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        merged = self.merge_files(tmp_path, "fisher", models, fishers)
+        for t in merged.tensors:
+            e = expected.get(t.name).data
+            assert t.data.dtype == e.dtype and t.data.tobytes() == e.tobytes(), t.name
+        assert len(failed) == 2 and escaped == []  # each large tensor's first chunk
+
     @pytest.mark.parametrize("where", ["block", "streamed", "streamed, not blended"])
     def test_nan_where_a_donor_has_zero_fisher_weight_named(self, tmp_path, rng, where):
         # 0 * NaN is NaN, so a zero weight does not hide a NaN of its input
@@ -1310,7 +1381,7 @@ class TestStreamedReads:
         models, fishers = self.pool(rng, np.float32)
         expected = TestFileBackedMerge.merge("fisher", models, fishers)
         asked, change = [0], threading.Condition()
-        enter, arrived, fill = merge_module._Stream.__enter__, merge_module._Stream.arrived, merge_module._Reads.fill
+        enter, arrived = merge_module._Stream.__enter__, merge_module._Stream.arrived
 
         def entered(stream):
             asked[0] = 0
@@ -1324,14 +1395,13 @@ class TestStreamedReads:
                 change.notify_all()
             return arrived(stream, hi)
 
-        def held(reads, row, piece, lo):
+        def held(lo):
             with change:
                 assert change.wait_for(lambda: asked[0] > lo, timeout=30)
-            return fill(reads, row, piece, lo)
 
         monkeypatch.setattr(merge_module._Stream, "__enter__", entered)
         monkeypatch.setattr(merge_module._Stream, "arrived", waited)
-        monkeypatch.setattr(merge_module._Reads, "fill", held)
+        before_each_fill(monkeypatch, held)
         reads = counting_reads(monkeypatch)
         merged = self.merge_files(tmp_path, "fisher", models, fishers)
         assert asked[0] > 0
@@ -1415,17 +1485,14 @@ class TestReadWorkerJoined:
                 raise KeyboardInterrupt
             monkeypatch.setattr(ckpt_store._DataSection, "_fill", interrupt)
         else:  # once the first chunk is in, while the worker reads the next ones slowly
-            fill = merge_module._Reads.fill
-
-            def slow(reads, row, piece, lo):
+            def slow(lo):
                 pieces.append(lo)
                 time.sleep(0.2 if lo else 0.0)
-                return fill(reads, row, piece, lo)
 
             def interrupt(*args):
                 readers.append(True)
                 raise KeyboardInterrupt
-            monkeypatch.setattr(merge_module._Reads, "fill", slow)
+            before_each_fill(monkeypatch, slow)
             monkeypatch.setattr(merge_module, "_content_order", interrupt)
         out = tmp_path / "out.st"
         code = main(["merge", *map(str, paths), "--strategy", "fisher",
