@@ -500,14 +500,14 @@ class _Stream:
     c + 1. The worker stops at the first chunk that fails, or when told
     to. ``arrived(hi)`` returns once the first ``hi`` elements of every
     array are in, and raises ``_Unread`` when the worker stopped before
-    them. As a context manager the stream starts its worker on entry, and
-    joins it on exit, telling it to stop first when the exit is by an
+    them. As a context manager the stream sets its worker going on entry,
+    and joins it on exit, telling it to stop first when the exit is by an
     exception; an interrupt or exit that ended the worker is raised then.
     When every chunk passed, every tensor then counts as checked."""
 
     def __init__(self, inputs, alone):
         self._inputs = inputs  # (reads, row) of each
-        self.arrays, self._fills = zip(*alone)  # the (array, fill) of each, from read_alone
+        self.arrays, self._readers = zip(*alone)  # the (array, fill) of each, from read_alone
         self.size = self.arrays[0].size
         self._done, self._stop = 0, False  # elements in, and whether the worker stops
         self._interrupt = None
@@ -531,7 +531,7 @@ class _Stream:
 
     def _read(self):
         pieces = [(reads._ok, x.reshape(-1), fill)
-                  for (reads, _), x, fill in zip(self._inputs, self.arrays, self._fills)]
+                  for (reads, _), x, fill in zip(self._inputs, self.arrays, self._readers)]
         chunk = _CHUNK * _BLOCK
         try:
             for lo in range(0, self.size, chunk):
