@@ -29,6 +29,7 @@ import os
 import statistics
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -146,6 +147,19 @@ def show(workload: str, summary: dict) -> None:
               f"change won {row['change_better_pairs']} of {row['pairs']}")
 
 
+def append_record(path: Path, record: dict) -> None:
+    """Append ``record`` to the JSON list of records in ``path``, or start
+    the list. Every byte before the list's closing ``]`` is kept, so no
+    earlier record is rewritten: the new one goes in before it."""
+    text = path.read_text() if path.exists() else "[]"
+    records = json.loads(text)
+    if not isinstance(records, list):
+        raise SystemExit(f"{path} holds no JSON list of records")
+    entry = textwrap.indent(json.dumps(record, indent=1), " ")
+    head = text[:text.rindex("]")]
+    path.write_text(head + (", " + entry.lstrip() if records else "\n" + entry) + "\n]\n")
+
+
 def command(workload: str, seconds: float, trace: int, seed="N") -> str:
     return (f"python3 benchmark/run.py --workload {workload} --seed {seed} "
             f"--seconds {seconds:g} --trace {trace}")
@@ -212,8 +226,7 @@ def main(argv=None) -> int:
             "trace": traces,
             "guards": guards,
         }
-        records = json.loads(args.record.read_text()) if args.record.exists() else []
-        args.record.write_text(json.dumps([*records, record], indent=1) + "\n")
+        append_record(args.record, record)
         print(f"appended a record of {len(pairs)} pairs to {args.record}")
     return 0
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for usage errors (bad flags, flag values or
 experiment config), 2 for data errors (malformed files, incompatible pools,
-non-finite merged values, diverged training).
+non-finite merged values, diverged training) and for a run that needs more
+memory than it can get.
 Every run prints a one-line summary to standard error; nonzero exits leave
 no partial output files behind. A signal that stops a run exits with the
 shell's code for it, 128 plus the signal number, after removing any output
@@ -221,6 +222,8 @@ def _cmd_fisher(args) -> int:
     for flag in ("rotation", "tx", "ty"):
         if not np.isfinite(getattr(args, flag)):
             raise UsageError(f"--{flag} must be a finite real")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     model = ToyModel.from_checkpoint(ckpt_store.load(args.model))
     classes = model.layer_sizes[-1]
     if args.samples < classes:
@@ -318,6 +321,9 @@ def main(argv=None) -> int:
         except (CheckpointError, AlignmentError, MergeError, DiscrepancyError,
                 TrainingDivergedError, OSError, ValueError) as exc:
             _summary(f"error: {exc}")
+            return EXIT_DATA
+        except MemoryError as exc:  # numpy's names the allocation that failed
+            _summary(f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
             return EXIT_DATA
         except KeyboardInterrupt:
             _summary("interrupted")

@@ -21,7 +21,9 @@ sums a large tensor whether it is streamed or read whole
 (``_Blocks._sum``). A large tensor whose inputs are each read alone from an
 open file is streamed: one worker thread has the checkpoint reader fill
 it a chunk at a time (``read_alone``) while the kernel sums the chunks
-already in (``_Stream``); the merge loop reads nothing meanwhile. Before
+already in (``_Stream``); the merge loop reads nothing meanwhile. A block
+or a stream that cannot finish hands its tensors back by raising
+``_Retry``, and they are merged again one at a time, read whole. Before
 any tensor is read, the merge checks once that the models and Fisher
 inputs fit the alignment (``_fitted_rows``). Every tensor of every input,
 blended or not, is checked (finite, and Fisher values non-negative), and a
@@ -193,6 +195,12 @@ def compute_schedule(
     )
 
 
+class _Retry(Exception):
+    """A block or a stream handed back: its tensors are merged again one
+    at a time, read whole, which raises the error the first failing one
+    gives (see ``_merge`` and ``_Blocks.tensor``)."""
+
+
 class _Reads(Mapping):
     """Name -> array view of a checkpoint that reads a tensor each time it
     is looked up and checks it: ``ok(array)`` says whether an array passes,
@@ -256,13 +264,16 @@ class _Reads(Mapping):
     def block(self, rows):
         """The values of the tensors ``rows`` back to back in one flat
         array, when all of them pass ``ok``; they then count as checked.
-        None when a value fails or a tensor cannot be read: looked up one
-        at a time, the first of them that fails raises its error."""
+        Raises ``_Retry`` when a value fails or a tensor cannot be read:
+        looked up one at a time, the first of them that fails raises its
+        error."""
         try:
             x, passed = self._read(rows)
         except (CheckpointError, OSError):
-            return None
-        return x if passed else None
+            raise _Retry from None
+        if not passed:
+            raise _Retry
+        return x
 
     def check_rest(self) -> None:
         runs, run_passed = self.index.runs, self._run_passed
@@ -488,26 +499,28 @@ def _weighted_sum(weights, arrays, dtype=np.float64, arrived=_present) -> np.nda
     return out.reshape(np.shape(arrays[0]))
 
 
-class _Unread(Exception):
-    """A part of a ``_Stream`` that its worker stopped before reading."""
-
-
 class _Stream:
     """The arrays of one tensor of several inputs, each read alone from an
     open file, filled by one worker thread in chunks of whole blocks: chunk
     c of every input, each read by the ``fill`` of its index's
     ``read_alone`` and checked by its ``_Reads``' ``ok``, before chunk
-    c + 1. The worker stops at the first chunk that fails, or when told
-    to. ``arrived(hi)`` returns once the first ``hi`` elements of every
-    array are in, and raises ``_Unread`` when the worker stopped before
-    them. As a context manager the stream sets its worker going on entry,
-    and joins it on exit, telling it to stop first when the exit is by an
-    exception; an interrupt or exit that ended the worker is raised then.
-    When every chunk passed, every tensor then counts as checked."""
+    c + 1. The constructor raises ``_Retry`` when the tensor holds at
+    most one block, so that no read could go beside the kernel, or when
+    an input is not read alone. The worker stops at the first chunk that
+    fails, or when told to. ``arrived(hi)`` returns once the first ``hi``
+    elements of every array are in, and raises ``_Retry`` when the worker
+    stopped before them. As a context manager the stream sets its worker
+    going on entry, and joins it on exit, telling it to stop first when
+    the exit is by an exception; an interrupt or exit that ended the
+    worker is raised then. When every chunk passed, every tensor then
+    counts as checked."""
 
-    def __init__(self, inputs, alone):
+    def __init__(self, inputs):
         self._inputs = inputs  # (reads, row) of each
-        self.arrays, self._readers = zip(*alone)  # the (array, fill) of each, from read_alone
+        alone = [reads.index.read_alone(row) for reads, row in inputs]  # its (array, fill)
+        if None in alone or alone[0][0].size <= _BLOCK:
+            raise _Retry
+        self.arrays, self._readers = zip(*alone)
         self.size = self.arrays[0].size
         self._done, self._stop = 0, False  # elements in, and whether the worker stops
         self._interrupt = None
@@ -559,7 +572,7 @@ class _Stream:
             while self._done < hi and not self._stop:
                 self._change.wait()
             if self._done < hi:
-                raise _Unread
+                raise _Retry
 
 
 def _orders(sizes, *parts) -> np.ndarray:
@@ -637,7 +650,8 @@ class _Blocks:
     tensors of one dtype and at most ``_BLOCK`` elements. Any other tensor
     ends a block. A block's tensors are read from each source in one
     ``_Reads.block``, and each element is weighed from one (M, n) weight
-    array (``merge``); every other tensor is merged by ``tensor``."""
+    array (``merge``); every other tensor, and every tensor of a block
+    handed back, is merged by ``tensor``."""
 
     def __init__(self, tensors, alignment, weights, pool, fishers):
         self.names = names = tensors.names
@@ -662,81 +676,75 @@ class _Blocks:
         self.fisher_rows = [fitted_rows(f.tensors.index, i, src[shared] == -1)
                             for i, f in enumerate(fishers or ())]
 
-        spans, start, total = [], -1, 0
+        self.spans = spans = []  # [start, end) of each block
+        start = end = -1
         for k in np.flatnonzero((src != -2) & (sizes > 0) & (sizes <= _BLOCK)).tolist():
             n = int(sizes[k])
-            if start >= 0 and k == end and dtypes[k] == dtypes[start] and total + n <= _BLOCK:
-                end, total = k + 1, total + n
+            if k == end and dtypes[k] == dtypes[start] and total + n <= _BLOCK:
+                end = spans[-1][1] = k + 1
+                total += n
             else:
-                if start >= 0:
-                    spans.append((start, end))
                 start, end, total = k, k + 1, n
-        if start >= 0:
-            spans.append((start, end))
-        self.spans = spans
+                spans.append([start, end])
 
     def merge(self, j):
         """The merged arrays of block ``j``, each a view of the block's
-        output cast to the anchor's dtype; None when anything fails (an
-        input not finite, a negative Fisher value, a read, a Fisher-weighted
-        tensor that does not blend, an output not finite), so that its
-        tensors are merged one at a time and the first failure raises."""
+        output cast to the anchor's dtype. Raises ``_Retry`` when anything
+        fails (an input not finite, a negative Fisher value, a read, a
+        Fisher-weighted tensor that does not blend, an output not finite),
+        so that its tensors are merged one at a time and the first failure
+        raises."""
         a, b = self.spans[j]
         sizes, src = self.sizes[a:b], self.src[a:b]
         offsets = np.cumsum(sizes) - sizes
-        xs = []
-        for p, rows in zip(self.pool, self.rows):
-            x = p.block(rows[a:b])
-            if x is None:
-                return None
-            xs.append(x)
-        x = np.stack(xs)
+        x = np.stack([p.block(rows[a:b]) for p, rows in zip(self.pool, self.rows)])
         # each element's M weights: its tensor's row of the table (the last
         # row stands in for src -1), or its Fisher weights where src is -1
         w = np.repeat(self.table[src].T, sizes, axis=1)
         fisher = src == -1
         if fisher.any():
             weights = self._fisher_weights(a, b, sizes, offsets, fisher)
-            if weights is None:
-                return None
             w = np.where(np.repeat(fisher, sizes), weights, w)
         # each element's (weight, value) terms in its tensor's content order
         index = _gather(_orders(sizes, x, w), sizes)
         w_terms, x_terms = w.take(index), x.take(index)
         acc = np.multiply(w_terms[0], x_terms[0], dtype=np.float64)
-        for i in range(1, len(xs)):
+        for i in range(1, len(x)):
             acc += np.multiply(w_terms[i], x_terms[i], dtype=np.float64)
         out = acc.astype(x.dtype)
         # finite inputs can still sum, or cast, past the dtype's range
         if not np.isfinite(out).all():
-            return None
+            raise _Retry
         return [out[lo:lo + size].reshape(shape) for lo, size, shape
                 in zip(offsets.tolist(), sizes.tolist(), self.shapes[a:b])]
 
     def tensor(self, k):
         """The merged array of the tensor ``k`` outside a block (or of a
-        block that failed): the anchor's array where ``src`` is -2, else
-        the ``_sum`` of its inputs (its Fisher inputs, then the models),
-        streamed where it can be (``_stream``) and else read whole, which
-        raises the first failure of an input or of the output."""
+        block handed back): the anchor's array where ``src`` is -2, else
+        the ``_sum`` of its inputs (its Fisher inputs, then the models).
+        The sum is streamed where it can be (``_Stream``): the kernel sums
+        the chunks already in while the worker reads the rest. When the
+        stream is handed back, the inputs are read whole, which raises the
+        first failure of an input."""
         if self.src[k] == -2:  # not shared, or not blended
             return self.pool[self.anchor]._get(k)
         inputs = [(p, rows[k]) for p, rows in zip(self.pool, self.rows)]
         if self.src[k] == -1:  # its Fisher inputs first
             inputs[:0] = [(f.tensors, rows[k]) for f, rows in zip(self.fishers, self.fisher_rows)]
-        out = self._stream(k, inputs) if self.sizes[k] > _BLOCK else None
-        if out is None:
-            out = self._sum(k, lambda j: inputs[j][0]._get(inputs[j][1]))
-        if out is None:
-            raise NonFiniteTensorError(f"merged tensor '{self.names[k]}' is not finite")
-        return out
+        try:
+            with _Stream(inputs) as stream:
+                return self._sum(k, stream.arrays.__getitem__, stream.arrived)
+        except _Retry:
+            stream = None  # its arrays are freed before the inputs are read whole
+        return self._sum(k, lambda j: inputs[j][0]._get(inputs[j][1]))
 
     def _sum(self, k, read, arrived=_present):
         """The merged array of the blended tensor ``k``, whose inputs (see
         ``tensor``) are ``read(j)``, each read once it is needed: the
         weighted sum of the models under the tensor's per-element Fisher
         weights (the anchor's array, read alone, when those do not blend),
-        or under its row of ``table``; None when the sum is not finite."""
+        or under its row of ``table``. A sum that is not finite raises
+        ``NonFiniteTensorError``: its inputs were all read and passed."""
         f = 0
         if self.src[k] == -1:
             f = len(self.fishers)
@@ -748,42 +756,27 @@ class _Blocks:
         xs = [read(f + i) for i in range(len(self.pool))]
         out = _weighted_sum(w, xs, xs[self.anchor].dtype, arrived)
         # finite inputs can still sum, or cast, past the dtype's range
-        return out if np.isfinite(out).all() else None
-
-    def _stream(self, k, inputs):
-        """The ``_sum`` of the tensor ``k`` when each of its ``inputs`` is
-        read alone from an open file (``read_alone``): a ``_Stream`` reads
-        them while the kernel sums the chunks already in. None when one is
-        not, or when anything fails (a chunk, or an output not finite), so
-        that the tensor is merged again as it is read whole."""
-        alone = []
-        for reads, row in inputs:
-            alone.append(reads.index.read_alone(row))
-            if alone[-1] is None:
-                return None
-        with _Stream(inputs, alone) as stream:
-            try:
-                return self._sum(k, stream.arrays.__getitem__, stream.arrived)
-            except _Unread:
-                return None
+        if not np.isfinite(out).all():
+            raise NonFiniteTensorError(f"merged tensor '{self.names[k]}' is not finite")
+        return out
 
     def _fisher_weights(self, a, b, sizes, offsets, fisher):
         """The (M, n) per-element Fisher weights of the block of tensors
         ``a`` to ``b`` (only its Fisher-weighted tensors' elements are
-        meaningful), as ``_FisherBlocks`` computes them; None when a Fisher
-        value fails its check or a Fisher-weighted tensor does not blend."""
+        meaningful), as ``_FisherBlocks`` computes them. Raises ``_Retry``
+        when a Fisher value fails its check or a Fisher-weighted tensor does
+        not blend."""
         mass = np.zeros((len(self.fishers), int(sizes.sum())))
         for i, f in enumerate(self.fishers):
             # all of the block's Fisher tensors of the anchor's shape, in runs
             rows = self.fisher_rows[i][a:b]
-            values = f.tensors.block(rows[rows >= 0])
-            if values is None:
-                return None
-            mass[i][np.repeat(rows >= 0, sizes)] = values
+            mass[i][np.repeat(rows >= 0, sizes)] = f.tensors.block(rows[rows >= 0])
         _normalised(mass)
         weights = _shares(mass, mass.take(_gather(_orders(sizes, mass), sizes)))
         blended = np.logical_or.reduceat(_blended(weights, self.anchor), offsets)
-        return weights if blended[fisher].all() else None
+        if not blended[fisher].all():
+            raise _Retry
+        return weights
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
@@ -798,10 +791,11 @@ def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=Non
     output follows the anchor's tensor order. Tensors larger than a block
     go through ``_weighted_sum``, streamed where they can be (see
     ``_Blocks.tensor``), smaller ones through the block kernel (see
-    ``_Blocks``); the tensors of a block or a stream that fails are merged
-    again one at a time, as they are read whole, which raises the error
-    the first failing tensor gives.
-    Every tensor of every input and Fisher input is checked.
+    ``_Blocks``). A block or a stream that fails raises ``_Retry``, and
+    its tensors are merged again one at a time, as they are read whole,
+    which raises the error the first failing tensor gives; a merged
+    tensor that is not finite raises at once. Every tensor of every input
+    and Fisher input is checked.
     """
     if alignment.model_count != len(ckpts):
         raise MergeError(
@@ -815,8 +809,11 @@ def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=Non
     merged, done = [], 0
     for j, (a, b) in enumerate(blocks.spans):
         merged.extend(map(blocks.tensor, range(done, a)))
-        data = blocks.merge(j)
-        merged.extend(data if data is not None else map(blocks.tensor, range(a, b)))
+        try:
+            data = blocks.merge(j)
+        except _Retry:
+            data = map(blocks.tensor, range(a, b))
+        merged.extend(data)
         done = b
     merged.extend(map(blocks.tensor, range(done, len(names))))
     # tensors no merged value depends on are checked all the same

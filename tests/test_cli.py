@@ -749,6 +749,15 @@ class TestFisherCommand:
         code, _, _ = run(capsys, "fisher", pa, "--out", tmp_path / "f.st")
         assert code == 2
 
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        pm = tmp_path / "model.st"
+        save(ToyModel.init([2, 8, 3], seed=5).to_checkpoint(), pm)
+        out = tmp_path / "f.st"
+        code, _, err = run(capsys, "fisher", pm, "--seed", "-1", "--out", out)
+        assert code == 1
+        assert err == "usage error: --seed must be non-negative, got -1\n"
+        assert not out.exists()
+
     def test_checkpoint_with_no_tensors_exit_2(self, tmp_path, capsys):
         pm = tmp_path / "empty.st"
         save(Checkpoint([]), pm)
@@ -757,6 +766,44 @@ class TestFisherCommand:
         assert code == 2 and stdout == ""
         assert err == "error: a toy-model checkpoint needs at least one layer\n"
         assert not out.exists()
+
+
+class TestOutOfMemory:
+    """A run that cannot get the memory it asks for prints one error line
+    and exits 2. The allocation fails in a stand-in: a real one of that
+    size may succeed where memory is overcommitted, and then be killed."""
+
+    TOO_LARGE = MemoryError("Unable to allocate 14.9 TiB for an array with shape "
+                            "(1000000000000, 2) and data type float64")
+
+    def too_large(self, *args, **kwargs):
+        raise self.TOO_LARGE
+
+    def test_fisher_samples(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "make_domain_pair", self.too_large)
+        pm, out = tmp_path / "model.st", tmp_path / "f.st"
+        save(ToyModel.init([2, 8, 3], seed=5).to_checkpoint(), pm)
+        code, stdout, err = run(capsys, "fisher", pm, "--samples", "1000000000000", "--out", out)
+        assert code == 2 and stdout == ""
+        assert err == f"error: out of memory: {self.TOO_LARGE}\n"
+        assert not out.exists()
+
+    def test_toy_train_samples(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiment, "make_domain_pair", self.too_large)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps({"train_samples": 10**12}))
+        code, stdout, err = run(capsys, "toy", cfg, "--out", out)
+        assert code == 2 and stdout == ""
+        assert err == f"error: out of memory: {self.TOO_LARGE}\n"
+        assert not out.exists()
+
+    def test_without_a_message(self, pair, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module, "shared_parameters", no_memory)
+        code, _, err = run(capsys, "merge", *pair, "--strategy", "isotropic", "--out", tmp_path / "m.st")
+        assert code == 2 and err == "error: out of memory\n"
 
 
 class TestToyCommand:

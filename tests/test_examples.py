@@ -1,5 +1,5 @@
-"""The committed example configs, the README's demo script and the line
-counter still run."""
+"""The committed example configs, the README's demo script, the line
+counter and the benchmark record writer still run."""
 
 import json
 import os
@@ -57,3 +57,17 @@ def test_count_lines_skips_blank_comment_and_docstring_lines():
     text = ('"""Doc\n\nstring."""\n\n# note\nx = 1  # set\n\n\n'
             'def f():\n    """One line."""\n    return "not a docstring"\n')
     assert count(text) == (11, 3)
+
+
+def test_bench_pairs_record_appended_after_every_earlier_byte(tmp_path):
+    append = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))["append_record"]
+    path = tmp_path / "BENCH_w.json"
+    append(path, {"workload": "w", "pairs": [1]})
+    assert path.read_text() == json.dumps([{"workload": "w", "pairs": [1]}], indent=1) + "\n"
+    # a committed record file, whose indent the writer of its records chose
+    old = (ROOT / "BENCH_fisher-dense.json").read_text()
+    path.write_text(old)
+    append(path, {"workload": "w", "pairs": [2]})
+    new = path.read_text()
+    assert new.startswith(old[:old.rindex("]")])
+    assert json.loads(new) == [*json.loads(old), {"workload": "w", "pairs": [2]}]

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -51,6 +52,11 @@ from conftest import (
 
 def merged_arrays(ckpt):
     return {t.name: np.asarray(t.data, dtype=np.float64) for t in ckpt.tensors}
+
+
+def hand_back(blocks, j):
+    """A stand-in for ``_Blocks.merge`` that hands every block back."""
+    raise merge_module._Retry
 
 
 def before_each_fill(monkeypatch, before):
@@ -864,7 +870,7 @@ class TestBlockedKernel:
         with mock.patch.object(merge_module, "_FisherBlocks", TestBlockedKernel.oracle_fisher_weights), \
                 mock.patch.object(merge_module, "_weighted_sum",
                                   lambda w, xs, dtype, arrived: ref.ref_weighted_sum(w.block(0), xs).astype(dtype)), \
-                mock.patch.object(merge_module._Blocks, "merge", lambda self, j: None):
+                mock.patch.object(merge_module._Blocks, "merge", hand_back):
             return TestBlockedKernel.merges(pool, fishers, anchor, scores)
 
     @staticmethod
@@ -1023,7 +1029,7 @@ class TestFileBackedMerge:
         expected = self.merge("fisher", [load(p) for p in paths], [load(p) for p in fisher_paths])
         monkeypatch.setattr(ckpt_store, "_RUN_BYTES", 4096)
         if not blocks:
-            monkeypatch.setattr(merge_module._Blocks, "merge", lambda self, j: None)
+            monkeypatch.setattr(merge_module._Blocks, "merge", hand_back)
         reads = counting_reads(monkeypatch)
         with contextlib.ExitStack() as files:
             opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
@@ -1244,6 +1250,108 @@ class TestFileBackedMerge:
                 self.merge("fisher", opened[:2], opened[2:])
 
 
+class TestFastPathOutcomes:
+    """Every fast path (a block, a run, a stream) ends as the whole-read
+    path does: a pool opened with ``open_file`` merges to the bytes of the
+    same pool loaded into memory, and of that pool merged one tensor at a
+    time, read whole; or all three raise one error. Blocks, chunks and run
+    windows are small, so that tiny pools take every path."""
+
+    BIG = np.finfo(np.float64).max
+    # scores whose rounded weights, added in the content order of their
+    # bytes, take max * 1 past the range (none exist for two models)
+    OVERFLOWING = {3: [0.19528630385347684, 0.3245657365698765, 0.173109462651248],
+                   4: [0.6331871446860424, 0.09401534358238482, 0.8426441476533978,
+                       0.7970983074886834]}
+
+    @classmethod
+    def faulty_pool(cls, data, rng):
+        """Models of 2 to 4 layers of a weight, a bias and a running
+        variance, their Fisher values, and at most two faults: a non-finite
+        model value, a negative or NaN Fisher value, or one tensor that
+        every model holds as max, -max, max, ..., whose weighted sum may
+        leave the range (see ``OVERFLOWING``)."""
+        count = data.draw(st.integers(2, 4), label="models")
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 6)),
+                                    min_size=2, max_size=4), label="shapes")
+        models, fishers = [], []
+        for _ in range(count):
+            arrays = {}
+            for k, (rows, cols) in enumerate(shapes):
+                arrays[f"layer{k}.weight"] = rng.standard_normal((rows, cols))
+                arrays[f"layer{k}.bias"] = rng.standard_normal(rows)
+                arrays[f"layer{k}.running_var"] = rng.random(rows)
+            models.append(arrays)
+            # some elements with no Fisher mass, so that some do not blend
+            fishers.append({n: rng.random(x.shape) * (rng.random(x.shape) < 0.7)
+                            for n, x in arrays.items()})
+        names = sorted(models[0])
+        faults = data.draw(st.lists(st.sampled_from(["model", "fisher", "overflow"]), max_size=2),
+                           label="faults")
+        for fault in faults:
+            name = data.draw(st.sampled_from(names), label="tensor")
+            flat = [x[name].reshape(-1) for x in (models if fault != "fisher" else fishers)]
+            if fault == "overflow":
+                for x in flat:
+                    x[::2], x[1::2] = cls.BIG, -cls.BIG
+                continue
+            values = [np.nan, np.inf, -np.inf] if fault == "model" else [np.nan, -0.5]
+            i = data.draw(st.integers(0, count - 1), label="in model")
+            at = data.draw(st.integers(0, flat[i].size - 1), label="at")
+            flat[i][at] = data.draw(st.sampled_from(values), label="value")
+        return models, fishers
+
+    @staticmethod
+    def outcomes(pool, fisher_pool, anchor, scores):
+        """Of each strategy, the merged tensors' bytes, or the error's type
+        and message; the Fisher inputs are read from ``fisher_pool``."""
+        fishers = [FisherWeights.from_checkpoint(f) for f in fisher_pool]
+        alignment = shared_parameters(pool, anchor)
+        schedule = compute_schedule(len(pool), alignment.n_shared_layers, anchor)
+        merges = [partial(layerwise_merge, pool, anchor, schedule, alignment),
+                  partial(isotropic_merge, pool, alignment),
+                  partial(scalar_weighted_merge, pool, scores, alignment),
+                  partial(fisher_merge, pool, fishers, alignment)]
+        out = []
+        for merge in merges:
+            try:
+                merged = merge()
+            except (MergeError, CheckpointError) as exc:
+                out.append((type(exc), str(exc)))
+            else:
+                out.append([(t.name, t.data.dtype.str, t.data.tobytes()) for t in merged.tensors])
+        return out
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_file_backed_merge_ends_as_the_whole_read_merge(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        models, fishers = self.faulty_pool(data, rng)
+        anchor = data.draw(st.integers(0, len(models) - 1), label="anchor")
+        scores = list(1.0 + rng.random(len(models)))
+        if data.draw(st.booleans(), label="overflowing scores"):
+            scores = self.OVERFLOWING.get(len(models), scores)
+        with contextlib.ExitStack() as files:
+            for owner, name, values in ((merge_module, "_BLOCK", [2, 3, 5]),
+                                        (merge_module, "_CHUNK", [1, 2]),
+                                        (ckpt_store, "_RUN_BYTES", [16, 64, 256])):
+                value = data.draw(st.sampled_from(values), label=name)
+                files.enter_context(mock.patch.object(owner, name, value))
+            tmp = Path(files.enter_context(tempfile.TemporaryDirectory()))
+            paths = TestFileBackedMerge.saved(tmp, map(Checkpoint.from_arrays, models))
+            fisher_paths = TestFileBackedMerge.saved(tmp, map(Checkpoint.from_arrays, fishers), "f")
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
+            from_files = self.outcomes(opened[:len(paths)], opened[len(paths):], anchor, scores)
+            loaded = [load(p) for p in paths]
+            loaded_fishers = [load(p) for p in fisher_paths]
+            in_memory = self.outcomes(loaded, loaded_fishers, anchor, scores)
+            with mock.patch.object(merge_module._Blocks, "merge", hand_back):
+                whole = self.outcomes(loaded, loaded_fishers, anchor, scores)
+        for strategy, got, memory, expected in zip(merge_module.STRATEGIES, from_files,
+                                                   in_memory, whole):
+            assert got == memory == expected, strategy
+
+
 class TestStreamedReads:
     """A blended tensor larger than a block whose inputs are each read alone
     (in no run) from an open file is read by one worker thread, a chunk of
@@ -1355,6 +1463,21 @@ class TestStreamedReads:
             e = expected.get(t.name).data
             assert t.data.dtype == e.dtype and t.data.tobytes() == e.tobytes(), t.name
         assert len(failed) == 2 and escaped == []  # each large tensor's first chunk
+
+    def test_streamed_sum_that_overflows_raises_without_reading_again(self, tmp_path, monkeypatch):
+        # finite inputs whose every chunk passes, weighed by rounded weights
+        # that sum past 1, so the sum overflows: the error is raised from the
+        # stream, and no input is read a second time
+        big = np.finfo(np.float64).max
+        x = np.where(np.arange(40_000) % 2 == 0, big, -big)
+        paths = TestFileBackedMerge.saved(tmp_path, [Checkpoint.from_arrays({"layer0.weight": x})] * 4)
+        scores = [0.6331871446860424, 0.09401534358238482, 0.8426441476533978, 0.7970983074886834]
+        reads = counting_reads(monkeypatch)
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            with pytest.raises(NonFiniteTensorError, match="^merged tensor 'layer0.weight' is not finite$"):
+                scalar_weighted_merge(opened, scores, shared_parameters(opened, 0))
+        assert all(bytes_read_once(reads, p) for p in paths)
 
     @pytest.mark.parametrize("where", ["block", "streamed", "streamed, not blended"])
     def test_nan_where_a_donor_has_zero_fisher_weight_named(self, tmp_path, rng, where):
