@@ -322,7 +322,7 @@ def main(argv=None) -> int:
                 TrainingDivergedError, OSError, ValueError) as exc:
             _summary(f"error: {exc}")
             return EXIT_DATA
-        except MemoryError as exc:  # numpy's names the allocation that failed
+        except MemoryError as exc:  # numpy's message names the allocation that failed
             _summary(f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
             return EXIT_DATA
         except KeyboardInterrupt:

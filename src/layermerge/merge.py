@@ -270,7 +270,7 @@ class _Reads(Mapping):
         try:
             x, passed = self._read(rows)
         except (CheckpointError, OSError):
-            raise _Retry from None
+            passed = False
         if not passed:
             raise _Retry
         return x
@@ -517,7 +517,7 @@ class _Stream:
 
     def __init__(self, inputs):
         self._inputs = inputs  # (reads, row) of each
-        alone = [reads.index.read_alone(row) for reads, row in inputs]  # its (array, fill)
+        alone = [reads.index.read_alone(row) for reads, row in inputs]  # (array, fill) or None
         if None in alone or alone[0][0].size <= _BLOCK:
             raise _Retry
         self.arrays, self._readers = zip(*alone)
@@ -703,8 +703,7 @@ class _Blocks:
         w = np.repeat(self.table[src].T, sizes, axis=1)
         fisher = src == -1
         if fisher.any():
-            weights = self._fisher_weights(a, b, sizes, offsets, fisher)
-            w = np.where(np.repeat(fisher, sizes), weights, w)
+            w = np.where(np.repeat(fisher, sizes), self._fisher_weights(a, b, sizes, offsets, fisher), w)
         # each element's (weight, value) terms in its tensor's content order
         index = _gather(_orders(sizes, x, w), sizes)
         w_terms, x_terms = w.take(index), x.take(index)
