@@ -1259,7 +1259,7 @@ class TestFastPathOutcomes:
 
     BIG = np.finfo(np.float64).max
     # scores whose rounded weights, added in the content order of their
-    # bytes, take max * 1 past the range (none exist for two models)
+    # bytes, take max * 1 past the range (a search found none for two models)
     OVERFLOWING = {3: [0.19528630385347684, 0.3245657365698765, 0.173109462651248],
                    4: [0.6331871446860424, 0.09401534358238482, 0.8426441476533978,
                        0.7970983074886834]}
