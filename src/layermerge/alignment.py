@@ -124,6 +124,8 @@ def shared_parameters(ckpts: list[Checkpoint], anchor: int) -> SharedAlignment:
     A tensor is shared only when every model carries it with identical name,
     dtype and shape; a layer group is shared only when all of its members
     are. The result is invariant to the order of the non-anchor models.
+    A pool that shares no layer group, a lone checkpoint with no tensors
+    included, raises ``NoSharedParametersError``.
     """
     if not ckpts:
         raise AlignmentError("empty checkpoint pool")
@@ -151,7 +153,7 @@ def shared_parameters(ckpts: list[Checkpoint], anchor: int) -> SharedAlignment:
         else:
             anchor_only.extend(g.names())
 
-    if len(ckpts) >= 2 and not shared_groups:
+    if not shared_groups:
         raise NoSharedParametersError(
             "no shared parameters: the models have no layer group with "
             "matching names, dtypes and shapes"

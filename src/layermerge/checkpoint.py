@@ -85,10 +85,6 @@ class TensorRecord:
     def shape(self) -> tuple[int, ...]:
         return tuple(self.data.shape)
 
-    @property
-    def element_count(self) -> int:
-        return int(self.data.size)
-
 
 @dataclass
 class Checkpoint:
@@ -118,7 +114,7 @@ class Checkpoint:
 
     @property
     def total_parameters(self) -> int:
-        return sum(t.element_count for t in self.tensors)
+        return int(index(self).sizes.sum())
 
     def validate(self) -> None:
         seen = set()
@@ -477,10 +473,6 @@ class FileTensor:
     def __init__(self, name, dtype, shape, row, section):
         self.name, self.dtype, self.shape = name, dtype, shape
         self._row, self._section = row, section
-
-    @property
-    def element_count(self) -> int:
-        return math.prod(self.shape)
 
     @property
     def data(self) -> np.ndarray:

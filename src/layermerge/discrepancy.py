@@ -111,7 +111,7 @@ def discrepancy_profile(
     sides = [(tensors, tensors.lookup(names)) for tensors in map(index, (a, b))]
     firsts = [first for _, _, first, _ in slices]
     tensors, found = sides[0]
-    elements = np.add.reduceat(tensors.sizes[found], firsts).tolist() if slices else []
+    elements = np.add.reduceat(tensors.sizes[found], firsts).tolist()
 
     rows, batch, size = [], [], 0
     for (group, kind, first, end), n in zip(slices, elements):
@@ -120,8 +120,7 @@ def discrepancy_profile(
             batch, size = [], 0
         batch.append((group, kind, first, end, n))
         size += n
-    if batch:
-        rows += _compare(batch, sides, tau, mode)
+    rows += _compare(batch, sides, tau, mode)
     return DiscrepancyProfile(tau=float(tau), mode=mode, rows=tuple(rows))
 
 

@@ -16,6 +16,7 @@ from .data import ToyDataset
 from .model import ToyModel, softmax
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite estimate raises instead
 def estimate_fisher(model: ToyModel, data: ToyDataset) -> FisherWeights:
     model.check_fits(data)
     x, y = data.inputs, data.labels

@@ -209,10 +209,13 @@ class ToyModel:
         return deltas
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite probabilities raise instead
 def evaluate(models, data, ensemble: bool = False) -> float:
     """Accuracy of one model, or of an averaged-softmax ensemble.
 
     Ties in the averaged probabilities break toward the lowest class index.
+    Probabilities that are not finite, which outputs past the float range
+    give, raise ``ValueError``.
     """
     if isinstance(models, ToyModel):
         models = [models]
@@ -226,5 +229,7 @@ def evaluate(models, data, ensemble: bool = False) -> float:
         if len(models) != 1:
             raise ValueError("pass ensemble=True to evaluate several models jointly")
         probs = models[0].predict_proba(data.inputs)
+    if not np.isfinite(probs).all():
+        raise ValueError("non-finite class probabilities while evaluating")
     predictions = np.argmax(probs, axis=1)
     return float(np.mean(predictions == data.labels))

@@ -354,7 +354,7 @@ def ref_shared_parameters(ckpts, anchor):
             shared_groups.append(g)
         else:
             anchor_only.extend(g.names())
-    if len(ckpts) >= 2 and not shared_groups:
+    if not shared_groups:
         raise NoSharedParametersError(
             "no shared parameters: the models have no layer group with "
             "matching names, dtypes and shapes"

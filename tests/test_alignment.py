@@ -240,3 +240,23 @@ class TestSetAlignment:
         for anchor in range(-1, len(pool) + 1):
             expected = self.outcome(ref.ref_shared_parameters, pool, anchor)
             assert self.outcome(shared_parameters, pool, anchor) == expected
+
+
+NO_SHARED = ("no shared parameters: the models have no layer group with "
+             "matching names, dtypes and shapes")
+
+
+@pytest.mark.parametrize("pool, anchor, error, message", [
+    ([], 0, AlignmentError, "empty checkpoint pool"),
+    ([ckpt_of(["a.weight"])], 1, AlignmentError, "anchor index 1 out of range for 1 models"),
+    ([Checkpoint([])], 0, NoSharedParametersError, NO_SHARED),
+    ([ckpt_of(["a.weight"]), ckpt_of(["b.weight"])], 0, NoSharedParametersError, NO_SHARED),
+], ids=["empty pool", "anchor out of range", "lone checkpoint with no tensors",
+        "two models sharing no group"])
+def test_refusal_messages(pool, anchor, error, message):
+    """A pool of any size that shares no layer group is refused, by the
+    alignment and by its name-by-name oracle alike."""
+    for align in (shared_parameters, ref.ref_shared_parameters):
+        with pytest.raises(AlignmentError) as info:
+            align(pool, anchor)
+        assert type(info.value) is error and str(info.value) == message

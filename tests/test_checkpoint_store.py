@@ -996,3 +996,26 @@ class TestInspect:
         text = inspect(tmp_path / "c.st").render()
         for name in ckpt.names():
             assert name in text
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Checkpoint.from_arrays({"a": np.zeros(2)}, {"k": 1}).validate(),
+     CheckpointError, "metadata keys and values must be strings"),
+    (lambda: Checkpoint.from_arrays({"a": np.zeros(2)}).get("b"), KeyError, "'b'"),
+], ids=["metadata value not a string", "get of a missing name"])
+def test_refusal_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("arrays, total", [
+    ({}, 0),
+    ({"a": np.zeros((2, 3)), "b": np.zeros(0, np.float32), "c": np.float64(1.0)}, 7),
+], ids=["no tensors", "matrix, empty and scalar"])
+def test_total_parameters_counts_the_index(tmp_path, arrays, total):
+    ckpt = Checkpoint.from_arrays(arrays)
+    save(ckpt, tmp_path / "c.st")
+    with ckpt_store.open_file(tmp_path / "c.st") as opened:
+        counts = [ckpt.total_parameters, opened.total_parameters]
+    assert counts == [total, total] and all(type(n) is int for n in counts)

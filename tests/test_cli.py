@@ -981,3 +981,88 @@ class TestToyCommand:
         assert code == 2
         assert "epoch" in err
         assert not (tmp_path / "r.json").exists()
+
+
+def _toy_file(path, **edits):
+    """Save a small toy model to ``path``, with the named tensors replaced,
+    or removed where the edit is None."""
+    arrays = {**ToyModel.init([2, 8, 3], seed=5).to_checkpoint().arrays(), **edits}
+    save(Checkpoint.from_arrays({k: v for k, v in arrays.items() if v is not None}), path)
+    return path
+
+
+def _with_metadata(path, **metadata):
+    path.write_bytes(patch_header(path, lambda h: h["metadata"].update(metadata)))
+    return path
+
+
+def _toy_config(path, **fields):
+    path.write_text(json.dumps(fields))
+    return path
+
+
+class TestRefusalMessages:
+    """Refusals that no other test names: each prints its one summary line,
+    exits with its code and writes nothing."""
+
+    LAYER_ORDER = "error: layer_order metadata must be a JSON list of strings\n"
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (lambda tmp, a, b: ["merge", _with_metadata(a, performance="abc"), b,
+                            "--strategy", "scalar"],
+         2, "error: metadata performance 'abc' is not numeric\n"),
+        (lambda tmp, a, b: ["merge", _with_metadata(a, layer_order="{}"), b,
+                            "--strategy", "isotropic"], 2, LAYER_ORDER),
+        (lambda tmp, a, b: ["merge", _with_metadata(a, layer_order="[1]"), b,
+                            "--strategy", "layerwise", "--anchor", "0"], 2, LAYER_ORDER),
+        (lambda tmp, a, b: ["profile", _with_metadata(a, layer_order="{}"), b, "--tau", "1"],
+         2, LAYER_ORDER),
+        (lambda tmp, a, b: ["profile", _with_metadata(a, layer_order="[1]"), b, "--tau", "1"],
+         2, LAYER_ORDER),
+        (lambda tmp, a, b: ["fisher", _toy_file(tmp / "t.st", **{
+            "l1.weight": None, "l1.bias": None, "l2.weight": np.ones((3, 8)),
+            "l2.bias": np.ones(3)})],
+         2, "error: layer indices must be consecutive from 0\n"),
+        (lambda tmp, a, b: ["toy", _toy_config(tmp / "c.json", donor_domain="both")],
+         1, "usage error: invalid experiment config: unknown donor domain 'both'\n"),
+    ], ids=["scalar over a non-numeric performance", "merge with layer_order {}",
+            "merge with layer_order [1]", "profile with layer_order {}",
+            "profile with layer_order [1]", "fisher over layers l0 and l2",
+            "toy with an unknown donor domain"])
+    def test_message_exit_code_and_no_output(self, pair, tmp_path, capsys, argv, code, message):
+        out = tmp_path / "out"
+        got, stdout, err = run(capsys, *argv(tmp_path, *pair), "--out", out)
+        assert (got, stdout, err) == (code, "", message)
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+
+
+class TestNoWarningAfterAToyError:
+    """A toy model whose outputs overflow gives one ``error:`` line and no
+    numpy warning: the suite turns a warning into an error, and ``cli.main``
+    would print it after the summary."""
+
+    @staticmethod
+    def assert_one_error_line(code, stdout, err, out):
+        assert code == 2 and stdout == "", err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "warning:" not in err and not out.exists()
+
+    def test_fisher_on_a_translation_past_the_float_range(self, tmp_path, capsys):
+        out = tmp_path / "f.st"
+        got = run(capsys, "fisher", _toy_file(tmp_path / "m.st"), "--samples", "30",
+                  "--tx", "1e308", "--domain", "target", "--out", out)
+        self.assert_one_error_line(*got, out)
+
+    def test_fisher_on_a_model_with_an_inf_weight(self, tmp_path, capsys):
+        weight = ToyModel.init([2, 8, 3], seed=5).weights[0].copy()
+        weight[0, 0] = np.inf
+        out = tmp_path / "f.st"
+        got = run(capsys, "fisher", _toy_file(tmp_path / "m.st", **{"l0.weight": weight}),
+                  "--out", out)
+        self.assert_one_error_line(*got, out)
+
+    @pytest.mark.parametrize("tx", [1e308, 1e300])
+    def test_toy_untrained_on_a_translation_past_the_float_range(self, tmp_path, capsys, tx):
+        cfg = _toy_config(tmp_path / "c.json", epochs=0, shift_translation=[tx, 0])
+        out = tmp_path / "r.json"
+        self.assert_one_error_line(*run(capsys, "toy", cfg, "--out", out), out)

@@ -361,3 +361,14 @@ class TestEmitProfile:
         indices = [(r.layer_index, r.kind) for r in profile.rows]
         kind_rank = {"weight": 0, "bias": 1, "bn_mean": 2, "bn_var": 3, "other": 4}
         assert indices == sorted(indices, key=lambda t: (t[0], kind_rank[t[1]]))
+
+
+@pytest.mark.parametrize("render, message", [
+    (lambda profile: emit_profile(profile, format="xml"),
+     "unknown format 'xml', expected 'csv' or 'json'"),
+], ids=["unknown format"])
+def test_refusal_messages(rng, render, message):
+    ckpt = make_checkpoint([(2, 2)], rng)
+    with pytest.raises(DiscrepancyError) as info:
+        render(discrepancy_profile(ckpt, ckpt, 1.0))
+    assert str(info.value) == message

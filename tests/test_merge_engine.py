@@ -1626,3 +1626,35 @@ class TestReadWorkerJoined:
         assert readers == ([False] if where == "worker read" else [True])
         # told to stop, the worker reads no more than the piece it was reading
         assert pieces.count(0) <= 8 and len(pieces) <= pieces.count(0) + 1
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: compute_schedule(0, 3, 0), "model count must be >= 1"),
+    (lambda: compute_schedule(2, 0, 0), "shared layer count must be >= 1"),
+    (lambda: compute_schedule(2, 3, 2), "anchor index 2 out of range for 2 models"),
+    (lambda: MergeSchedule(2, 3, 0, 1, 0.0, np.full((3, 2), 0.5)),
+     "weight matrix shape (3, 2) does not match (2, 3)"),
+    (lambda: MergeSchedule(2, 3, 2, 1, 0.0, np.full((2, 3), 0.5)), "anchor index 2 out of range"),
+], ids=["no models", "no layers", "anchor past the models", "table of the wrong shape",
+        "anchor past the table"])
+def test_schedule_refusal_messages(build, message):
+    with pytest.raises(ScheduleError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_fisher_membership_and_length_read_nothing(tmp_path, monkeypatch):
+    """``in`` and ``len`` of a file's Fisher tensors answer from its index:
+    a tensor holding a negative value is neither read nor refused."""
+    path = tmp_path / "f.st"
+    save(Checkpoint.from_arrays({"a.weight": np.array([[1.0, -2.0]]), "a.bias": np.ones(3)}), path)
+    with ckpt_store.open_file(path) as ckpt:
+        tensors = FisherWeights.from_checkpoint(ckpt).tensors
+        reads = counting_reads(monkeypatch)
+        assert "a.weight" in tensors and "a.bias" in tensors
+        assert "b.weight" not in tensors and "a" not in tensors
+        assert len(tensors) == 2
+        assert reads == []
+        with pytest.raises(FisherInputError, match="negative Fisher values in 'a.weight'"):
+            tensors["a.weight"]
+        assert reads != []

@@ -683,3 +683,36 @@ class TestExperiment:
             ExperimentConfig.from_dict({"mode": "nope"})
         with pytest.raises(ValueError, match="strategies"):
             ExperimentConfig.from_dict({"strategies": ["treaty"]})
+
+
+def _model_with_an_inf_weight():
+    model = ToyModel.init([2, 4, 3], seed=0)
+    model.weights[0][0, 0] = np.inf
+    return model
+
+
+_DATA = make_domain_pair(0, 30, 3)[0]
+_MODEL = ToyModel.init([2, 4, 3], seed=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ToyModel([np.zeros((3, 2))], []), "weights and biases must pair up"),
+    (lambda: ToyModel([np.zeros((3, 2))], [np.zeros(2)]),
+     "bias shape must match layer output size"),
+    (lambda: evaluate([], _DATA), "need at least one model"),
+    (lambda: evaluate([_MODEL, _MODEL], _DATA),
+     "pass ensemble=True to evaluate several models jointly"),
+    (lambda: evaluate(_model_with_an_inf_weight(), _DATA),
+     "non-finite class probabilities while evaluating"),
+    (lambda: train([_MODEL], [_DATA], [TrainConfig(epochs=0)], snapshot_count=1),
+     "snapshots need at least one epoch"),
+    (lambda: ToyDataset(np.zeros((0, 2)), np.zeros(0, np.int64), 2, 0, DomainShift()),
+     "dataset must be non-empty"),
+], ids=["unpaired biases", "misshaped bias", "no models", "several models without ensemble",
+        "non-finite probabilities", "snapshots at 0 epochs", "dataset with no rows"])
+def test_refusal_messages(call, message):
+    """Each refusal raises its message and no numpy warning (the suite
+    turns one into an error)."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
