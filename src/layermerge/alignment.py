@@ -17,7 +17,8 @@ from itertools import compress
 
 import numpy as np
 
-from .checkpoint import Checkpoint, CheckpointError, index, match_layer_order, same_signature
+from .checkpoint import (META_LAYER_ORDER, Checkpoint, CheckpointError, index, match_layer_order,
+                         same_signature)
 
 KIND_WEIGHT = "weight"
 KIND_BIAS = "bias"
@@ -125,13 +126,16 @@ def shared_parameters(ckpts: list[Checkpoint], anchor: int) -> SharedAlignment:
     dtype and shape; a layer group is shared only when all of its members
     are. The result is invariant to the order of the non-anchor models.
     A pool that shares no layer group, a lone checkpoint with no tensors
-    included, raises ``NoSharedParametersError``.
+    included, raises ``NoSharedParametersError``. Every model's
+    ``layer_order`` metadata, where it has one, must fit its own names
+    (``group_layers``); only the anchor's groups the pool.
     """
     if not ckpts:
         raise AlignmentError("empty checkpoint pool")
     if not 0 <= anchor < len(ckpts):
         raise AlignmentError(f"anchor index {anchor} out of range for {len(ckpts)} models")
 
+    groups = group_layers(ckpts[anchor])
     indexes = [index(ckpt) for ckpt in ckpts]
     mine = indexes[anchor]
     names = list(mine.rows)
@@ -139,12 +143,13 @@ def shared_parameters(ckpts: list[Checkpoint], anchor: int) -> SharedAlignment:
     unshared, conflicts = np.zeros((2, len(names)), bool)  # conflicts: held as another signature
     for i, theirs in enumerate(indexes):
         if i != anchor:
+            if META_LAYER_ORDER in ckpts[i].metadata:
+                group_layers(ckpts[i])  # raises when its order does not fit its names
             found = theirs.lookup(names)
             differ = ~same_signature(mine, rows, theirs, found)
             unshared, conflicts = unshared | differ, conflicts | differ & (found >= 0)
     unshared, conflicts = set(compress(names, unshared)), set(compress(names, conflicts))
 
-    groups = group_layers(ckpts[anchor])
     shared_groups = []
     anchor_only = []
     for g in groups:

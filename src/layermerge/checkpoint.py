@@ -482,10 +482,11 @@ class FileTensor:
 def read_flat(index, rows):
     """``(pieces, runs)``: the values of the tensors ``rows`` of ``index``
     (no row -1) as flat arrays that hold them back to back when put
-    together, and ``(run, values)`` for each piece that is a view of a run:
-    the run's id and all its values. Neighbours that lie back to back, in
-    that order, in one run are one ``view`` of it; every other tensor is
-    read alone."""
+    together, and ``(run, values)`` for each run that this call read from
+    the file: the run's id and all its values, so that each run is
+    reported once, by the read that reads it. Neighbours that lie back to
+    back, in that order, in one run are one ``view`` of it; every other
+    tensor is read alone."""
     runs, sizes = index.runs[rows], index.sizes[rows]
     cuts = []  # where a tensor does not follow the one before it directly in its run
     if len(rows) > 1:
@@ -500,7 +501,8 @@ def read_flat(index, rows):
             pieces.extend(index.read(row).reshape(-1) for row in rows[lo:hi])
             continue
         pieces.append(got[0])
-        found.append((int(runs[lo]), got[1]))
+        if got[1] is not None:
+            found.append((int(runs[lo]), got[1]))
     return pieces, found
 
 
@@ -537,11 +539,9 @@ class _DataSection(TensorIndex):
         self.fh, self.path = fh, path
         self.base = fh.tell()
         self.identity = _identity(fh)
-        self.starts, self.ends = starts, ends
-        self.spans = []  # (start, end, dtype) of each run, whose rows are ``members``
+        self.starts, self.ends, self.members = starts, ends, members  # members: each run's rows
         for run, rows in enumerate(members):
             self.runs[rows] = run
-            self.spans.append((int(starts[rows[0]]), int(ends[rows[-1]]), dtypes[rows[0]]))
         self._read_runs = set()
         self._kept = -1, None  # the run kept and its values
 
@@ -561,17 +561,20 @@ class _DataSection(TensorIndex):
         """``(piece, values)`` while the file is open: ``piece`` is the
         ``count`` elements from where the tensor ``row`` starts (its run
         must hold them, as ``read_flat`` makes sure) as a flat read-only
-        view of its run, and ``values`` the whole run's, so that a caller
-        can check the run once; the run is read now if it never was. None
-        when the tensor is in no run, or its run was read before and
-        dropped, or the file is closed or no longer holds the run."""
+        view of its run, which is read now if it never was. ``values`` is
+        the whole run's values when this call read the run, so that a
+        caller can check the run once, else None. None when the tensor is
+        in no run, or its run was read before and dropped, or the file is
+        closed or no longer holds the run."""
         run = int(self.runs[row])
         if run < 0 or self.fh.closed:
             return None
-        if run not in self._read_runs:
+        rows = self.members[run]
+        start, end, dtype = int(self.starts[rows[0]]), int(self.ends[rows[-1]]), self.dtypes[row]
+        new = run not in self._read_runs
+        if new:
             self._read_runs.add(run)
             self._kept = -1, None  # dropped, even if this run falls short
-            start, end, dtype = self.spans[run]
             values = np.empty((end - start) // _ITEMSIZE[dtype], DTYPE_TO_NUMPY[dtype])
             if self._fill(self.fh, values, start):
                 values.setflags(write=False)
@@ -579,8 +582,8 @@ class _DataSection(TensorIndex):
         kept, values = self._kept
         if kept != run:
             return None
-        first = (int(self.starts[row]) - self.spans[run][0]) // values.itemsize
-        return values[first:first + count], values
+        first = (int(self.starts[row]) - start) // values.itemsize
+        return values[first:first + count], values if new else None
 
     def read_alone(self, row):
         """``(arr, fill)`` for the tensor ``row`` in no run of the open

@@ -207,37 +207,34 @@ class _Reads(Mapping):
     and ``reject(name, array)`` raises the error of a tensor that does not.
     Tensors are addressed by their row of the checkpoint's ``index``, so a
     name held twice is refused, and read through ``read_flat``, which
-    alone decides which are one view of a run of a file. Each run a read
-    gives is checked once, by one ``ok`` on the whole run, and its verdict
-    is kept: a tensor of a run that passed counts as checked, and only a
-    tensor of a run that failed, or of none, is tried on its own, so every
+    alone decides which are one view of a run of a file and reports each
+    run once, in the read that reads it. One flag per row records that the
+    row passed: a run that passes one ``ok`` flags all its rows, so only a
+    tensor of a run that failed, or of none, is tried on its own, and every
     error is still raised when its tensor is looked up. ``block`` reads
     several tensors at once for the block kernel. ``check_rest`` reads and
-    checks the tensors not checked yet, so that none goes unchecked."""
+    checks the tensors not flagged yet, so that none goes unchecked."""
 
     def __init__(self, ckpt, ok, reject):
         self.index = index(ckpt)
         if len(self.index.rows) < len(self.index.names):
             ckpt.validate()  # raises its duplicate-name error
         self._ok, self._reject = ok, reject
-        # the rows checked apart from their run, and each run's verdict
-        self._checked, self._run_passed = np.zeros(len(self.index.names), bool), {}
+        self._checked = np.zeros(len(self.index.names), bool)
 
     def _read(self, rows):
         """``(values, passed)``: the values of the tensors ``rows`` back to
-        back in one flat array (``read_flat``), and whether they pass: at
-        once when every piece is a view of a run that passed, else when all
-        the values together pass ``ok``, and then every row counts as
-        checked."""
+        back in one flat array (``read_flat``), and whether they pass. Each
+        run the read reports is checked first, and flags its rows when it
+        passes ``ok``; the values pass at once when every row is flagged,
+        else when they all pass ``ok`` together, and then every row is
+        flagged."""
         pieces, runs = read_flat(self.index, rows)
         x = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-        run_passed = self._run_passed
         for run, values in runs:
-            if run not in run_passed:
-                run_passed[run] = self._ok(values)
-        if len(runs) == len(pieces) and all(run_passed[run] for run, _ in runs):
-            return x, True
-        passed = self._ok(x)
+            if self._ok(values):
+                self._checked[self.index.members[run]] = True
+        passed = bool(self._checked[rows].all()) or self._ok(x)
         if passed:
             self._checked[rows] = True
         return x, passed
@@ -276,10 +273,8 @@ class _Reads(Mapping):
         return x
 
     def check_rest(self) -> None:
-        runs, run_passed = self.index.runs, self._run_passed
-        passed = [run for run, ok in run_passed.items() if ok]
-        for row in np.flatnonzero(~self._checked & ~np.isin(runs, passed)).tolist():
-            if not run_passed.get(int(runs[row])):  # its run may have passed since
+        for row in np.flatnonzero(~self._checked).tolist():
+            if not self._checked[row]:  # its run may have passed since
                 self._get(row)
 
 

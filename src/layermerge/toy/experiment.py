@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from ..alignment import shared_parameters
 from ..discrepancy import discrepancy_profile
@@ -37,11 +37,6 @@ from .model import ToyModel, evaluate
 from .training import TrainConfig, snapshot_epochs, train
 
 STRATEGIES = (*MERGE_STRATEGIES, "ensemble")
-_INT_LISTS = ("hidden", "donor_seeds")
-_INT_FIELDS = ("seed", "train_samples", "eval_samples", "classes", "epochs", "batch_size",
-               "checkpoint_count", "start_layer", *_INT_LISTS)
-_REAL_FIELDS = ("learning_rate", "head_lr_multiplier", "shift_rotation")
-_NULLABLE = ("first_layer_weight", "tau")  # real numbers or null
 
 
 def _finite_number(value) -> bool:
@@ -76,15 +71,16 @@ class ExperimentConfig:
     tau: float | None = None
 
     def __post_init__(self):
+        # each field's kind is its annotation, a string under postponed evaluation;
         # type() rather than isinstance(): JSON true/false decode to bool, an int subclass
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not all(type(v) is int for v in (value if name in _INT_LISTS else [value])):
-                raise ValueError(f"{name} must hold integers, got {value!r}")
-        for name in (*_REAL_FIELDS, *_NULLABLE):
-            value = getattr(self, name)
-            if not (value is None and name in _NULLABLE or _finite_number(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "tuple[int, ...]"):
+                if not all(type(v) is int for v in (value if f.type != "int" else [value])):
+                    raise ValueError(f"{f.name} must hold integers, got {value!r}")
+            elif f.type in ("float", "float | None"):
+                if not (value is None and f.type != "float" or _finite_number(value)):
+                    raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if type(self.shared_init) is not bool:
             raise ValueError(f"shared_init must be true or false, got {self.shared_init!r}")
         if min(self.hidden, default=1) < 1:
@@ -140,7 +136,7 @@ class ExperimentConfig:
         if extra:
             raise ValueError(f"unknown config keys {sorted(extra)}")
         payload = dict(payload)
-        for key in ("hidden", "donor_seeds", "strategies", "shift_translation"):
+        for key in (f.name for f in fields(cls) if f.type.startswith("tuple[")):
             if key in payload:
                 if type(payload[key]) is not list:
                     raise ValueError(f"{key} must be a JSON array, got {payload[key]!r}")
@@ -209,21 +205,21 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         results = _train_pool(cfg, [cfg.seed, *cfg.donor_seeds], train_sets)
         models = [r.model for r in results]
         ids = ["anchor"] + [f"donor{i}" for i in range(1, len(models))]
-        fields = [{"final_loss": r.final_loss} for r in results]
+        details = [{"final_loss": r.final_loss} for r in results]
         pool_sizes = [len(models)]
     else:  # snapshots of one source-domain run, newest (the anchor) first
         [run] = _train_pool(cfg, [cfg.seed], [source_train], cfg.checkpoint_count)
         epochs, models = zip(*run.snapshots[::-1])
         ids = [f"epoch{e}" for e in epochs]
         train_sets = [source_train] * len(models)
-        fields = [{"epoch": e} for e in epochs]
+        details = [{"epoch": e} for e in epochs]
         pool_sizes = range(1, len(models) + 1)  # the newest m snapshots
     ckpts = [m.to_checkpoint({"model_id": i}) for m, i in zip(models, ids)]
 
     report: dict = {"config": asdict(cfg), "mode": cfg.mode, "merges": []}
     report["models"] = [
-        {"model_id": c.metadata["model_id"], **f, **_accuracies(m, evals)}
-        for c, m, f in zip(ckpts, models, fields)
+        {"model_id": c.metadata["model_id"], **d, **_accuracies(m, evals)}
+        for c, m, d in zip(ckpts, models, details)
     ]
     scores = [row["source_accuracy"] for row in report["models"]]  # for scalar merging
     fishers = []

@@ -337,6 +337,10 @@ def ref_shared_parameters(ckpts, anchor):
     if not 0 <= anchor < len(ckpts):
         raise AlignmentError(f"anchor index {anchor} out of range for {len(ckpts)} models")
 
+    groups = ref_group_layers(ckpts[anchor])
+    for i, ckpt in enumerate(ckpts):  # every model's layer order must fit its own names
+        if i != anchor and "layer_order" in ckpt.metadata:
+            ref_group_layers(ckpt)
     signatures = [{t.name: (t.dtype, t.shape) for t in ckpt.tensors} for ckpt in ckpts]
     anchor_sig = signatures[anchor]
     shared_names = set()
@@ -349,7 +353,7 @@ def ref_shared_parameters(ckpts, anchor):
             conflicts.add(name)
 
     shared_groups, anchor_only = [], []
-    for g in ref_group_layers(ckpts[anchor]):
+    for g in groups:
         if all(name in shared_names for name, _ in g.members):
             shared_groups.append(g)
         else:

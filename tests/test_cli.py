@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import json
 import os
 import signal
@@ -19,8 +20,8 @@ import layermerge.toy.experiment as experiment
 from layermerge.toy import ToyModel, estimate_fisher, make_domain_pair
 
 from conftest import (
-    DEEP_JSON, HEADERS_PAST_LIMITS, LONG_INT_JSON, clone_with_noise, counting_reads,
-    make_checkpoint, patch_header, write_raw_header,
+    DEEP_JSON, HEADERS_PAST_LIMITS, LONG_INT_JSON, bytes_read_once, clone_with_noise,
+    counting_reads, make_checkpoint, patch_header, write_raw_header,
 )
 
 
@@ -1035,6 +1036,32 @@ class TestRefusalMessages:
         assert (got, stdout, err) == (code, "", message)
         assert not out.exists() and not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("layer_order", ["{}", "[1]", '["layer0", "layer1", "layer2", "x"]'],
+                             ids=["object", "number", "prefix it lacks"])
+    @pytest.mark.parametrize("command, flags", [
+        ("merge", lambda a, b: ["--strategy", "layerwise", "--anchor", "0"]),
+        ("merge", lambda a, b: ["--strategy", "isotropic"]),
+        ("merge", lambda a, b: ["--strategy", "scalar"]),
+        ("merge", lambda a, b: ["--strategy", "fisher", "--fisher", a, b]),
+        ("profile", lambda a, b: ["--tau", "1"]),
+    ], ids=["layerwise", "isotropic", "scalar", "fisher", "profile"])
+    def test_donor_layer_order_refused_as_the_anchors(self, pair, tmp_path, capsys, command,
+                                                      flags, layer_order):
+        """Every input is held to its own ``layer_order``: a donor's bad
+        order gives the anchor's exit code and message, and no file."""
+        results = []
+        for bad in (0, 1):  # the anchor's order, then the donor's
+            inputs = [tmp_path / f"{bad}{p.name}" for p in pair]
+            for path, source in zip(inputs, pair):
+                path.write_bytes(source.read_bytes())
+            _with_metadata(inputs[bad], layer_order=layer_order)
+            out = tmp_path / f"out{bad}"
+            results.append(run(capsys, command, *inputs, *flags(*pair), "--out", out))
+            assert not out.exists() and not list(tmp_path.glob("*.tmp"))
+        code, stdout, err = results[0]
+        assert (code, stdout) == (2, "") and err.startswith("error: layer_order"), err
+        assert results[1] == results[0]
+
 
 class TestNoWarningAfterAToyError:
     """A toy model whose outputs overflow gives one ``error:`` line and no
@@ -1066,3 +1093,31 @@ class TestNoWarningAfterAToyError:
         cfg = _toy_config(tmp_path / "c.json", epochs=0, shift_translation=[tx, 0])
         out = tmp_path / "r.json"
         self.assert_one_error_line(*run(capsys, "toy", cfg, "--out", out), out)
+
+
+def _benchmark_pools(monkeypatch):
+    """``benchmark/pools.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "pools.py"
+    spec = importlib.util.spec_from_file_location("benchmark_pools", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolves string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_many_tensor_pool_reads(tmp_path, capsys, monkeypatch):
+    """The benchmark's full many-tensor pool (four models of 8,002 small F32
+    tensors, 18 runs a file): a layer-wise merge of all four and a profile
+    of the first two read every byte once, in one ``preadv`` per run."""
+    models = _benchmark_pools(monkeypatch).many_tensor_pool(tmp_path, 11, "full").models
+    reads = counting_reads(monkeypatch)
+    code, _, err = run(capsys, "merge", *models, "--anchor", "0", "--strategy", "layerwise",
+                       "--out", tmp_path / "merged.lm")
+    assert code == 0, err
+    assert len(reads) == 72 and all(bytes_read_once(reads, p) for p in models)
+    reads.clear()
+    code, _, err = run(capsys, "profile", *models[:2], "--tau", "10.0",
+                       "--out", tmp_path / "profile.csv")
+    assert code == 0, err
+    assert len(reads) == 36 and all(bytes_read_once(reads, p) for p in models[:2])

@@ -1236,6 +1236,33 @@ class TestFileBackedMerge:
             with pytest.raises(NonFiniteTensorError, match=r"layer2.weight.*model 1"):
                 self.merge("layerwise", opened)
 
+    @pytest.mark.parametrize("nan", [True, False], ids=["nan in the last layer", "finite"])
+    def test_run_read_before_the_merge(self, tmp_path, rng, nan, monkeypatch):
+        # a caller reads a donor tensor before the merge, so that the donor's
+        # one run is read and kept: the merge's reads of it report no run,
+        # and its tensors are checked as they are read, the last layer (which
+        # only the anchor weighs, so the merge never looks it up) included
+        anchor = make_checkpoint([(3, 3), (2, 3), (4, 2)], rng)
+        donor = Checkpoint.from_arrays({t.name: t.data + 0.1 for t in anchor.tensors})
+        if nan:
+            donor.get("layer2.weight").data[1, 0] = np.nan
+        paths = self.one_run(tmp_path, [anchor, donor])
+        reads = counting_reads(monkeypatch)
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            opened[1].tensors[0].data  # reads the donor's first tensor, and so its run
+            if nan:
+                with pytest.raises(NonFiniteTensorError,
+                                   match=r"^non-finite values in tensor 'layer2.weight' of model 1$"):
+                    self.merge("layerwise", opened)
+                return
+            merged = self.merge("layerwise", opened)
+        assert all(bytes_read_once(reads, p) for p in paths) and len(reads) == 2
+        out, expected = tmp_path / "out.st", tmp_path / "expected.st"
+        save(merged, out)
+        save(self.merge("layerwise", [load(p) for p in paths]), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
     @pytest.mark.parametrize("name, value", [
         ("bn.running_var", -1.0),  # weighted 1/M, never looked up
         ("extra.weight", np.nan),  # outside the shared set

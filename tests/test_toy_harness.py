@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -683,6 +684,46 @@ class TestExperiment:
             ExperimentConfig.from_dict({"mode": "nope"})
         with pytest.raises(ValueError, match="strategies"):
             ExperimentConfig.from_dict({"strategies": ["treaty"]})
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"seed": True}, "seed must hold integers, got True"),
+    ({"epochs": 2.5}, "epochs must hold integers, got 2.5"),
+    ({"hidden": [16, 1.5]}, "hidden must hold integers, got (16, 1.5)"),
+    ({"donor_seeds": [1, "2"]}, "donor_seeds must hold integers, got (1, '2')"),
+    ({"learning_rate": "fast"}, "learning_rate must be a finite number, got 'fast'"),
+    ({"learning_rate": None}, "learning_rate must be a finite number, got None"),
+    ({"shift_rotation": float("inf")}, "shift_rotation must be a finite number, got inf"),
+    ({"tau": "x"}, "tau must be a finite number, got 'x'"),
+    ({"first_layer_weight": float("nan")}, "first_layer_weight must be a finite number, got nan"),
+    ({"donor_seeds": 5}, "donor_seeds must be a JSON array, got 5"),
+    ({"shift_translation": "ab"}, "shift_translation must be a JSON array, got 'ab'"),
+    ({"epochs": 2.5, "hidden": [1.5]}, "hidden must hold integers, got (1.5,)"),
+], ids=["int given a bool", "int given a float", "tuple[int, ...]", "tuple[int, ...] given a string",
+        "float given a string", "float given null", "float given inf", "float | None",
+        "float | None given nan", "tuple given a number", "tuple given a string",
+        "two bad fields, named in declaration order"])
+def test_config_field_kind_refusals(payload, message):
+    """A field is checked by the kind its annotation names; the first bad
+    field in declaration order is named."""
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig.from_dict(payload)
+    assert str(info.value) == message
+
+
+# a value of the wrong kind for each annotation an ExperimentConfig field has
+_WRONG_KIND = {"int": 1.5, "tuple[int, ...]": (1.5,), "float": "x", "float | None": "x",
+               "bool": 1, "str": 1, "tuple[str, ...]": (1,), "tuple[float, float]": ("x", "x")}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+def test_every_config_field_has_a_checked_kind(field):
+    """Every field's annotation is a kind that ``__post_init__`` checks, and
+    a value of another kind is refused naming the field, so a new field
+    cannot skip its check."""
+    assert field.type in _WRONG_KIND
+    with pytest.raises(ValueError, match=field.name.replace("_", "[_ ]")):
+        ExperimentConfig(**{field.name: _WRONG_KIND[field.type]})
 
 
 def _model_with_an_inf_weight():
