@@ -1,7 +1,10 @@
+import importlib.util
 import json
 import os
 import struct
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +43,18 @@ def pytest_runtest_makereport(item, call):
     item.config.pluginmanager.get_plugin("terminalreporter").write_line(
         f"acceptance criterion {number:>2} [{status}] {title}"
     )
+
+
+def benchmark_module(monkeypatch, name):
+    """The module ``benchmark/<name>.py``, loaded from its file, since
+    ``benchmark/`` is no package."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolves string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_checkpoint(layer_shapes, rng, dtype=np.float64, metadata=None, prefix="layer"):

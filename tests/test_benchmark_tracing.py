@@ -3,22 +3,10 @@ listed in ``benchmark/tracing.py``. A refactor that renames or moves one of
 them must fail here instead of silently dropping it from the trace."""
 
 import importlib
-import importlib.util
 import inspect
 import json
-import sys
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
-
-
-def _load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses resolves string annotations through sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
+from conftest import benchmark_module
 
 
 def _owner(where):
@@ -28,7 +16,7 @@ def _owner(where):
 
 
 def test_every_traced_site_resolves_and_is_restored(monkeypatch):
-    tracing = _load_tracing(monkeypatch)
+    tracing = benchmark_module(monkeypatch, "tracing")
     missing = [f"{w}.{a}" for w, a, _ in tracing.SITES if not hasattr(_owner(w), a)]
     assert not missing, f"traced call sites no longer exist: {missing}"
     before = [inspect.getattr_static(_owner(w), a) for w, a, _ in tracing.SITES]
@@ -50,7 +38,7 @@ def test_every_traced_site_is_called(monkeypatch, tmp_path, capsys):
     from layermerge.cli import main
     from layermerge.toy import ToyModel
 
-    tracing = _load_tracing(monkeypatch)
+    tracing = benchmark_module(monkeypatch, "tracing")
     sites = [(where, attr, f"{where}.{attr}") for where, attr, _ in tracing.SITES]
     monkeypatch.setattr(tracing, "SITES", sites)
     models = [tmp_path / f"m{i}.st" for i in range(2)]

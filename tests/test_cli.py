@@ -1,5 +1,4 @@
 import gc
-import importlib.util
 import json
 import os
 import signal
@@ -20,8 +19,8 @@ import layermerge.toy.experiment as experiment
 from layermerge.toy import ToyModel, estimate_fisher, make_domain_pair
 
 from conftest import (
-    DEEP_JSON, HEADERS_PAST_LIMITS, LONG_INT_JSON, bytes_read_once, clone_with_noise,
-    counting_reads, make_checkpoint, patch_header, write_raw_header,
+    DEEP_JSON, HEADERS_PAST_LIMITS, LONG_INT_JSON, benchmark_module, bytes_read_once,
+    clone_with_noise, counting_reads, make_checkpoint, patch_header, write_raw_header,
 )
 
 
@@ -1095,22 +1094,11 @@ class TestNoWarningAfterAToyError:
         self.assert_one_error_line(*run(capsys, "toy", cfg, "--out", out), out)
 
 
-def _benchmark_pools(monkeypatch):
-    """``benchmark/pools.py``, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "benchmark" / "pools.py"
-    spec = importlib.util.spec_from_file_location("benchmark_pools", path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses resolves string annotations through sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_many_tensor_pool_reads(tmp_path, capsys, monkeypatch):
     """The benchmark's full many-tensor pool (four models of 8,002 small F32
     tensors, 18 runs a file): a layer-wise merge of all four and a profile
     of the first two read every byte once, in one ``preadv`` per run."""
-    models = _benchmark_pools(monkeypatch).many_tensor_pool(tmp_path, 11, "full").models
+    models = benchmark_module(monkeypatch, "pools").many_tensor_pool(tmp_path, 11, "full").models
     reads = counting_reads(monkeypatch)
     code, _, err = run(capsys, "merge", *models, "--anchor", "0", "--strategy", "layerwise",
                        "--out", tmp_path / "merged.lm")
