@@ -76,10 +76,10 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in ("int", "tuple[int, ...]"):
-                if not all(type(v) is int for v in (value if f.type != "int" else [value])):
+                if not all(type(v) is int for v in ([value] if f.type == "int" else value)):
                     raise ValueError(f"{f.name} must hold integers, got {value!r}")
             elif f.type in ("float", "float | None"):
-                if not (value is None and f.type != "float" or _finite_number(value)):
+                if not (value is None and f.type == "float | None" or _finite_number(value)):
                     raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if type(self.shared_init) is not bool:
             raise ValueError(f"shared_init must be true or false, got {self.shared_init!r}")
