@@ -21,11 +21,13 @@ sums a large tensor whether it is streamed or read whole
 (``_Blocks._sum``). A large tensor whose inputs are each read alone from an
 open file is streamed: one worker thread has the checkpoint reader fill
 it a chunk at a time (``read_alone``) while the kernel sums the chunks
-already in (``_Stream``); the merge loop reads nothing meanwhile. A block
-or a stream that cannot finish hands its tensors back by raising
-``_Retry``, and they are merged again one at a time, read whole. Before
-any tensor is read, the merge checks once that the models and Fisher
-inputs fit the alignment (``_fitted_rows``). Every tensor of every input,
+already in (``_Stream``); the merge loop reads nothing meanwhile. The
+worker starts at the stream's first wait, inside the ``with`` that joins
+it, and publishes each chunk once, when every input's piece has passed its
+check. A block or a stream that cannot finish hands its tensors back by
+raising ``_Retry``, and they are merged again one at a time, read whole.
+Before any tensor is read, the merge checks once that the models and
+Fisher inputs fit the alignment (``_fitted_rows``). Every tensor of every input,
 blended or not, is checked (finite, and Fisher values non-negative), and a
 merged tensor that is not finite, which finite inputs reach by overflow,
 raises ``NonFiniteTensorError``. Schedule weights are exact rationals
@@ -501,14 +503,18 @@ class _Stream:
     ``read_alone`` and checked by its ``_Reads``' ``ok``, before chunk
     c + 1. The constructor raises ``_Retry`` when the tensor holds at
     most one block, so that no read could go beside the kernel, or when
-    an input is not read alone. The worker stops at the first chunk that
-    fails, or when told to. ``arrived(hi)`` returns once the first ``hi``
-    elements of every array are in, and raises ``_Retry`` when the worker
-    stopped before them. As a context manager the stream sets its worker
-    going on entry, and joins it on exit, telling it to stop first when
-    the exit is by an exception; an interrupt or exit that ended the
-    worker is raised then. When every chunk passed, every tensor then
-    counts as checked."""
+    an input is not read alone. The worker starts at the stream's first
+    wait, ``arrived(hi)``, which returns once the first ``hi`` elements of
+    every array are in and raises ``_Retry`` when the worker stopped before
+    them. It publishes each chunk once, when every input's piece has
+    passed: it counts the chunk in ``_done``, then sets the chunk's event.
+    It stops at the first piece that fails, or when told to, and then sets
+    every event. The stream is a context manager whose exit joins a worker
+    that has started, telling it to stop first when the exit is by an
+    exception, so the worker starts and ends inside the ``with``. An
+    interrupt cannot end the worker: Python runs signal handlers on the
+    main thread only. When every chunk passed, every tensor then counts as
+    checked."""
 
     def __init__(self, inputs):
         self._inputs = inputs  # (reads, row) of each
@@ -517,22 +523,19 @@ class _Stream:
             raise _Retry
         self.arrays, self._readers = zip(*alone)
         self.size = self.arrays[0].size
-        self._done, self._stop = 0, False  # elements in, and whether the worker stops
-        self._interrupt = None
-        self._change = threading.Condition()
+        self._chunk = _CHUNK * _BLOCK  # elements of each input a chunk holds
+        self._chunks = [threading.Event() for _ in range(0, self.size, self._chunk)]
+        self._done, self._stop = 0, False  # chunks in, and whether the worker stops
         self._worker = threading.Thread(target=self._read, daemon=True)
 
     def __enter__(self):
-        self._worker.start()
         return self
 
     def __exit__(self, error, *_):
-        if error is not None:
-            self._stop = True
-        self._worker.join()
-        if self._interrupt is not None:
-            raise self._interrupt
-        if self._done == self.size:
+        self._stop = error is not None
+        if self._worker.is_alive():
+            self._worker.join()
+        if self._done == len(self._chunks):
             for (reads, row), x in zip(self._inputs, self.arrays):
                 reads._checked[row] = True
                 x.setflags(write=False)
@@ -540,33 +543,28 @@ class _Stream:
     def _read(self):
         pieces = [(reads._ok, x.reshape(-1), fill)
                   for (reads, _), x, fill in zip(self._inputs, self.arrays, self._readers)]
-        chunk = _CHUNK * _BLOCK
         try:
-            for lo in range(0, self.size, chunk):
-                hi = min(lo + chunk, self.size)
+            for c, event in enumerate(self._chunks):
+                lo = c * self._chunk
+                hi = min(lo + self._chunk, self.size)
                 for ok, x, fill in pieces:
                     if self._stop or not (fill(lo, hi) and ok(x[lo:hi])):
                         return
-                with self._change:
-                    self._done = hi
-                    self._change.notify()
+                self._done = c + 1
+                event.set()
         except Exception:  # the tensor is read again whole, which raises it in order
             pass
-        except BaseException as interrupt:  # an interrupt or exit: raised by the joining thread
-            self._interrupt = interrupt
         finally:
-            with self._change:
-                self._stop = True
-                self._change.notify()
+            for event in self._chunks:
+                event.set()
 
     def arrived(self, hi) -> None:
-        hi = min(hi, self.size)
-        if self._done >= hi:
-            return
-        with self._change:
-            while self._done < hi and not self._stop:
-                self._change.wait()
-            if self._done < hi:
+        c = (min(hi, self.size) - 1) // self._chunk  # the chunk of element hi - 1
+        if self._done <= c:
+            if self._worker.ident is None:  # not started
+                self._worker.start()
+            self._chunks[c].wait()
+            if self._done <= c:
                 raise _Retry
 
 

@@ -75,6 +75,11 @@ class ExperimentConfig:
         # type() rather than isinstance(): JSON true/false decode to bool, an int subclass
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type.startswith("tuple["):  # JSON gives a list; a tuple keeps the config hashable
+                if type(value) not in (list, tuple):
+                    raise ValueError(f"{f.name} must be a JSON array, got {value!r}")
+                value = tuple(value)
+                object.__setattr__(self, f.name, value)
             if f.type in ("int", "tuple[int, ...]"):
                 if not all(type(v) is int for v in ([value] if f.type == "int" else value)):
                     raise ValueError(f"{f.name} must hold integers, got {value!r}")
@@ -125,7 +130,7 @@ class ExperimentConfig:
 
     @property
     def shift(self) -> DomainShift:
-        return DomainShift(self.shift_rotation, tuple(self.shift_translation))
+        return DomainShift(self.shift_rotation, self.shift_translation)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -135,12 +140,6 @@ class ExperimentConfig:
         extra = set(payload) - known
         if extra:
             raise ValueError(f"unknown config keys {sorted(extra)}")
-        payload = dict(payload)
-        for key in (f.name for f in fields(cls) if f.type.startswith("tuple[")):
-            if key in payload:
-                if type(payload[key]) is not list:
-                    raise ValueError(f"{key} must be a JSON array, got {payload[key]!r}")
-                payload[key] = tuple(payload[key])
         return cls(**payload)
 
     @classmethod

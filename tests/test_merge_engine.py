@@ -2,6 +2,7 @@ import contextlib
 import errno
 import math
 import os
+import signal
 import sys
 import tempfile
 import threading
@@ -1622,17 +1623,22 @@ class TestReadWorkerJoined:
             with contextlib.nullcontext() if error is None else pytest.raises(error[0], match=error[1]):
                 TestFileBackedMerge.merge("fisher", opened[:4], opened[4:])
 
-    @pytest.mark.parametrize("where", ["worker read", "kernel"])
+    @pytest.mark.parametrize("where", ["SIGINT to the worker", "kernel"])
     def test_after_an_interrupt(self, tmp_path, rng, capsys, monkeypatch, where):
         from layermerge.cli import main
 
         paths, fisher_paths = self.paths(tmp_path, rng)
         before = threading.active_count()
         readers, pieces = [], []
-        if where == "worker read":  # the worker's first read, raised by the merge loop
+        if where == "SIGINT to the worker":  # at its first read; the main thread runs the handler
+            assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+            fill = ckpt_store._DataSection._fill
+
             def interrupt(section, fh, arr, start):
-                readers.append(threading.current_thread() is threading.main_thread())
-                raise KeyboardInterrupt
+                if not readers and threading.current_thread() is not threading.main_thread():
+                    readers.append(False)
+                    signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+                return fill(section, fh, arr, start)
             monkeypatch.setattr(ckpt_store._DataSection, "_fill", interrupt)
         else:  # once the first chunk is in, while the worker reads the next ones slowly
             def slow(lo):
@@ -1650,7 +1656,7 @@ class TestReadWorkerJoined:
         assert threading.active_count() == before  # joined, not just ending
         assert code == 130 and capsys.readouterr().err == "interrupted\n"
         assert not out.exists() and not list(tmp_path.glob("*.tmp"))
-        assert readers == ([False] if where == "worker read" else [True])
+        assert readers == ([False] if where == "SIGINT to the worker" else [True])
         # told to stop, the worker reads no more than the piece it was reading
         assert pieces.count(0) <= 8 and len(pieces) <= pieces.count(0) + 1
 

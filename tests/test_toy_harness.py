@@ -711,6 +711,22 @@ def test_config_field_kind_refusals(payload, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("field, value", [
+    ("hidden", 5), ("shift_translation", 5), ("strategies", 5), ("donor_seeds", None)])
+def test_config_built_directly_refuses_a_tuple_field_of_no_sequence(field, value):
+    """Built without ``from_dict``, a field annotated ``tuple[...]`` is
+    refused as ``from_dict`` refuses it, with a ``ValueError``."""
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig(**{field: value})
+    assert str(info.value) == f"{field} must be a JSON array, got {value!r}"
+
+
+def test_config_keeps_a_list_as_a_tuple():
+    cfg = ExperimentConfig(hidden=[8, 4], shift_translation=[0.5, 0.0], donor_seeds=[3])
+    assert (cfg.hidden, cfg.shift_translation, cfg.donor_seeds) == ((8, 4), (0.5, 0.0), (3,))
+    assert cfg == ExperimentConfig(hidden=(8, 4), shift_translation=(0.5, 0.0), donor_seeds=(3,))
+
+
 # a value of the wrong kind for each annotation an ExperimentConfig field has
 _WRONG_KIND = {"int": 1.5, "tuple[int, ...]": (1.5,), "float": "x", "float | None": "x",
                "bool": 1, "str": 1, "tuple[str, ...]": (1,), "tuple[float, float]": ("x", "x")}
