@@ -521,7 +521,8 @@ class _DataSection(TensorIndex):
     access while the file is open: a tensor of the run kept gets a new
     read-only view of that run; a tensor of a run not read yet reads that
     whole run with one ``preadv`` and keeps it; any other tensor is read
-    alone, whole or a chunk at a time (``read_alone``). Only the run read
+    alone, whole, or a chunk at a time into the caller's buffer
+    (``read_alone``). Only the run read
     last is kept, so a section holds at most ``_RUN_BYTES`` beyond the
     arrays it has returned (which keep their run's buffer alive), and a
     run is read at most once. A run that the file no longer holds in full
@@ -586,15 +587,15 @@ class _DataSection(TensorIndex):
         return values[first:first + count], values if new else None
 
     def read_alone(self, row):
-        """``(arr, fill)`` for the tensor ``row`` in no run of the open
-        file: a new array of its dtype and shape, and ``fill(lo, hi)``, which
-        reads its flat elements ``lo`` to ``hi`` into it and says whether the
-        file held them. None for a tensor of a run, or once the file closed."""
+        """``(dtype, fill)`` for the tensor ``row`` in no run of the open
+        file: its numpy dtype, and ``fill(lo, hi, out)``, which reads its flat
+        elements ``lo`` to ``hi`` into ``out``, the caller's contiguous array
+        of that dtype, and says whether the file held them. None for a
+        tensor of a run, or once the file closed."""
         if self.runs[row] >= 0 or self.fh.closed:
             return None
-        arr = np.empty(self.shapes[row], DTYPE_TO_NUMPY[self.dtypes[row]])
-        flat, start = arr.reshape(-1), int(self.starts[row])
-        return arr, lambda lo, hi: self._fill(self.fh, flat[lo:hi], start + lo * arr.itemsize)
+        dtype, start = DTYPE_TO_NUMPY[self.dtypes[row]], int(self.starts[row])
+        return dtype, lambda lo, hi, out: self._fill(self.fh, out, start + lo * dtype.itemsize)
 
     @contextlib.contextmanager
     def _file(self):

@@ -16,16 +16,15 @@ so every strategy is exactly invariant to permutations of the non-anchor
 models. Two kernels, chosen by tensor size, compute the sum with the same
 operations for every element: ``_weighted_sum`` for a tensor larger than a
 block, ``_Blocks.merge`` for several small ones. The plan of a merge
-(``_Blocks``) takes each tensor down one path, and one routine weighs and
-sums a large tensor whether it is streamed or read whole
-(``_Blocks._sum``). A large tensor whose inputs are each read alone from an
-open file is streamed: one worker thread has the checkpoint reader fill
-it a chunk at a time (``read_alone``) while the kernel sums the chunks
-already in (``_Stream``); the merge loop reads nothing meanwhile. The
-worker starts at the stream's first wait, inside the ``with`` that joins
-it, and publishes each chunk once, when every input's piece has passed its
-check. A block or a stream that cannot finish hands its tensors back by
-raising ``_Retry``, and they are merged again one at a time, read whole.
+(``_Blocks``) takes each tensor down one path. A large tensor whose inputs
+are each read alone from an open file is streamed (``_Stream``): the main
+thread and one helper split its chunks, and each reads the chunk of every
+input into buffers it keeps (``read_alone``), checks it, and weighs and
+sums it with the operations of the whole-read path (``_Blocks._sum``), in
+the orders that the main thread fixes from chunk 0; the merge loop reads
+nothing meanwhile. The helper starts inside the ``with`` that joins it. A
+block or a stream that cannot finish hands its tensors back by raising
+``_Retry``, and they are merged again one at a time, read whole.
 Before any tensor is read, the merge checks once that the models and
 Fisher inputs fit the alignment (``_fitted_rows``). Every tensor of every input,
 blended or not, is checked (finite, and Fisher values non-negative), and a
@@ -40,9 +39,11 @@ from __future__ import annotations
 import threading
 import warnings
 from collections.abc import Mapping
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, partial
+from itertools import count
 
 import numpy as np
 
@@ -208,7 +209,7 @@ class _Reads(Mapping):
     is looked up and checks it: ``ok(array)`` says whether an array passes,
     and ``reject(name, array)`` raises the error of a tensor that does not.
     Tensors are addressed by their row of the checkpoint's ``index``, so a
-    name held twice is refused, and read through ``read_flat``, which
+    name held twice is refused, and read as ``read_flat`` reads them, which
     alone decides which are one view of a run of a file and reports each
     run once, in the read that reads it. One flag per row records that the
     row passed: a run that passes one ``ok`` flags all its rows, so only a
@@ -224,28 +225,35 @@ class _Reads(Mapping):
         self._ok, self._reject = ok, reject
         self._checked = np.zeros(len(self.index.names), bool)
 
-    def _read(self, rows):
-        """``(values, passed)``: the values of the tensors ``rows`` back to
-        back in one flat array (``read_flat``), and whether they pass. Each
-        run the read reports is checked first, and flags its rows when it
-        passes ``ok``; the values pass at once when every row is flagged,
-        else when they all pass ``ok`` together, and then every row is
-        flagged."""
-        pieces, runs = read_flat(self.index, rows)
+    def _read(self, rows, pieces, runs):
+        """``(values, passed)``: the values of the tensors ``rows`` (an array
+        of rows, or one row), read in ``pieces`` that hold them back to back,
+        in one flat array, and whether they pass. Each run read with them,
+        ``(run, values)`` in ``runs``, is checked first, and flags its rows
+        when it passes ``ok``; the values pass at once when every row is
+        flagged, else when they all pass ``ok`` together, and then every row
+        is flagged."""
         x = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
         for run, values in runs:
             if self._ok(values):
                 self._checked[self.index.members[run]] = True
-        passed = bool(self._checked[rows].all()) or self._ok(x)
+        # one flag, or an array of them (all() of one flag is slow)
+        passed = bool(flags.all() if (flags := self._checked[rows]).ndim else flags) or self._ok(x)
         if passed:
             self._checked[rows] = True
         return x, passed
 
     def _get(self, row):
-        x, passed = self._read(np.array([row]))
-        x = x.reshape(self.index.shapes[row])
+        """The array of the tensor ``row``, read as ``read_flat`` reads one
+        tensor, without its walk over several: a view of its run, with the
+        run's values when this read read it, or else the tensor read
+        alone."""
+        index = self.index
+        got = (index.view(row, int(index.sizes[row])) if index.runs[row] >= 0 else None) or (None, None)
+        piece = index.read(row) if got[0] is None else got[0].reshape(index.shapes[row])
+        x, passed = self._read(row, [piece], [] if got[1] is None else [(index.runs[row], got[1])])
         if not passed:
-            self._reject(self.index.names[row], x)
+            self._reject(index.names[row], x)
         return x
 
     def __getitem__(self, name):
@@ -267,7 +275,7 @@ class _Reads(Mapping):
         looked up one at a time, the first of them that fails raises its
         error."""
         try:
-            x, passed = self._read(rows)
+            x, passed = self._read(rows, *read_flat(self.index, rows))
         except (CheckpointError, OSError):
             passed = False
         if not passed:
@@ -345,7 +353,8 @@ def _reject_shape_conflicts(alignment: SharedAlignment, strategy: str) -> None:
 
 
 _BLOCK = 8192  # elements the kernel sums, and a comparison reads, at a time
-_CHUNK = 16  # blocks of each input that a ``_Stream`` reads at a time
+_CHUNK = 16  # blocks of each input that a ``_Stream`` thread reads at a time
+_STEP = 1 << 15  # elements that a ``_Stream`` thread weighs and sums at a time
 
 
 class _Scalars:
@@ -375,17 +384,11 @@ def _compare_rows(blocks, size, i, j) -> int:
     return 0
 
 
-def _present(hi) -> None:
-    """``arrived`` of arrays read whole: every element is in."""
-
-
-def _content_order(weights, xs, arrived=_present) -> list[int]:
+def _content_order(weights, xs) -> list[int]:
     """Indices of the (weight, array) pairs of a weight source and flat
     arrays in content order: by the array's bytes, then the weight row's;
-    ties keep their index order. ``arrived(hi)`` returns once the first
-    ``hi`` elements of the arrays are in (see ``_Stream``)."""
+    ties keep their index order."""
     def blocks(lo):
-        arrived(lo + _BLOCK)
         return [x[lo:lo + _BLOCK] for x in xs]
 
     def compare(i, j):
@@ -413,23 +416,18 @@ class _FisherBlocks:
     every model where all are zero), and then by the sum of these quotients,
     added in the content order of the whole quotient rows (``_shares``, as
     for the blocks of ``_Blocks``). The last block computed is kept, so the
-    content order, ``_blends`` and the kernel share it. A block is taken in
-    float64 when it is computed, once ``arrived`` (see ``_content_order``)
-    says that it is in.
+    content order, ``_blends`` and the kernel share it.
     """
 
-    def __init__(self, fishers, arrived=_present):
+    def __init__(self, fishers):
         self._fishers = [np.asarray(f).reshape(-1) for f in fishers]
         self.size = self._fishers[0].size
-        self._arrived = arrived
         self._lo = self._mass = self._weights = None
-        compare = partial(_compare_rows, self.mass, self.size)
-        self._order = sorted(range(len(self._fishers)), key=cmp_to_key(compare))
+        self.order = sorted(range(len(fishers)), key=cmp_to_key(partial(_compare_rows, self.mass, self.size)))
 
     def mass(self, lo) -> np.ndarray:
         """The (M, n) normalised Fisher mass of the block starting at ``lo``."""
         if lo != self._lo:
-            self._arrived(lo + _BLOCK)
             block = np.stack([f[lo:lo + _BLOCK] for f in self._fishers], dtype=np.float64)
             self._lo, self._mass, self._weights = lo, _normalised(block), None
         return self._mass
@@ -438,17 +436,17 @@ class _FisherBlocks:
         """The (M, n) weights of the block starting at ``lo``."""
         if lo != self._lo or self._weights is None:
             mass = self.mass(lo)
-            self._weights = _shares(mass, [mass[i] for i in self._order])
+            self._weights = _shares(mass, [mass[i] for i in self.order])
         return self._weights
 
 
-def _shares(mass, terms) -> np.ndarray:
+def _shares(mass, terms, out=None) -> np.ndarray:
     """The (M, n) ``mass`` divided by the sum of the rows ``terms``, added
-    in their order."""
+    in their order, into ``out`` if given."""
     total = terms[0].copy()
     for row in terms[1:]:
         total += row
-    return mass / total
+    return np.divide(mass, total, out=out)
 
 
 def _blended(weights, anchor) -> np.ndarray:
@@ -462,13 +460,24 @@ def _blends(weights, anchor) -> bool:
     return any(_blended(weights.block(lo), anchor).any() for lo in range(0, weights.size, _BLOCK))
 
 
-def _weighted_sum(weights, arrays, dtype=np.float64, arrived=_present) -> np.ndarray:
+def _sum_terms(w, xs, order, work=None) -> np.ndarray:
+    """The float64 sum of the terms ``w[i] * xs[i]``, added in ``order``, in
+    the rows of the (2, n) ``work``: the sum, and each term after the first;
+    or, when ``work`` is None, in the rows of ``w``, in place of the weights."""
+    first, *rest = order
+    acc, term = (w[first], None) if work is None else work
+    np.multiply(w[first], xs[first], out=acc, dtype=np.float64)
+    for i in rest:
+        acc += np.multiply(w[i], xs[i], out=w[i] if work is None else term, dtype=np.float64)
+    return acc
+
+
+def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
     """``sum_i w_i * x_i`` in float64, cast to ``dtype``, for a weight
     source ``weights``: ``weights.block(lo)`` gives the M weights of the
     block of elements starting at ``lo``, rows of ``weights.size`` elements
     (``_Scalars`` for one weight per model, ``_FisherBlocks`` for one per
-    element). A block is summed once ``arrived`` (see ``_content_order``)
-    says that it is in.
+    element).
 
     The (weight, array) pairs are added in the order of their content (the
     array's bytes, then the weight row's, compared up to the first
@@ -480,92 +489,142 @@ def _weighted_sum(weights, arrays, dtype=np.float64, arrived=_present) -> np.nda
     is cast into the output as soon as it is summed.
     """
     xs = [x.reshape(-1) for x in arrays]
-    first, *rest = _content_order(weights, xs, arrived)
-    size = xs[0].size
-    out = np.empty(size, dtype)
-    acc, term = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK))
-    for lo in range(0, size, _BLOCK):
-        hi = min(lo + _BLOCK, size)
-        arrived(hi)
-        w, a, t = weights.block(lo), acc[:hi - lo], term[:hi - lo]
-        np.multiply(w[first], xs[first][lo:hi], out=a, dtype=np.float64)
-        for i in rest:
-            np.multiply(w[i], xs[i][lo:hi], out=t, dtype=np.float64)
-            a += t
-        out[lo:hi] = a
+    order = _content_order(weights, xs)
+    out = np.empty(xs[0].size, dtype)
+    work = np.empty((2, min(out.size, _BLOCK)))
+    for lo in range(0, out.size, _BLOCK):
+        hi = min(lo + _BLOCK, out.size)
+        out[lo:hi] = _sum_terms(weights.block(lo), [x[lo:hi] for x in xs], order, work[:, :hi - lo])
     return out.reshape(np.shape(arrays[0]))
 
 
-class _Stream:
-    """The arrays of one tensor of several inputs, each read alone from an
-    open file, filled by one worker thread in chunks of whole blocks: chunk
-    c of every input, each read by the ``fill`` of its index's
-    ``read_alone`` and checked by its ``_Reads``' ``ok``, before chunk
-    c + 1. The constructor raises ``_Retry`` when the tensor holds at
-    most one block, so that no read could go beside the kernel, or when
-    an input is not read alone. The worker starts at the stream's first
-    wait, ``arrived(hi)``, which returns once the first ``hi`` elements of
-    every array are in and raises ``_Retry`` when the worker stopped before
-    them. It publishes each chunk once, when every input's piece has
-    passed: it counts the chunk in ``_done``, then sets the chunk's event.
-    It stops at the first piece that fails, or when told to, and then sets
-    every event. The stream is a context manager whose exit joins a worker
-    that has started, telling it to stop first when the exit is by an
-    exception, so the worker starts and ends inside the ``with``. An
-    interrupt cannot end the worker: Python runs signal handlers on the
-    main thread only. When every chunk passed, every tensor then counts as
-    checked."""
+def _tied(blocks, size, order) -> bool:
+    """Whether two of the rows ``order``, sorted by ``_compare_rows`` over
+    ``blocks`` and ``size``, tie."""
+    return any(_compare_rows(blocks, size, i, j) == 0 for i, j in zip(order, order[1:]))
 
-    def __init__(self, inputs):
-        self._inputs = inputs  # (reads, row) of each
-        alone = [reads.index.read_alone(row) for reads, row in inputs]  # (array, fill) or None
-        if None in alone or alone[0][0].size <= _BLOCK:
+
+class _Stream(AbstractContextManager):
+    """The merge of one blended tensor larger than a block whose inputs
+    (see ``_Blocks.tensor``) are each read alone from an open file, in
+    chunks of ``_CHUNK`` blocks, by the main thread and one helper. The
+    constructor raises ``_Retry`` when an input is not read alone or the
+    tensor holds at most one block.
+
+    Each thread claims the next chunk from a shared counter and does all of
+    it in buffers that it keeps across chunks and tensors (``_buffer``): it
+    reads the chunk of every input with the ``fill`` of its index's
+    ``read_alone`` and checks each piece with its ``_Reads``' ``ok``
+    (``_run``); it weighs and sums the chunk in steps of ``_STEP``
+    elements, with the float64 operations of the whole-read path in their
+    order, and casts the sum into its slice of the output, noting whether
+    that slice is finite (``_sum``). The main thread claims chunk 0 and,
+    before the helper starts, fixes from it what the whole-read path
+    decides over the whole tensor (``_begin``). The first read or check that
+    fails stops both threads, as does any exception; ``merge`` then raises
+    ``_Retry``, and the tensor is read whole, which raises the first
+    failing input's error in order. The stream is a context manager whose
+    exit joins the helper, which starts inside the ``with``, so no exit,
+    an interrupt included, leaves it running; an interrupt cannot end it,
+    as Python runs signal handlers on the main thread only."""
+
+    def __init__(self, blocks, k, inputs):
+        alone = [reads.index.read_alone(row) for reads, row in inputs]  # (dtype, fill) or None
+        if None in alone or blocks.sizes[k] <= _BLOCK:
             raise _Retry
-        self.arrays, self._readers = zip(*alone)
-        self.size = self.arrays[0].size
-        self._chunk = _CHUNK * _BLOCK  # elements of each input a chunk holds
-        self._chunks = [threading.Event() for _ in range(0, self.size, self._chunk)]
-        self._done, self._stop = 0, False  # chunks in, and whether the worker stops
-        self._worker = threading.Thread(target=self._read, daemon=True)
-
-    def __enter__(self):
-        return self
+        self._dtypes, self._fills = zip(*alone)
+        self._blocks, self._k, self._inputs = blocks, k, inputs
+        # the number of Fisher inputs, which come first, and the weights unless weighed per element
+        self._f, self._w = len(inputs) - len(blocks.pool), blocks.table[blocks.src[k]]
+        self._size, self._chunk = int(blocks.sizes[k]), _CHUNK * _BLOCK
+        self._claim, self._stop, self._finite = count().__next__, False, True  # atomic under the GIL
+        self._helper = threading.Thread(target=self._run, args=(1,), daemon=True)
 
     def __exit__(self, error, *_):
-        self._stop = error is not None
-        if self._worker.is_alive():
-            self._worker.join()
-        if self._done == len(self._chunks):
-            for (reads, row), x in zip(self._inputs, self.arrays):
-                reads._checked[row] = True
-                x.setflags(write=False)
+        if error is not None:  # stops the helper; only ever set, so no update of it is lost
+            self._stop = True
+        if self._helper.is_alive():
+            self._helper.join()
 
-    def _read(self):
-        pieces = [(reads._ok, x.reshape(-1), fill)
-                  for (reads, _), x, fill in zip(self._inputs, self.arrays, self._readers)]
+    def merge(self) -> np.ndarray:
+        """The merged array of the tensor; ``NonFiniteTensorError`` when the
+        sum is not finite, as every chunk of every input passed."""
+        with self:
+            self._run(0)
+        if self._stop:
+            raise _Retry
+        for reads, row in self._inputs:
+            reads._checked[row] = True
+        if not self._finite:
+            raise NonFiniteTensorError(f"merged tensor '{self._blocks.names[self._k]}' is not finite")
+        return self._out.reshape(self._blocks.shapes[self._k])
+
+    def _begin(self, pieces) -> None:
+        """Fixes from chunk 0's ``pieces``, as the whole-read path does from
+        the whole tensor, the order of the normalised Fisher mass rows and
+        the content order of the models, makes the output and starts the
+        helper. Raises ``_Retry`` when two rows tie over all of chunk 0 and
+        the tensor goes on past it, or a Fisher-weighted tensor does not
+        blend in chunk 0."""
+        f, anchor, xs = self._f, self._blocks.anchor, pieces[self._f:]
+        w = _FisherBlocks(pieces[:f]) if f else _Scalars(self._w)
+        self._order = _content_order(w, xs)
+        # past chunk 0, the arrays' bytes alone order the models, as the
+        # normalised Fisher mass rows order themselves
+        if f and not _blends(w, anchor) or self._size > self._chunk and (
+                _tied(lambda lo: [x[lo:lo + _BLOCK] for x in xs], xs[0].size, self._order)
+                or f and _tied(w.mass, w.size, w.order)):
+            raise _Retry
+        self._mass_order = w.order if f else None
+        self._out = np.empty(self._size, xs[anchor].dtype)
+        self._helper.start()
+
+    def _buffer(self, t, j, n, dtype=np.float64) -> np.ndarray:
+        """Thread ``t``'s buffer ``j`` (``_Blocks.work``) as ``n`` elements
+        of ``dtype``, grown when it is too small."""
+        buffers, nbytes = self._blocks.work[t], n * np.dtype(dtype).itemsize
+        if len(buffers.get(j, b"")) < nbytes:
+            buffers[j] = np.empty(nbytes, np.uint8)
+        return buffers[j][:nbytes].view(dtype)
+
+    @np.errstate(over="ignore", invalid="ignore")  # a new thread has numpy's default state
+    def _run(self, t) -> None:
+        """Thread ``t``'s part: each chunk it claims, until none is left or
+        the stream stops. It reads the chunk of every input into its buffer
+        of the input and checks it, and a piece that fails, or the stream
+        stopping, raises ``_Retry``; then it sums the chunk. The main thread
+        claims chunk 0 first, and starts the helper once it has fixed the
+        orders from it (``_begin``)."""
         try:
-            for c, event in enumerate(self._chunks):
-                lo = c * self._chunk
-                hi = min(lo + self._chunk, self.size)
-                for ok, x, fill in pieces:
-                    if self._stop or not (fill(lo, hi) and ok(x[lo:hi])):
-                        return
-                self._done = c + 1
-                event.set()
+            while not self._stop and (c := self._claim()) * self._chunk < self._size:
+                lo, hi = c * self._chunk, min((c + 1) * self._chunk, self._size)
+                pieces = [self._buffer(t, j, hi - lo, dtype) for j, dtype in enumerate(self._dtypes)]
+                for (reads, _), fill, x in zip(self._inputs, self._fills, pieces):
+                    if self._stop or not (fill(lo, hi, x) and reads._ok(x)):
+                        raise _Retry
+                if c == 0:
+                    self._begin(pieces)
+                self._sum(t, lo, pieces)
         except Exception:  # the tensor is read again whole, which raises it in order
-            pass
-        finally:
-            for event in self._chunks:
-                event.set()
+            self._stop = True
 
-    def arrived(self, hi) -> None:
-        c = (min(hi, self.size) - 1) // self._chunk  # the chunk of element hi - 1
-        if self._done <= c:
-            if self._worker.ident is None:  # not started
-                self._worker.start()
-            self._chunks[c].wait()
-            if self._done <= c:
-                raise _Retry
+    def _sum(self, t, lo, pieces) -> None:
+        """The chunk of the models from element ``lo`` weighed and summed
+        from ``pieces`` in steps of ``_STEP``, in thread ``t``'s buffers, and
+        cast into its slice of the output, whose finiteness is noted. Under
+        Fisher weights one buffer holds the mass, then the weights in its
+        place, and then the sum and each term in place of their weights."""
+        f, w, size = self._f, self._w, pieces[0].size
+        for s in range(0, size, _STEP):
+            e = min(s + _STEP, size)
+            work = self._buffer(t, len(pieces), (f or 2) * (e - s)).reshape(f or 2, e - s)
+            if f:
+                mass = _normalised(np.stack([x[s:e] for x in pieces[:f]], out=work))
+                w = _shares(mass, [mass[i] for i in self._mass_order], mass)
+            self._out[lo + s:lo + e] = _sum_terms(w, [x[s:e] for x in pieces[f:]], self._order,
+                                                  None if f else work)
+        if not np.isfinite(self._out[lo:lo + size]).all():  # finite inputs can sum past the range
+            self._finite = False
 
 
 def _orders(sizes, *parts) -> np.ndarray:
@@ -652,6 +711,7 @@ class _Blocks:
         self.sizes = sizes = tensors.sizes
         self.anchor = anchor = alignment.anchor
         self.pool, self.fishers = pool, fishers
+        self.work = [{}, {}]  # the buffers of each thread of a ``_Stream``
         self.table = np.ascontiguousarray(weights.T)
         shared_names = alignment.shared_names()
         shared = tensors.lookup(shared_names)
@@ -714,23 +774,21 @@ class _Blocks:
         """The merged array of the tensor ``k`` outside a block (or of a
         block handed back): the anchor's array where ``src`` is -2, else
         the ``_sum`` of its inputs (its Fisher inputs, then the models).
-        The sum is streamed where it can be (``_Stream``): the kernel sums
-        the chunks already in while the worker reads the rest. When the
-        stream is handed back, the inputs are read whole, which raises the
-        first failure of an input."""
+        The tensor is streamed where it can be (``_Stream``): read, checked
+        and summed a chunk at a time by two threads. When the stream is
+        handed back, the inputs are read whole, which raises the first
+        failure of an input."""
         if self.src[k] == -2:  # not shared, or not blended
             return self.pool[self.anchor]._get(k)
         inputs = [(p, rows[k]) for p, rows in zip(self.pool, self.rows)]
         if self.src[k] == -1:  # its Fisher inputs first
             inputs[:0] = [(f.tensors, rows[k]) for f, rows in zip(self.fishers, self.fisher_rows)]
         try:
-            with _Stream(inputs) as stream:
-                return self._sum(k, stream.arrays.__getitem__, stream.arrived)
+            return _Stream(self, k, inputs).merge()
         except _Retry:
-            stream = None  # its arrays are freed before the inputs are read whole
-        return self._sum(k, lambda j: inputs[j][0]._get(inputs[j][1]))
+            return self._sum(k, lambda j: inputs[j][0]._get(inputs[j][1]))
 
-    def _sum(self, k, read, arrived=_present):
+    def _sum(self, k, read):
         """The merged array of the blended tensor ``k``, whose inputs (see
         ``tensor``) are ``read(j)``, each read once it is needed: the
         weighted sum of the models under the tensor's per-element Fisher
@@ -740,13 +798,13 @@ class _Blocks:
         f = 0
         if self.src[k] == -1:
             f = len(self.fishers)
-            w = _FisherBlocks([read(j) for j in range(f)], arrived)
+            w = _FisherBlocks([read(j) for j in range(f)])
             if not _blends(w, self.anchor):
                 return read(f + self.anchor)
         else:
             w = _Scalars(self.table[self.src[k]])
         xs = [read(f + i) for i in range(len(self.pool))]
-        out = _weighted_sum(w, xs, xs[self.anchor].dtype, arrived)
+        out = _weighted_sum(w, xs, xs[self.anchor].dtype)
         # finite inputs can still sum, or cast, past the dtype's range
         if not np.isfinite(out).all():
             raise NonFiniteTensorError(f"merged tensor '{self.names[k]}' is not finite")

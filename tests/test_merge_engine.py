@@ -62,19 +62,20 @@ def hand_back(blocks, j):
 
 def before_each_fill(monkeypatch, before):
     """Call ``before(lo)`` ahead of every chunk a streamed read fills from
-    element ``lo`` (the ``fill`` of ``_DataSection.read_alone``)."""
+    element ``lo`` (the ``fill`` of ``_DataSection.read_alone``), on the
+    thread that fills it."""
     read_alone = ckpt_store._DataSection.read_alone
 
     def wrapped(section, row):
         got = read_alone(section, row)
         if got is None:
             return None
-        arr, fill = got
+        dtype, fill = got
 
-        def held(lo, hi):
+        def held(lo, hi, out):
             before(lo)
-            return fill(lo, hi)
-        return arr, held
+            return fill(lo, hi, out)
+        return dtype, held
 
     monkeypatch.setattr(ckpt_store._DataSection, "read_alone", wrapped)
 
@@ -860,7 +861,7 @@ class TestBlockedKernel:
         ]
 
     @staticmethod
-    def oracle_fisher_weights(fishers, arrived):
+    def oracle_fisher_weights(fishers):
         # a weight source whose one block is the whole (M, *shape) weights
         return merge_module._Scalars(ref.ref_fisher_weights(fishers))
 
@@ -870,7 +871,7 @@ class TestBlockedKernel:
         the block kernel hands every block back, one tensor at a time."""
         with mock.patch.object(merge_module, "_FisherBlocks", TestBlockedKernel.oracle_fisher_weights), \
                 mock.patch.object(merge_module, "_weighted_sum",
-                                  lambda w, xs, dtype, arrived: ref.ref_weighted_sum(w.block(0), xs).astype(dtype)), \
+                                  lambda w, xs, dtype: ref.ref_weighted_sum(w.block(0), xs).astype(dtype)), \
                 mock.patch.object(merge_module._Blocks, "merge", hand_back):
             return TestBlockedKernel.merges(pool, fishers, anchor, scores)
 
@@ -1382,9 +1383,10 @@ class TestFastPathOutcomes:
 
 class TestStreamedReads:
     """A blended tensor larger than a block whose inputs are each read alone
-    (in no run) from an open file is read by one worker thread, a chunk of
-    every input at a time, while the kernel sums the chunks already in.
-    Chunks of 2 blocks here, so the pool's large tensors span 5 chunks."""
+    (in no run) from an open file is merged a chunk at a time by the main
+    thread and one helper: each reads, checks, weighs and sums the chunks
+    it claims. Chunks of 2 blocks here, so the pool's large tensors span 5
+    chunks."""
 
     SHAPES = [(300, 256), (300, 256), (10, 256)]  # 300 KiB in F32: past the run window
 
@@ -1409,39 +1411,61 @@ class TestStreamedReads:
 
     @staticmethod
     def reading_threads(monkeypatch, pause=0.0):
-        """The ident of the thread of every ``_fill``, in order; each also
-        asserts that no other thread is reading at the time."""
-        fill, reading, idents = ckpt_store._DataSection._fill, [], []
+        """The ident of the thread of every ``_fill``, in order. A run read
+        (``_DataSection.view``) while another thread is inside a fill fails:
+        the reader keeps one run per file, which only the merge loop uses."""
+        fill, view = ckpt_store._DataSection._fill, ckpt_store._DataSection.view
+        filling, idents = set(), []
 
         def recorded(section, fh, arr, start):
-            reading.append(threading.get_ident())
+            me = threading.get_ident()
+            filling.add(me)
+            idents.append(me)
             try:
-                assert len(reading) == 1, "two threads read at once"
-                idents.append(reading[0])
                 time.sleep(pause)
                 return fill(section, fh, arr, start)
             finally:
-                reading.pop()
+                filling.discard(me)
+
+        def viewed(section, row, count):
+            assert not filling - {threading.get_ident()}, "a run read while another thread fills"
+            return view(section, row, count)
 
         monkeypatch.setattr(ckpt_store._DataSection, "_fill", recorded)
+        monkeypatch.setattr(ckpt_store._DataSection, "view", viewed)
         return idents
+
+    @staticmethod
+    def streamed_fills(monkeypatch):
+        """``(thread ident, lo)`` of every chunk a streamed read fills."""
+        fills = []
+        before_each_fill(monkeypatch, lambda lo: fills.append((threading.get_ident(), lo)))
+        return fills
+
+    @staticmethod
+    def assert_bytes_equal(merged, expected):
+        assert merged.names() == expected.names()
+        for t in merged.tensors:
+            e = expected.get(t.name).data
+            assert t.data.dtype == e.dtype and t.data.tobytes() == e.tobytes(), t.name
 
     @pytest.mark.parametrize("strategy", ["layerwise", "isotropic", "scalar", "fisher"])
     def test_equals_merge_of_loaded_checkpoints(self, tmp_path, rng, strategy, monkeypatch):
         models, fishers = self.pool(rng)
         expected = TestFileBackedMerge.merge(strategy, models, fishers)
-        idents = self.reading_threads(monkeypatch, pause=0.001)
+        self.reading_threads(monkeypatch, pause=0.001)
+        fills = self.streamed_fills(monkeypatch)
         reads = counting_reads(monkeypatch)
         merged = self.merge_files(tmp_path, strategy, models, fishers)
-        for t in merged.tensors:
-            e = expected.get(t.name).data
-            assert t.data.dtype == e.dtype and t.data.tobytes() == e.tobytes(), t.name
+        self.assert_bytes_equal(merged, expected)
         # every byte once: the two weights of each input in 5 chunks, read by
-        # the worker; the rest in a few reads by the merge loop
+        # the main thread and the helper; the rest in a few reads by the
+        # merge loop
         inputs = sorted(tmp_path.glob("m*.st") if strategy != "fisher" else tmp_path.glob("*.st"))
         assert all(bytes_read_once(reads, p) for p in inputs)
-        workers = [i for i in idents if i != threading.main_thread().ident]
-        assert len(workers) == 2 * 5 * len(inputs) < len(reads)
+        assert len(fills) == 2 * 5 * len(inputs) < len(reads)
+        main = threading.main_thread().ident
+        assert main in {i for i, _ in fills} and any(i != main for i, _ in fills)
 
     @pytest.mark.parametrize("strategy", ["layerwise", "fisher"])
     def test_short_reads_give_the_bytes_of_whole_reads(self, tmp_path, rng, strategy, monkeypatch):
@@ -1461,19 +1485,21 @@ class TestStreamedReads:
         models, fishers = self.pool(rng)
         paths = TestFileBackedMerge.saved(tmp_path, models)
         start, _ = data_section(paths[1])
-        # inside the second chunk of model 1's first tensor, read by the worker
-        calls = short_reads(monkeypatch, end=(paths[1], start + 3 * merge_module._BLOCK * 4))
+        # inside the last chunk of model 1's first tensor, so that no other
+        # chunk fails and stops the stream before it is read
+        end = start + 9 * merge_module._BLOCK * 4
+        calls = short_reads(monkeypatch, end=(paths[1], end))
         with contextlib.ExitStack() as files:
             opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
             with pytest.raises(CheckpointFormatError, match="file shrank while it was read"):
                 TestFileBackedMerge.merge("isotropic", opened)
-        # models 0 and 1 read there by the worker, then again by the merge loop
-        assert calls.count(start + 3 * merge_module._BLOCK * 4) == 4
+        # models 0 and 1 read there by the stream, then again by the merge loop
+        assert calls.count(end) == 4
 
     def test_worker_read_error_merged_again_on_the_main_thread(self, tmp_path, rng, monkeypatch):
-        # a read that raises on the worker stops the stream, and the tensor is
+        # a read that raises on the helper stops the stream, and the tensor is
         # merged again as it is read whole, where an error would be raised in
-        # order; the worker itself ends quietly
+        # order; the helper itself ends quietly
         models, fishers = self.pool(rng)
         expected = TestFileBackedMerge.merge("fisher", models, fishers)
         fill, failed, escaped = ckpt_store._DataSection._fill, [], []
@@ -1490,22 +1516,106 @@ class TestStreamedReads:
         for t in merged.tensors:
             e = expected.get(t.name).data
             assert t.data.dtype == e.dtype and t.data.tobytes() == e.tobytes(), t.name
-        assert len(failed) == 2 and escaped == []  # each large tensor's first chunk
+        assert len(failed) == 2 and escaped == []  # each large tensor's first chunk on the helper
+
+    BIG = np.finfo(np.float64).max
+    # scores whose rounded weights, added in the order 0, 3, 2, 1 (that of
+    # their bytes), take max * 1 past the range
+    OVERFLOWING = [0.6331871446860424, 0.09401534358238482, 0.8426441476533978, 0.7970983074886834]
+
+    @classmethod
+    def overflowing(cls, tmp_path, finite_chunks=0):
+        """Four models of one 40,000-element tensor of max, -max, max, ...,
+        each with 0 at its place in the order 0, 3, 2, 1, so that chunk 0
+        orders them so, and with 0 in the first ``finite_chunks`` chunks but
+        for those places."""
+        paths = []
+        for i in range(4):
+            x = np.where(np.arange(40_000) % 2 == 0, cls.BIG, -cls.BIG)
+            x[4:finite_chunks * merge_module._CHUNK * merge_module._BLOCK] = 0.0
+            x[[0, 3, 2, 1].index(i)] = 0.0
+            paths.append(tmp_path / f"m{i}.st")
+            save(Checkpoint.from_arrays({"layer0.weight": x}), paths[-1])
+        return paths
 
     def test_streamed_sum_that_overflows_raises_without_reading_again(self, tmp_path, monkeypatch):
         # finite inputs whose every chunk passes, weighed by rounded weights
         # that sum past 1, so the sum overflows: the error is raised from the
         # stream, and no input is read a second time
-        big = np.finfo(np.float64).max
-        x = np.where(np.arange(40_000) % 2 == 0, big, -big)
-        paths = TestFileBackedMerge.saved(tmp_path, [Checkpoint.from_arrays({"layer0.weight": x})] * 4)
-        scores = [0.6331871446860424, 0.09401534358238482, 0.8426441476533978, 0.7970983074886834]
+        paths = self.overflowing(tmp_path)
         reads = counting_reads(monkeypatch)
         with contextlib.ExitStack() as files:
             opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
             with pytest.raises(NonFiniteTensorError, match="^merged tensor 'layer0.weight' is not finite$"):
-                scalar_weighted_merge(opened, scores, shared_parameters(opened, 0))
+                scalar_weighted_merge(opened, self.OVERFLOWING, shared_parameters(opened, 0))
         assert all(bytes_read_once(reads, p) for p in paths)
+
+    def test_sum_that_overflows_only_on_the_helper(self, tmp_path, monkeypatch):
+        # every chunk but chunk 0 overflows, so the helper's sums do: it runs
+        # under the merge's error state, so no RuntimeWarning (an error
+        # under this suite's warning filters) stops it, and the error is
+        # raised with no input read twice
+        paths = self.overflowing(tmp_path, finite_chunks=1)
+        fills = self.streamed_fills(monkeypatch)
+        reads = counting_reads(monkeypatch)
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NonFiniteTensorError, match="^merged tensor 'layer0.weight' is not finite$"):
+                    scalar_weighted_merge(opened, self.OVERFLOWING, shared_parameters(opened, 0))
+        assert caught == [] and all(bytes_read_once(reads, p) for p in paths)
+        main = threading.main_thread().ident
+        assert any(i != main for i, _ in fills) and len(fills) == 3 * 4
+        # chunk 0 alone sums to finite values
+        x = [load(p).get("layer0.weight").data[:merge_module._CHUNK * merge_module._BLOCK] for p in paths]
+        weights = merge_module.score_weights(self.OVERFLOWING)
+        assert np.isfinite(sum(w * v for w, v in zip(weights, x))).all()
+
+    @pytest.mark.parametrize("strategy", ["layerwise", "isotropic", "scalar", "fisher"])
+    @pytest.mark.parametrize("twins", ["over chunk 0", "throughout"])
+    def test_donors_tied_over_chunk_0_read_whole(self, tmp_path, rng, strategy, twins, monkeypatch):
+        # two donors byte-identical over chunk 0 could still be ordered by
+        # a later chunk, so the stream hands the tensor back after chunk 0,
+        # and it is merged as it is read whole
+        models, fishers = self.pool(rng)
+        for t in models[2].tensors:
+            twin = models[1].get(t.name).data
+            if twins == "throughout":
+                t.data[...] = twin
+            else:
+                t.data.reshape(-1)[:merge_module._CHUNK * merge_module._BLOCK] = twin.reshape(-1)[
+                    :merge_module._CHUNK * merge_module._BLOCK]
+        expected = TestFileBackedMerge.merge(strategy, models, fishers)
+        fills = self.streamed_fills(monkeypatch)
+        merged = self.merge_files(tmp_path, strategy, models, fishers)
+        self.assert_bytes_equal(merged, expected)
+        inputs = 8 if strategy == "fisher" else 4
+        assert [lo for _, lo in fills] == [0] * (2 * inputs)  # chunk 0 of the two weights
+
+    def test_fisher_tensor_that_blends_only_after_chunk_0(self, tmp_path, rng, monkeypatch):
+        # the donor has no Fisher mass over chunk 0, so it does not blend
+        # there: the stream hands the tensor back, and the whole read finds
+        # the blend in a later chunk
+        models, fishers = self.pool(rng)
+        models, fishers = models[:2], fishers[:2]
+        for t in fishers[1].tensors:
+            t.data.reshape(-1)[:merge_module._CHUNK * merge_module._BLOCK] = 0.0
+        alignment = shared_parameters(models, 0)
+        expected = fisher_merge(models, [FisherWeights.from_checkpoint(f) for f in fishers], alignment)
+        fills = self.streamed_fills(monkeypatch)
+        paths = TestFileBackedMerge.saved(tmp_path, models)
+        fisher_paths = TestFileBackedMerge.saved(tmp_path, fishers, "f")
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
+            merged = fisher_merge(opened[:2], [FisherWeights.from_checkpoint(f) for f in opened[2:]],
+                                  shared_parameters(opened[:2], 0))
+        self.assert_bytes_equal(merged, expected)
+        assert [lo for _, lo in fills] == [0] * (2 * 4)
+        blended = merged.get("layer0.weight").data.reshape(-1)
+        anchor = models[0].get("layer0.weight").data.reshape(-1)
+        n = merge_module._CHUNK * merge_module._BLOCK
+        assert np.array_equal(blended[:n], anchor[:n]) and not np.array_equal(blended[n:], anchor[n:])
 
     @pytest.mark.parametrize("where", ["block", "streamed", "streamed, not blended"])
     def test_nan_where_a_donor_has_zero_fisher_weight_named(self, tmp_path, rng, where):
@@ -1525,40 +1635,27 @@ class TestStreamedReads:
         from_check_rest = any(entry.name == "check_rest" for entry in raised.traceback)
         assert from_check_rest == (where == "streamed, not blended")
 
-    def test_f32_fisher_converted_after_its_chunk_arrives(self, tmp_path, rng, monkeypatch):
-        # the worker holds each chunk back until the kernel waits for it, and
-        # the arrays it fills hold ones before, so a Fisher block taken in
-        # float64 before it arrived would weigh every model alike
+    def test_f32_fisher_with_slow_helper_fills(self, tmp_path, rng, monkeypatch):
+        # the helper's fills are slowed, so that the main thread sums most
+        # chunks while the helper still reads one into its own buffers; F32
+        # Fisher values are taken in float64 per step, in the buffers of the
+        # thread that read them
         models, fishers = self.pool(rng, np.float32)
         expected = TestFileBackedMerge.merge("fisher", models, fishers)
-        asked, change = [0], threading.Condition()
-        enter, arrived = merge_module._Stream.__enter__, merge_module._Stream.arrived
+        main = threading.main_thread().ident
+        fills = []
 
-        def entered(stream):
-            asked[0] = 0
-            for x in stream.arrays:
-                x.fill(1.0)
-            return enter(stream)
+        def slow(lo):
+            fills.append((threading.get_ident(), lo))
+            if threading.get_ident() != main:
+                time.sleep(0.01)
 
-        def waited(stream, hi):
-            with change:
-                asked[0] = max(asked[0], hi)
-                change.notify_all()
-            return arrived(stream, hi)
-
-        def held(lo):
-            with change:
-                assert change.wait_for(lambda: asked[0] > lo, timeout=30)
-
-        monkeypatch.setattr(merge_module._Stream, "__enter__", entered)
-        monkeypatch.setattr(merge_module._Stream, "arrived", waited)
-        before_each_fill(monkeypatch, held)
+        before_each_fill(monkeypatch, slow)
         reads = counting_reads(monkeypatch)
         merged = self.merge_files(tmp_path, "fisher", models, fishers)
-        assert asked[0] > 0
-        for t in merged.tensors:
-            assert t.data.tobytes() == expected.get(t.name).data.tobytes(), t.name
+        self.assert_bytes_equal(merged, expected)
         assert all(bytes_read_once(reads, p) for p in tmp_path.glob("*.st"))  # none merged again
+        assert any(i != main for i, _ in fills)
 
 
     def test_concurrent_merges_under_fast_thread_switching(self, tmp_path, rng, monkeypatch):
@@ -1593,7 +1690,7 @@ class TestStreamedReads:
 
 
 class TestReadWorkerJoined:
-    """No read worker outlives a merge, however the merge ends."""
+    """No stream's helper thread outlives a merge, however the merge ends."""
 
     @pytest.fixture(autouse=True)
     def threads_before(self, monkeypatch):
@@ -1623,14 +1720,14 @@ class TestReadWorkerJoined:
             with contextlib.nullcontext() if error is None else pytest.raises(error[0], match=error[1]):
                 TestFileBackedMerge.merge("fisher", opened[:4], opened[4:])
 
-    @pytest.mark.parametrize("where", ["SIGINT to the worker", "kernel"])
+    @pytest.mark.parametrize("where", ["SIGINT to the helper", "kernel"])
     def test_after_an_interrupt(self, tmp_path, rng, capsys, monkeypatch, where):
         from layermerge.cli import main
 
         paths, fisher_paths = self.paths(tmp_path, rng)
         before = threading.active_count()
         readers, pieces = [], []
-        if where == "SIGINT to the worker":  # at its first read; the main thread runs the handler
+        if where == "SIGINT to the helper":  # at its first read; the main thread runs the handler
             assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
             fill = ckpt_store._DataSection._fill
 
@@ -1640,24 +1737,28 @@ class TestReadWorkerJoined:
                     signal.pthread_kill(threading.get_ident(), signal.SIGINT)
                 return fill(section, fh, arr, start)
             monkeypatch.setattr(ckpt_store._DataSection, "_fill", interrupt)
-        else:  # once the first chunk is in, while the worker reads the next ones slowly
+        else:  # as the main thread sums chunk 0, while the helper reads the next chunk slowly
+            sum_terms = merge_module._sum_terms
+
             def slow(lo):
                 pieces.append(lo)
                 time.sleep(0.2 if lo else 0.0)
 
             def interrupt(*args):
+                if threading.current_thread() is not threading.main_thread():
+                    return sum_terms(*args)
                 readers.append(True)
                 raise KeyboardInterrupt
             before_each_fill(monkeypatch, slow)
-            monkeypatch.setattr(merge_module, "_content_order", interrupt)
+            monkeypatch.setattr(merge_module, "_sum_terms", interrupt)
         out = tmp_path / "out.st"
         code = main(["merge", *map(str, paths), "--strategy", "fisher",
                      "--fisher", *map(str, fisher_paths), "--out", str(out)])
         assert threading.active_count() == before  # joined, not just ending
         assert code == 130 and capsys.readouterr().err == "interrupted\n"
         assert not out.exists() and not list(tmp_path.glob("*.tmp"))
-        assert readers == ([False] if where == "SIGINT to the worker" else [True])
-        # told to stop, the worker reads no more than the piece it was reading
+        assert readers == ([False] if where == "SIGINT to the helper" else [True])
+        # told to stop, the helper reads no more than the piece it was reading
         assert pieces.count(0) <= 8 and len(pieces) <= pieces.count(0) + 1
 
 
