@@ -537,7 +537,8 @@ class _Stream(AbstractContextManager):
         # the number of Fisher inputs, which come first, and the weights unless weighed per element
         self._f, self._w = len(inputs) - len(blocks.pool), blocks.table[blocks.src[k]]
         self._size, self._chunk = int(blocks.sizes[k]), _CHUNK * _BLOCK
-        self._claim, self._stop, self._finite = count().__next__, False, True  # atomic under the GIL
+        # _claim: the next chunk to merge, one call that the GIL makes atomic
+        self._claim, self._stop, self._finite = count().__next__, False, True
         self._helper = threading.Thread(target=self._run, args=(1,), daemon=True)
 
     def __exit__(self, error, *_):
@@ -569,8 +570,8 @@ class _Stream(AbstractContextManager):
         f, anchor, xs = self._f, self._blocks.anchor, pieces[self._f:]
         w = _FisherBlocks(pieces[:f]) if f else _Scalars(self._w)
         self._order = _content_order(w, xs)
-        # past chunk 0, the arrays' bytes alone order the models, as the
-        # normalised Fisher mass rows order themselves
+        # a tie over all of chunk 0 could be broken by a later chunk, where
+        # the arrays' bytes alone order the models, and the mass rows their own
         if f and not _blends(w, anchor) or self._size > self._chunk and (
                 _tied(lambda lo: [x[lo:lo + _BLOCK] for x in xs], xs[0].size, self._order)
                 or f and _tied(w.mass, w.size, w.order)):
