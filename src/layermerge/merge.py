@@ -21,7 +21,8 @@ are each read alone from an open file is streamed (``_Stream``): the main
 thread and one helper split its chunks, and each reads the chunk of every
 input into buffers it keeps (``read_alone``), checks it, and weighs and
 sums it with the operations of the whole-read path (``_Blocks._sum``), in
-the orders that the main thread fixes from chunk 0; the merge loop reads
+the orders that the main thread fixes from chunk 0 (rows tied there stay
+tied in every chunk, or the tensor is handed back); the merge loop reads
 nothing meanwhile. The helper starts inside the ``with`` that joins it. A
 block or a stream that cannot finish hands its tensors back by raising
 ``_Retry``, and they are merged again one at a time, read whole.
@@ -43,7 +44,7 @@ from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, partial
-from itertools import count
+from itertools import count, pairwise
 
 import numpy as np
 
@@ -498,10 +499,10 @@ def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
     return out.reshape(np.shape(arrays[0]))
 
 
-def _tied(blocks, size, order) -> bool:
-    """Whether two of the rows ``order``, sorted by ``_compare_rows`` over
-    ``blocks`` and ``size``, tie."""
-    return any(_compare_rows(blocks, size, i, j) == 0 for i, j in zip(order, order[1:]))
+def _ties(blocks, size, pairs) -> list:
+    """The ``pairs`` of rows that tie by ``_compare_rows`` over ``blocks``
+    and ``size``."""
+    return [(i, j) for i, j in pairs if _compare_rows(blocks, size, i, j) == 0]
 
 
 class _Stream(AbstractContextManager):
@@ -520,13 +521,17 @@ class _Stream(AbstractContextManager):
     order, and casts the sum into its slice of the output, noting whether
     that slice is finite (``_sum``). The main thread claims chunk 0 and,
     before the helper starts, fixes from it what the whole-read path
-    decides over the whole tensor (``_begin``). The first read or check that
-    fails stops both threads, as does any exception; ``merge`` then raises
-    ``_Retry``, and the tensor is read whole, which raises the first
-    failing input's error in order. The stream is a context manager whose
-    exit joins the helper, which starts inside the ``with``, so no exit,
-    an interrupt included, leaves it running; an interrupt cannot end it,
-    as Python runs signal handlers on the main thread only."""
+    decides over the whole tensor (``_begin``); where rows tie over all of
+    chunk 0, that holds while their inputs tie in every later chunk, which
+    each thread checks. The first read or check that fails, or a tie that
+    a later chunk breaks, stops both threads, as does any exception;
+    ``merge`` then raises ``_Retry``, and the tensor is read whole, which
+    raises the first failing input's error in order. The stream is a
+    context manager whose exit joins the helper, which starts inside the
+    ``with``, so no exit, an interrupt included, leaves it running; an
+    interrupt cannot end it, as Python runs signal handlers on the main
+    thread only. Each thread enters the merge's numpy error state itself,
+    as a new thread starts in numpy's default one."""
 
     def __init__(self, blocks, k, inputs):
         alone = [reads.index.read_alone(row) for reads, row in inputs]  # (dtype, fill) or None
@@ -564,19 +569,21 @@ class _Stream(AbstractContextManager):
         """Fixes from chunk 0's ``pieces``, as the whole-read path does from
         the whole tensor, the order of the normalised Fisher mass rows and
         the content order of the models, makes the output and starts the
-        helper. Raises ``_Retry`` when two rows tie over all of chunk 0 and
-        the tensor goes on past it, or a Fisher-weighted tensor does not
-        blend in chunk 0."""
+        helper. Raises ``_Retry`` when a Fisher-weighted tensor does not
+        blend in chunk 0. Rows that tie over all of chunk 0 could be ordered
+        by a later chunk, so chunk 0's orders hold only while the inputs of
+        such rows tie in every chunk: the pairs of ``_twins``, of models tied
+        next to each other in the content order, of Fisher inputs whose mass
+        rows tie next to each other in theirs, and of the Fisher inputs of
+        tied models whose weights tie as well."""
         f, anchor, xs = self._f, self._blocks.anchor, pieces[self._f:]
         w = _FisherBlocks(pieces[:f]) if f else _Scalars(self._w)
-        self._order = _content_order(w, xs)
-        # a tie over all of chunk 0 could be broken by a later chunk, where
-        # the arrays' bytes alone order the models, and the mass rows their own
-        if f and not _blends(w, anchor) or self._size > self._chunk and (
-                _tied(lambda lo: [x[lo:lo + _BLOCK] for x in xs], xs[0].size, self._order)
-                or f and _tied(w.mass, w.size, w.order)):
+        if f and not _blends(w, anchor):
             raise _Retry
-        self._mass_order = w.order if f else None
+        self._order, self._mass_order = _content_order(w, xs), w.order if f else None
+        tied = _ties(lambda lo: [x[lo:lo + _BLOCK] for x in xs], xs[0].size, pairwise(self._order))
+        fisher = _ties(w.mass, w.size, pairwise(w.order)) + _ties(w.block, w.size, tied) if f else []
+        self._twins = [(f + i, f + j) for i, j in tied] + fisher
         self._out = np.empty(self._size, xs[anchor].dtype)
         self._helper.start()
 
@@ -588,26 +595,29 @@ class _Stream(AbstractContextManager):
             buffers[j] = np.empty(nbytes, np.uint8)
         return buffers[j][:nbytes].view(dtype)
 
-    @np.errstate(over="ignore", invalid="ignore")  # a new thread has numpy's default state
     def _run(self, t) -> None:
         """Thread ``t``'s part: each chunk it claims, until none is left or
         the stream stops. It reads the chunk of every input into its buffer
         of the input and checks it, and a piece that fails, or the stream
         stopping, raises ``_Retry``; then it sums the chunk. The main thread
         claims chunk 0 first, and starts the helper once it has fixed the
-        orders from it (``_begin``)."""
-        try:
-            while not self._stop and (c := self._claim()) * self._chunk < self._size:
-                lo, hi = c * self._chunk, min((c + 1) * self._chunk, self._size)
-                pieces = [self._buffer(t, j, hi - lo, dtype) for j, dtype in enumerate(self._dtypes)]
-                for (reads, _), fill, x in zip(self._inputs, self._fills, pieces):
-                    if self._stop or not (fill(lo, hi, x) and reads._ok(x)):
+        orders from it (``_begin``). A later chunk where two inputs of
+        ``_twins`` differ raises ``_Retry`` too."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a new thread has numpy's default state
+            try:
+                while not self._stop and (c := self._claim()) * self._chunk < self._size:
+                    lo, hi = c * self._chunk, min((c + 1) * self._chunk, self._size)
+                    pieces = [self._buffer(t, j, hi - lo, dtype) for j, dtype in enumerate(self._dtypes)]
+                    for (reads, _), fill, x in zip(self._inputs, self._fills, pieces):
+                        if self._stop or not (fill(lo, hi, x) and reads._ok(x)):
+                            raise _Retry
+                    if c == 0:
+                        self._begin(pieces)
+                    elif any(pieces[i].tobytes() != pieces[j].tobytes() for i, j in self._twins):
                         raise _Retry
-                if c == 0:
-                    self._begin(pieces)
-                self._sum(t, lo, pieces)
-        except Exception:  # the tensor is read again whole, which raises it in order
-            self._stop = True
+                    self._sum(t, lo, pieces)
+            except Exception:  # the tensor is read again whole, which raises it in order
+                self._stop = True
 
     def _sum(self, t, lo, pieces) -> None:
         """The chunk of the models from element ``lo`` weighed and summed
@@ -621,9 +631,8 @@ class _Stream(AbstractContextManager):
             work = self._buffer(t, len(pieces), (f or 2) * (e - s)).reshape(f or 2, e - s)
             if f:
                 mass = _normalised(np.stack([x[s:e] for x in pieces[:f]], out=work))
-                w = _shares(mass, [mass[i] for i in self._mass_order], mass)
-            self._out[lo + s:lo + e] = _sum_terms(w, [x[s:e] for x in pieces[f:]], self._order,
-                                                  None if f else work)
+                w, work = _shares(mass, [mass[i] for i in self._mass_order], mass), None
+            self._out[lo + s:lo + e] = _sum_terms(w, [x[s:e] for x in pieces[f:]], self._order, work)
         if not np.isfinite(self._out[lo:lo + size]).all():  # finite inputs can sum past the range
             self._finite = False
 
@@ -796,9 +805,8 @@ class _Blocks:
         weights (the anchor's array, read alone, when those do not blend),
         or under its row of ``table``. A sum that is not finite raises
         ``NonFiniteTensorError``: its inputs were all read and passed."""
-        f = 0
-        if self.src[k] == -1:
-            f = len(self.fishers)
+        f = len(self.fishers) if self.src[k] == -1 else 0
+        if f:
             w = _FisherBlocks([read(j) for j in range(f)])
             if not _blends(w, self.anchor):
                 return read(f + self.anchor)
@@ -830,7 +838,6 @@ class _Blocks:
         return weights
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises instead
 def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=None):
     """The merge loop behind every strategy.
 
@@ -856,20 +863,21 @@ def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=Non
     pool = [_model_reads(c, i) for i, c in enumerate(ckpts)]
     tensors = pool[anchor].index
     names = tensors.names
-    blocks = _Blocks(tensors, alignment, weights, pool, fishers)
-    merged, done = [], 0
-    for j, (a, b) in enumerate(blocks.spans):
-        merged.extend(map(blocks.tensor, range(done, a)))
-        try:
-            data = blocks.merge(j)
-        except _Retry:
-            data = map(blocks.tensor, range(a, b))
-        merged.extend(data)
-        done = b
-    merged.extend(map(blocks.tensor, range(done, len(names))))
-    # tensors no merged value depends on are checked all the same
-    for reads in (*pool, *(f.tensors for f in fishers or ())):
-        reads.check_rest()
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises instead
+        blocks = _Blocks(tensors, alignment, weights, pool, fishers)
+        merged, done = [], 0
+        for j, (a, b) in enumerate(blocks.spans):
+            merged.extend(map(blocks.tensor, range(done, a)))
+            try:
+                data = blocks.merge(j)
+            except _Retry:
+                data = map(blocks.tensor, range(a, b))
+            merged.extend(data)
+            done = b
+        merged.extend(map(blocks.tensor, range(done, len(names))))
+        # tensors no merged value depends on are checked all the same
+        for reads in (*pool, *(f.tensors for f in fishers or ())):
+            reads.check_rest()
 
     metadata = {
         "model_id": "merged",

@@ -1395,8 +1395,8 @@ class TestStreamedReads:
         monkeypatch.setattr(merge_module, "_CHUNK", 2)
 
     @classmethod
-    def pool(cls, rng, fisher_dtype=np.float64):
-        models = [make_checkpoint(cls.SHAPES, rng, np.float32) for _ in range(4)]
+    def pool(cls, rng, fisher_dtype=np.float64, model_dtype=np.float32):
+        models = [make_checkpoint(cls.SHAPES, rng, model_dtype) for _ in range(4)]
         fishers = [Checkpoint.from_arrays({t.name: rng.random(t.shape).astype(fisher_dtype)
                                            for t in m.tensors}) for m in models]
         return models, fishers
@@ -1538,17 +1538,45 @@ class TestStreamedReads:
             save(Checkpoint.from_arrays({"layer0.weight": x}), paths[-1])
         return paths
 
-    def test_streamed_sum_that_overflows_raises_without_reading_again(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("donors", ["differ over chunk 0", "identical"])
+    def test_streamed_sum_that_overflows_raises_without_reading_again(self, tmp_path, donors, monkeypatch):
         # finite inputs whose every chunk passes, weighed by rounded weights
         # that sum past 1, so the sum overflows: the error is raised from the
-        # stream, and no input is read a second time
-        paths = self.overflowing(tmp_path)
+        # stream, and no input is read a second time. Identical donors tie
+        # over every chunk, so chunk 0's order stands and they stream too
+        if donors == "identical":
+            x = np.where(np.arange(40_000) % 2 == 0, self.BIG, -self.BIG)
+            paths = TestFileBackedMerge.saved(tmp_path, [Checkpoint.from_arrays({"layer0.weight": x})] * 4)
+        else:
+            paths = self.overflowing(tmp_path)
         reads = counting_reads(monkeypatch)
         with contextlib.ExitStack() as files:
             opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
             with pytest.raises(NonFiniteTensorError, match="^merged tensor 'layer0.weight' is not finite$"):
                 scalar_weighted_merge(opened, self.OVERFLOWING, shared_parameters(opened, 0))
         assert all(bytes_read_once(reads, p) for p in paths)
+
+    def test_overflow_read_whole_after_a_streamed_tensor_warns_nothing(self, tmp_path, monkeypatch):
+        # the main thread keeps the merge's error state after streaming a
+        # tensor with the helper, so a later tensor read whole (in a run with
+        # its bias) that overflows raises with no RuntimeWarning, an error
+        # under this suite's warning filters
+        paths = self.overflowing(tmp_path)
+        for i, p in enumerate(paths):
+            arrays = {"layer0.weight": np.random.default_rng(i).standard_normal(40_000),
+                      "layer1.weight": load(p).get("layer0.weight").data[:9_000], "layer1.bias": np.zeros(16)}
+            save(Checkpoint.from_arrays(arrays), p)
+        fills = self.streamed_fills(monkeypatch)
+        # the helper enters its error state while the main thread is still in its own
+        before_each_fill(monkeypatch, lambda lo: time.sleep(0.005) if lo else None)
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in paths]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NonFiniteTensorError, match="^merged tensor 'layer1.weight' is not finite$"):
+                    scalar_weighted_merge(opened, self.OVERFLOWING, shared_parameters(opened, 0))
+        main = threading.main_thread().ident
+        assert caught == [] and any(i != main for i, _ in fills) and len(fills) == 3 * 4
 
     def test_sum_that_overflows_only_on_the_helper(self, tmp_path, monkeypatch):
         # every chunk but chunk 0 overflows, so the helper's sums do: it runs
@@ -1572,26 +1600,69 @@ class TestStreamedReads:
         weights = merge_module.score_weights(self.OVERFLOWING)
         assert np.isfinite(sum(w * v for w, v in zip(weights, x))).all()
 
-    @pytest.mark.parametrize("strategy", ["layerwise", "isotropic", "scalar", "fisher"])
-    @pytest.mark.parametrize("twins", ["over chunk 0", "throughout"])
-    def test_donors_tied_over_chunk_0_read_whole(self, tmp_path, rng, strategy, twins, monkeypatch):
-        # two donors byte-identical over chunk 0 could still be ordered by
-        # a later chunk, so the stream hands the tensor back after chunk 0,
-        # and it is merged as it is read whole
-        models, fishers = self.pool(rng)
-        for t in models[2].tensors:
-            twin = models[1].get(t.name).data
-            if twins == "throughout":
-                t.data[...] = twin
-            else:
-                t.data.reshape(-1)[:merge_module._CHUNK * merge_module._BLOCK] = twin.reshape(-1)[
-                    :merge_module._CHUNK * merge_module._BLOCK]
+    @staticmethod
+    def twin(ckpts, twins):
+        """Make ``ckpts[2]`` byte-identical to ``ckpts[1]`` over chunk 0 of
+        each tensor, or throughout, or leave it (``twins`` "differ")."""
+        n = {"differ": 0, "over chunk 0": merge_module._CHUNK * merge_module._BLOCK, "throughout": None}[twins]
+        for t in ckpts[2].tensors:
+            t.data.reshape(-1)[:n] = ckpts[1].get(t.name).data.reshape(-1)[:n]
+
+    def assert_streamed(self, tmp_path, strategy, models, fishers, monkeypatch, streamed):
+        """The merge of the saved pool is byte-equal to that of the loaded
+        one, and its two large tensors are streamed, every byte read once,
+        or handed back after at most one chunk past chunk 0 on each thread."""
         expected = TestFileBackedMerge.merge(strategy, models, fishers)
         fills = self.streamed_fills(monkeypatch)
-        merged = self.merge_files(tmp_path, strategy, models, fishers)
-        self.assert_bytes_equal(merged, expected)
-        inputs = 8 if strategy == "fisher" else 4
-        assert [lo for _, lo in fills] == [0] * (2 * inputs)  # chunk 0 of the two weights
+        reads = counting_reads(monkeypatch)
+        self.assert_bytes_equal(self.merge_files(tmp_path, strategy, models, fishers), expected)
+        inputs = sorted(tmp_path.glob("m*.st") if strategy != "fisher" else tmp_path.glob("*.st"))
+        assert all(bytes_read_once(reads, p) for p in inputs) == streamed
+        assert len(fills) == 2 * 5 * len(inputs) if streamed else len(fills) <= 2 * 3 * len(inputs)
+
+    @pytest.mark.parametrize("strategy", ["layerwise", "isotropic", "scalar", "fisher"])
+    @pytest.mark.parametrize("twins", ["over chunk 0", "throughout"])
+    def test_donors_tied_over_chunk_0(self, tmp_path, rng, strategy, twins, monkeypatch):
+        # two donors byte-identical over chunk 0 keep chunk 0's order while
+        # they tie; a later chunk where they differ could order them, so the
+        # stream hands the tensor back there, and it is merged as it is read
+        # whole
+        models, fishers = self.pool(rng)
+        self.twin(models, twins)
+        self.assert_streamed(tmp_path, strategy, models, fishers, monkeypatch, twins == "throughout")
+
+    @pytest.mark.parametrize("model_twins, fisher_twins", [
+        ("throughout", "throughout"), ("differ", "throughout"),
+        ("throughout", "over chunk 0"), ("differ", "over chunk 0"), ("over chunk 0", "throughout")])
+    def test_fisher_inputs_tied_over_chunk_0(self, tmp_path, rng, model_twins, fisher_twins, monkeypatch):
+        # tied Fisher inputs tie the mass rows, and with tied models the
+        # weights break the models' tie: either holds only while the Fisher
+        # inputs tie in every chunk
+        models, fishers = self.pool(rng)
+        self.twin(models, model_twins)
+        self.twin(fishers, fisher_twins)
+        streamed = model_twins != "over chunk 0" and fisher_twins == "throughout"
+        self.assert_streamed(tmp_path, "fisher", models, fishers, monkeypatch, streamed)
+
+    def test_weights_tied_over_chunk_0_by_distinct_fisher_mass(self, tmp_path, rng, monkeypatch):
+        # over chunk 0, Fisher values one float apart give donors 1 and 2
+        # distinct mass rows but, divided by the same sum, the same weights;
+        # with the two models tied throughout, the weights of a later chunk
+        # order them, so the stream hands the tensors back. F64 models, and
+        # those later weights ordering donor 2 first, so that chunk 0's
+        # order would change the merged bytes
+        models, fishers = self.pool(rng, model_dtype=np.float64)
+        self.twin(models, "throughout")
+        for t in fishers[1].tensors:
+            other = fishers[2].get(t.name).data
+            t.data[...], other[...] = other.copy(), t.data.copy()
+        values = [1.0, 0.8042252456449206, 0.8042252456449207, 0.5790228541743642]
+        for f, v in zip(fishers, values):
+            for t in f.tensors:
+                t.data.reshape(-1)[:merge_module._CHUNK * merge_module._BLOCK] = v
+        mass = merge_module._FisherBlocks([[v] for v in values])
+        assert mass.mass(0)[1] != mass.mass(0)[2] and mass.block(0)[1] == mass.block(0)[2]
+        self.assert_streamed(tmp_path, "fisher", models, fishers, monkeypatch, False)
 
     def test_fisher_tensor_that_blends_only_after_chunk_0(self, tmp_path, rng, monkeypatch):
         # the donor has no Fisher mass over chunk 0, so it does not blend
