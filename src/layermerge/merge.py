@@ -14,18 +14,20 @@ element's float64 terms are added in the content order of its tensor's
 (tensor, weight row) pairs, which depends only on the multiset of pairs,
 so every strategy is exactly invariant to permutations of the non-anchor
 models. Two kernels, chosen by tensor size, compute the sum with the same
-operations for every element: ``_weighted_sum`` for a tensor larger than a
-block, ``_Blocks.merge`` for several small ones. The plan of a merge
-(``_Blocks``) takes each tensor down one path. A large tensor whose inputs
-are each read alone from an open file is streamed (``_Stream``): the main
-thread and one helper split its chunks, and each reads the chunk of every
-input into buffers it keeps (``read_alone``), checks it, and weighs and
-sums it with the operations of the whole-read path (``_Blocks._sum``), in
-the orders that the main thread fixes from chunk 0 (rows tied there stay
-tied in every chunk, or the tensor is handed back); the merge loop reads
-nothing meanwhile. The helper starts inside the ``with`` that joins it. A
-block or a stream that cannot finish hands its tensors back by raising
-``_Retry``, and they are merged again one at a time, read whole.
+operations for every element: the block kernel (``_Blocks.merge``) for
+several small tensors, and the step sum (``_step_sums``) for a tensor
+larger than a block. The plan of a merge (``_Blocks``) takes each tensor
+down one path. A large tensor whose inputs are each read alone from an open
+file is streamed (``_Stream``): the main thread and one helper split its
+chunks, and each reads the chunk of every input into buffers it keeps
+(``read_alone``), checks it, and step-sums it, in the orders that the main
+thread fixes from chunk 0 as the whole read (``_Blocks._sum``) fixes them
+from the whole tensor (rows tied there stay tied in every chunk, or the
+tensor is handed back); the merge loop reads nothing meanwhile. Any other
+large tensor is read whole and step-summed on the calling thread. The
+helper starts inside the ``with`` that joins it. A block or a stream that
+cannot finish hands its tensors back by raising ``_Retry``, and they are
+merged again one at a time, read whole.
 Before any tensor is read, the merge checks once that the models and
 Fisher inputs fit the alignment (``_fitted_rows``). Every tensor of every input,
 blended or not, is checked (finite, and Fisher values non-negative), and a
@@ -461,42 +463,28 @@ def _blends(weights, anchor) -> bool:
     return any(_blended(weights.block(lo), anchor).any() for lo in range(0, weights.size, _BLOCK))
 
 
-def _sum_terms(w, xs, order, work=None) -> np.ndarray:
-    """The float64 sum of the terms ``w[i] * xs[i]``, added in ``order``, in
-    the rows of the (2, n) ``work``: the sum, and each term after the first;
-    or, when ``work`` is None, in the rows of ``w``, in place of the weights."""
+def _step_sums(pieces, f, w, order, mass_order, out, buffer) -> bool:
+    """Weighs and sums the models' flat ``pieces``, after the first ``f``,
+    which are Fisher inputs, into ``out`` in steps of ``_STEP`` elements,
+    and returns whether ``out`` is finite. Each step adds the float64 terms
+    ``w[i] * x[i]`` in ``order``, under the M scalars ``w`` or, given Fisher
+    inputs, under the step's shares of their normalised mass, added in
+    ``mass_order`` (``_FisherBlocks``). The step works in the float64
+    ``buffer`` of ``(f or 2) * min(out.size, _STEP)`` elements: two rows,
+    the sum and each term; or ``f`` rows, the mass, then the weights in its
+    place, then the sum and each term in place of their weights."""
     first, *rest = order
-    acc, term = (w[first], None) if work is None else work
-    np.multiply(w[first], xs[first], out=acc, dtype=np.float64)
-    for i in rest:
-        acc += np.multiply(w[i], xs[i], out=w[i] if work is None else term, dtype=np.float64)
-    return acc
-
-
-def _weighted_sum(weights, arrays, dtype=np.float64) -> np.ndarray:
-    """``sum_i w_i * x_i`` in float64, cast to ``dtype``, for a weight
-    source ``weights``: ``weights.block(lo)`` gives the M weights of the
-    block of elements starting at ``lo``, rows of ``weights.size`` elements
-    (``_Scalars`` for one weight per model, ``_FisherBlocks`` for one per
-    element).
-
-    The (weight, array) pairs are added in the order of their content (the
-    array's bytes, then the weight row's, compared up to the first
-    difference), so the result depends only on the multiset of pairs, never
-    on model order; pairs with equal keys are byte-identical and give
-    identical terms. The sum runs over blocks of ``_BLOCK`` elements in two
-    float64 block buffers, every block in that one order, so each element
-    gets the same float64 operations as a sum over whole arrays; each block
-    is cast into the output as soon as it is summed.
-    """
-    xs = [x.reshape(-1) for x in arrays]
-    order = _content_order(weights, xs)
-    out = np.empty(xs[0].size, dtype)
-    work = np.empty((2, min(out.size, _BLOCK)))
-    for lo in range(0, out.size, _BLOCK):
-        hi = min(lo + _BLOCK, out.size)
-        out[lo:hi] = _sum_terms(weights.block(lo), [x[lo:hi] for x in xs], order, work[:, :hi - lo])
-    return out.reshape(np.shape(arrays[0]))
+    for s in range(0, out.size, _STEP):
+        e = min(s + _STEP, out.size)
+        work = buffer[:(f or 2) * (e - s)].reshape(f or 2, e - s)
+        if f:
+            _normalised(np.stack([x[s:e] for x in pieces[:f]], out=work))
+            w = _shares(work, [work[i] for i in mass_order], work)
+        acc = np.multiply(w[first], pieces[f + first][s:e], out=work[first if f else 0], dtype=np.float64)
+        for i in rest:
+            acc += np.multiply(w[i], pieces[f + i][s:e], out=work[i if f else 1], dtype=np.float64)
+        out[s:e] = acc
+    return bool(np.isfinite(out).all())  # finite inputs can sum, or cast, past the range
 
 
 def _ties(blocks, size, pairs) -> list:
@@ -516,11 +504,10 @@ class _Stream(AbstractContextManager):
     it in buffers that it keeps across chunks and tensors (``_buffer``): it
     reads the chunk of every input with the ``fill`` of its index's
     ``read_alone`` and checks each piece with its ``_Reads``' ``ok``
-    (``_run``); it weighs and sums the chunk in steps of ``_STEP``
-    elements, with the float64 operations of the whole-read path in their
-    order, and casts the sum into its slice of the output, noting whether
-    that slice is finite (``_sum``). The main thread claims chunk 0 and,
-    before the helper starts, fixes from it what the whole-read path
+    (``_run``); it weighs and sums the chunk with ``_step_sums``, as the
+    whole read sums the whole tensor, into its slice of the output, noting
+    whether that slice is finite (``_sum``). The main thread claims chunk
+    0 and, before the helper starts, fixes from it what the whole read
     decides over the whole tensor (``_begin``); where rows tie over all of
     chunk 0, that holds while their inputs tie in every later chunk, which
     each thread checks. The first read or check that fails, or a tie that
@@ -621,19 +608,11 @@ class _Stream(AbstractContextManager):
 
     def _sum(self, t, lo, pieces) -> None:
         """The chunk of the models from element ``lo`` weighed and summed
-        from ``pieces`` in steps of ``_STEP``, in thread ``t``'s buffers, and
-        cast into its slice of the output, whose finiteness is noted. Under
-        Fisher weights one buffer holds the mass, then the weights in its
-        place, and then the sum and each term in place of their weights."""
-        f, w, size = self._f, self._w, pieces[0].size
-        for s in range(0, size, _STEP):
-            e = min(s + _STEP, size)
-            work = self._buffer(t, len(pieces), (f or 2) * (e - s)).reshape(f or 2, e - s)
-            if f:
-                mass = _normalised(np.stack([x[s:e] for x in pieces[:f]], out=work))
-                w, work = _shares(mass, [mass[i] for i in self._mass_order], mass), None
-            self._out[lo + s:lo + e] = _sum_terms(w, [x[s:e] for x in pieces[f:]], self._order, work)
-        if not np.isfinite(self._out[lo:lo + size]).all():  # finite inputs can sum past the range
+        from ``pieces`` by ``_step_sums``, in thread ``t``'s buffer, into its
+        slice of the output, whose finiteness is noted."""
+        out = self._out[lo:lo + pieces[0].size]
+        buffer = self._buffer(t, len(pieces), (self._f or 2) * min(out.size, _STEP))
+        if not _step_sums(pieces, self._f, self._w, self._order, self._mass_order, out, buffer):
             self._finite = False
 
 
@@ -753,10 +732,10 @@ class _Blocks:
     def merge(self, j):
         """The merged arrays of block ``j``, each a view of the block's
         output cast to the anchor's dtype. Raises ``_Retry`` when anything
-        fails (an input not finite, a negative Fisher value, a read, a
-        Fisher-weighted tensor that does not blend, an output not finite),
-        so that its tensors are merged one at a time and the first failure
-        raises."""
+        fails (an input not finite, a negative Fisher value, a read, an
+        output not finite), so that its tensors are merged one at a time and
+        the first failure raises. A Fisher-weighted tensor that blends
+        nowhere keeps the anchor's values, as it does merged alone."""
         a, b = self.spans[j]
         sizes, src = self.sizes[a:b], self.src[a:b]
         offsets = np.cumsum(sizes) - sizes
@@ -764,9 +743,10 @@ class _Blocks:
         # each element's M weights: its tensor's row of the table (the last
         # row stands in for src -1), or its Fisher weights where src is -1
         w = np.repeat(self.table[src].T, sizes, axis=1)
-        fisher = src == -1
+        fisher, kept = src == -1, None
         if fisher.any():
-            w = np.where(np.repeat(fisher, sizes), self._fisher_weights(a, b, sizes, offsets, fisher), w)
+            fisher_w, kept = self._fisher_weights(a, b, sizes, offsets, fisher)
+            w = np.where(np.repeat(fisher, sizes), fisher_w, w)
         # each element's (weight, value) terms in its tensor's content order
         index = _gather(_orders(sizes, x, w), sizes)
         w_terms, x_terms = w.take(index), x.take(index)
@@ -774,6 +754,8 @@ class _Blocks:
         for i in range(1, len(x)):
             acc += np.multiply(w_terms[i], x_terms[i], dtype=np.float64)
         out = acc.astype(x.dtype)
+        if kept is not None:
+            np.copyto(out, x[self.anchor], where=kept)
         # finite inputs can still sum, or cast, past the dtype's range
         if not np.isfinite(out).all():
             raise _Retry
@@ -801,30 +783,30 @@ class _Blocks:
     def _sum(self, k, read):
         """The merged array of the blended tensor ``k``, whose inputs (see
         ``tensor``) are ``read(j)``, each read once it is needed: the
-        weighted sum of the models under the tensor's per-element Fisher
-        weights (the anchor's array, read alone, when those do not blend),
-        or under its row of ``table``. A sum that is not finite raises
+        ``_step_sums`` of the models over the whole tensor under its
+        per-element Fisher weights (the anchor's array, read alone, when
+        those do not blend), or under its row of ``table``, in the content
+        order of the whole tensor. A sum that is not finite raises
         ``NonFiniteTensorError``: its inputs were all read and passed."""
         f = len(self.fishers) if self.src[k] == -1 else 0
-        if f:
-            w = _FisherBlocks([read(j) for j in range(f)])
-            if not _blends(w, self.anchor):
-                return read(f + self.anchor)
-        else:
-            w = _Scalars(self.table[self.src[k]])
-        xs = [read(f + i) for i in range(len(self.pool))]
-        out = _weighted_sum(w, xs, xs[self.anchor].dtype)
-        # finite inputs can still sum, or cast, past the dtype's range
-        if not np.isfinite(out).all():
+        w = self.table[self.src[k]]  # the last row, unused, where weighed per element
+        pieces = [read(j).reshape(-1) for j in range(f)]
+        weights = _FisherBlocks(pieces) if f else _Scalars(w)
+        if f and not _blends(weights, self.anchor):
+            return read(f + self.anchor)
+        pieces += [read(f + i).reshape(-1) for i in range(len(self.pool))]
+        out = np.empty(pieces[f].size, pieces[f + self.anchor].dtype)
+        order, buffer = _content_order(weights, pieces[f:]), np.empty((f or 2) * min(out.size, _STEP))
+        if not _step_sums(pieces, f, w, order, weights.order if f else None, out, buffer):
             raise NonFiniteTensorError(f"merged tensor '{self.names[k]}' is not finite")
-        return out
+        return out.reshape(self.shapes[k])
 
     def _fisher_weights(self, a, b, sizes, offsets, fisher):
         """The (M, n) per-element Fisher weights of the block of tensors
         ``a`` to ``b`` (only its Fisher-weighted tensors' elements are
-        meaningful), as ``_FisherBlocks`` computes them. Raises ``_Retry``
-        when a Fisher value fails its check or a Fisher-weighted tensor does
-        not blend."""
+        meaningful), as ``_FisherBlocks`` computes them, and whether each
+        element is of a Fisher-weighted tensor that blends nowhere. Raises
+        ``_Retry`` when a Fisher value fails its check."""
         mass = np.zeros((len(self.fishers), int(sizes.sum())))
         for i, f in enumerate(self.fishers):
             # all of the block's Fisher tensors of the anchor's shape, in runs
@@ -833,9 +815,7 @@ class _Blocks:
         _normalised(mass)
         weights = _shares(mass, mass.take(_gather(_orders(sizes, mass), sizes)))
         blended = np.logical_or.reduceat(_blended(weights, self.anchor), offsets)
-        if not blended[fisher].all():
-            raise _Retry
-        return weights
+        return weights, np.repeat(fisher & ~blended, sizes)
 
 
 def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=None):
@@ -847,7 +827,7 @@ def _merge(ckpts, alignment, strategy, weights, fishers=None, metadata_extra=Non
     sums cast to the anchor's dtype; anchor-only tensors, and shared tensors
     whose non-anchor weights are all zero, keep the anchor's array. The
     output follows the anchor's tensor order. Tensors larger than a block
-    go through ``_weighted_sum``, streamed where they can be (see
+    go through ``_step_sums``, streamed where they can be (see
     ``_Blocks.tensor``), smaller ones through the block kernel (see
     ``_Blocks``). A block or a stream that fails raises ``_Retry``, and
     its tensors are merged again one at a time, as they are read whole,

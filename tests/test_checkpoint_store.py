@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -343,6 +344,20 @@ class TestLoadErrors:
                 reader(path)
         assert main(["inspect", str(path)]) == 2
         assert "invalid shape" in capsys.readouterr().err
+
+    def test_byte_size_past_int64_rejected(self, tmp_path, capsys):
+        # 2**62 * 4 elements of 4 bytes: an exact size no int64 holds
+        path = tmp_path / "huge.st"
+        write_raw_header(path, json.dumps(
+            {"tensors": {"x": {"dtype": "F32", "shape": [2**62, 4], "offsets": [0, 0]}}}))
+        message = (f"{path}: tensor 'x' byte range 0 does not match shape "
+                   f"[4611686018427387904, 4] (73786976294838206464 bytes expected)")
+        for reader in READERS:
+            with pytest.raises(CheckpointFormatError) as got:
+                reader(path)
+            assert str(got.value) == message
+        assert main(["inspect", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("header, reason", [
         ("deep", "nested too deeply"),
@@ -692,6 +707,23 @@ class TestDurability:
             save(make_checkpoint([(2, 2)], np.random.default_rng(0)), tmp_path / "c.st")
         assert list(tmp_path.iterdir()) == []
 
+
+    def test_failed_fsync_and_failed_removal_raise_the_fsync_error(self, tmp_path, monkeypatch):
+        def fail_fsync(fd):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        def fail_unlink(path):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(os, "fsync", fail_fsync)
+        monkeypatch.setattr(os, "unlink", fail_unlink)
+        target = tmp_path / "c.st"
+        with pytest.raises(OSError) as got:
+            save(make_checkpoint([(2, 2)], np.random.default_rng(0)), target)
+        assert (got.value.errno, got.value.filename) == (errno.EIO, str(target))
+        assert not target.exists()
+        # the temporary file that could not be removed is all that is left
+        assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
 
 def _fuzz_base() -> bytes:
     ckpt = Checkpoint.from_arrays(

@@ -214,7 +214,7 @@ class TestMerge:
             raise KeyboardInterrupt
 
         if where == "merge":  # the kernel of one tensor and of a block of tensors
-            monkeypatch.setattr(merge_module, "_weighted_sum", interrupt)
+            monkeypatch.setattr(merge_module, "_step_sums", interrupt)
             monkeypatch.setattr(merge_module._Blocks, "merge", interrupt)
         else:  # the temporary file is written and about to be synced
             monkeypatch.setattr(os, "fsync", interrupt)

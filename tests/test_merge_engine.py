@@ -274,7 +274,7 @@ class TestLayerwiseMerge:
         for name in alignment.shared_groups[-1].names():
             assert np.array_equal(merged.get(name).data, pool[0].get(name).data)
 
-    # a weight tensor above the 8,192-element block goes through _weighted_sum,
+    # a weight tensor above the 8,192-element block goes through _step_sums,
     # tensors of 20 elements through the block kernel
     @pytest.mark.parametrize("shape", [(100, 90), (4, 5)], ids=["whole-tensor", "blocks"])
     @pytest.mark.parametrize("source", ["memory", "file"])
@@ -789,17 +789,23 @@ class TestContentOrder:
             assert order == ref.ref_content_order(weights, arrays) == expected
 
     def test_weighted_sum_copies_no_whole_tensor(self, rng):
+        # the whole read of one Fisher-weighted tensor, summed by _step_sums
         arrays = [rng.standard_normal((512, 512)) for _ in range(4)]
         weights = [rng.random((512, 512)) for _ in range(4)]
+        plan = SimpleNamespace(fishers=weights, pool=arrays, anchor=0, src=[-1], table=np.zeros((1, 4)),
+                               names=["t"], shapes=[(512, 512)])
         tensor = arrays[0].nbytes
         tracemalloc.start()
         try:
-            merge_module._weighted_sum(merge_module._FisherBlocks(weights), arrays)
+            merged = merge_module._Blocks._sum(plan, 0, [*weights, *arrays].__getitem__)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the output plus a few blocks per model (keys, Fisher weights and
-        # the two sum buffers); whole-tensor keys would add 8 more tensors
+        expected = ref.ref_weighted_sum(ref.ref_fisher_weights(weights), arrays)
+        assert merged.tobytes() == expected.tobytes()
+        # the output, the step buffer (four rows of _STEP, half a tensor
+        # here) and a few blocks per model (keys, Fisher weights and each
+        # step's sum of the mass); one whole-tensor copy would add a tensor
         assert peak < 2 * tensor + 64 * merge_module._BLOCK + 65536
 
 
@@ -861,17 +867,24 @@ class TestBlockedKernel:
         ]
 
     @staticmethod
-    def oracle_fisher_weights(fishers):
-        # a weight source whose one block is the whole (M, *shape) weights
-        return merge_module._Scalars(ref.ref_fisher_weights(fishers))
+    def oracle_sum(blocks, k, read):
+        """``_Blocks._sum`` with the Fisher weights, the blend decision and
+        the sum taken by the whole-array reference."""
+        f = len(blocks.fishers) if blocks.src[k] == -1 else 0
+        w = ref.ref_fisher_weights([read(j) for j in range(f)]) if f else blocks.table[blocks.src[k]]
+        if f and not np.delete(w, blocks.anchor, axis=0).any():  # only the anchor has weight
+            return read(f + blocks.anchor)
+        xs = [read(f + i) for i in range(len(blocks.pool))]
+        out = ref.ref_weighted_sum(w, xs).astype(xs[blocks.anchor].dtype)
+        if not np.isfinite(out).all():
+            raise NonFiniteTensorError(f"merged tensor '{blocks.names[k]}' is not finite")
+        return out
 
     @staticmethod
     def whole(pool, fishers, anchor, scores):
         """The merges with every tensor summed by the whole-array kernel:
         the block kernel hands every block back, one tensor at a time."""
-        with mock.patch.object(merge_module, "_FisherBlocks", TestBlockedKernel.oracle_fisher_weights), \
-                mock.patch.object(merge_module, "_weighted_sum",
-                                  lambda w, xs, dtype: ref.ref_weighted_sum(w.block(0), xs).astype(dtype)), \
+        with mock.patch.object(merge_module._Blocks, "_sum", TestBlockedKernel.oracle_sum), \
                 mock.patch.object(merge_module._Blocks, "merge", hand_back):
             return TestBlockedKernel.merges(pool, fishers, anchor, scores)
 
@@ -1066,7 +1079,7 @@ class TestFileBackedMerge:
         paths = self.saved(tmp_path, models)
         monkeypatch.setattr(ckpt_store, "_RUN_BYTES", 4096)
         passes = []
-        for owner, name in ((merge_module._Blocks, "merge"), (merge_module, "_weighted_sum")):
+        for owner, name in ((merge_module._Blocks, "merge"), (merge_module._Blocks, "_sum")):
             def counted(*args, _kernel=getattr(owner, name), _name=name):
                 passes.append(_name)
                 return _kernel(*args)
@@ -1077,8 +1090,42 @@ class TestFileBackedMerge:
             self.merge(strategy.split("-")[0], opened[:4], opened[4:])
         shared_elements = sum(math.prod(opened[0].get(n).shape) for n in alignment.shared_names())
         runs = sum(ref.ref_read_units(p, 4096) for p in paths)
-        assert "_weighted_sum" not in passes
+        assert "_sum" not in passes
         assert len(passes) <= runs + shared_elements / merge_module._BLOCK < 600
+
+    def test_fisher_tensor_that_blends_nowhere_keeps_its_block(self, tmp_path, monkeypatch):
+        # every even group's weight has Fisher mass in the anchor only, so it
+        # keeps the anchor's values inside its block, and no block is merged
+        # again one tensor at a time
+        models, fishers = self.many_tensor_models(with_fisher=True)
+        kept = [f"blocks.{k}.weight" for k in range(0, 150, 2)]
+        for i, f in enumerate(fishers):
+            for name in kept:
+                f.get(name).data[...] = f.get(name).data + 0.5 if i == 0 else 0.0
+        paths, fisher_paths = self.saved(tmp_path, models), self.saved(tmp_path, fishers, "f")
+        loaded = [load(p) for p in paths], [load(p) for p in fisher_paths]
+        with mock.patch.object(merge_module._Blocks, "merge", hand_back):
+            expected = self.merge("fisher", *loaded)
+        merges, one_at_a_time = [], []
+        block_merge, tensor = merge_module._Blocks.merge, merge_module._Blocks.tensor
+
+        def counted_merge(blocks, j):
+            merges.append(len(blocks.spans))
+            return block_merge(blocks, j)
+
+        def counted_tensor(blocks, k):
+            one_at_a_time.extend(k for a, b in blocks.spans if a <= k < b)
+            return tensor(blocks, k)
+        monkeypatch.setattr(merge_module._Blocks, "merge", counted_merge)
+        monkeypatch.setattr(merge_module._Blocks, "tensor", counted_tensor)
+        with contextlib.ExitStack() as files:
+            opened = [files.enter_context(ckpt_store.open_file(p)) for p in [*paths, *fisher_paths]]
+            merged = [self.merge("fisher", opened[:4], opened[4:]), self.merge("fisher", *loaded)]
+        assert len(merges) == 2 * merges[0] > 2 and one_at_a_time == []
+        for got in merged:
+            assert got.names() == expected.names()
+            assert all(t.data.tobytes() == expected.get(t.name).data.tobytes() for t in got.tensors)
+        assert all(expected.get(n).data.tobytes() == models[0].get(n).data.tobytes() for n in kept)
 
     @staticmethod
     def one_run(tmp_path, ckpts, stem="m"):
@@ -1809,7 +1856,7 @@ class TestReadWorkerJoined:
                 return fill(section, fh, arr, start)
             monkeypatch.setattr(ckpt_store._DataSection, "_fill", interrupt)
         else:  # as the main thread sums chunk 0, while the helper reads the next chunk slowly
-            sum_terms = merge_module._sum_terms
+            step_sums = merge_module._step_sums
 
             def slow(lo):
                 pieces.append(lo)
@@ -1817,11 +1864,11 @@ class TestReadWorkerJoined:
 
             def interrupt(*args):
                 if threading.current_thread() is not threading.main_thread():
-                    return sum_terms(*args)
+                    return step_sums(*args)
                 readers.append(True)
                 raise KeyboardInterrupt
             before_each_fill(monkeypatch, slow)
-            monkeypatch.setattr(merge_module, "_sum_terms", interrupt)
+            monkeypatch.setattr(merge_module, "_step_sums", interrupt)
         out = tmp_path / "out.st"
         code = main(["merge", *map(str, paths), "--strategy", "fisher",
                      "--fisher", *map(str, fisher_paths), "--out", str(out)])
