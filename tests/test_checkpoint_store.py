@@ -707,7 +707,6 @@ class TestDurability:
             save(make_checkpoint([(2, 2)], np.random.default_rng(0)), tmp_path / "c.st")
         assert list(tmp_path.iterdir()) == []
 
-
     def test_failed_fsync_and_failed_removal_raise_the_fsync_error(self, tmp_path, monkeypatch):
         def fail_fsync(fd):
             raise OSError(errno.EIO, os.strerror(errno.EIO))
@@ -724,6 +723,7 @@ class TestDurability:
         assert not target.exists()
         # the temporary file that could not be removed is all that is left
         assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
+
 
 def _fuzz_base() -> bytes:
     ckpt = Checkpoint.from_arrays(
